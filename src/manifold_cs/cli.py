@@ -2,7 +2,9 @@
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -183,7 +185,8 @@ def cmd_gmra_validate(args):
             "ctilde_factor8": report.ctilde_factor8,
             "failures": report.failures,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        payload = {key: _finite_or_null(value) for key, value in payload.items()}
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print("counts: %s" % report.counts)
         print("separation margin: %.6g (ok=%s)" % (report.separation_margin, report.separation_ok))
@@ -197,6 +200,13 @@ def cmd_gmra_validate(args):
             print("FAIL: %s" % failure)
         print("overall: %s" % ("PASS" if report.passed else "FAIL"))
     return 0 if report.passed else 2
+
+
+def _finite_or_null(value):
+    """The value with each non-finite float, also inside lists, made None (JSON null)."""
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def cmd_measure_make(args):
@@ -261,26 +271,8 @@ def cmd_recover(args):
     meas = geometry.load_csv(args.measurements).points
     if meas.shape[1] != matrix.m:
         raise SystemExit("measurement rows have %d entries, matrix m=%d" % (meas.shape[1], matrix.m))
-    scale = args.scale
-    outcomes = []
-    if scale == "auto":
-        for row in meas:
-            outcomes.append(recovery.recover(row, matrix, dictionary, "auto"))
-        recon = np.array([o.reconstruction for o in outcomes])
-    else:
-        batch = recovery.recover_batch(meas, matrix, dictionary, int(scale))
-        recon = batch.reconstructions
-        for i in range(meas.shape[0]):
-            outcomes.append(
-                recovery.RecoveryOutcome(
-                    reconstruction=recon[i],
-                    chosen_scale=batch.scale,
-                    chosen_center=int(batch.chosen_centers[i]),
-                    coefficients=batch.coefficients[i],
-                    compressed_residual=float(batch.residuals[i]),
-                    ill_conditioned=bool(batch.ill_conditioned[i]),
-                )
-            )
+    batch = recovery.recover_batch(meas, matrix, dictionary, args.scale)
+    recon = batch.reconstructions
     geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
     print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
 
@@ -290,56 +282,32 @@ def cmd_recover(args):
         points = geometry.load_csv(args.points).points
         if points.shape[0] != meas.shape[0]:
             raise SystemExit("points and measurements row counts differ")
-        manifold = None
+        x_opt = None
         if args.manifold:
             manifold = (
                 geometry.load_csv(args.manifold)
                 if args.manifold not in ("sphere", "swiss-roll")
                 else args.manifold
             )
+            x_opt = np.array([recovery.nearest_point_oracle(x, manifold, args.intrinsic_dim) for x in points])
+        columns = recovery.certify_batch(
+            points, matrix, dictionary, batch, args.eps, x_opt=x_opt, tube_delta=args.tube_delta
+        )
+        # every CertificateBundle quantity, in field order; absent ones are left empty
+        names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
         with open(args.certificates, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            header = [
-                "index",
-                "j",
-                "k_prime",
-                "compressed_residual",
-                "ill_conditioned",
-                "line3_lhs",
-                "line3_rhs",
-                "line4_lhs",
-                "line4_rhs",
-                "optimal_error_bound",
-                "optimal_error_excess",
-                "line3_set2_rhs",
-                "tube_lhs",
-                "tube_rhs",
-            ]
-            writer.writerow(header)
-            for i, outcome in enumerate(outcomes):
-                x_opt = None
-                if manifold is not None:
-                    x_opt = recovery.nearest_point_oracle(points[i], manifold, args.intrinsic_dim)
-                cert = recovery.certify(
-                    points[i], matrix, dictionary, outcome, args.eps, x_opt=x_opt, tube_delta=args.tube_delta
-                )
+            writer.writerow(["index", "j", "k_prime", "compressed_residual", "ill_conditioned"] + names)
+            for i in range(recon.shape[0]):
                 writer.writerow(
                     [
                         i,
-                        outcome.chosen_scale,
-                        outcome.chosen_center,
-                        "%.17g" % outcome.compressed_residual,
-                        int(outcome.ill_conditioned),
-                        "%.17g" % cert.line3_lhs,
-                        "%.17g" % cert.line3_rhs,
-                        "%.17g" % cert.line4_lhs,
-                        "%.17g" % cert.line4_rhs,
-                        "" if cert.optimal_error_bound is None else "%.17g" % cert.optimal_error_bound,
-                        "" if cert.optimal_error_excess is None else "%.17g" % cert.optimal_error_excess,
-                        "" if cert.line3_set2_rhs is None else "%.17g" % cert.line3_set2_rhs,
-                        "" if cert.tube_lhs is None else "%.17g" % cert.tube_lhs,
-                        "" if cert.tube_rhs is None else "%.17g" % cert.tube_rhs,
+                        batch.chosen_scales[i],
+                        batch.chosen_centers[i],
+                        "%.17g" % batch.residuals[i],
+                        int(batch.ill_conditioned[i]),
                     ]
+                    + ["%.17g" % columns[name][i] if name in columns else "" for name in names]
                 )
         print("wrote certificates to %s" % args.certificates)
 

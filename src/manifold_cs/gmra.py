@@ -67,8 +67,7 @@ def apply_projector(proj, x):
             "dimension mismatch: point has shape %s, projector lives in R^%d"
             % (x.shape, proj.ambient_dim)
         )
-    rel = x - proj.center
-    return proj.center + proj.basis.T @ (proj.basis @ rel)
+    return apply_projector_batch(proj, x[None])[0]
 
 
 def apply_projector_batch(proj, pts):
@@ -87,6 +86,7 @@ class MultiscaleDictionary:
         self.root_radius = float(root_radius)
         self.provenance = provenance
         self._center_cache = {}
+        self._basis_cache = {}
         self._validate_shape()
 
     def _validate_shape(self):
@@ -127,6 +127,15 @@ class MultiscaleDictionary:
         if j not in self._center_cache:
             self._center_cache[j] = np.array([p.center for p in self.scales[j]])
         return self._center_cache[j]
+
+    def bases(self, j):
+        """Stacked K_j x d_max x D scale-j bases, zero rows padding smaller cells (cached)."""
+        if j not in self._basis_cache:
+            stack = np.zeros((len(self.scales[j]), self.max_local_dim(j), self.ambient_dim))
+            for k, p in enumerate(self.scales[j]):
+                stack[k, : p.local_dim] = p.basis
+            self._basis_cache[j] = stack
+        return self._basis_cache[j]
 
     def local_dims(self, j):
         return [p.local_dim for p in self.scales[j]]
@@ -346,9 +355,29 @@ def nearest_center(dictionary, j, x):
     return int(np.argmin(np.linalg.norm(centers - x, axis=1)))
 
 
-def nearest_center_batch(dictionary, j, pts):
-    """Vectorized nearest_center over the rows of pts."""
-    return _nearest_rows(np.asarray(pts, dtype=np.float64), dictionary.centers(j))
+def project_at_scale(dictionary, j, pts):
+    """Apply the nearest-center projector at scale j to every row of pts."""
+    pts = np.asarray(pts, dtype=np.float64)
+    cells = _nearest_rows(pts, dictionary.centers(j))
+    centers = dictionary.centers(j)[cells]
+    return in_plane_rows(dictionary, j, cells, pts - centers) + centers
+
+
+def in_plane_rows(dictionary, j, cells, rel):
+    """Row i is B^T B rel[i], for the basis B of the scale-j cell cells[i]."""
+    bases = dictionary.bases(j)
+    coeffs = np.stack([(rel * bases[cells, t]).sum(axis=1) for t in range(bases.shape[1])], axis=1)
+    return plane_rows(dictionary, j, cells, coeffs)
+
+
+def plane_rows(dictionary, j, cells, coeffs):
+    """Row i is coeffs[i] @ B, for the basis B of the scale-j cell cells[i].
+
+    Products are summed one basis row at a time, so a row's result does not
+    depend on the other rows of the call.
+    """
+    bases = dictionary.bases(j)
+    return sum(coeffs[:, t, None] * bases[cells, t] for t in range(coeffs.shape[1]))
 
 
 @dataclass
@@ -565,16 +594,10 @@ def _min_dist_to_rows(a, b, block=4096):
 def mean_error_per_scale(dictionary, cloud):
     """Mean distance from each cloud point to its nearest-center projection, per scale."""
     pts = cloud.points
-    errors = []
-    for j in range(dictionary.max_scale + 1):
-        assign = nearest_center_batch(dictionary, j, pts)
-        err = np.empty(pts.shape[0])
-        for k in np.unique(assign):
-            sel = assign == k
-            proj = apply_projector_batch(dictionary.scales[j][k], pts[sel])
-            err[sel] = np.linalg.norm(pts[sel] - proj, axis=1)
-        errors.append(float(err.mean()))
-    return errors
+    return [
+        float(np.linalg.norm(pts - project_at_scale(dictionary, j, pts), axis=1).mean())
+        for j in range(dictionary.max_scale + 1)
+    ]
 
 
 def _fit_decay(errors, min_scale=1):
@@ -620,12 +643,11 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
         for x in pts:
             dists = np.linalg.norm(centers - x, axis=1)
             base = max(float(dists.min()), floor)
-            for k in np.nonzero(dists <= 16.0 * base)[0]:
-                err = float(np.linalg.norm(x - apply_projector(dictionary.scales[j][k], x)))
-                ratio = err * 2.0**j
-                if dists[k] <= 8.0 * base:
-                    c8 = max(c8, ratio)
-                c16 = max(c16, ratio)
+            near = np.nonzero(dists <= 16.0 * base)[0]
+            rel = x - centers[near]
+            ratio = np.linalg.norm(rel - in_plane_rows(dictionary, j, near, rel), axis=1) * 2.0**j
+            c16 = max(c16, float(ratio.max()))
+            c8 = max(c8, float(ratio[dists[near] <= 8.0 * base].max(initial=0.0)))
     return c16, c8
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, gmra, measurement, recovery
+from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
 
 RESULTS_COLUMNS = [
@@ -36,7 +37,7 @@ RESULTS_COLUMNS = [
     "status",
 ]
 
-TIMING_COLUMNS = ["dataset", "sigma", "j", "f", "draw", "ms_per_point", "sparsa_ms_per_point"]
+TIMING_COLUMNS = ["dataset", "sigma", "j", "f", "draw", "ms_per_point"]
 
 
 def rel_mse(points, reconstructions):
@@ -70,16 +71,6 @@ def rel_mse_baseline(points, dictionary, finest=None):
     pts = points.points if isinstance(points, geometry.PointCloud) else np.asarray(points, dtype=np.float64)
     recon = project_at_scale(dictionary, finest, pts)
     return rel_mse(points, recon)
-
-
-def project_at_scale(dictionary, j, pts):
-    """Apply the nearest-center projector at scale j to every row of pts."""
-    assign = gmra.nearest_center_batch(dictionary, j, pts)
-    out = np.empty_like(pts)
-    for k in np.unique(assign):
-        sel = assign == k
-        out[sel] = gmra.apply_projector_batch(dictionary.scales[j][k], pts[sel])
-    return out
 
 
 @dataclass
@@ -247,7 +238,6 @@ def run_experiment(config, verbose=False):
                             "f": int(f),
                             "draw": draw,
                             "ms_per_point": elapsed * 1000.0 / cloud.n,
-                            "sparsa_ms_per_point": "",
                         }
                     )
                 arr = np.array(values)

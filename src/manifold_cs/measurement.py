@@ -18,7 +18,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import FileFormatError, ResourceLimitError
 from .geometry import epsilon_net_ball
-from .gmra import apply_projector_batch
+from .gmra import apply_projector_batch, in_plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 1
@@ -204,16 +204,17 @@ def e_m_bound(y, eps, sparsity):
 
     Dominates ||My|| whenever M satisfies the restricted isometry property at
     sparsity d and level eps.  eps = 0 is accepted as the isometric limit.
+    A block of row vectors gives one bound per row.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be >= 1")
     if not (0 <= eps < 0.5):
         raise ValueError("eps must lie in [0, 1/2)")
     y = np.asarray(y, dtype=np.float64)
-    return float(
-        np.sqrt(1.0 + eps)
-        * (np.linalg.norm(y) + np.linalg.norm(y, ord=1) / np.sqrt(sparsity))
+    bound = np.sqrt(1.0 + eps) * (
+        np.linalg.norm(y, axis=-1) + np.linalg.norm(y, ord=1, axis=-1) / np.sqrt(sparsity)
     )
+    return float(bound) if y.ndim == 1 else bound
 
 
 @dataclass
@@ -252,10 +253,7 @@ def assumption_set_vectors(dictionary, x):
     for j in range(dictionary.max_scale + 1):
         offsets = x[None, :] - dictionary.centers(j)
         rows.append(offsets)
-        proj_parts = np.empty_like(offsets)
-        for k, proj in enumerate(dictionary.scales[j]):
-            proj_parts[k] = proj.basis.T @ (proj.basis @ offsets[k])
-        rows.append(proj_parts)
+        rows.append(in_plane_rows(dictionary, j, np.arange(len(offsets)), offsets))
     return np.vstack(rows)
 
 
@@ -323,7 +321,7 @@ def verify_assumption_set(
     sparsity = max(dictionary.max_local_dim(j) for j in range(dictionary.max_scale + 1))
     rand = rng.standard_normal(size=(1000, dictionary.ambient_dim))
     norms_m = np.linalg.norm(matrix.apply(rand), axis=1)
-    bounds = np.array([e_m_bound(y, eps, sparsity) for y in rand])
+    bounds = e_m_bound(rand, eps, sparsity)
     margin_b = float((bounds - norms_m).min())
     items.append(
         ItemCheck(

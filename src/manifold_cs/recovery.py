@@ -1,12 +1,16 @@
 """Two-step reconstruction from compressed measurements, with certificates.
 
-Given measurements Mx, a scale j, and the multiscale dictionary, recovery
-(i) picks the compressed-nearest center k' at scale j, (ii) solves the
-overdetermined least squares problem min_u || M B^T u - (Mx - Mc) || by SVD
-with relative truncation 1e-10, and (iii) assembles B^T u' + c.  The
-certificate bundle evaluates both sides of the center-quality and
-least-squares-quality inequalities for a known query x, plus the optimal
-point comparison when the manifold oracle is available.
+Given an n x m block of measurements Mx, a scale j (or "auto"), and the
+multiscale dictionary, recovery (i) picks each row's compressed-nearest
+center k' at scale j, (ii) solves the overdetermined least squares problem
+min_u || M B^T u - (Mx - Mc) || on that cell's plane with an SVD
+pseudoinverse truncated at 1e-10 relative, and (iii) assembles B^T u' + c.
+One batched core runs all three steps: ``recover_batch`` is its n-row call
+and ``recover`` its 1-row call, and a row's answer does not depend on the
+rows recovered with it.  ``certify_batch`` evaluates, for known queries x,
+both sides of the center-quality (line 3) and least-squares-quality
+(line 4) inequalities, plus the optimal-point comparison when the nearest
+manifold points are known; ``certify`` is its 1-row call.
 """
 
 from dataclasses import dataclass
@@ -21,7 +25,9 @@ from .geometry import (
     PointCloud,
     swiss_roll_point,
 )
-from .gmra import apply_projector, nearest_center
+# nearest_center is not called here; it stays a module attribute because the
+# benchmark's tracer patches recovery.nearest_center.
+from .gmra import _nearest_rows, in_plane_rows, nearest_center, plane_rows  # noqa: F401
 from .measurement import e_m_bound
 
 SVD_TRUNCATION = 1e-10
@@ -73,7 +79,25 @@ class RecoveryOutcome:
     coefficients: np.ndarray
     compressed_residual: float
     ill_conditioned: bool
-    certificates: CertificateBundle | None = None
+
+
+@dataclass
+class BatchRecovery:
+    """Column-oriented result of recovering n measurement rows; row i is point i.
+
+    chosen_centers index the layer searched (the finest one for "auto"), and
+    chosen_scales give the scale whose fit served each row: the requested
+    scale, or for "auto" the scale at which the chosen cell was last refit.
+    coefficients has one column per basis row of the widest cell, zero past
+    each row's local dimension.
+    """
+
+    reconstructions: np.ndarray
+    chosen_scales: np.ndarray
+    chosen_centers: np.ndarray
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    ill_conditioned: np.ndarray
 
 
 def least_squares(a, b):
@@ -82,21 +106,25 @@ def least_squares(a, b):
     Singular values below 1e-10 times the largest are treated as zero, so a
     degenerate system still yields the minimum-norm minimizer.
     """
-    u, _ = _min_norm_lstsq(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
-    return u
-
-
-def _min_norm_lstsq(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
         raise ValueError("need a (m x d) matrix and a length-m vector")
+    pinv, _ = _truncated_pinv(a)
+    return pinv @ b
+
+
+def _truncated_pinv(a):
+    """Pseudoinverses and numerical ranks of a stack of m x d systems.
+
+    Singular values at or below 1e-10 times the largest of their system are
+    dropped; a zero system gets a zero pseudoinverse and rank 0.
+    """
     u_mat, svals, vt = np.linalg.svd(a, full_matrices=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return np.zeros(a.shape[1]), 0
-    keep = svals > SVD_TRUNCATION * svals[0]
-    rank = int(keep.sum())
-    inv = np.zeros_like(svals)
-    inv[keep] = 1.0 / svals[keep]
-    return vt.T @ (inv * (u_mat.T @ b)), rank
+    keep = svals > SVD_TRUNCATION * svals[..., :1]
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
+    pinv = (vt.swapaxes(-1, -2) * inv[..., None, :]) @ u_mat.swapaxes(-1, -2)
+    return pinv, keep.sum(axis=-1)
 
 
 def recover(measurements, matrix, dictionary, j):
@@ -109,6 +137,29 @@ def recover(measurements, matrix, dictionary, j):
     y = np.asarray(measurements, dtype=np.float64)
     if y.shape != (matrix.m,):
         raise ValueError("measurements have shape %s, matrix yields m=%d" % (y.shape, matrix.m))
+    batch = recover_batch(y[None], matrix, dictionary, j)
+    scale = int(batch.chosen_scales[0])
+    k = int(batch.chosen_centers[0])
+    return RecoveryOutcome(
+        reconstruction=batch.reconstructions[0],
+        chosen_scale=scale,
+        chosen_center=k,
+        coefficients=batch.coefficients[0, : dictionary.scales[scale][k].local_dim],
+        compressed_residual=float(batch.residuals[0]),
+        ill_conditioned=bool(batch.ill_conditioned[0]),
+    )
+
+
+def recover_batch(measurements, matrix, dictionary, j):
+    """Recover every row of an n x m measurement block at scale j or "auto".
+
+    The pseudoinverses of the cells the rows touch come from one stacked SVD
+    per local dimension, and each row is solved and assembled on its own, so
+    a 1-row call gives the same answer as the matching row of an n-row call.
+    """
+    y = np.asarray(measurements, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != matrix.m:
+        raise ValueError("measurements must be n x m")
     if matrix.ambient_dim != dictionary.ambient_dim:
         raise ValueError("matrix and dictionary ambient dimensions differ")
     auto = j == "auto"
@@ -116,81 +167,35 @@ def recover(measurements, matrix, dictionary, j):
     if not (0 <= scale <= dictionary.max_scale):
         raise ValueError("scale %s outside [0, %d]" % (j, dictionary.max_scale))
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
-    k = int(np.argmin(np.linalg.norm(comp_centers - y, axis=1)))
-    proj = dictionary.scales[scale][k]
-    if auto:
-        scale = proj.origin_scale
-    a_sub = matrix.entries @ proj.basis.T
-    rhs = y - comp_centers[k]
-    coeff, rank = _min_norm_lstsq(a_sub, rhs)
-    reconstruction = proj.basis.T @ coeff + proj.center
-    residual = float(np.linalg.norm(a_sub @ coeff - rhs))
-    return RecoveryOutcome(
-        reconstruction=reconstruction,
-        chosen_scale=scale,
-        chosen_center=k,
-        coefficients=coeff,
-        compressed_residual=residual,
-        ill_conditioned=rank < proj.local_dim,
-    )
-
-
-class BatchRecovery:
-    """Column-oriented result of recovering many points at one scale."""
-
-    def __init__(self, reconstructions, chosen_centers, coefficients, residuals, ill_conditioned, scale):
-        self.reconstructions = reconstructions
-        self.chosen_centers = chosen_centers
-        self.coefficients = coefficients
-        self.residuals = residuals
-        self.ill_conditioned = ill_conditioned
-        self.scale = scale
-
-
-def recover_batch(measurements, matrix, dictionary, j, block=1024):
-    """Vectorized recovery of an n x m block of measurement rows at scale j.
-
-    Groups points by chosen center and applies one truncated pseudoinverse
-    per center, so the per-point cost is a small matmul.
-    """
-    y = np.asarray(measurements, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != matrix.m:
-        raise ValueError("measurements must be n x m")
-    scale = int(j)
-    if not (0 <= scale <= dictionary.max_scale):
-        raise ValueError("scale %d outside [0, %d]" % (scale, dictionary.max_scale))
-    layer = dictionary.scales[scale]
-    comp_centers = dictionary.centers(scale) @ matrix.entries.T
-    comp_sq = np.einsum("ij,ij->i", comp_centers, comp_centers)
+    cells = _nearest_rows(y, comp_centers)
+    rhs = y - comp_centers[cells]
+    bases = dictionary.bases(scale)
+    dims = np.array(dictionary.local_dims(scale))
     n = y.shape[0]
-    assign = np.empty(n, dtype=np.intp)
-    for lo in range(0, n, block):
-        chunk = y[lo : lo + block]
-        d2 = comp_sq[None, :] - 2.0 * (chunk @ comp_centers.T)
-        assign[lo : lo + block] = np.argmin(d2, axis=1)
-
-    dim = dictionary.ambient_dim
-    max_d = max(p.local_dim for p in layer)
-    recon = np.empty((n, dim))
-    coeffs = np.zeros((n, max_d))
+    coeffs = np.zeros((n, bases.shape[1]))
     residuals = np.empty(n)
-    ill = np.zeros(n, dtype=bool)
-    for k in np.unique(assign):
-        proj = layer[k]
-        sel = np.nonzero(assign == k)[0]
-        a_sub = matrix.entries @ proj.basis.T
-        u_mat, svals, vt = np.linalg.svd(a_sub, full_matrices=False)
-        keep = svals > SVD_TRUNCATION * (svals[0] if svals.size else 0.0)
-        inv = np.zeros_like(svals)
-        inv[keep] = 1.0 / svals[keep]
-        pinv = (vt.T * inv) @ u_mat.T  # d x m truncated pseudoinverse
-        rhs = y[sel] - comp_centers[k]
-        c = rhs @ pinv.T
-        recon[sel] = c @ proj.basis + proj.center
-        coeffs[sel, : proj.local_dim] = c
-        residuals[sel] = np.linalg.norm(c @ a_sub.T - rhs, axis=1)
-        ill[sel] = int(keep.sum()) < proj.local_dim
-    return BatchRecovery(recon, assign, coeffs, residuals, ill, scale)
+    ill = np.empty(n, dtype=bool)
+    for d in np.unique(dims[cells]):
+        rows = np.nonzero(dims[cells] == d)[0]
+        group, slot = np.unique(cells[rows], return_inverse=True)
+        a_sub = matrix.entries @ bases[group, :d].swapaxes(1, 2)  # one m x d system per touched cell
+        pinv, rank = _truncated_pinv(a_sub)
+        c = (pinv[slot] @ rhs[rows, :, None])[:, :, 0]
+        coeffs[rows, :d] = c
+        residuals[rows] = np.linalg.norm((a_sub[slot] @ c[:, :, None])[:, :, 0] - rhs[rows], axis=1)
+        ill[rows] = rank[slot] < d
+    if auto:
+        chosen_scales = np.array([p.origin_scale for p in dictionary.scales[scale]])[cells]
+    else:
+        chosen_scales = np.full(n, scale)
+    return BatchRecovery(
+        reconstructions=plane_rows(dictionary, scale, cells, coeffs) + dictionary.centers(scale)[cells],
+        chosen_scales=chosen_scales,
+        chosen_centers=cells,
+        coefficients=coeffs,
+        residuals=residuals,
+        ill_conditioned=ill,
+    )
 
 
 def certify(x, matrix, dictionary, outcome, eps, x_opt=None, tube_delta=0.0):
@@ -200,55 +205,69 @@ def certify(x, matrix, dictionary, outcome, eps, x_opt=None, tube_delta=0.0):
     x_opt supplied, the optimal-error comparison and the admissible-tube
     quantities are recorded as well; the stability-form center bound (which
     mixes the compression bound of the uniform assumptions) is reported but
-    never gated on.
+    never gated on.  This is the 1-row call of ``certify_batch``.
+    """
+    one = BatchRecovery(
+        reconstructions=np.array([outcome.reconstruction], dtype=np.float64),
+        chosen_scales=np.array([outcome.chosen_scale]),
+        chosen_centers=np.array([outcome.chosen_center]),
+        coefficients=np.array([outcome.coefficients]),
+        residuals=np.array([outcome.compressed_residual]),
+        ill_conditioned=np.array([outcome.ill_conditioned]),
+    )
+    columns = certify_batch([x], matrix, dictionary, one, eps, None if x_opt is None else [x_opt], tube_delta)
+    return CertificateBundle(epsilon_used=float(eps), **{name: float(col[0]) for name, col in columns.items()})
+
+
+def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta=0.0):
+    """Certificates for every row of a BatchRecovery, one array per quantity.
+
+    The keys are the CertificateBundle fields other than epsilon_used.  Line
+    3 compares each row's chosen center with the center nearest to the query
+    at the row's chosen scale.  The optimal-error, set-2 and tube columns are
+    present only when x_opt, the nearest manifold point of each query, is
+    given.
     """
     if not (0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
-    x = np.asarray(x, dtype=np.float64)
-    j = outcome.chosen_scale
-    k_prime = outcome.chosen_center
-    proj = dictionary.scales[j][k_prime]
-    k_best = nearest_center(dictionary, j, x)
-    best_center = dictionary.scales[j][k_best].center
+    x = np.asarray(points, dtype=np.float64)
     ratio = np.sqrt((1.0 + eps) / (1.0 - eps))
-
-    line3_lhs = float(np.linalg.norm(x - proj.center))
-    line3_rhs = float(ratio * np.linalg.norm(x - best_center))
-
-    proj_x = apply_projector(proj, x)
-    line4_lhs = float(np.linalg.norm(proj_x - outcome.reconstruction))
-    line4_rhs = float(2.0 / (1.0 - eps) * np.linalg.norm(matrix.apply(x - proj_x)))
-
-    bundle = CertificateBundle(
-        epsilon_used=float(eps),
-        line3_lhs=line3_lhs,
-        line3_rhs=line3_rhs,
-        line4_lhs=line4_lhs,
-        line4_rhs=line4_rhs,
-    )
+    line3_lhs = np.empty(x.shape[0])
+    line3_rhs = np.empty(x.shape[0])
+    proj_x = np.empty_like(x)
+    for j in np.unique(batch.chosen_scales):
+        rows = np.nonzero(batch.chosen_scales == j)[0]
+        centers = dictionary.centers(j)
+        cells = batch.chosen_centers[rows]
+        rel = x[rows] - centers[cells]
+        line3_lhs[rows] = np.linalg.norm(rel, axis=1)
+        line3_rhs[rows] = ratio * np.linalg.norm(x[rows] - centers[_nearest_rows(x[rows], centers)], axis=1)
+        proj_x[rows] = in_plane_rows(dictionary, j, cells, rel) + centers[cells]
+    columns = {
+        "line3_lhs": line3_lhs,
+        "line3_rhs": line3_rhs,
+        "line4_lhs": np.linalg.norm(proj_x - batch.reconstructions, axis=1),
+        # one matrix-vector product per row, so a row's value does not depend on the batch
+        "line4_rhs": 2.0 / (1.0 - eps) * np.linalg.norm(matrix.entries @ (x - proj_x)[:, :, None], axis=(1, 2)),
+    }
     if x_opt is not None:
-        x_opt = np.asarray(x_opt, dtype=np.float64)
-        opt_err = float(np.linalg.norm(x - x_opt))
-        recon_err = float(np.linalg.norm(x - outcome.reconstruction))
-        bundle.optimal_error_bound = STABLE_RECOVERY_CONSTANT * opt_err
-        bundle.optimal_error_excess = recon_err - bundle.optimal_error_bound
+        gap = x - np.asarray(x_opt, dtype=np.float64)
+        opt_err = np.linalg.norm(gap, axis=1)
+        bound = STABLE_RECOVERY_CONSTANT * opt_err
         sparsity = max(dictionary.max_local_dim(jj) for jj in range(dictionary.max_scale + 1))
-        bundle.line3_set2_rhs = float(
-            line3_rhs
-            + (1.0 + ratio) * opt_err
-            + np.sqrt(4.0 / (1.0 - eps)) * e_m_bound(x - x_opt, eps, sparsity)
-        )
         finest = dictionary.max_scale
-        k_fin = nearest_center(dictionary, finest, x)
+        centers = dictionary.centers(finest)
         d_man = dictionary.max_local_dim(finest)
-        bundle.tube_lhs = float(
-            2.0 * opt_err + 6.0 / (5.0 * np.sqrt(d_man)) * np.linalg.norm(x - x_opt, ord=1)
+        columns["optimal_error_bound"] = bound
+        columns["optimal_error_excess"] = np.linalg.norm(x - batch.reconstructions, axis=1) - bound
+        columns["line3_set2_rhs"] = (
+            line3_rhs + (1.0 + ratio) * opt_err + np.sqrt(4.0 / (1.0 - eps)) * e_m_bound(gap, eps, sparsity)
         )
-        bundle.tube_rhs = float(
-            max(np.linalg.norm(x - dictionary.scales[finest][k_fin].center), tube_delta)
+        columns["tube_lhs"] = 2.0 * opt_err + 6.0 / (5.0 * np.sqrt(d_man)) * np.linalg.norm(gap, ord=1, axis=1)
+        columns["tube_rhs"] = np.maximum(
+            np.linalg.norm(x - centers[_nearest_rows(x, centers)], axis=1), tube_delta
         )
-    outcome.certificates = bundle
-    return bundle
+    return columns
 
 
 def nearest_point_oracle(x, manifold, intrinsic_dim=None):

@@ -41,6 +41,29 @@ def test_validate_json_output(tmp_path, capsys):
     assert payload["k_monotone"] is True
 
 
+def test_validate_json_is_strict_on_shallow_dictionaries(tmp_path, capsys):
+    # --max-scale 0 leaves no decay fit and no center pairs, --max-scale 2 an
+    # unbounded decay interval: each non-finite value must come out as null
+    cloud_path = tmp_path / "s.csv"
+    run_cli("generate", "--kind", "sphere", "--n", 500, "--d", 2, "--seed", 3, "--out", cloud_path)
+
+    def reject(token):
+        raise ValueError("non-standard JSON constant %s" % token)
+
+    payloads = {}
+    for depth in (0, 2):
+        dict_path = tmp_path / ("s%d.mcsdict" % depth)
+        run_cli("gmra", "build", "--cloud", cloud_path, "--out", dict_path, "--local-dim", 2, "--max-scale", depth)
+        capsys.readouterr()
+        run_cli("gmra", "validate", "--dict", dict_path, "--cloud", cloud_path, "--json")
+        payloads[depth] = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payloads[0]["decay_slope"] is None
+    assert payloads[0]["decay_slope_ci"] == [None, None]
+    assert payloads[0]["separation_margin"] is None and payloads[0]["parent_margin"] is None
+    assert payloads[2]["decay_slope_ci"] == [None, None]
+    assert np.isfinite(payloads[2]["decay_slope"])
+
+
 def test_generate_with_noise_and_padding(tmp_path):
     path = tmp_path / "noisy.csv"
     run_cli(

@@ -71,15 +71,79 @@ def test_recover_full_rank_matches_uncompressed(swiss_cloud, swiss_dict):
             assert np.linalg.norm(batch.reconstructions[i] - px) <= 1e-10
 
 
+def assert_rows_match_single(batch, comp, M, d, j):
+    for i in range(comp.shape[0]):
+        single = recovery.recover(comp[i], M, d, j)
+        k = single.chosen_center
+        assert k == batch.chosen_centers[i]
+        assert single.chosen_scale == batch.chosen_scales[i]
+        assert np.array_equal(single.reconstruction, batch.reconstructions[i])
+        dim = d.scales[single.chosen_scale][k].local_dim
+        assert single.coefficients.shape == (dim,)
+        assert np.array_equal(single.coefficients, batch.coefficients[i, :dim])
+        assert not batch.coefficients[i, dim:].any()
+        assert single.compressed_residual == batch.residuals[i]
+        assert single.ill_conditioned == batch.ill_conditioned[i]
+
+
 def test_recover_batch_matches_single(swiss_cloud, swiss_dict):
     M = measurement.gaussian_matrix(10, 3, seed=29)
     comp = M.apply(swiss_cloud.points[:50])
-    batch = recovery.recover_batch(comp, M, swiss_dict, 2)
-    for i in range(50):
-        single = recovery.recover(comp[i], M, swiss_dict, 2)
-        assert single.chosen_center == batch.chosen_centers[i]
-        assert np.allclose(single.reconstruction, batch.reconstructions[i], atol=1e-12)
-        assert single.compressed_residual == pytest.approx(batch.residuals[i], abs=1e-12)
+    for j in list(range(swiss_dict.max_scale + 1)) + ["auto"]:
+        batch = recovery.recover_batch(comp, M, swiss_dict, j)
+        assert_rows_match_single(batch, comp, M, swiss_dict, j)
+    origin = [swiss_dict.scales[swiss_dict.max_scale][k].origin_scale for k in batch.chosen_centers]
+    assert np.array_equal(batch.chosen_scales, origin)
+
+
+@pytest.fixture(scope="module")
+def mixed_dict():
+    # a curve and a plane patch in R^4: the adaptive build fits 1- and 2-planes
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0, 1, 300)
+    curve = np.zeros((300, 4))
+    curve[:, 0] = t
+    curve[:, 2] = 3.0
+    patch = np.zeros((300, 4))
+    patch[:, :2] = rng.uniform(0, 1, (300, 2))
+    pts = np.vstack([curve, patch]) + rng.standard_normal((600, 4)) * 1e-3
+    cloud = geometry.PointCloud(pts, 4)
+    return cloud, gmra.build_dictionary(cloud, max_local_dim=3, max_scale=4)
+
+
+def test_mixed_local_dims_share_one_batch(mixed_dict):
+    cloud, d = mixed_dict
+    M = measurement.gaussian_matrix(3, 4, seed=53)
+    probes = cloud.points[::6]
+    comp = M.apply(probes)
+    x_opt = probes + 1e-3
+    for j in [2, d.max_scale, "auto"]:
+        batch = recovery.recover_batch(comp, M, d, j)
+        dims = {d.scales[s][k].local_dim for s, k in zip(batch.chosen_scales, batch.chosen_centers)}
+        assert dims == {1, 2}
+        assert_rows_match_single(batch, comp, M, d, j)
+        for opt in (None, x_opt):
+            columns = recovery.certify_batch(probes, M, d, batch, 0.3, x_opt=opt, tube_delta=0.01)
+            assert len(columns) == (4 if opt is None else 9)
+            for i in range(probes.shape[0]):
+                single = recovery.recover(comp[i], M, d, j)
+                bundle = recovery.certify(
+                    probes[i], M, d, single, 0.3, x_opt=None if opt is None else opt[i], tube_delta=0.01
+                )
+                for name, column in columns.items():
+                    assert getattr(bundle, name) == column[i], name
+
+
+def test_recover_centers_exactly_in_mixed_dictionary(mixed_dict):
+    # measuring a center gives a zero right-hand side: zero coefficients and
+    # the exact center, in 1- and 2-plane cells alike
+    _, d = mixed_dict
+    M = measurement.gaussian_matrix(3, 4, seed=53)
+    j = d.max_scale
+    batch = recovery.recover_batch(M.apply(d.centers(j)), M, d, j)
+    assert np.array_equal(batch.chosen_centers, np.arange(len(d.scales[j])))
+    assert not batch.coefficients.any()
+    assert np.array_equal(batch.reconstructions, d.centers(j))
 
 
 def test_recover_dimension_mismatch(circle_dict):
