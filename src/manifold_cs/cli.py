@@ -289,7 +289,7 @@ def cmd_recover(args):
                 if args.manifold not in ("sphere", "swiss-roll")
                 else args.manifold
             )
-            x_opt = np.array([recovery.nearest_point_oracle(x, manifold, args.intrinsic_dim) for x in points])
+            x_opt = recovery.nearest_point_oracle(points, manifold, args.intrinsic_dim)
         columns = recovery.certify_batch(
             points, matrix, dictionary, batch, args.eps, x_opt=x_opt, tube_delta=args.tube_delta
         )

@@ -1,16 +1,18 @@
 """Multiscale piecewise-linear dictionary: build, query, validate, persist.
 
-The dictionary is a tree of affine projectors over dyadic scales
-j = 0 .. J.  Scale-j cells are Voronoi regions of a farthest-point-sampling
-net at radius r_0 * 2^-j; each cell's projector is the least-squares plane
-through its points (cell mean plus top principal directions).  Construction
-details that matter for the invariants:
+The dictionary is a tree of cells over dyadic scales j = 0 .. J, stored as
+flat arrays (centers, zero-padded orthonormal bases, local dimensions,
+origin scales, parent links) in (scale, index) order.  Scale-j cells are
+Voronoi regions of a farthest-point-sampling net at radius r_0 * 2^-j; each
+cell's affine projector x -> B^T B (x - c) + c is the least-squares plane
+through its points (cell mean c plus top principal directions B).
+Construction details that matter for the invariants:
 
 * One global FPS ordering is computed once; every scale's net is a prefix of
   it, so net seeds are nested across scales and pairwise separation at scale
   j exceeds r_0 * 2^-j by construction.
 * A new seed is accepted at scale j only when its cell keeps at least
-  min_points points; cells that can no longer refine carry their projector
+  min_points points; cells that can no longer refine carry their fit
   forward unchanged (the deepest available fit keeps serving that region),
   which keeps every query scale total and the per-scale counts monotone.
 * Centers are cell means, not sample points, so the recorded separation
@@ -27,121 +29,114 @@ from .errors import FileFormatError
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
-DICT_FORMAT_VERSION = 1
+DICT_FORMAT_VERSION = 2
 
 ORTHONORMALITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class AffineProjector:
-    """Affine projection onto a d-dimensional plane: x -> B^T B (x - c) + c."""
-
-    center: np.ndarray
-    basis: np.ndarray  # d x D, orthonormal rows
-    scale: int
-    index: int
-    local_dim: int
-    origin_scale: int  # scale at which this fit was last refreshed
-
-    def __post_init__(self):
-        center = np.ascontiguousarray(self.center, dtype=np.float64)
-        basis = np.ascontiguousarray(self.basis, dtype=np.float64)
-        if basis.ndim != 2 or basis.shape[0] != self.local_dim or basis.shape[1] != center.shape[0]:
-            raise ValueError("basis must be local_dim x D")
-        center.setflags(write=False)
-        basis.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "basis", basis)
-
-    @property
-    def ambient_dim(self):
-        return self.center.shape[0]
-
-
-def apply_projector(proj, x):
-    """Evaluate the affine projection at x (a single D-vector)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != proj.center.shape:
-        raise ValueError(
-            "dimension mismatch: point has shape %s, projector lives in R^%d"
-            % (x.shape, proj.ambient_dim)
-        )
-    return apply_projector_batch(proj, x[None])[0]
-
-
-def apply_projector_batch(proj, pts):
-    """Evaluate the affine projection on an n x D block of points."""
-    rel = pts - proj.center
-    return proj.center + (rel @ proj.basis.T) @ proj.basis
-
-
 class MultiscaleDictionary:
-    """Tree of affine projectors across scales 0..J with parent links."""
+    """Cells of scales 0..J as flat arrays in (scale, index) order.
 
-    def __init__(self, scales, parent, sep_constant, root_radius, provenance):
-        self.scales = scales
-        self.parent = parent
+    Row offsets[j] + k is cell k of scale j: its center, its basis (local_dim
+    orthonormal rows, then zero rows up to the widest cell), the scale at
+    which its fit was last refreshed, and its parent at scale j - 1 (-1 at
+    scale 0); the per-scale accessors are slices.  A cell whose origin scale
+    is below j is a bit-identical copy of cell k at scale j - 1, which the
+    constructor checks.
+    """
+
+    def __init__(self, counts, centers, bases, local_dim, origin_scale, parent, sep_constant, root_radius, provenance):
+        counts = [int(c) for c in counts]
+        if not counts or counts[0] < 1:
+            raise ValueError("dictionary needs at least one cell at scale 0")
+        if np.any(np.diff(counts) < 0):
+            j = int(np.argmax(np.diff(counts) < 0))
+            raise ValueError("per-scale counts must be nondecreasing, got K_%d=%d > K_%d=%d" % (j, *counts[j : j + 2]))
+        self.offsets = np.cumsum([0] + counts)
+        self.all_centers = np.array(centers, dtype=np.float64)
+        self.all_bases = np.array(bases, dtype=np.float64)
+        self.all_local_dims = np.array(local_dim, dtype=np.intp)
+        self.all_origin_scales = np.array(origin_scale, dtype=np.intp)
+        self.all_parents = np.array(parent, dtype=np.intp)
         self.sep_constant = float(sep_constant)
         self.root_radius = float(root_radius)
         self.provenance = provenance
-        self._center_cache = {}
-        self._basis_cache = {}
-        self._validate_shape()
+        self._scale = np.repeat(np.arange(len(counts)), counts)
+        self._validate_cells(np.array([0] + counts[:-1])[self._scale])
+        for arr in (self.all_centers, self.all_bases, self.all_local_dims, self.all_origin_scales, self.all_parents):
+            arr.setflags(write=False)
 
-    def _validate_shape(self):
-        if not self.scales or not self.scales[0]:
-            raise ValueError("dictionary needs at least one projector at scale 0")
-        counts = [len(layer) for layer in self.scales]
-        for j in range(len(counts) - 1):
-            if counts[j] > counts[j + 1]:
-                raise ValueError(
-                    "per-scale counts must be nondecreasing, got K_%d=%d > K_%d=%d"
-                    % (j, counts[j], j + 1, counts[j + 1])
-                )
-        if len(self.parent) != len(self.scales):
-            raise ValueError("parent table must have one row per scale")
-        if self.parent[0]:
-            raise ValueError("scale 0 projectors are roots and take no parent")
-        for j in range(1, len(self.scales)):
-            row = self.parent[j]
-            if len(row) != counts[j]:
-                raise ValueError("parent row %d has %d entries, expected %d" % (j, len(row), counts[j]))
-            for k, p in enumerate(row):
-                if not (0 <= p < counts[j - 1]):
-                    raise ValueError("parent of (%d,%d) out of range: %d" % (j, k, p))
+    def _validate_cells(self, prev_count):
+        n, scale = self.offsets[-1], self._scale
+        centers, bases, dims, origin = self.all_centers, self.all_bases, self.all_local_dims, self.all_origin_scales
+        if centers.ndim != 2 or centers.shape[0] != n or bases.ndim != 3 or bases.shape[::2] != centers.shape:
+            raise ValueError("need N x D centers and N x d_max x D bases for N=%d cells" % n)
+        if any(a.shape != (n,) for a in (dims, origin, self.all_parents)):
+            raise ValueError("local_dim, origin_scale and parent need one entry per cell")
+        if not (np.isfinite(centers).all() and np.isfinite(bases).all()):
+            raise ValueError("centers and bases must be finite")
+        padding = np.arange(bases.shape[1]) >= dims[:, None]
+        if np.any(dims < 1) or np.any(dims > bases.shape[1]) or np.any(bases[padding]):
+            raise ValueError("local dims must lie in [1, %d], with zero basis rows past them" % bases.shape[1])
+        row = np.arange(n)
+        index = row - self.offsets[scale]
+        parent = self.all_parents
+        bad = np.nonzero(np.where(scale == 0, parent != -1, (parent < 0) | (parent >= prev_count)))[0]
+        if bad.size:
+            r = bad[0]
+            raise ValueError("parent of (%d,%d) out of range: %d" % (scale[r], index[r], parent[r]))
+        # a cell not refit at its own scale must copy the same cell one scale up
+        ok = (origin == scale) | ((0 <= origin) & (origin < scale) & (index < prev_count))
+        up = np.where(ok & (origin != scale), self.offsets[scale - 1] + index, row)
+        ok &= (origin[up] == origin) & (dims[up] == dims) & (centers[up] == centers).all(axis=1)
+        ok &= (bases[up] == bases).all(axis=(1, 2))
+        if not ok.all():
+            r = np.nonzero(~ok)[0][0]
+            raise ValueError("cell (%d,%d) has origin scale %d but is not that fit" % (scale[r], index[r], origin[r]))
 
     @property
     def max_scale(self):
-        return len(self.scales) - 1
+        return len(self.offsets) - 2
 
     @property
     def ambient_dim(self):
-        return self.scales[0][0].ambient_dim
+        return self.all_centers.shape[1]
 
     def counts(self):
-        return [len(layer) for layer in self.scales]
+        return np.diff(self.offsets).tolist()
+
+    def _rows(self, j):
+        return slice(self.offsets[j], self.offsets[j + 1])
 
     def centers(self, j):
-        """Stacked K_j x D matrix of scale-j centers (cached)."""
-        if j not in self._center_cache:
-            self._center_cache[j] = np.array([p.center for p in self.scales[j]])
-        return self._center_cache[j]
+        """K_j x D matrix of scale-j centers."""
+        return self.all_centers[self._rows(j)]
 
     def bases(self, j):
-        """Stacked K_j x d_max x D scale-j bases, zero rows padding smaller cells (cached)."""
-        if j not in self._basis_cache:
-            stack = np.zeros((len(self.scales[j]), self.max_local_dim(j), self.ambient_dim))
-            for k, p in enumerate(self.scales[j]):
-                stack[k, : p.local_dim] = p.basis
-            self._basis_cache[j] = stack
-        return self._basis_cache[j]
+        """K_j x d_max x D scale-j bases, d_max the widest scale-j cell; zero rows pad the others."""
+        return self.all_bases[self._rows(j), : self.max_local_dim(j)]
 
     def local_dims(self, j):
-        return [p.local_dim for p in self.scales[j]]
+        return self.all_local_dims[self._rows(j)]
 
     def max_local_dim(self, j):
-        return max(self.local_dims(j))
+        return int(self.local_dims(j).max())
+
+    def origin_scales(self, j):
+        return self.all_origin_scales[self._rows(j)]
+
+    def parents(self, j):
+        return self.all_parents[self._rows(j)]
+
+    def fits(self):
+        """(scale, index, center, basis) of each cell refit at its own scale, in (scale, index) order.
+
+        Every other cell copies one of these bit for bit, so a check over the fits covers all cells.
+        """
+        for r in np.nonzero(self.all_origin_scales == self._scale)[0]:
+            j = int(self._scale[r])
+            yield j, int(r - self.offsets[j]), self.all_centers[r], self.all_bases[r, : self.all_local_dims[r]]
 
 
 def _cell_fit(points, mode):
@@ -226,8 +221,8 @@ def build_dictionary(
         net_len.append(int(hit[0]) + 1 if hit.size else len(order))
 
     seeds_idx = []  # accepted seeds, stable across scales (cell k <-> seeds_idx[k])
-    scales = []
-    parents = [[]]
+    cells = []  # per scale, (center, basis, local_dim, origin_scale) of each cell
+    parents = [-1]
     fresh_per_scale = []
     reused_per_scale = []
     copied_per_scale = []
@@ -260,45 +255,29 @@ def build_dictionary(
         layer = []
         fresh = reused = copied = 0
         for k in range(len(seeds_idx)):
-            prev = scales[j - 1][k] if k < n_old else None
+            prev = cells[j - 1][k] if k < n_old else None
             if prev is not None and pops[k] == prev_pops[k]:
                 # cells only ever lose points to newly accepted seeds, so an
                 # unchanged population means an unchanged cell: keep the fit
-                layer.append(
-                    AffineProjector(
-                        prev.center, prev.basis, scale=j, index=k,
-                        local_dim=prev.local_dim, origin_scale=prev.origin_scale,
-                    )
-                )
+                layer.append(prev)
                 reused += 1
             elif pops[k] >= min_points or (j == 0 and k == 0):
-                cell = pts[assign_full == k]
-                mean, basis, d = _cell_fit(cell, mode)
-                layer.append(
-                    AffineProjector(mean, basis, scale=j, index=k, local_dim=d, origin_scale=j)
-                )
+                layer.append(_cell_fit(pts[assign_full == k], mode) + (j,))
                 fresh += 1
             else:
                 # too few points left to refit: the coarser fit keeps serving
-                layer.append(
-                    AffineProjector(
-                        prev.center, prev.basis, scale=j, index=k,
-                        local_dim=prev.local_dim, origin_scale=prev.origin_scale,
-                    )
-                )
+                layer.append(prev)
                 copied += 1
-        scales.append(layer)
+        cells.append(layer)
         fresh_per_scale.append(fresh)
         reused_per_scale.append(reused)
         copied_per_scale.append(copied)
         prev_pops = pops
         if j >= 1:
-            prev_centers = np.array([p.center for p in scales[j - 1]])
-            parents.append(
-                [int(np.argmin(np.linalg.norm(prev_centers - p.center, axis=1))) for p in layer]
-            )
+            prev_centers = np.array([cell[0] for cell in cells[j - 1]])
+            parents += [int(np.argmin(np.linalg.norm(prev_centers - cell[0], axis=1))) for cell in layer]
 
-    sep = _observed_separation(scales)
+    sep = _observed_separation([np.array([cell[0] for cell in layer]) for layer in cells])
     if sep is None:
         sep_constant = sep_constant_hint * root_radius
     else:
@@ -321,16 +300,21 @@ def build_dictionary(
         "copied_per_scale": copied_per_scale,
         "net_radius_per_scale": [root_radius * 2.0**-j for j in range(max_scale + 1)],
     }
-    return MultiscaleDictionary(scales, parents, sep_constant, root_radius, provenance)
+    flat = [cell for layer in cells for cell in layer]
+    centers, _, dims, origins = zip(*flat)
+    bases = np.zeros((len(flat), max(dims), pts.shape[1]))
+    for r, (_, basis, d, _) in enumerate(flat):
+        bases[r, :d] = basis
+    counts = [len(layer) for layer in cells]
+    return MultiscaleDictionary(counts, centers, bases, dims, origins, parents, sep_constant, root_radius, provenance)
 
 
-def _observed_separation(scales):
+def _observed_separation(layers):
     """Smallest center separation normalized by 2^-j, over scales with >= 2 cells."""
     worst = None
-    for j, layer in enumerate(scales):
-        if len(layer) < 2:
+    for j, centers in enumerate(layers):
+        if len(centers) < 2:
             continue
-        centers = np.array([p.center for p in layer])
         d2 = _pairwise_sq_dists(centers)
         m = float(np.sqrt(d2.min())) * 2.0**j
         worst = m if worst is None else min(worst, m)
@@ -358,6 +342,8 @@ def nearest_center(dictionary, j, x):
 def project_at_scale(dictionary, j, pts):
     """Apply the nearest-center projector at scale j to every row of pts."""
     pts = np.asarray(pts, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != dictionary.ambient_dim:
+        raise ValueError("points have shape %s, the dictionary lives in R^%d" % (pts.shape, dictionary.ambient_dim))
     cells = _nearest_rows(pts, dictionary.centers(j))
     centers = dictionary.centers(j)[cells]
     return in_plane_rows(dictionary, j, cells, pts - centers) + centers
@@ -365,9 +351,13 @@ def project_at_scale(dictionary, j, pts):
 
 def in_plane_rows(dictionary, j, cells, rel):
     """Row i is B^T B rel[i], for the basis B of the scale-j cell cells[i]."""
+    return plane_rows(dictionary, j, cells, plane_coeffs(dictionary, j, cells, rel))
+
+
+def plane_coeffs(dictionary, j, cells, rel):
+    """Row i is B rel[i], zero past the cell's local dimension."""
     bases = dictionary.bases(j)
-    coeffs = np.stack([(rel * bases[cells, t]).sum(axis=1) for t in range(bases.shape[1])], axis=1)
-    return plane_rows(dictionary, j, cells, coeffs)
+    return np.stack([(rel * bases[cells, t]).sum(axis=1) for t in range(bases.shape[1])], axis=1)
 
 
 def plane_rows(dictionary, j, cells, coeffs):
@@ -517,10 +507,8 @@ def _check_parents(dictionary):
     worst = None
     for j in range(1, dictionary.max_scale + 1):
         prev = dictionary.centers(j - 1)
-        row = dictionary.parent[j]
-        for k, proj in enumerate(dictionary.scales[j]):
-            dists = np.linalg.norm(prev - proj.center, axis=1)
-            p = row[k]
+        for k, (center, p) in enumerate(zip(dictionary.centers(j), dictionary.parents(j))):
+            dists = np.linalg.norm(prev - center, axis=1)
             if prev.shape[0] == 1:
                 margin = np.inf
             else:
@@ -536,12 +524,11 @@ def _check_parents(dictionary):
 
 
 def _check_orthonormal(dictionary):
-    worst = 0.0
-    for layer in dictionary.scales:
-        for proj in layer:
-            gram = proj.basis @ proj.basis.T
-            dev = float(np.max(np.abs(gram - np.eye(proj.local_dim))))
-            worst = max(worst, dev)
+    """Largest |B B^T - I| entry over all cells; zero padding rows are held to 0."""
+    bases = dictionary.all_bases
+    width = bases.shape[1]
+    eye = np.eye(width) * (np.arange(width) < dictionary.all_local_dims[:, None])[:, :, None]
+    worst = float(np.abs(bases @ bases.swapaxes(1, 2) - eye).max())
     return worst < ORTHONORMALITY_TOL, worst
 
 
@@ -550,12 +537,11 @@ def _check_idempotent(dictionary, rng_seed, probes=100):
     dim = dictionary.ambient_dim
     pts = rng.standard_normal(size=(probes, dim)) * (1.0 + dictionary.root_radius)
     worst = 0.0
-    for layer in dictionary.scales:
-        for proj in layer:
-            once = apply_projector_batch(proj, pts)
-            twice = apply_projector_batch(proj, once)
-            dev = np.linalg.norm(twice - once, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))
-            worst = max(worst, float(dev.max()))
+    for _, _, center, basis in dictionary.fits():
+        once = center + ((pts - center) @ basis.T) @ basis
+        twice = center + ((once - center) @ basis.T) @ basis
+        dev = np.linalg.norm(twice - once, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))
+        worst = max(worst, float(dev.max()))
     return worst < IDEMPOTENCY_TOL, worst
 
 
@@ -652,93 +638,50 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
 
 
 def save_dictionary(dictionary, path):
-    """Write the dictionary as a manifest plus one little-endian float64 blob."""
-    blob_parts = []
-    offset = 0
-    proj_meta = []
-    for layer in dictionary.scales:
-        for proj in layer:
-            center_bytes = proj.center.astype("<f8").tobytes()
-            proj_meta.append(
-                {
-                    "scale": proj.scale,
-                    "index": proj.index,
-                    "local_dim": proj.local_dim,
-                    "origin_scale": proj.origin_scale,
-                    "center_offset": offset,
-                }
-            )
-            blob_parts.append(center_bytes)
-            offset += len(center_bytes)
-    for i, layer_proj in enumerate(p for layer in dictionary.scales for p in layer):
-        basis_bytes = layer_proj.basis.astype("<f8").tobytes()
-        proj_meta[i]["basis_offset"] = offset
-        blob_parts.append(basis_bytes)
-        offset += len(basis_bytes)
+    """Write the dictionary as a manifest plus one little-endian float64 blob.
+
+    The blob holds all centers (N x D), then all zero-padded bases
+    (N x max_local_dim x D), both row-major in (scale, index) order.
+    """
     manifest = {
         "version": DICT_FORMAT_VERSION,
         "ambient_dim": dictionary.ambient_dim,
-        "max_scale": dictionary.max_scale,
         "counts": dictionary.counts(),
+        "max_local_dim": dictionary.all_bases.shape[1],
+        "local_dim": dictionary.all_local_dims.tolist(),
+        "origin_scale": dictionary.all_origin_scales.tolist(),
+        "parent": dictionary.all_parents.tolist(),
         "sep_constant": dictionary.sep_constant,
         "root_radius": dictionary.root_radius,
-        "parent": dictionary.parent,
-        "projectors": proj_meta,
         "provenance": dictionary.provenance,
     }
-    write_container(path, DICT_MAGIC, manifest, b"".join(blob_parts))
+    blob = dictionary.all_centers.astype("<f8").tobytes() + dictionary.all_bases.astype("<f8").tobytes()
+    write_container(path, DICT_MAGIC, manifest, blob)
 
 
 def load_dictionary(path):
-    """Read a dictionary container, rejecting structural violations at load time."""
+    """Read a dictionary container, rejecting malformed files and broken invariants."""
     manifest, blob = read_container(path, DICT_MAGIC)
     if manifest.get("version") != DICT_FORMAT_VERSION:
         raise FileFormatError("unsupported dictionary version %r" % manifest.get("version"))
-    dim = manifest["ambient_dim"]
-    counts = manifest["counts"]
-    max_scale = manifest["max_scale"]
-    if len(counts) != max_scale + 1:
-        raise FileFormatError("count table does not match max_scale")
-    metas = manifest["projectors"]
-    if len(metas) != sum(counts):
-        raise FileFormatError("projector table does not match counts")
-    scales = [[] for _ in range(max_scale + 1)]
-    for meta in metas:
-        d = meta["local_dim"]
-        center = _read_floats(blob, meta["center_offset"], dim)
-        basis = _read_floats(blob, meta["basis_offset"], d * dim).reshape(d, dim)
-        proj = AffineProjector(
-            center,
-            basis,
-            scale=meta["scale"],
-            index=meta["index"],
-            local_dim=d,
-            origin_scale=meta["origin_scale"],
-        )
-        gram = basis @ basis.T
-        if float(np.max(np.abs(gram - np.eye(d)))) >= ORTHONORMALITY_TOL:
-            raise FileFormatError("non-orthonormal basis for projector (%d,%d)" % (proj.scale, proj.index))
-        scales[meta["scale"]].append(proj)
-    for j, layer in enumerate(scales):
-        if len(layer) != counts[j]:
-            raise FileFormatError("scale %d holds %d projectors, manifest says %d" % (j, len(layer), counts[j]))
-        layer.sort(key=lambda p: p.index)
-        if [p.index for p in layer] != list(range(len(layer))):
-            raise FileFormatError("projector indices at scale %d are not 0..K-1" % j)
     try:
-        return MultiscaleDictionary(
-            scales,
+        # the constructor checks the shapes, so a blob of the wrong length fails in reshape or there
+        n, dim, width = sum(manifest["counts"]), manifest["ambient_dim"], manifest["max_local_dim"]
+        flat = np.frombuffer(blob, dtype="<f8")
+        dictionary = MultiscaleDictionary(
+            manifest["counts"],
+            flat[: n * dim].reshape(n, dim),
+            flat[n * dim :].reshape(n, width, dim),
+            manifest["local_dim"],
+            manifest["origin_scale"],
             manifest["parent"],
             manifest["sep_constant"],
             manifest["root_radius"],
             manifest.get("provenance", {}),
         )
-    except ValueError as exc:
-        raise FileFormatError("invariant rejected at load time: %s" % exc) from exc
-
-
-def _read_floats(blob, offset, count):
-    end = offset + count * 8
-    if end > len(blob):
-        raise FileFormatError("truncated blob: need %d bytes, have %d" % (end, len(blob)))
-    return np.frombuffer(blob[offset:end], dtype="<f8").astype(np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError("damaged file or invariant rejected at load time: %r" % exc) from exc
+    ok, worst = _check_orthonormal(dictionary)
+    if not ok:
+        raise FileFormatError("non-orthonormal basis (worst deviation %.3g)" % worst)
+    return dictionary

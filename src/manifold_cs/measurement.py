@@ -18,7 +18,7 @@ from scipy.spatial.distance import pdist
 
 from .errors import FileFormatError, ResourceLimitError
 from .geometry import epsilon_net_ball
-from .gmra import apply_projector_batch, in_plane_rows
+from .gmra import in_plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 1
@@ -306,8 +306,7 @@ def verify_assumption_set(
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
-    all_centers = np.vstack([dictionary.centers(j) for j in range(dictionary.max_scale + 1)])
-    probes = np.vstack([pts, all_centers])
+    probes = np.vstack([pts, dictionary.all_centers])
     report = verify_distortion(matrix, probes, eps)
     items.append(
         ItemCheck(
@@ -318,7 +317,7 @@ def verify_assumption_set(
         )
     )
 
-    sparsity = max(dictionary.max_local_dim(j) for j in range(dictionary.max_scale + 1))
+    sparsity = int(dictionary.all_local_dims.max())
     rand = rng.standard_normal(size=(1000, dictionary.ambient_dim))
     norms_m = np.linalg.norm(matrix.apply(rand), axis=1)
     bounds = e_m_bound(rand, eps, sparsity)
@@ -336,14 +335,14 @@ def verify_assumption_set(
 
     slack = 2.0 ** -dictionary.max_scale
     margin_d = np.inf
-    for j in range(dictionary.max_scale + 1):
-        for proj in dictionary.scales[j]:
-            projected = apply_projector_batch(proj, pts)
-            resid = np.linalg.norm(pts - projected, axis=1)
-            m_resid = np.linalg.norm(matrix.apply(pts) - matrix.apply(projected), axis=1)
-            upper = (1.0 + eps) * resid + slack
-            lower = (1.0 - eps) * resid - slack
-            margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))
+    m_pts = matrix.apply(pts)
+    for _, _, center, basis in dictionary.fits():
+        projected = center + ((pts - center) @ basis.T) @ basis
+        resid = np.linalg.norm(pts - projected, axis=1)
+        m_resid = np.linalg.norm(m_pts - matrix.apply(projected), axis=1)
+        upper = (1.0 + eps) * resid + slack
+        lower = (1.0 - eps) * resid - slack
+        margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))
     items.append(
         ItemCheck(
             "d-residual-embedding",
@@ -360,22 +359,21 @@ def _subspace_item(matrix, dictionary, eps):
     nets = {}
     worst = np.inf
     worst_at = None
-    for j in range(dictionary.max_scale + 1):
-        for proj in dictionary.scales[j]:
-            d = proj.local_dim
-            if d not in nets:
-                nets[d] = epsilon_net_ball(d, eps)
-            net = nets[d]
-            images = (net @ proj.basis) @ matrix.entries.T
-            norms_in = np.linalg.norm(net, axis=1)
-            norms_out = np.linalg.norm(images, axis=1)
-            margin = np.minimum(
-                norms_out - (1.0 - eps) * norms_in,
-                (1.0 + eps) * norms_in - norms_out,
-            ).min()
-            if margin < worst:
-                worst = float(margin)
-                worst_at = (j, proj.index)
+    for j, k, _, basis in dictionary.fits():
+        d = basis.shape[0]
+        if d not in nets:
+            nets[d] = epsilon_net_ball(d, eps)
+        net = nets[d]
+        images = (net @ basis) @ matrix.entries.T
+        norms_in = np.linalg.norm(net, axis=1)
+        norms_out = np.linalg.norm(images, axis=1)
+        margin = np.minimum(
+            norms_out - (1.0 - eps) * norms_in,
+            (1.0 + eps) * norms_in - norms_out,
+        ).min()
+        if margin < worst:
+            worst = float(margin)
+            worst_at = (j, k)
     return ItemCheck(
         "c-subspace-isometry",
         worst >= 0.0,
@@ -400,16 +398,18 @@ def save_matrix(matrix, path):
 
 
 def load_matrix(path):
+    """Read a matrix container, rejecting malformed files and invalid matrices."""
     manifest, blob = read_container(path, MATRIX_MAGIC)
     if manifest.get("version") != MATRIX_FORMAT_VERSION:
         raise FileFormatError("unsupported matrix version %r" % manifest.get("version"))
-    m, dim = manifest["m"], manifest["ambient_dim"]
-    need = manifest["entries_offset"] + m * dim * 8
-    if need > len(blob):
-        raise FileFormatError("truncated blob: need %d bytes, have %d" % (need, len(blob)))
-    entries = np.frombuffer(
-        blob[manifest["entries_offset"] : need], dtype="<f8"
-    ).astype(np.float64).reshape(m, dim)
-    return MeasurementMatrix(
-        entries, manifest["ensemble"], manifest["seed"], manifest["target_epsilon"]
-    )
+    try:
+        m, dim, start = manifest["m"], manifest["ambient_dim"], manifest["entries_offset"]
+        need = start + m * dim * 8
+        if min(m, dim) < 1 or start < 0 or need > len(blob):
+            raise FileFormatError("truncated blob: need %d bytes, have %d" % (need, len(blob)))
+        entries = np.frombuffer(blob[start:need], dtype="<f8").reshape(m, dim)
+        return MeasurementMatrix(entries, manifest["ensemble"], manifest["seed"], manifest["target_epsilon"])
+    except FileFormatError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError("bad manifest or invalid matrix at load time: %r" % exc) from exc

@@ -27,7 +27,7 @@ from .geometry import (
 )
 # nearest_center is not called here; it stays a module attribute because the
 # benchmark's tracer patches recovery.nearest_center.
-from .gmra import _nearest_rows, in_plane_rows, nearest_center, plane_rows  # noqa: F401
+from .gmra import _nearest_rows, nearest_center, plane_coeffs, plane_rows  # noqa: F401
 from .measurement import e_m_bound
 
 SVD_TRUNCATION = 1e-10
@@ -144,7 +144,7 @@ def recover(measurements, matrix, dictionary, j):
         reconstruction=batch.reconstructions[0],
         chosen_scale=scale,
         chosen_center=k,
-        coefficients=batch.coefficients[0, : dictionary.scales[scale][k].local_dim],
+        coefficients=batch.coefficients[0, : dictionary.local_dims(scale)[k]],
         compressed_residual=float(batch.residuals[0]),
         ill_conditioned=bool(batch.ill_conditioned[0]),
     )
@@ -185,7 +185,7 @@ def recover_batch(measurements, matrix, dictionary, j):
         residuals[rows] = np.linalg.norm((a_sub[slot] @ c[:, :, None])[:, :, 0] - rhs[rows], axis=1)
         ill[rows] = rank[slot] < d
     if auto:
-        chosen_scales = np.array([p.origin_scale for p in dictionary.scales[scale]])[cells]
+        chosen_scales = dictionary.origin_scales(scale)[cells]
     else:
         chosen_scales = np.full(n, scale)
     return BatchRecovery(
@@ -234,6 +234,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
     ratio = np.sqrt((1.0 + eps) / (1.0 - eps))
     line3_lhs = np.empty(x.shape[0])
     line3_rhs = np.empty(x.shape[0])
+    line4_lhs = np.empty(x.shape[0])
     proj_x = np.empty_like(x)
     for j in np.unique(batch.chosen_scales):
         rows = np.nonzero(batch.chosen_scales == j)[0]
@@ -242,11 +243,15 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
         rel = x[rows] - centers[cells]
         line3_lhs[rows] = np.linalg.norm(rel, axis=1)
         line3_rhs[rows] = ratio * np.linalg.norm(x[rows] - centers[_nearest_rows(x[rows], centers)], axis=1)
-        proj_x[rows] = in_plane_rows(dictionary, j, cells, rel) + centers[cells]
+        coeffs = plane_coeffs(dictionary, j, cells, rel)
+        # ||P x - x'|| = ||B (x - c) - u'||: no cancellation between points of the cloud's magnitude
+        width = min(coeffs.shape[1], batch.coefficients.shape[1])
+        line4_lhs[rows] = np.linalg.norm(coeffs[:, :width] - batch.coefficients[rows, :width], axis=1)
+        proj_x[rows] = plane_rows(dictionary, j, cells, coeffs) + centers[cells]
     columns = {
         "line3_lhs": line3_lhs,
         "line3_rhs": line3_rhs,
-        "line4_lhs": np.linalg.norm(proj_x - batch.reconstructions, axis=1),
+        "line4_lhs": line4_lhs,
         # one matrix-vector product per row, so a row's value does not depend on the batch
         "line4_rhs": 2.0 / (1.0 - eps) * np.linalg.norm(matrix.entries @ (x - proj_x)[:, :, None], axis=(1, 2)),
     }
@@ -254,7 +259,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
         gap = x - np.asarray(x_opt, dtype=np.float64)
         opt_err = np.linalg.norm(gap, axis=1)
         bound = STABLE_RECOVERY_CONSTANT * opt_err
-        sparsity = max(dictionary.max_local_dim(jj) for jj in range(dictionary.max_scale + 1))
+        sparsity = int(dictionary.all_local_dims.max())
         finest = dictionary.max_scale
         centers = dictionary.centers(finest)
         d_man = dictionary.max_local_dim(finest)
@@ -264,62 +269,69 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
             line3_rhs + (1.0 + ratio) * opt_err + np.sqrt(4.0 / (1.0 - eps)) * e_m_bound(gap, eps, sparsity)
         )
         columns["tube_lhs"] = 2.0 * opt_err + 6.0 / (5.0 * np.sqrt(d_man)) * np.linalg.norm(gap, ord=1, axis=1)
-        columns["tube_rhs"] = np.maximum(
-            np.linalg.norm(x - centers[_nearest_rows(x, centers)], axis=1), tube_delta
-        )
+        columns["tube_rhs"] = np.maximum(np.linalg.norm(x - centers[_nearest_rows(x, centers)], axis=1), tube_delta)
     return columns
 
 
 def nearest_point_oracle(x, manifold, intrinsic_dim=None):
     """Nearest point on a known manifold: the benchmark recovery is judged by.
 
-    manifold is "sphere", "swiss-roll", or a PointCloud (exact nearest
-    sample).  For spheres embedded in a larger ambient space, intrinsic_dim
-    selects the leading block that carries the sphere; trailing coordinates
-    of the optimum are zero.
+    x is a D-vector or an n x D block (one nearest point per row).  manifold
+    is "sphere", "swiss-roll", or a PointCloud (exact nearest sample).  For
+    spheres embedded in a larger ambient space, intrinsic_dim selects the
+    leading block that carries the sphere; trailing coordinates of the
+    optimum are zero.
     """
     x = np.asarray(x, dtype=np.float64)
+    rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):
-        dists = np.linalg.norm(manifold.points - x, axis=1)
-        return manifold.points[int(np.argmin(dists))].copy()
-    if manifold == "sphere":
-        d = (x.shape[0] - 1) if intrinsic_dim is None else int(intrinsic_dim)
-        lead = x[: d + 1]
-        norm = np.linalg.norm(lead)
-        if norm < 1e-300:
+        cloud = manifold.points
+        out = cloud[[int(np.argmin(np.linalg.norm(cloud - row, axis=1))) for row in rows]]
+    elif manifold == "sphere":
+        d = (rows.shape[1] - 1) if intrinsic_dim is None else int(intrinsic_dim)
+        norms = np.array([np.linalg.norm(row[: d + 1]) for row in rows])
+        if np.any(norms < 1e-300):
             raise ValueError("nearest sphere point is not unique at the origin")
-        out = np.zeros_like(x)
-        out[: d + 1] = lead / norm
-        return out
-    if manifold == "swiss-roll":
-        return _nearest_on_swiss_roll(x)
-    raise ValueError("unknown manifold descriptor %r" % (manifold,))
-
-
-def _nearest_on_swiss_roll(x, grid_size=4096):
-    """Dense parameter grid seed refined to 1e-10 gradient tolerance."""
-    if x.shape != (3,):
-        raise ValueError("swiss roll lives in R^3")
-    a, b = x[0], x[2]
-    h = float(np.clip(x[1], 0.0, SWISS_ROLL_HEIGHT))
-
-    def fval(t):
-        return (t * np.cos(t) - a) ** 2 + (t * np.sin(t) - b) ** 2
-
-    def fgrad(t):
-        ct, st = np.cos(t), np.sin(t)
-        return 2.0 * (t * ct - a) * (ct - t * st) + 2.0 * (t * st - b) * (st + t * ct)
-
-    ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, grid_size)
-    i = int(np.argmin(fval(ts)))
-    lo = ts[max(0, i - 1)]
-    hi = ts[min(grid_size - 1, i + 1)]
-    if fgrad(lo) < 0 < fgrad(hi):
-        t_star = brentq(fgrad, lo, hi, xtol=1e-13)
+        out = np.zeros_like(rows)
+        out[:, : d + 1] = rows[:, : d + 1] / norms[:, None]
+    elif manifold == "swiss-roll":
+        out = _nearest_on_swiss_roll(rows)
     else:
-        res = minimize_scalar(fval, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-        t_star = float(res.x)
-        for edge in (SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX):
-            if fval(edge) < fval(t_star):
-                t_star = edge
-    return swiss_roll_point(t_star, h)
+        raise ValueError("unknown manifold descriptor %r" % (manifold,))
+    return out if x.ndim == 2 else out[0]
+
+
+def _nearest_on_swiss_roll(x, grid_size=4096, block=256):
+    """Dense parameter grid seed per row, refined per row to 1e-10 gradient tolerance."""
+    if x.shape[1] != 3:
+        raise ValueError("swiss roll lives in R^3")
+    ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, grid_size)
+    seeds = np.empty(x.shape[0], dtype=np.intp)
+    # blocks of rows keep the grid's temporaries at block x grid_size
+    for start in range(0, x.shape[0], block):
+        chunk = x[start : start + block]
+        seeds[start : start + block] = np.argmin(_roll_fval(ts, chunk[:, :1], chunk[:, 2:]), axis=1)
+    out = np.empty_like(x)
+    for r, (a, height, b) in enumerate(x):
+        lo = ts[max(0, seeds[r] - 1)]
+        hi = ts[min(grid_size - 1, seeds[r] + 1)]
+        if _roll_fgrad(lo, a, b) < 0 < _roll_fgrad(hi, a, b):
+            t_star = brentq(_roll_fgrad, lo, hi, args=(a, b), xtol=1e-13)
+        else:
+            res = minimize_scalar(_roll_fval, bounds=(lo, hi), args=(a, b), method="bounded", options={"xatol": 1e-13})
+            t_star = float(res.x)
+            for edge in (SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX):
+                if _roll_fval(edge, a, b) < _roll_fval(t_star, a, b):
+                    t_star = edge
+        out[r] = swiss_roll_point(t_star, float(np.clip(height, 0.0, SWISS_ROLL_HEIGHT)))
+    return out
+
+
+def _roll_fval(t, a, b):
+    """Squared distance from (a, b) to the roll's cross-section spiral at parameter t."""
+    return (t * np.cos(t) - a) ** 2 + (t * np.sin(t) - b) ** 2
+
+
+def _roll_fgrad(t, a, b):
+    ct, st = np.cos(t), np.sin(t)
+    return 2.0 * (t * ct - a) * (ct - t * st) + 2.0 * (t * st - b) * (st + t * ct)

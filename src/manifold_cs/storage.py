@@ -5,10 +5,12 @@ Layout (all integers little-endian):
     bytes 0..7    magic (ASCII tag identifying the payload kind)
     bytes 8..15   uint64 byte length of the manifest
     manifest      UTF-8 JSON text
-    blob          little-endian float64 payload, offsets per the manifest
+    blob          little-endian float64 arrays, in the order and shapes the
+                  manifest gives
 """
 
 import json
+import os
 import struct
 
 from .errors import FileFormatError
@@ -37,12 +39,13 @@ def read_container(path, magic):
         if len(raw_len) != 8:
             raise FileFormatError("truncated file: missing manifest length")
         (mlen,) = struct.unpack("<Q", raw_len)
-        manifest_bytes = fh.read(mlen)
-        if len(manifest_bytes) != mlen:
+        if mlen > os.fstat(fh.fileno()).st_size - 16:
             raise FileFormatError("truncated file: manifest cut short")
         try:
-            manifest = json.loads(manifest_bytes.decode("utf-8"))
+            manifest = json.loads(fh.read(mlen).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FileFormatError("unreadable manifest: %s" % exc) from exc
+        if not isinstance(manifest, dict):
+            raise FileFormatError("manifest is a JSON %s, not an object" % type(manifest).__name__)
         blob = fh.read()
     return manifest, blob

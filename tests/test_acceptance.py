@@ -54,11 +54,10 @@ def test_criterion_01_exact_plane_recovery(swiss20k_dict):
     scales = np.empty(n, dtype=int)
     for i in range(n):
         j = int(rng.integers(1, d.max_scale + 1))
-        k = int(rng.integers(len(d.scales[j])))
-        proj = d.scales[j][k]
+        k = int(rng.integers(len(d.centers(j))))
         u = rng.standard_normal(2)
         u *= 0.02 * d.sep_constant * 2.0**-j / np.linalg.norm(u)
-        xs[i] = proj.center + proj.basis.T @ u
+        xs[i] = d.centers(j)[k] + d.bases(j)[k].T @ u
         scales[i] = j
     worst = 0.0
     for j in np.unique(scales):
@@ -346,9 +345,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path, circle_dict):
     gmra.save_dictionary(circle_dict, dict_path)
     back = gmra.load_dictionary(dict_path)
     for j in range(circle_dict.max_scale + 1):
-        for orig, load in zip(circle_dict.scales[j], back.scales[j]):
-            assert orig.center.tobytes() == load.center.tobytes()
-            assert orig.basis.tobytes() == load.basis.tobytes()
+        assert circle_dict.centers(j).tobytes() == back.centers(j).tobytes()
+        assert circle_dict.bases(j).tobytes() == back.bases(j).tobytes()
 
     M = measurement.orthoprojection_matrix(5, 9, seed=13)
     m_path = tmp_path / "m.mcsmtrx"

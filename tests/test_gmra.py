@@ -6,30 +6,33 @@ from manifold_cs import geometry, gmra, storage
 from manifold_cs.errors import FileFormatError
 
 
-def make_projector(center, basis, scale=0, index=0):
+def one_cell_dictionary(center, basis):
+    """A dictionary whose only cell, at scale 0, has the given center and basis."""
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
-    return gmra.AffineProjector(
-        np.asarray(center, dtype=float), basis, scale=scale, index=index,
-        local_dim=basis.shape[0], origin_scale=scale,
-    )
-
-
-def two_scale_dictionary(centers1):
-    """Scale 0 holds one root projector; scale 1 holds the given centers."""
-    dim = len(centers1[0])
-    root = make_projector(np.zeros(dim), np.eye(dim)[:1], scale=0, index=0)
-    layer1 = [
-        make_projector(c, np.eye(dim)[:1], scale=1, index=i) for i, c in enumerate(centers1)
-    ]
     return gmra.MultiscaleDictionary(
-        [[root], layer1], [[], [0] * len(layer1)], sep_constant=0.25, root_radius=4.0,
+        [1], [center], [basis], [basis.shape[0]], [0], [-1], sep_constant=1.0, root_radius=1.0,
         provenance={},
     )
 
 
+def apply_projector(d, x):
+    """The affine projection of the point x on the scale-0 cell of d."""
+    return gmra.project_at_scale(d, 0, np.asarray(x, dtype=float)[None])[0]
+
+
+def two_scale_dictionary(centers1):
+    """Scale 0 holds one root cell; scale 1 holds the given centers."""
+    dim = len(centers1[0])
+    k = len(centers1)
+    return gmra.MultiscaleDictionary(
+        [1, k], [np.zeros(dim)] + list(centers1), [np.eye(dim)[:1]] * (k + 1), [1] * (k + 1),
+        [0] + [1] * k, [-1] + [0] * k, sep_constant=0.25, root_radius=4.0, provenance={},
+    )
+
+
 def test_apply_projector_center_fixed_point():
-    proj = make_projector([1.0, 2.0, 3.0], [[1.0, 0.0, 0.0]])
-    out = gmra.apply_projector(proj, np.array([1.0, 2.0, 3.0]))
+    proj = one_cell_dictionary([1.0, 2.0, 3.0], [[1.0, 0.0, 0.0]])
+    out = apply_projector(proj, np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(out, [1.0, 2.0, 3.0])
 
 
@@ -39,20 +42,20 @@ def test_apply_projector_in_plane_fixed_point():
     center = rng.standard_normal(4)
     u = rng.standard_normal(2)
     x = center + basis.T @ u
-    proj = make_projector(center, basis)
-    assert np.linalg.norm(gmra.apply_projector(proj, x) - x) <= 1e-12 * (1 + np.linalg.norm(x))
+    proj = one_cell_dictionary(center, basis)
+    assert np.linalg.norm(apply_projector(proj, x) - x) <= 1e-12 * (1 + np.linalg.norm(x))
 
 
 def test_apply_projector_axis_case():
-    proj = make_projector([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]])
+    proj = one_cell_dictionary([0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]])
     x = np.array([0.3, -1.2, 2.5])
-    assert np.allclose(gmra.apply_projector(proj, x), [0.3, 0.0, 0.0])
+    assert np.allclose(apply_projector(proj, x), [0.3, 0.0, 0.0])
 
 
 def test_apply_projector_dimension_mismatch():
-    proj = make_projector([0.0, 0.0], [[1.0, 0.0]])
+    proj = one_cell_dictionary([0.0, 0.0], [[1.0, 0.0]])
     with pytest.raises(ValueError):
-        gmra.apply_projector(proj, np.zeros(3))
+        apply_projector(proj, np.zeros(3))
 
 
 def test_build_circle_structure(circle_cloud, circle_dict):
@@ -76,7 +79,7 @@ def test_build_exact_flat_fit():
     d = gmra.build_dictionary(cloud, local_dim=2, max_scale=0)
     assert d.counts() == [1]
     for x in pts:
-        out = gmra.apply_projector(d.scales[0][0], x)
+        out = apply_projector(d, x)
         assert np.linalg.norm(out - x) <= 1e-10
 
 
@@ -114,7 +117,7 @@ def test_degenerate_branch_copies_forward():
 def test_adaptive_local_dim(plane_cloud):
     d = gmra.build_dictionary(plane_cloud, local_dim=None, max_local_dim=3, max_scale=2)
     # data is exactly planar: 2 directions hold all the energy
-    assert d.scales[0][0].local_dim == 2
+    assert d.local_dims(0)[0] == 2
 
 
 def test_nearest_center_exact_and_ties():
@@ -219,13 +222,12 @@ def test_save_load_round_trip(tmp_path, circle_dict):
     assert back.counts() == circle_dict.counts()
     assert back.sep_constant == circle_dict.sep_constant
     assert back.root_radius == circle_dict.root_radius
-    assert back.parent == circle_dict.parent
     for j in range(circle_dict.max_scale + 1):
-        for a, b in zip(back.scales[j], circle_dict.scales[j]):
-            assert a.center.tobytes() == b.center.tobytes()
-            assert a.basis.tobytes() == b.basis.tobytes()
-            assert a.local_dim == b.local_dim
-            assert a.origin_scale == b.origin_scale
+        assert np.array_equal(back.parents(j), circle_dict.parents(j))
+        assert back.centers(j).tobytes() == circle_dict.centers(j).tobytes()
+        assert back.bases(j).tobytes() == circle_dict.bases(j).tobytes()
+        assert np.array_equal(back.local_dims(j), circle_dict.local_dims(j))
+        assert np.array_equal(back.origin_scales(j), circle_dict.origin_scales(j))
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -246,40 +248,94 @@ def test_load_rejects_truncated(tmp_path, circle_dict):
 
 def test_load_rejects_decreasing_counts(tmp_path):
     # hand-build a container whose counts decrease across scales
-    dim = 2
-    centers = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([3.0, 3.0])]
-    basis = np.array([[1.0, 0.0]])
-    blob_parts = []
-    metas = []
-    offset = 0
-    scales_of = [0, 0, 0, 1]
-    indices = [0, 1, 2, 0]
-    for c in centers:
-        blob_parts.append(c.astype("<f8").tobytes())
-        metas.append({"center_offset": offset, "local_dim": 1})
-        offset += dim * 8
-    for i, meta in enumerate(metas):
-        blob_parts.append(basis.astype("<f8").tobytes())
-        meta["basis_offset"] = offset
-        meta["scale"] = scales_of[i]
-        meta["index"] = indices[i]
-        meta["origin_scale"] = scales_of[i]
-        offset += dim * 8
+    centers = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 3.0]])
+    bases = np.tile([[[1.0, 0.0]]], (4, 1, 1))
     manifest = {
         "version": gmra.DICT_FORMAT_VERSION,
-        "ambient_dim": dim,
-        "max_scale": 1,
+        "ambient_dim": 2,
         "counts": [3, 1],
+        "max_local_dim": 1,
+        "local_dim": [1, 1, 1, 1],
+        "origin_scale": [0, 0, 0, 1],
+        "parent": [-1, -1, -1, 0],
         "sep_constant": 0.5,
         "root_radius": 3.0,
-        "parent": [[], [0]],
-        "projectors": metas,
         "provenance": {},
     }
     path = tmp_path / "bad.mcsdict"
-    storage.write_container(path, storage.DICT_MAGIC, manifest, b"".join(blob_parts))
+    blob = centers.astype("<f8").tobytes() + bases.astype("<f8").tobytes()
+    storage.write_container(path, storage.DICT_MAGIC, manifest, blob)
     with pytest.raises(FileFormatError, match="invariant"):
         gmra.load_dictionary(path)
+
+
+def rewrite_container(path, manifest=None, floats=None):
+    """Rewrite a saved dictionary container with a new manifest and/or blob."""
+    old_manifest, blob = storage.read_container(path, storage.DICT_MAGIC)
+    manifest = old_manifest if manifest is None else manifest
+    blob = blob if floats is None else floats.astype("<f8").tobytes()
+    storage.write_container(path, storage.DICT_MAGIC, manifest, blob)
+
+
+@pytest.mark.parametrize("where", ["center", "basis"])
+def test_load_rejects_non_finite_blob(tmp_path, circle_dict, where):
+    path = tmp_path / "nan.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    floats = np.frombuffer(storage.read_container(path, storage.DICT_MAGIC)[1], dtype="<f8").copy()
+    floats[0 if where == "center" else circle_dict.all_centers.size] = np.nan
+    rewrite_container(path, floats=floats)
+    with pytest.raises(FileFormatError, match="finite"):
+        gmra.load_dictionary(path)
+
+
+def test_load_rejects_non_object_manifest(tmp_path, circle_dict):
+    path = tmp_path / "list.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    rewrite_container(path, manifest=[1, 2, 3])
+    with pytest.raises(FileFormatError, match="not an object"):
+        gmra.load_dictionary(path)
+
+
+@pytest.mark.parametrize("key", ["counts", "ambient_dim", "max_local_dim", "local_dim", "origin_scale", "parent",
+                                 "sep_constant", "root_radius"])
+def test_load_rejects_missing_manifest_key(tmp_path, circle_dict, key):
+    path = tmp_path / "missing.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    manifest = storage.read_container(path, storage.DICT_MAGIC)[0]
+    del manifest[key]
+    rewrite_container(path, manifest=manifest)
+    with pytest.raises(FileFormatError, match=key):
+        gmra.load_dictionary(path)
+
+
+def test_load_rejects_non_orthonormal_basis(tmp_path, circle_dict):
+    path = tmp_path / "skew.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    floats = np.frombuffer(storage.read_container(path, storage.DICT_MAGIC)[1], dtype="<f8").copy()
+    floats[circle_dict.all_centers.size:] *= 1.5
+    rewrite_container(path, floats=floats)
+    with pytest.raises(FileFormatError, match="non-orthonormal"):
+        gmra.load_dictionary(path)
+
+
+def test_constructor_rejects_non_finite_cells():
+    with pytest.raises(ValueError, match="finite"):
+        one_cell_dictionary([np.inf, 0.0], [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        one_cell_dictionary([0.0, 0.0], [[np.nan, 0.0]])
+
+
+def test_constructor_rejects_carried_cell_that_is_not_a_copy():
+    # cell 0 of scale 1 claims its fit comes from scale 0 but has another center
+    axis = np.eye(2)[:1]
+    args = [[1, 1], [[0.0, 0.0], [1.0, 0.0]], [axis, axis], [1, 1], [0, 0], [-1, 0]]
+    with pytest.raises(ValueError, match="origin scale"):
+        gmra.MultiscaleDictionary(*args, sep_constant=1.0, root_radius=1.0, provenance={})
+    args[1][1] = [0.0, 0.0]
+    d = gmra.MultiscaleDictionary(*args, sep_constant=1.0, root_radius=1.0, provenance={})
+    assert d.origin_scales(1).tolist() == [0]
+    with pytest.raises(ValueError, match="zero basis rows"):
+        gmra.MultiscaleDictionary([1], [[0.0, 0.0]], [np.eye(2)], [1], [0], [-1], 1.0, 1.0, {})
 
 
 def test_load_rejects_wrong_version(tmp_path, circle_dict):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from manifold_cs import geometry, gmra, measurement
+from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import FileFormatError, ResourceLimitError
 
 
@@ -254,4 +254,26 @@ def test_matrix_load_rejects_dictionary_container(tmp_path, circle_dict):
     path = tmp_path / "d.mcsdict"
     gmra.save_dictionary(circle_dict, path)
     with pytest.raises(FileFormatError, match="bad header"):
+        measurement.load_matrix(path)
+
+
+def test_matrix_load_rejects_hostile_manifests(tmp_path):
+    path = tmp_path / "m.mcsmtrx"
+    measurement.save_matrix(measurement.gaussian_matrix(3, 4, seed=1), path)
+    manifest, blob = storage.read_container(path, storage.MATRIX_MAGIC)
+    for key in ("m", "ambient_dim", "entries_offset", "ensemble", "seed", "target_epsilon"):
+        broken = dict(manifest)
+        del broken[key]
+        storage.write_container(path, storage.MATRIX_MAGIC, broken, blob)
+        with pytest.raises(FileFormatError, match=key):
+            measurement.load_matrix(path)
+    storage.write_container(path, storage.MATRIX_MAGIC, [manifest], blob)
+    with pytest.raises(FileFormatError, match="not an object"):
+        measurement.load_matrix(path)
+    storage.write_container(path, storage.MATRIX_MAGIC, dict(manifest, ensemble="bernoulli"), blob)
+    with pytest.raises(FileFormatError, match="bernoulli"):
+        measurement.load_matrix(path)
+    nan_blob = np.full(12, np.nan).astype("<f8").tobytes()
+    storage.write_container(path, storage.MATRIX_MAGIC, manifest, nan_blob)
+    with pytest.raises(FileFormatError, match="non-finite"):
         measurement.load_matrix(path)

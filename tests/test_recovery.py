@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -34,7 +37,7 @@ def test_least_squares_duplicate_columns_min_norm():
 
 def test_recover_center_fixed_point(circle_dict):
     M = measurement.gaussian_matrix(4, 2, seed=5)
-    c = circle_dict.scales[3][2].center
+    c = circle_dict.centers(3)[2]
     out = recovery.recover(M.apply(c), M, circle_dict, 3)
     assert out.chosen_center == 2
     assert np.array_equal(out.reconstruction, c)
@@ -47,11 +50,10 @@ def test_recover_exact_on_plane(swiss_dict):
     j = 3
     sep = swiss_dict.sep_constant * 2.0**-j
     for case in range(50):
-        k = int(rng.integers(len(swiss_dict.scales[j])))
-        proj = swiss_dict.scales[j][k]
-        u = rng.standard_normal(proj.local_dim)
+        k = int(rng.integers(len(swiss_dict.centers(j))))
+        u = rng.standard_normal(swiss_dict.local_dims(j)[k])
         u *= 0.02 * sep / np.linalg.norm(u)
-        x = proj.center + proj.basis.T @ u
+        x = swiss_dict.centers(j)[k] + swiss_dict.bases(j)[k].T @ u
         out = recovery.recover(M.apply(x), M, swiss_dict, j)
         assert out.chosen_center == k
         assert np.linalg.norm(out.reconstruction - x) <= 1e-8 * np.linalg.norm(x)
@@ -66,7 +68,8 @@ def test_recover_full_rank_matches_uncompressed(swiss_cloud, swiss_dict):
         for i in range(200):
             x = swiss_cloud.points[i]
             k = gmra.nearest_center(swiss_dict, j, x)
-            px = gmra.apply_projector(swiss_dict.scales[j][k], x)
+            c, basis = swiss_dict.centers(j)[k], swiss_dict.bases(j)[k]
+            px = c + basis.T @ (basis @ (x - c))
             assert batch.chosen_centers[i] == k
             assert np.linalg.norm(batch.reconstructions[i] - px) <= 1e-10
 
@@ -78,7 +81,7 @@ def assert_rows_match_single(batch, comp, M, d, j):
         assert k == batch.chosen_centers[i]
         assert single.chosen_scale == batch.chosen_scales[i]
         assert np.array_equal(single.reconstruction, batch.reconstructions[i])
-        dim = d.scales[single.chosen_scale][k].local_dim
+        dim = d.local_dims(single.chosen_scale)[k]
         assert single.coefficients.shape == (dim,)
         assert np.array_equal(single.coefficients, batch.coefficients[i, :dim])
         assert not batch.coefficients[i, dim:].any()
@@ -92,7 +95,7 @@ def test_recover_batch_matches_single(swiss_cloud, swiss_dict):
     for j in list(range(swiss_dict.max_scale + 1)) + ["auto"]:
         batch = recovery.recover_batch(comp, M, swiss_dict, j)
         assert_rows_match_single(batch, comp, M, swiss_dict, j)
-    origin = [swiss_dict.scales[swiss_dict.max_scale][k].origin_scale for k in batch.chosen_centers]
+    origin = swiss_dict.origin_scales(swiss_dict.max_scale)[batch.chosen_centers]
     assert np.array_equal(batch.chosen_scales, origin)
 
 
@@ -119,7 +122,7 @@ def test_mixed_local_dims_share_one_batch(mixed_dict):
     x_opt = probes + 1e-3
     for j in [2, d.max_scale, "auto"]:
         batch = recovery.recover_batch(comp, M, d, j)
-        dims = {d.scales[s][k].local_dim for s, k in zip(batch.chosen_scales, batch.chosen_centers)}
+        dims = {d.local_dims(s)[k] for s, k in zip(batch.chosen_scales, batch.chosen_centers)}
         assert dims == {1, 2}
         assert_rows_match_single(batch, comp, M, d, j)
         for opt in (None, x_opt):
@@ -141,7 +144,7 @@ def test_recover_centers_exactly_in_mixed_dictionary(mixed_dict):
     M = measurement.gaussian_matrix(3, 4, seed=53)
     j = d.max_scale
     batch = recovery.recover_batch(M.apply(d.centers(j)), M, d, j)
-    assert np.array_equal(batch.chosen_centers, np.arange(len(d.scales[j])))
+    assert np.array_equal(batch.chosen_centers, np.arange(len(d.centers(j))))
     assert not batch.coefficients.any()
     assert np.array_equal(batch.reconstructions, d.centers(j))
 
@@ -169,7 +172,7 @@ def test_recover_auto_scale_reports_fresh_fit():
     M = measurement.orthoprojection_matrix(3, 3, seed=1)
     out = recovery.recover(M.apply(pts[0]), M, d, "auto")
     # every scale past 0 is a stalled copy for this tiny cloud
-    assert out.chosen_scale == d.scales[d.max_scale][out.chosen_center].origin_scale
+    assert out.chosen_scale == d.origin_scales(d.max_scale)[out.chosen_center]
 
 
 def test_scale_invariance_of_center_choice(swiss_cloud):
@@ -193,11 +196,11 @@ def test_least_squares_local_minimality(swiss_dict):
     for _ in range(100):
         x = rng.standard_normal(3) * 5.0
         out = recovery.recover(M.apply(x), M, swiss_dict, j)
-        proj = swiss_dict.scales[j][out.chosen_center]
-        a_sub = M.entries @ proj.basis.T
-        rhs = M.apply(x) - M.apply(proj.center)
+        k = out.chosen_center
+        a_sub = M.entries @ swiss_dict.bases(j)[k].T
+        rhs = M.apply(x) - M.apply(swiss_dict.centers(j)[k])
         base = np.linalg.norm(a_sub @ out.coefficients - rhs)
-        for i in range(proj.local_dim):
+        for i in range(swiss_dict.local_dims(j)[k]):
             for step in (1e-4, -1e-4):
                 u = out.coefficients.copy()
                 u[i] += step
@@ -261,8 +264,8 @@ def test_reconstruction_assembles_from_parts(circle_dict):
     M = measurement.gaussian_matrix(6, 2, seed=43)
     x = np.array([0.4, 0.9])
     out = recovery.recover(M.apply(x), M, circle_dict, 4)
-    proj = circle_dict.scales[4][out.chosen_center]
-    manual = proj.basis.T @ out.coefficients + proj.center
+    k = out.chosen_center
+    manual = circle_dict.bases(4)[k].T @ out.coefficients + circle_dict.centers(4)[k]
     assert np.linalg.norm(manual - out.reconstruction) <= 1e-12
 
 
@@ -308,3 +311,51 @@ def test_swiss_roll_oracle_beats_grid():
 def test_unknown_manifold_descriptor():
     with pytest.raises(ValueError):
         recovery.nearest_point_oracle(np.zeros(3), "torus")
+
+
+def test_line4_lhs_exact_far_from_origin():
+    # one cell centered near 1e6 (1, 1, 1): the line-4 distance is ~1e-5, so
+    # subtracting two points of norm ~1.7e6 would leave ~1e-5 relative error
+    rng = np.random.default_rng(61)
+    basis = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+    center = 1e6 * np.ones(3) + rng.standard_normal(3)
+    d = gmra.MultiscaleDictionary([1], [center], [basis], [2], [0], [-1], 1.0, 1.0, {})
+    M = measurement.gaussian_matrix(3, 3, seed=67)
+    x = center + basis.T @ rng.standard_normal(2) + 1e-5 * np.cross(basis[0], basis[1])
+    batch = recovery.recover_batch(M.apply(x[None]), M, d, 0)
+    lhs = recovery.certify_batch(x[None], M, d, batch, 0.3)["line4_lhs"][0]
+    # exact reference: P x = c + B^T B (x - c) and x' = c + B^T u', in rationals
+    c, xq, u = ([Fraction(float(v)) for v in a] for a in (center, x, batch.coefficients[0]))
+    b = [[Fraction(float(v)) for v in row] for row in basis]
+    coef = [sum(bt[i] * (xq[i] - c[i]) for i in range(3)) - ut for bt, ut in zip(b, u)]
+    gap = [sum(b[t][i] * coef[t] for t in range(2)) for i in range(3)]
+    want = math.sqrt(sum(g * g for g in gap))
+    assert want > 1e-6
+    assert abs(lhs - want) <= 1e-10 * want
+
+
+def test_swiss_roll_oracle_block_matches_rows():
+    # more rows than one 256-row grid block, some far off the roll
+    pts = geometry.add_noise(geometry.gen_swiss_roll(300, seed=71), 0.5, 73).points
+    block = recovery.nearest_point_oracle(pts, "swiss-roll")
+    assert block.shape == pts.shape
+    for i in range(0, 300, 7):
+        assert np.array_equal(block[i], recovery.nearest_point_oracle(pts[i], "swiss-roll"))
+    # no point of a fine parameter grid is nearer than the oracle's answer
+    ts = np.linspace(geometry.SWISS_ROLL_T_MIN, geometry.SWISS_ROLL_T_MAX, 20001)
+    curve = np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1)
+    best = np.sqrt(((pts[:, None, [0, 2]] - curve[None]) ** 2).sum(axis=2).min(axis=1))
+    got = np.linalg.norm((pts - block)[:, [0, 2]], axis=1)
+    assert np.all(got <= best + 1e-12)
+    heights = np.clip(pts[:, 1], 0.0, geometry.SWISS_ROLL_HEIGHT)
+    assert np.array_equal(block[:, 1], heights)
+
+
+def test_sphere_and_cloud_oracles_take_blocks(circle_cloud):
+    rng = np.random.default_rng(79)
+    pts = rng.standard_normal((20, 4))
+    for manifold, dim in (("sphere", None), ("sphere", 1), (circle_cloud, None)):
+        probes = pts[:, :2] if manifold is circle_cloud else pts
+        block = recovery.nearest_point_oracle(probes, manifold, dim)
+        rows = [recovery.nearest_point_oracle(x, manifold, dim) for x in probes]
+        assert np.array_equal(block, np.array(rows))
