@@ -17,6 +17,11 @@ Construction details that matter for the invariants:
   which keeps every query scale total and the per-scale counts monotone.
 * Centers are cell means, not sample points, so the recorded separation
   constant is measured on the built centers rather than assumed.
+* Every distance search goes through one kernel, ``sq_dists``, or its
+  blocked argmin ``_nearest_rows``: a Gram expansion in coordinates centered
+  on the mean of the searched rows, so rounding scales with the cloud's
+  spread, not its offset (a cloud shifted by 1e8 builds the same cells), and
+  a query's answer does not depend on the other queries of the call.
 """
 
 import hashlib
@@ -163,14 +168,39 @@ def _cell_fit(points, mode):
     return mean, vt[:d], d
 
 
-def _nearest_rows(pts, seeds, block=1024):
-    """Index of each point's nearest seed row (ties to the lowest index)."""
-    seed_sq = np.einsum("ij,ij->i", seeds, seeds)
-    out = np.empty(pts.shape[0], dtype=np.intp)
-    for lo in range(0, pts.shape[0], block):
-        chunk = pts[lo : lo + block]
-        d2 = seed_sq[None, :] - 2.0 * (chunk @ seeds.T)
-        out[lo : lo + block] = np.argmin(d2, axis=1)
+# Blocked scans keep each temporary near this many float64 entries (2 MB).
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _centered(b):
+    """The mean of the rows of b, b relative to it, and those rows' squared norms."""
+    ref = b.mean(axis=0)
+    rel = b - ref
+    return ref, rel, np.einsum("ij,ij->i", rel, rel)
+
+
+def _sq_dists_centered(a, ref, b_rel, b_sq):
+    a_rel = a - ref
+    d2 = np.einsum("ij,ij->i", a_rel, a_rel)[:, None] + b_sq[None, :] - 2.0 * (a_rel @ b_rel.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def sq_dists(a, b):
+    """Squared distances between the rows of a and b, clipped at 0: a Gram expansion about b's mean.
+
+    An entry's rounding error is a few ulps of the squared distances of its
+    two rows from that mean, wherever the mean sits.
+    """
+    return _sq_dists_centered(a, *_centered(b))
+
+
+def _nearest_rows(a, b):
+    """Index of the row of b nearest to each row of a (ties to the lowest): blocked argmin of ``sq_dists``."""
+    terms = _centered(b)
+    block = max(1, _BLOCK_ENTRIES // len(b))
+    out = np.empty(len(a), dtype=np.intp)
+    for lo in range(0, len(a), block):
+        out[lo : lo + block] = np.argmin(_sq_dists_centered(a[lo : lo + block], *terms), axis=1)
     return out
 
 
@@ -222,6 +252,7 @@ def build_dictionary(
 
     seeds_idx = []  # accepted seeds, stable across scales (cell k <-> seeds_idx[k])
     cells = []  # per scale, (center, basis, local_dim, origin_scale) of each cell
+    layer_centers = []  # per scale, the K_j x D centers
     parents = [-1]
     fresh_per_scale = []
     reused_per_scale = []
@@ -269,19 +300,17 @@ def build_dictionary(
                 layer.append(prev)
                 copied += 1
         cells.append(layer)
+        layer_centers.append(np.array([cell[0] for cell in layer]))
         fresh_per_scale.append(fresh)
         reused_per_scale.append(reused)
         copied_per_scale.append(copied)
         prev_pops = pops
         if j >= 1:
-            prev_centers = np.array([cell[0] for cell in cells[j - 1]])
-            parents += [int(np.argmin(np.linalg.norm(prev_centers - cell[0], axis=1))) for cell in layer]
+            parents += _nearest_rows(layer_centers[j], layer_centers[j - 1]).tolist()
 
-    sep = _observed_separation([np.array([cell[0] for cell in layer]) for layer in cells])
-    if sep is None:
-        sep_constant = sep_constant_hint * root_radius
-    else:
-        sep_constant = min(sep_constant_hint * root_radius, sep * (1.0 - 1e-9))
+    # the observed separation: the closest center pair per scale, normalized by 2^-j
+    seps = [_closest_pair(c)[2] * 2.0**j for j, c in enumerate(layer_centers) if len(c) >= 2]
+    sep_constant = min([sep_constant_hint * root_radius] + [sep * (1.0 - 1e-9) for sep in seps])
 
     provenance = {
         "builder": "fps-voronoi-tree",
@@ -309,23 +338,12 @@ def build_dictionary(
     return MultiscaleDictionary(counts, centers, bases, dims, origins, parents, sep_constant, root_radius, provenance)
 
 
-def _observed_separation(layers):
-    """Smallest center separation normalized by 2^-j, over scales with >= 2 cells."""
-    worst = None
-    for j, centers in enumerate(layers):
-        if len(centers) < 2:
-            continue
-        d2 = _pairwise_sq_dists(centers)
-        m = float(np.sqrt(d2.min())) * 2.0**j
-        worst = m if worst is None else min(worst, m)
-    return worst
-
-
-def _pairwise_sq_dists(centers):
-    sq = np.einsum("ij,ij->i", centers, centers)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (centers @ centers.T)
+def _closest_pair(centers):
+    """(k1, k2, distance) of the two nearest distinct rows, k1 < k2."""
+    d2 = sq_dists(centers, centers)
     np.fill_diagonal(d2, np.inf)
-    return np.maximum(d2, 0.0)
+    k1, k2 = np.unravel_index(np.argmin(d2), d2.shape)
+    return int(min(k1, k2)), int(max(k1, k2)), float(np.sqrt(d2[k1, k2]))
 
 
 def nearest_center(dictionary, j, x):
@@ -336,7 +354,7 @@ def nearest_center(dictionary, j, x):
     centers = dictionary.centers(j)
     if x.shape != (centers.shape[1],):
         raise ValueError("point has shape %s, centers live in R^%d" % (x.shape, centers.shape[1]))
-    return int(np.argmin(np.linalg.norm(centers - x, axis=1)))
+    return int(_nearest_rows(x[None], centers)[0])
 
 
 def project_at_scale(dictionary, j, pts):
@@ -486,40 +504,37 @@ def _check_separation(dictionary):
         centers = dictionary.centers(j)
         if centers.shape[0] < 2:
             continue
-        d2 = _pairwise_sq_dists(centers)
-        k1, k2 = np.unravel_index(np.argmin(d2), d2.shape)
-        k1, k2 = int(k1), int(k2)
-        min_dist = float(np.sqrt(d2[k1, k2]))
+        k1, k2, min_dist = _closest_pair(centers)
         margin = min_dist / (c1 * 2.0**-j) - 1.0
         if margin < worst_margin:
             worst_margin = margin
-            worst_pair = (j, min(k1, k2), max(k1, k2))
+            worst_pair = (j, k1, k2)
         if min_dist <= c1 * 2.0**-j:
             ok = False
-    if worst_pair is None:
-        worst_margin = np.inf
     return ok, float(worst_margin), worst_pair
 
 
 def _check_parents(dictionary):
+    """Each parent must be its cell's nearest coarser center; margin (second nearest - parent) / second nearest."""
     total = True
     worst_margin = np.inf
     worst = None
     for j in range(1, dictionary.max_scale + 1):
-        prev = dictionary.centers(j - 1)
-        for k, (center, p) in enumerate(zip(dictionary.centers(j), dictionary.parents(j))):
-            dists = np.linalg.norm(prev - center, axis=1)
-            if prev.shape[0] == 1:
-                margin = np.inf
-            else:
-                others = np.delete(dists, p)
-                second = float(others.min())
-                margin = (second - dists[p]) / second if second > 0 else -np.inf
-            if margin < worst_margin:
-                worst_margin = margin
-                worst = (j, k)
-            if dists[p] >= dists.min() + 1e-12 or margin < 0:
-                total = False
+        if len(dictionary.centers(j - 1)) == 1:
+            continue
+        dists = np.sqrt(sq_dists(dictionary.centers(j), dictionary.centers(j - 1)))
+        rows, p = np.arange(len(dists)), dictionary.parents(j)
+        own = dists[rows, p]
+        nearest = dists.min(axis=1)
+        dists[rows, p] = np.inf
+        second = dists.min(axis=1)
+        margin = np.divide(second - own, second, out=np.full_like(second, -np.inf), where=second > 0)
+        k = int(np.argmin(margin))
+        if margin[k] < worst_margin:
+            worst_margin = float(margin[k])
+            worst = (j, k)
+        if np.any(own >= nearest + 1e-12) or np.any(margin < 0):
+            total = False
     return total, float(worst_margin), worst
 
 
@@ -533,48 +548,26 @@ def _check_orthonormal(dictionary):
 
 
 def _check_idempotent(dictionary, rng_seed, probes=100):
+    """Largest |P P r - P r| / (1 + |r|), P = B^T B, over random offsets r: independent of where centers sit."""
     rng = np.random.default_rng(rng_seed)
-    dim = dictionary.ambient_dim
-    pts = rng.standard_normal(size=(probes, dim)) * (1.0 + dictionary.root_radius)
+    rel = rng.standard_normal(size=(probes, dictionary.ambient_dim)) * (1.0 + dictionary.root_radius)
+    scale = 1.0 + np.linalg.norm(rel, axis=1)
     worst = 0.0
-    for _, _, center, basis in dictionary.fits():
-        once = center + ((pts - center) @ basis.T) @ basis
-        twice = center + ((once - center) @ basis.T) @ basis
-        dev = np.linalg.norm(twice - once, axis=1) / (1.0 + np.linalg.norm(pts, axis=1))
-        worst = max(worst, float(dev.max()))
+    for _, _, _, basis in dictionary.fits():
+        once = (rel @ basis.T) @ basis
+        twice = (once @ basis.T) @ basis
+        worst = max(worst, float((np.linalg.norm(twice - once, axis=1) / scale).max()))
     return worst < IDEMPOTENCY_TOL, worst
 
 
 def _estimate_tube_scale(dictionary, cloud):
     """Smallest j0 such that all deeper scales keep centers inside the shrinking tube."""
-    pts = cloud.points
-    margins = []
-    hold = []
-    for j in range(dictionary.max_scale + 1):
-        centers = dictionary.centers(j)
-        dists = _min_dist_to_rows(centers, pts)
-        allowed = dictionary.sep_constant * 2.0 ** (-j - 2)
-        worst = float(dists.max())
-        margins.append(allowed - worst)
-        hold.append(worst < allowed)
-    j0 = None
-    for j in range(len(hold)):
-        if all(hold[j:]):
-            j0 = j
-            break
-    return j0, margins
-
-
-def _min_dist_to_rows(a, b, block=4096):
-    """For each row of a, the distance to the nearest row of b (blocked over b)."""
-    a_sq = np.einsum("ij,ij->i", a, a)
-    best = np.full(a.shape[0], np.inf)
-    for lo in range(0, b.shape[0], block):
-        chunk = b[lo : lo + block]
-        b_sq = np.einsum("ij,ij->i", chunk, chunk)
-        d2 = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ chunk.T)
-        np.minimum(best, d2.min(axis=1), out=best)
-    return np.sqrt(np.maximum(best, 0.0))
+    centers, pts = dictionary.all_centers, cloud.points
+    dists = np.linalg.norm(centers - pts[_nearest_rows(centers, pts)], axis=1)
+    worst = np.maximum.reduceat(dists, dictionary.offsets[:-1])
+    allowed = dictionary.sep_constant * 2.0 ** (-2.0 - np.arange(len(worst)))
+    hold = worst < allowed
+    return next((j for j in range(len(hold)) if hold[j:].all()), None), (allowed - worst).tolist()
 
 
 def mean_error_per_scale(dictionary, cloud):
@@ -626,14 +619,17 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     for j in range(dictionary.max_scale + 1):
         centers = dictionary.centers(j)
         floor = dictionary.sep_constant * 2.0 ** (-j - 1)
-        for x in pts:
-            dists = np.linalg.norm(centers - x, axis=1)
-            base = max(float(dists.min()), floor)
-            near = np.nonzero(dists <= 16.0 * base)[0]
-            rel = x - centers[near]
+        # a block's (probe, near center) offsets fill at most block x K_j x D entries
+        block = max(1, _BLOCK_ENTRIES // centers.size)
+        for lo in range(0, len(pts), block):
+            x = pts[lo : lo + block]
+            dists = np.sqrt(sq_dists(x, centers))
+            base = np.maximum(dists.min(axis=1), floor)
+            rows, near = np.nonzero(dists <= 16.0 * base[:, None])
+            rel = x[rows] - centers[near]
             ratio = np.linalg.norm(rel - in_plane_rows(dictionary, j, near, rel), axis=1) * 2.0**j
             c16 = max(c16, float(ratio.max()))
-            c8 = max(c8, float(ratio[dists[near] <= 8.0 * base].max(initial=0.0)))
+            c8 = max(c8, float(ratio[dists[rows, near] <= 8.0 * base[rows]].max(initial=0.0)))
     return c16, c8
 
 

@@ -285,8 +285,7 @@ def nearest_point_oracle(x, manifold, intrinsic_dim=None):
     x = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):
-        cloud = manifold.points
-        out = cloud[[int(np.argmin(np.linalg.norm(cloud - row, axis=1))) for row in rows]]
+        out = manifold.points[_nearest_rows(rows, manifold.points)]
     elif manifold == "sphere":
         d = (rows.shape[1] - 1) if intrinsic_dim is None else int(intrinsic_dim)
         norms = np.array([np.linalg.norm(row[: d + 1]) for row in rows])

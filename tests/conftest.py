@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from manifold_cs import geometry, gmra
+
+# CI runs property tests with a fixed example order, so a failure there
+# reproduces locally with CI=1.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

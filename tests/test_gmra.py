@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from manifold_cs import geometry, gmra, storage
+from manifold_cs import geometry, gmra, measurement, recovery, storage
 from manifold_cs.errors import FileFormatError
 
 
@@ -136,7 +136,43 @@ def test_nearest_center_matches_scan_oracle(circle_dict):
     centers = circle_dict.centers(j)
     for x in probes:
         want = int(np.argmin([np.linalg.norm(x - c) for c in centers]))
-        assert gmra.nearest_center(circle_dict, j, x) == want
+        assert gmra.nearest_center(circle_dict, j, x) == want == gmra._nearest_rows(x[None], centers)[0]
+
+
+def test_nearest_rows_blocks_match_single_rows():
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((300, 4)) + 1e6
+    a = rng.standard_normal((2000, 4)) + 1e6  # several blocks of rows, the last one partial
+    assert gmra._BLOCK_ENTRIES // len(b) < len(a)
+    got = gmra._nearest_rows(a, b)
+    assert got.tolist() == [gmra._nearest_rows(row[None], b)[0] for row in a]
+
+
+@pytest.fixture(scope="module")
+def roll3k():
+    cloud = geometry.gen_swiss_roll(3000, seed=7)
+    return cloud, gmra.build_dictionary(cloud, local_dim=2, max_scale=8, min_points=6)
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+def test_dictionary_is_exact_under_translation(roll3k, shift):
+    cloud, d = roll3k
+    moved = geometry.PointCloud(cloud.points + shift, 3)
+    dm = gmra.build_dictionary(moved, local_dim=2, max_scale=8, min_points=6)
+    assert dm.counts() == d.counts()
+    for name in ("all_parents", "all_local_dims", "all_origin_scales"):
+        assert np.array_equal(getattr(dm, name), getattr(d, name)), name
+    assert np.abs(dm.all_centers - (d.all_centers + shift)).max() <= 1e-6
+    report = gmra.validate_structure(dm, moved)
+    assert report.passed, report.failures
+    M = measurement.gaussian_matrix(3, 3, seed=4)
+    for j in (3, 8, "auto"):
+        want = recovery.recover_batch(M.apply(cloud.points), M, d, j).chosen_centers
+        assert np.array_equal(recovery.recover_batch(M.apply(moved.points), M, dm, j).chosen_centers, want)
+    probes = moved.points[::6]
+    for j in (3, 8):
+        batch = gmra._nearest_rows(probes, dm.centers(j))
+        assert [gmra.nearest_center(dm, j, x) for x in probes] == batch.tolist()
 
 
 def test_validate_structure_passes_on_circle(circle_cloud, circle_dict):

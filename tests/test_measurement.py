@@ -239,6 +239,25 @@ def test_rank_deficient_compression_fails_subspace_item(swiss_cloud, swiss_dict)
     assert not report.item("c-subspace-isometry").passed
 
 
+def test_subspace_margin_is_the_exact_singular_value_slack(swiss_cloud, swiss_dict, circle_dict):
+    # an orthogonal 2 x 2 matrix has every singular value 1: the slack is eps on every plane
+    M = measurement.orthoprojection_matrix(2, 2, seed=6)
+    report = measurement.verify_assumption_set(M, circle_dict, x=np.ones(2), which=1, eps=0.05)
+    item = report.item("c-subspace-isometry")
+    assert item.passed and item.margin == pytest.approx(0.05, abs=1e-12)
+    x = swiss_cloud.points[0]
+    for m in (1, 40):
+        M = measurement.gaussian_matrix(m, 3, seed=9)
+        want = np.inf
+        for _, _, _, basis in swiss_dict.fits():
+            image = M.entries @ basis.T
+            low = np.linalg.norm(image, ord=-2) if m >= len(basis) else 0.0
+            want = min(want, low - 0.7, 1.3 - np.linalg.norm(image, ord=2))
+        item = measurement.verify_assumption_set(M, swiss_dict, x=x, which=1, eps=0.3).item("c-subspace-isometry")
+        assert item.margin == pytest.approx(want, abs=1e-12)
+        assert item.passed == (want >= 0.0)
+
+
 def test_matrix_save_load_round_trip(tmp_path):
     M = measurement.gaussian_matrix(7, 9, seed=13, target_epsilon=0.25)
     path = tmp_path / "m.mcsmtrx"

@@ -1,4 +1,4 @@
-"""Property tests for the containers: bit-exact round trips, typed errors on damage."""
+"""Property tests: bit-exact container round trips, typed errors on damage, the distance kernel."""
 
 import json
 import os
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import FileFormatError
@@ -130,3 +131,24 @@ def test_mangled_manifest_loads_or_is_rejected(saved_containers, name, data):
         else:
             manifest[key] = data.draw(json_values)
     loads_or_rejects(join(magic, manifest, blob), loader)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_nearest_rows_matches_difference_scan(data):
+    # The kernel may pick a different row than the difference-form scan only
+    # when the two squared distances lie within its rounding bound, a few ulps
+    # of the squared distances from b's mean: the bound, like the kernel, does
+    # not grow when the rows are shifted far from the origin.
+    dim = data.draw(st.integers(1, 5), label="dim")
+    coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    a = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30)), dim), elements=coords), label="a")
+    b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30)), dim), elements=coords), label="b")
+    shift = data.draw(st.sampled_from([0.0, 1e4, -1e6, 1e8]), label="shift")
+    a, b = a + shift, b + shift
+    got = gmra._nearest_rows(a, b)
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    ref = b.mean(axis=0)
+    spread = ((a - ref) ** 2).sum(axis=1) + ((b - ref) ** 2).sum(axis=1).max()
+    bound = 16 * (dim + 2) * np.finfo(np.float64).eps * spread
+    assert np.all(d2[np.arange(len(a)), got] <= d2.min(axis=1) + bound)
