@@ -129,27 +129,28 @@ def greedy_delta_cover(cloud, delta):
     return CoverResult(center_indices=[int(i) for i in order], radius=float(delta))
 
 
-def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None, max_count=None):
+def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     """Greedy farthest-point ordering of the rows of pts, seeded at row 0.
 
-    Stops once every point is within stop_radius of the selected prefix (or
-    max_count points were selected).  stop_fraction, when given, is applied
-    relative to the first covering radius (the max distance from row 0).
-    Returns (indices, covered_radius) where covered_radius[k] is the max
-    distance of any point to the first k+1 selections; every prefix of the
-    ordering is a net at its covered radius.
+    Stops at the first pick after which every point is within stop_radius of
+    the selected prefix, so no pick lies past the net at that radius.
+    stop_fraction, when given, raises stop_radius to that fraction of the
+    first covering radius (the max distance from row 0).  Returns (indices,
+    covered_radius) where covered_radius[k] is the max distance of any point
+    to the first k+1 selections; every prefix of the ordering is a net at
+    its covered radius.  stop_radius must be >= 0: the radius reaches 0 once
+    every distinct point is picked, which bounds the loop.
     """
-    n = pts.shape[0]
-    if n == 0:
+    if pts.shape[0] == 0:
         raise ValueError("empty cloud")
-    if max_count is None:
-        max_count = n
+    if not stop_radius >= 0:
+        raise ValueError("stop_radius must be >= 0, got %g" % stop_radius)
     order = [0]
     dist = np.linalg.norm(pts - pts[0], axis=1)
     radii = [float(dist.max())]
     if stop_fraction is not None:
         stop_radius = max(stop_radius, radii[0] * stop_fraction)
-    while radii[-1] > stop_radius and len(order) < max_count:
+    while radii[-1] > stop_radius:
         nxt = int(np.argmax(dist))
         order.append(nxt)
         np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)

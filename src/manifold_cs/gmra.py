@@ -8,13 +8,17 @@ cell's affine projector x -> B^T B (x - c) + c is the least-squares plane
 through its points (cell mean c plus top principal directions B).
 Construction details that matter for the invariants:
 
-* One global FPS ordering is computed once; every scale's net is a prefix of
+* One global FPS ordering is computed once and stops at the first pick
+  whose covering radius is <= r_0 * 2^-J; every scale's net is a prefix of
   it, so net seeds are nested across scales and pairwise separation at scale
   j exceeds r_0 * 2^-j by construction.
 * A new seed is accepted at scale j only when its cell keeps at least
   min_points points; cells that can no longer refine carry their fit
   forward unchanged (the deepest available fit keeps serving that region),
   which keeps every query scale total and the per-scale counts monotone.
+* The build keeps one table row per fresh fit and, per scale, the table row
+  serving each cell; a carried cell shares its fit's row, and the dictionary
+  arrays are the table indexed by those rows.
 * Centers are cell means, not sample points, so the recorded separation
   constant is measured on the built centers rather than assumed.
 * Every distance search goes through one kernel, ``sq_dists``, or its
@@ -145,7 +149,7 @@ class MultiscaleDictionary:
 
 
 def _cell_fit(points, mode):
-    """Mean and top right-singular-vector basis of a cell.
+    """Mean of a cell's points and the rows of its top right-singular-vector basis.
 
     mode is either ("fixed", d) or ("adaptive", energy_threshold, d_max).
     """
@@ -164,8 +168,7 @@ def _cell_fit(points, mode):
             frac = np.cumsum(energy) / total
             d = int(np.searchsorted(frac, threshold - 1e-12) + 1)
         d = min(d, d_max, points.shape[1])
-    d = min(d, vt.shape[0])
-    return mean, vt[:d], d
+    return mean, vt[: min(d, vt.shape[0])]
 
 
 # Blocked scans keep each temporary near this many float64 entries (2 MB).
@@ -241,75 +244,57 @@ def build_dictionary(
     if n < min_required:
         raise ValueError("cloud has %d points, need at least %d" % (n, min_required))
 
-    order, radii = farthest_point_ordering(pts, stop_fraction=2.0 ** -(max_scale + 1))
+    order, radii = farthest_point_ordering(pts, stop_fraction=2.0**-max_scale)
     root_radius = float(radii[0])
-    # net_len[j]: length of the FPS prefix whose covering radius is <= r_0 2^-j
-    net_len = []
-    for j in range(max_scale + 1):
-        target = root_radius * 2.0**-j
-        hit = np.nonzero(radii <= target)[0]
-        net_len.append(int(hit[0]) + 1 if hit.size else len(order))
-
-    seeds_idx = []  # accepted seeds, stable across scales (cell k <-> seeds_idx[k])
-    cells = []  # per scale, (center, basis, local_dim, origin_scale) of each cell
-    layer_centers = []  # per scale, the K_j x D centers
-    parents = [-1]
-    fresh_per_scale = []
-    reused_per_scale = []
-    copied_per_scale = []
-    prev_pops = None
+    seeds = np.empty(0, dtype=np.intp)  # accepted seeds, stable across scales: cell k <-> seeds[k]
+    pops = np.empty(0, dtype=np.intp)  # cell populations at the previous scale
+    row = np.empty(0, dtype=np.intp)  # the fit-table row serving each cell of the current scale
+    rows = []  # row, for every scale
+    fit_centers, fit_bases = [], []  # the fit table, one row per fresh fit
+    fresh_per_scale, reused_per_scale, copied_per_scale = [], [], []
 
     for j in range(max_scale + 1):
-        net = order[: net_len[j]]
-        if j == 0:
-            new_seeds = [int(net[0])]
-        else:
-            known = set(seeds_idx)
-            candidates = [int(i) for i in net if int(i) not in known]
-            if candidates:
-                pool = np.concatenate([np.array(seeds_idx, dtype=np.intp), np.array(candidates, dtype=np.intp)])
-                first = _nearest_rows(pts, pts[pool])
-                first_pops = np.bincount(first, minlength=len(pool))
-                new_seeds = [
-                    candidates[i]
-                    for i in range(len(candidates))
-                    if first_pops[len(seeds_idx) + i] >= min_points
-                ]
-            else:
-                new_seeds = []
-        n_old = len(seeds_idx)
-        seeds_idx.extend(new_seeds)
-        seed_arr = pts[np.array(seeds_idx, dtype=np.intp)]
-        assign_full = _nearest_rows(pts, seed_arr)
-        pops = np.bincount(assign_full, minlength=len(seeds_idx))
+        # the scale-j net: the FPS prefix whose covering radius is <= r_0 2^-j
+        net = order[: np.argmax(radii <= root_radius * 2.0**-j) + 1]
+        new = net[~np.isin(net, seeds)]
+        if j > 0 and new.size:  # the root seed is accepted unconditionally
+            pool = np.concatenate([seeds, new])
+            first_pops = np.bincount(_nearest_rows(pts, pts[pool]), minlength=len(pool))
+            new = new[first_pops[len(seeds) :] >= min_points]
+        old = len(seeds)
+        seeds = np.concatenate([seeds, new])
+        assign = _nearest_rows(pts, pts[seeds])
+        new_pops = np.bincount(assign, minlength=len(seeds))
+        # cells only ever lose points to newly accepted seeds, so an unchanged
+        # population means an unchanged cell, which keeps its fit; a cell left
+        # with too few points to refit keeps the coarser fit as well
+        same = new_pops[:old] == pops
+        refit = np.concatenate([~same & (new_pops[:old] >= min_points), np.ones(len(new), dtype=bool)])
+        fresh = np.nonzero(refit)[0]
+        row = np.concatenate([row, np.empty(len(new), dtype=np.intp)])
+        row[fresh] = len(fit_centers) + np.arange(len(fresh))
+        # one stable sort groups the points by cell, each cell in increasing row order
+        by_cell, ends = np.argsort(assign, kind="stable"), np.cumsum(new_pops)
+        for k in fresh:
+            center, basis = _cell_fit(pts[by_cell[ends[k] - new_pops[k] : ends[k]]], mode)
+            fit_centers.append(center)
+            fit_bases.append(basis)
+        rows.append(row)
+        pops = new_pops
+        fresh_per_scale.append(len(fresh))
+        reused_per_scale.append(int(np.count_nonzero(same)))
+        copied_per_scale.append(int(np.count_nonzero(~same & ~refit[:old])))
 
-        layer = []
-        fresh = reused = copied = 0
-        for k in range(len(seeds_idx)):
-            prev = cells[j - 1][k] if k < n_old else None
-            if prev is not None and pops[k] == prev_pops[k]:
-                # cells only ever lose points to newly accepted seeds, so an
-                # unchanged population means an unchanged cell: keep the fit
-                layer.append(prev)
-                reused += 1
-            elif pops[k] >= min_points or (j == 0 and k == 0):
-                layer.append(_cell_fit(pts[assign_full == k], mode) + (j,))
-                fresh += 1
-            else:
-                # too few points left to refit: the coarser fit keeps serving
-                layer.append(prev)
-                copied += 1
-        cells.append(layer)
-        layer_centers.append(np.array([cell[0] for cell in layer]))
-        fresh_per_scale.append(fresh)
-        reused_per_scale.append(reused)
-        copied_per_scale.append(copied)
-        prev_pops = pops
-        if j >= 1:
-            parents += _nearest_rows(layer_centers[j], layer_centers[j - 1]).tolist()
+    centers = np.array(fit_centers)
+    dims = np.array([len(basis) for basis in fit_bases])
+    bases = np.zeros((len(dims), dims.max(), pts.shape[1]))
+    bases[np.arange(dims.max()) < dims[:, None]] = np.concatenate(fit_bases)
+    origins = np.repeat(np.arange(max_scale + 1), fresh_per_scale)  # the table holds its fits in scale order
+    parents = [np.array([-1])]
+    parents += [_nearest_rows(centers[fine], centers[coarse]) for coarse, fine in zip(rows, rows[1:])]
 
     # the observed separation: the closest center pair per scale, normalized by 2^-j
-    seps = [_closest_pair(c)[2] * 2.0**j for j, c in enumerate(layer_centers) if len(c) >= 2]
+    seps = [_closest_pair(centers[r])[2] * 2.0**j for j, r in enumerate(rows) if len(r) >= 2]
     sep_constant = min([sep_constant_hint * root_radius] + [sep * (1.0 - 1e-9) for sep in seps])
 
     provenance = {
@@ -329,13 +314,18 @@ def build_dictionary(
         "copied_per_scale": copied_per_scale,
         "net_radius_per_scale": [root_radius * 2.0**-j for j in range(max_scale + 1)],
     }
-    flat = [cell for layer in cells for cell in layer]
-    centers, _, dims, origins = zip(*flat)
-    bases = np.zeros((len(flat), max(dims), pts.shape[1]))
-    for r, (_, basis, d, _) in enumerate(flat):
-        bases[r, :d] = basis
-    counts = [len(layer) for layer in cells]
-    return MultiscaleDictionary(counts, centers, bases, dims, origins, parents, sep_constant, root_radius, provenance)
+    flat = np.concatenate(rows)
+    return MultiscaleDictionary(
+        [len(r) for r in rows],
+        centers[flat],
+        bases[flat],
+        dims[flat],
+        origins[flat],
+        np.concatenate(parents),
+        sep_constant,
+        root_radius,
+        provenance,
+    )
 
 
 def _closest_pair(centers):

@@ -100,20 +100,6 @@ class BatchRecovery:
     ill_conditioned: np.ndarray
 
 
-def least_squares(a, b):
-    """Minimum-norm least squares solution of a u = b via the SVD.
-
-    Singular values below 1e-10 times the largest are treated as zero, so a
-    degenerate system still yields the minimum-norm minimizer.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise ValueError("need a (m x d) matrix and a length-m vector")
-    pinv, _ = _truncated_pinv(a)
-    return pinv @ b
-
-
 def _truncated_pinv(a):
     """Pseudoinverses and numerical ranks of a stack of m x d systems.
 

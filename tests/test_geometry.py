@@ -125,6 +125,14 @@ def test_cover_rejects_nonpositive_delta(circle_cloud):
         geometry.greedy_delta_cover(circle_cloud, 0.0)
 
 
+def test_fps_ends_at_radius_zero_and_rejects_negative_stop_radius():
+    pts = np.array([[0.0], [1.0], [1.0], [3.0]])
+    order, radii = geometry.farthest_point_ordering(pts)
+    assert order.tolist() == [0, 3, 1] and radii.tolist() == [3.0, 1.0, 0.0]
+    with pytest.raises(ValueError):
+        geometry.farthest_point_ordering(pts, stop_radius=-1.0)
+
+
 def test_cover_sizes_below_covering_number_up_to_dim_three():
     # unit d-sphere: V * (d/2+1)^(d/2+1) / (2^(d/2) delta^d) caps the greedy size
     volumes = {1: 2 * np.pi, 2: 4 * np.pi, 3: 2 * np.pi**2}

@@ -1,10 +1,11 @@
-"""Property tests: bit-exact container round trips, typed errors on damage, the distance kernel."""
+"""Property tests: bit-exact container round trips, typed errors on damage, the distance kernel, build accounting."""
 
 import json
 import os
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -152,3 +153,42 @@ def test_nearest_rows_matches_difference_scan(data):
     spread = ((a - ref) ** 2).sum(axis=1) + ((b - ref) ** 2).sum(axis=1).max()
     bound = 16 * (dim + 2) * np.finfo(np.float64).eps * spread
     assert np.all(d2[np.arange(len(a)), got] <= d2.min(axis=1) + bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 150),
+    dim=st.integers(1, 4),
+    max_scale=st.integers(0, 6),
+    local_dim=st.one_of(st.none(), st.integers(1, 3)),
+    min_points=st.one_of(st.none(), st.integers(2, 12)),
+    grid=st.booleans(),
+)
+def test_build_accounts_for_every_cell_and_stops_fps_at_the_finest_net(
+    seed, n, dim, max_scale, local_dim, min_points, grid
+):
+    # grid=True rounds the cloud to a coarse lattice, so duplicate points and exact distance ties occur
+    pts = np.random.default_rng(seed).standard_normal((n, dim))
+    cloud = geometry.PointCloud(np.round(pts * 2.0) / 2.0 if grid else pts, dim)
+    if local_dim is None:
+        options = {"local_dim": None, "max_local_dim": dim}
+    else:
+        options = {"local_dim": min(local_dim, dim)}
+    orderings = []
+    fps = gmra.farthest_point_ordering
+
+    def recorded(*args, **kwargs):
+        orderings.append(fps(*args, **kwargs))
+        return orderings[-1]
+
+    with mock.patch.object(gmra, "farthest_point_ordering", recorded):
+        d = gmra.build_dictionary(cloud, max_scale=max_scale, min_points=min_points, **options)
+    prov = d.provenance
+    for j, count in enumerate(d.counts()):
+        assert prov["fresh_per_scale"][j] + prov["reused_per_scale"][j] + prov["copied_per_scale"][j] == count
+        assert prov["fresh_per_scale"][j] == np.count_nonzero(d.origin_scales(j) == j)
+    [(order, radii)] = orderings
+    finest = d.root_radius * 2.0**-max_scale
+    assert len(order) == len(radii) == len(np.unique(order))
+    assert radii[-1] <= finest and np.all(radii[:-1] > finest)
