@@ -1,11 +1,13 @@
 """Multiscale piecewise-linear dictionary: build, query, validate, persist.
 
-The dictionary is a tree of cells over dyadic scales j = 0 .. J, stored as
-flat arrays (centers, zero-padded orthonormal bases, local dimensions,
-origin scales, parent links) in (scale, index) order.  Scale-j cells are
-Voronoi regions of a farthest-point-sampling net at radius r_0 * 2^-j; each
-cell's affine projector x -> B^T B (x - c) + c is the least-squares plane
-through its points (cell mean c plus top principal directions B).
+The dictionary is a tree of cells over dyadic scales j = 0 .. J.  It is
+stored as one table of affine fits (centers, zero-padded orthonormal bases,
+local dimensions), each fit held once, plus per-cell arrays in (scale,
+index) order: the table row serving each cell and its parent link.  Scale-j
+cells are Voronoi regions of a farthest-point-sampling net at radius
+r_0 * 2^-j; each fit's affine projector x -> B^T B (x - c) + c is the
+least-squares plane through its cell's points (cell mean c plus top
+principal directions B).
 Construction details that matter for the invariants:
 
 * One global FPS ordering is computed once and stops at the first pick
@@ -16,9 +18,9 @@ Construction details that matter for the invariants:
   min_points points; cells that can no longer refine carry their fit
   forward unchanged (the deepest available fit keeps serving that region),
   which keeps every query scale total and the per-scale counts monotone.
-* The build keeps one table row per fresh fit and, per scale, the table row
-  serving each cell; a carried cell shares its fit's row, and the dictionary
-  arrays are the table indexed by those rows.
+* A carried cell shares its fit's table row, so the build writes one row per
+  fresh fit and, per scale, the row serving each cell.  A fit's origin scale
+  is the scale of the first cell it serves.
 * Centers are cell means, not sample points, so the recorded separation
   constant is measured on the built centers rather than assumed.
 * Every distance search goes through one kernel, ``sq_dists``, or its
@@ -38,24 +40,25 @@ from .errors import FileFormatError
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
-DICT_FORMAT_VERSION = 2
+DICT_FORMAT_VERSION = 3
 
 ORTHONORMALITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
 
 
 class MultiscaleDictionary:
-    """Cells of scales 0..J as flat arrays in (scale, index) order.
+    """Cells of scales 0..J in (scale, index) order, served by one table of affine fits.
 
-    Row offsets[j] + k is cell k of scale j: its center, its basis (local_dim
-    orthonormal rows, then zero rows up to the widest cell), the scale at
-    which its fit was last refreshed, and its parent at scale j - 1 (-1 at
-    scale 0); the per-scale accessors are slices.  A cell whose origin scale
-    is below j is a bit-identical copy of cell k at scale j - 1, which the
-    constructor checks.
+    Row f of the fit table is a center and a basis: fit_dims[f] orthonormal
+    rows, then zero rows up to the widest fit.  Cell offsets[j] + k is cell k
+    of scale j; cell_fit gives the table row serving it and parent its parent
+    at scale j - 1 (-1 at scale 0).  A fit's origin scale is the scale of the
+    first cell it serves.  A cell served by a fit from a coarser scale keeps
+    the fit of the same cell one scale up, which the constructor checks.  The
+    per-scale accessors gather the table through cell_fit.
     """
 
-    def __init__(self, counts, centers, bases, local_dim, origin_scale, parent, sep_constant, root_radius, provenance):
+    def __init__(self, counts, fit_centers, fit_bases, fit_dims, cell_fit, parent, sep_constant, root_radius, provenance):
         counts = [int(c) for c in counts]
         if not counts or counts[0] < 1:
             raise ValueError("dictionary needs at least one cell at scale 0")
@@ -63,46 +66,59 @@ class MultiscaleDictionary:
             j = int(np.argmax(np.diff(counts) < 0))
             raise ValueError("per-scale counts must be nondecreasing, got K_%d=%d > K_%d=%d" % (j, *counts[j : j + 2]))
         self.offsets = np.cumsum([0] + counts)
-        self.all_centers = np.array(centers, dtype=np.float64)
-        self.all_bases = np.array(bases, dtype=np.float64)
-        self.all_local_dims = np.array(local_dim, dtype=np.intp)
-        self.all_origin_scales = np.array(origin_scale, dtype=np.intp)
+        self.fit_centers = np.array(fit_centers, dtype=np.float64)
+        self.fit_bases = np.array(fit_bases, dtype=np.float64)
+        self.fit_dims = np.array(fit_dims, dtype=np.intp)
+        self.cell_fit = np.array(cell_fit, dtype=np.intp)
         self.all_parents = np.array(parent, dtype=np.intp)
         self.sep_constant = float(sep_constant)
         self.root_radius = float(root_radius)
         self.provenance = provenance
         self._scale = np.repeat(np.arange(len(counts)), counts)
-        self._validate_cells(np.array([0] + counts[:-1])[self._scale])
-        for arr in (self.all_centers, self.all_bases, self.all_local_dims, self.all_origin_scales, self.all_parents):
+        # the first cell each fit serves, and so the scale at which it was fit
+        self._first_cell = self._validate(np.array([0] + counts[:-1])[self._scale])
+        self._origin = self._scale[self._first_cell]
+        for arr in (self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit, self.all_parents):
             arr.setflags(write=False)
 
-    def _validate_cells(self, prev_count):
+    def _validate(self, prev_count):
         n, scale = self.offsets[-1], self._scale
-        centers, bases, dims, origin = self.all_centers, self.all_bases, self.all_local_dims, self.all_origin_scales
-        if centers.ndim != 2 or centers.shape[0] != n or bases.ndim != 3 or bases.shape[::2] != centers.shape:
-            raise ValueError("need N x D centers and N x d_max x D bases for N=%d cells" % n)
-        if any(a.shape != (n,) for a in (dims, origin, self.all_parents)):
-            raise ValueError("local_dim, origin_scale and parent need one entry per cell")
+        centers, bases, dims, fit, parent = self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit, self.all_parents
+        if centers.ndim != 2 or bases.ndim != 3 or bases.shape[::2] != centers.shape or dims.shape != centers.shape[:1]:
+            raise ValueError("need F x D centers, F x d_max x D bases and F local dims for a table of F fits")
+        if fit.shape != (n,) or parent.shape != (n,):
+            raise ValueError("cell_fit and parent need one entry per cell")
         if not (np.isfinite(centers).all() and np.isfinite(bases).all()):
             raise ValueError("centers and bases must be finite")
+        # orthonormal rows have entries in [-1, 1]; checked before any product of bases can overflow
+        if np.any(np.abs(bases) > 1.0 + ORTHONORMALITY_TOL):
+            raise ValueError("non-orthonormal basis: entries must lie in [-1, 1]")
         padding = np.arange(bases.shape[1]) >= dims[:, None]
         if np.any(dims < 1) or np.any(dims > bases.shape[1]) or np.any(bases[padding]):
             raise ValueError("local dims must lie in [1, %d], with zero basis rows past them" % bases.shape[1])
         row = np.arange(n)
         index = row - self.offsets[scale]
-        parent = self.all_parents
+        # numpy wraps negative indices, so the range check comes before any gather through cell_fit
+        bad = np.nonzero((fit < 0) | (fit >= len(dims)))[0]
+        if bad.size:
+            r = bad[0]
+            raise ValueError("cell (%d,%d) names fit %d of a table of %d" % (scale[r], index[r], fit[r], len(dims)))
+        used, first = np.unique(fit, return_index=True)
+        if len(used) < len(dims):
+            raise ValueError("%d of the %d fits serve no cell" % (len(dims) - len(used), len(dims)))
         bad = np.nonzero(np.where(scale == 0, parent != -1, (parent < 0) | (parent >= prev_count)))[0]
         if bad.size:
             r = bad[0]
             raise ValueError("parent of (%d,%d) out of range: %d" % (scale[r], index[r], parent[r]))
-        # a cell not refit at its own scale must copy the same cell one scale up
-        ok = (origin == scale) | ((0 <= origin) & (origin < scale) & (index < prev_count))
-        up = np.where(ok & (origin != scale), self.offsets[scale - 1] + index, row)
-        ok &= (origin[up] == origin) & (dims[up] == dims) & (centers[up] == centers).all(axis=1)
-        ok &= (bases[up] == bases).all(axis=(1, 2))
-        if not ok.all():
-            r = np.nonzero(~ok)[0][0]
-            raise ValueError("cell (%d,%d) has origin scale %d but is not that fit" % (scale[r], index[r], origin[r]))
+        # a cell served by a fit from a coarser scale keeps the fit of the same cell one scale up
+        carried = scale[first[fit]] < scale
+        up = np.where(carried & (index < prev_count), self.offsets[scale - 1] + index, row)
+        bad = np.nonzero(carried & ((index >= prev_count) | (fit[up] != fit)))[0]
+        if bad.size:
+            r = bad[0]
+            raise ValueError("cell (%d,%d) has fit %d from scale %d, not the fit of the cell above it"
+                             % (scale[r], index[r], fit[r], scale[first[fit[r]]]))
+        return first
 
     @property
     def max_scale(self):
@@ -110,42 +126,39 @@ class MultiscaleDictionary:
 
     @property
     def ambient_dim(self):
-        return self.all_centers.shape[1]
+        return self.fit_centers.shape[1]
 
     def counts(self):
         return np.diff(self.offsets).tolist()
 
-    def _rows(self, j):
-        return slice(self.offsets[j], self.offsets[j + 1])
+    def cell_fits(self, j):
+        """The fit-table row serving each scale-j cell."""
+        return self.cell_fit[self.offsets[j] : self.offsets[j + 1]]
+
+    def first_cell(self, f):
+        """(scale, index) of the first cell fit f serves: the cell it was fit to."""
+        r = self._first_cell[f]
+        return int(self._scale[r]), int(r - self.offsets[self._scale[r]])
 
     def centers(self, j):
         """K_j x D matrix of scale-j centers."""
-        return self.all_centers[self._rows(j)]
+        return self.fit_centers[self.cell_fits(j)]
 
     def bases(self, j):
         """K_j x d_max x D scale-j bases, d_max the widest scale-j cell; zero rows pad the others."""
-        return self.all_bases[self._rows(j), : self.max_local_dim(j)]
+        return self.fit_bases[self.cell_fits(j), : self.max_local_dim(j)]
 
     def local_dims(self, j):
-        return self.all_local_dims[self._rows(j)]
+        return self.fit_dims[self.cell_fits(j)]
 
     def max_local_dim(self, j):
         return int(self.local_dims(j).max())
 
     def origin_scales(self, j):
-        return self.all_origin_scales[self._rows(j)]
+        return self._origin[self.cell_fits(j)]
 
     def parents(self, j):
-        return self.all_parents[self._rows(j)]
-
-    def fits(self):
-        """(scale, index, center, basis) of each cell refit at its own scale, in (scale, index) order.
-
-        Every other cell copies one of these bit for bit, so a check over the fits covers all cells.
-        """
-        for r in np.nonzero(self.all_origin_scales == self._scale)[0]:
-            j = int(self._scale[r])
-            yield j, int(r - self.offsets[j]), self.all_centers[r], self.all_bases[r, : self.all_local_dims[r]]
+        return self.all_parents[self.offsets[j] : self.offsets[j + 1]]
 
 
 def _cell_fit(points, mode):
@@ -289,7 +302,6 @@ def build_dictionary(
     dims = np.array([len(basis) for basis in fit_bases])
     bases = np.zeros((len(dims), dims.max(), pts.shape[1]))
     bases[np.arange(dims.max()) < dims[:, None]] = np.concatenate(fit_bases)
-    origins = np.repeat(np.arange(max_scale + 1), fresh_per_scale)  # the table holds its fits in scale order
     parents = [np.array([-1])]
     parents += [_nearest_rows(centers[fine], centers[coarse]) for coarse, fine in zip(rows, rows[1:])]
 
@@ -314,13 +326,12 @@ def build_dictionary(
         "copied_per_scale": copied_per_scale,
         "net_radius_per_scale": [root_radius * 2.0**-j for j in range(max_scale + 1)],
     }
-    flat = np.concatenate(rows)
     return MultiscaleDictionary(
         [len(r) for r in rows],
-        centers[flat],
-        bases[flat],
-        dims[flat],
-        origins[flat],
+        centers,
+        bases,
+        dims,
+        np.concatenate(rows),
         np.concatenate(parents),
         sep_constant,
         root_radius,
@@ -529,10 +540,10 @@ def _check_parents(dictionary):
 
 
 def _check_orthonormal(dictionary):
-    """Largest |B B^T - I| entry over all cells; zero padding rows are held to 0."""
-    bases = dictionary.all_bases
+    """Largest |B B^T - I| entry over all fits; zero padding rows are held to 0."""
+    bases = dictionary.fit_bases
     width = bases.shape[1]
-    eye = np.eye(width) * (np.arange(width) < dictionary.all_local_dims[:, None])[:, :, None]
+    eye = np.eye(width) * (np.arange(width) < dictionary.fit_dims[:, None])[:, :, None]
     worst = float(np.abs(bases @ bases.swapaxes(1, 2) - eye).max())
     return worst < ORTHONORMALITY_TOL, worst
 
@@ -543,7 +554,8 @@ def _check_idempotent(dictionary, rng_seed, probes=100):
     rel = rng.standard_normal(size=(probes, dictionary.ambient_dim)) * (1.0 + dictionary.root_radius)
     scale = 1.0 + np.linalg.norm(rel, axis=1)
     worst = 0.0
-    for _, _, _, basis in dictionary.fits():
+    for basis, d in zip(dictionary.fit_bases, dictionary.fit_dims):
+        basis = basis[:d]
         once = (rel @ basis.T) @ basis
         twice = (once @ basis.T) @ basis
         worst = max(worst, float((np.linalg.norm(twice - once, axis=1) / scale).max()))
@@ -552,7 +564,7 @@ def _check_idempotent(dictionary, rng_seed, probes=100):
 
 def _estimate_tube_scale(dictionary, cloud):
     """Smallest j0 such that all deeper scales keep centers inside the shrinking tube."""
-    centers, pts = dictionary.all_centers, cloud.points
+    centers, pts = dictionary.fit_centers[dictionary.cell_fit], cloud.points
     dists = np.linalg.norm(centers - pts[_nearest_rows(centers, pts)], axis=1)
     worst = np.maximum.reduceat(dists, dictionary.offsets[:-1])
     allowed = dictionary.sep_constant * 2.0 ** (-2.0 - np.arange(len(worst)))
@@ -626,22 +638,24 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
 def save_dictionary(dictionary, path):
     """Write the dictionary as a manifest plus one little-endian float64 blob.
 
-    The blob holds all centers (N x D), then all zero-padded bases
-    (N x max_local_dim x D), both row-major in (scale, index) order.
+    The manifest holds the per-scale counts, the local dimension of each of
+    the F fits, and the fit and parent of each of the N cells in (scale,
+    index) order.  The blob holds the fit centers (F x D), then the
+    zero-padded fit bases (F x max_local_dim x D), both row-major.
     """
     manifest = {
         "version": DICT_FORMAT_VERSION,
         "ambient_dim": dictionary.ambient_dim,
         "counts": dictionary.counts(),
-        "max_local_dim": dictionary.all_bases.shape[1],
-        "local_dim": dictionary.all_local_dims.tolist(),
-        "origin_scale": dictionary.all_origin_scales.tolist(),
+        "max_local_dim": dictionary.fit_bases.shape[1],
+        "fit_local_dim": dictionary.fit_dims.tolist(),
+        "cell_fit": dictionary.cell_fit.tolist(),
         "parent": dictionary.all_parents.tolist(),
         "sep_constant": dictionary.sep_constant,
         "root_radius": dictionary.root_radius,
         "provenance": dictionary.provenance,
     }
-    blob = dictionary.all_centers.astype("<f8").tobytes() + dictionary.all_bases.astype("<f8").tobytes()
+    blob = dictionary.fit_centers.astype("<f8").tobytes() + dictionary.fit_bases.astype("<f8").tobytes()
     write_container(path, DICT_MAGIC, manifest, blob)
 
 
@@ -652,14 +666,14 @@ def load_dictionary(path):
         raise FileFormatError("unsupported dictionary version %r" % manifest.get("version"))
     try:
         # the constructor checks the shapes, so a blob of the wrong length fails in reshape or there
-        n, dim, width = sum(manifest["counts"]), manifest["ambient_dim"], manifest["max_local_dim"]
+        fits, dim, width = len(manifest["fit_local_dim"]), manifest["ambient_dim"], manifest["max_local_dim"]
         flat = np.frombuffer(blob, dtype="<f8")
         dictionary = MultiscaleDictionary(
             manifest["counts"],
-            flat[: n * dim].reshape(n, dim),
-            flat[n * dim :].reshape(n, width, dim),
-            manifest["local_dim"],
-            manifest["origin_scale"],
+            flat[: fits * dim].reshape(fits, dim),
+            flat[fits * dim :].reshape(fits, width, dim),
+            manifest["fit_local_dim"],
+            manifest["cell_fit"],
             manifest["parent"],
             manifest["sep_constant"],
             manifest["root_radius"],

@@ -150,7 +150,7 @@ def load_dataset(descriptor):
 
 
 def run_experiment(config, verbose=False):
-    """Run the full relMSE grid and write results.csv, timing.csv, and SVG plots."""
+    """Run the full relMSE grid and write config.json, results.csv, timing.csv, and SVG plots."""
     base = load_dataset(config.dataset)
     dataset_label = base.label or "dataset"
     max_scale = max(config.scales) if config.max_scale is None else config.max_scale
@@ -255,6 +255,7 @@ def run_experiment(config, verbose=False):
         d_by_scale=d_by_scale,
     )
     os.makedirs(config.output_dir, exist_ok=True)
+    config.to_json(os.path.join(config.output_dir, "config.json"))
     write_results_csv(result, os.path.join(config.output_dir, "results.csv"))
     write_timing_csv(result, os.path.join(config.output_dir, "timing.csv"))
     emit_plot(result, config.output_dir)
@@ -284,50 +285,26 @@ def write_timing_csv(result, path):
 
 
 def load_results_csv(path):
-    """Rebuild an ExperimentResult (aggregates and baselines) from results.csv.
+    """Rebuild an ExperimentResult for replotting from results.csv and the config.json beside it.
 
-    Enough for replotting; timing rows and the original config are not
-    recoverable from the results file.
+    The rows are the results.csv rows with status "ok", as read (strings);
+    timing rows are not recoverable from the results file.
     """
-    rows = []
+    config = ExperimentConfig.from_json(os.path.join(os.path.dirname(path), "config.json"))
     with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for raw in reader:
-            rows.append(raw)
+        rows = [raw for raw in csv.DictReader(fh) if raw["status"] == "ok"]
     if not rows:
-        raise ValueError("no rows in %s" % path)
-    parsed = []
+        raise ValueError("no usable result rows in %s" % path)
     baselines = {}
     draws = {}
     for raw in rows:
-        if raw["status"] != "ok":
-            continue
         sigma = float(raw["sigma"])
-        j = int(raw["j"])
-        f = int(raw["f"])
-        value = float(raw["relMSE"])
-        parsed.append(raw)
         baselines[sigma] = float(raw["relMSE_J"])
-        draws.setdefault((sigma, j, f), []).append(value)
-    if not draws:
-        raise ValueError("no usable result rows in %s" % path)
-    aggregates = {
-        key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in draws.items()
-    }
-    sigmas = sorted({s for (s, _, _) in aggregates})
-    config = ExperimentConfig(
-        dataset={"csv": path},
-        noise_sigmas=sigmas,
-        oversampling=sorted({f for (_, _, f) in aggregates}),
-        num_draws=max(len(v) for v in draws.values()),
-        scales=sorted({j for (_, j, _) in aggregates}),
-    )
-    result_rows = [
-        {"dataset": raw["dataset"], "sigma": float(raw["sigma"])} for raw in parsed[:1]
-    ]
+        draws.setdefault((sigma, int(raw["j"]), int(raw["f"])), []).append(float(raw["relMSE"]))
+    aggregates = {key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in draws.items()}
     return ExperimentResult(
         config=config,
-        rows=result_rows,
+        rows=rows,
         timing_rows=[],
         baselines=baselines,
         mean_norms={},

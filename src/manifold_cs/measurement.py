@@ -309,7 +309,7 @@ def verify_assumption_set(
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
-    probes = np.vstack([pts, dictionary.all_centers])
+    probes = np.vstack([pts, dictionary.fit_centers[dictionary.cell_fit]])
     report = verify_distortion(matrix, probes, eps)
     items.append(
         ItemCheck(
@@ -320,7 +320,7 @@ def verify_assumption_set(
         )
     )
 
-    sparsity = int(dictionary.all_local_dims.max())
+    sparsity = int(dictionary.fit_dims.max())
     rand = rng.standard_normal(size=(1000, dictionary.ambient_dim))
     norms_m = np.linalg.norm(matrix.apply(rand), axis=1)
     bounds = e_m_bound(rand, eps, sparsity)
@@ -339,7 +339,8 @@ def verify_assumption_set(
     slack = 2.0 ** -dictionary.max_scale
     margin_d = np.inf
     m_pts = matrix.apply(pts)
-    for _, _, center, basis in dictionary.fits():
+    for center, basis, d in zip(dictionary.fit_centers, dictionary.fit_bases, dictionary.fit_dims):
+        basis = basis[:d]
         projected = center + ((pts - center) @ basis.T) @ basis
         resid = np.linalg.norm(pts - projected, axis=1)
         m_resid = np.linalg.norm(m_pts - matrix.apply(projected), axis=1)
@@ -359,12 +360,11 @@ def verify_assumption_set(
 
 def _subspace_item(matrix, dictionary, eps):
     """Exact isometry slack of M on each fitted plane: min(s_min - (1 - eps), (1 + eps) - s_max) of M B^T."""
-    fits = list(dictionary.fits())
-    dims = np.array([basis.shape[0] for *_, basis in fits])
-    margins = np.empty(len(fits))
+    dims = dictionary.fit_dims
+    margins = np.empty(len(dims))
     for d in np.unique(dims):
         idx = np.nonzero(dims == d)[0]
-        svals = np.linalg.svd(matrix.entries @ np.stack([fits[i][3].T for i in idx]), compute_uv=False)
+        svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases[idx, :d].swapaxes(1, 2), compute_uv=False)
         low = svals[:, -1] if matrix.m >= d else 0.0
         margins[idx] = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
     worst = int(np.argmin(margins))
@@ -372,7 +372,7 @@ def _subspace_item(matrix, dictionary, eps):
         "c-subspace-isometry",
         bool(margins[worst] >= 0.0),
         float(margins[worst]),
-        "min two-sided slack of the singular values of M B^T, worst at cell %s" % (fits[worst][:2],),
+        "min two-sided slack of the singular values of M B^T, worst at cell %s" % (dictionary.first_cell(worst),),
     )
 
 

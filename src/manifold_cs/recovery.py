@@ -139,9 +139,10 @@ def recover(measurements, matrix, dictionary, j):
 def recover_batch(measurements, matrix, dictionary, j):
     """Recover every row of an n x m measurement block at scale j or "auto".
 
-    The pseudoinverses of the cells the rows touch come from one stacked SVD
-    per local dimension, and each row is solved and assembled on its own, so
-    a 1-row call gives the same answer as the matching row of an n-row call.
+    The pseudoinverses of the fits the rows touch (one per fit, however many
+    cells share it) come from one stacked SVD per local dimension, and each
+    row is solved and assembled on its own, so a 1-row call gives the same
+    answer as the matching row of an n-row call.
     """
     y = np.asarray(measurements, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != matrix.m:
@@ -155,16 +156,16 @@ def recover_batch(measurements, matrix, dictionary, j):
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
     cells = _nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
-    bases = dictionary.bases(scale)
-    dims = np.array(dictionary.local_dims(scale))
+    fits = dictionary.cell_fits(scale)[cells]
+    dims = dictionary.fit_dims[fits]
     n = y.shape[0]
-    coeffs = np.zeros((n, bases.shape[1]))
+    coeffs = np.zeros((n, dictionary.max_local_dim(scale)))
     residuals = np.empty(n)
     ill = np.empty(n, dtype=bool)
-    for d in np.unique(dims[cells]):
-        rows = np.nonzero(dims[cells] == d)[0]
-        group, slot = np.unique(cells[rows], return_inverse=True)
-        a_sub = matrix.entries @ bases[group, :d].swapaxes(1, 2)  # one m x d system per touched cell
+    for d in np.unique(dims):
+        rows = np.nonzero(dims == d)[0]
+        group, slot = np.unique(fits[rows], return_inverse=True)
+        a_sub = matrix.entries @ dictionary.fit_bases[group, :d].swapaxes(1, 2)  # one m x d system per touched fit
         pinv, rank = _truncated_pinv(a_sub)
         c = (pinv[slot] @ rhs[rows, :, None])[:, :, 0]
         coeffs[rows, :d] = c
@@ -245,7 +246,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
         gap = x - np.asarray(x_opt, dtype=np.float64)
         opt_err = np.linalg.norm(gap, axis=1)
         bound = STABLE_RECOVERY_CONSTANT * opt_err
-        sparsity = int(dictionary.all_local_dims.max())
+        sparsity = int(dictionary.fit_dims.max())
         finest = dictionary.max_scale
         centers = dictionary.centers(finest)
         d_man = dictionary.max_local_dim(finest)

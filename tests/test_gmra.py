@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,12 +23,12 @@ def apply_projector(d, x):
 
 
 def two_scale_dictionary(centers1):
-    """Scale 0 holds one root cell; scale 1 holds the given centers."""
+    """Scale 0 holds one root cell; scale 1 holds the given centers, each cell with its own fit."""
     dim = len(centers1[0])
     k = len(centers1)
     return gmra.MultiscaleDictionary(
         [1, k], [np.zeros(dim)] + list(centers1), [np.eye(dim)[:1]] * (k + 1), [1] * (k + 1),
-        [0] + [1] * k, [-1] + [0] * k, sep_constant=0.25, root_radius=4.0, provenance={},
+        list(range(k + 1)), [-1] + [0] * k, sep_constant=0.25, root_radius=4.0, provenance={},
     )
 
 
@@ -160,9 +162,9 @@ def test_dictionary_is_exact_under_translation(roll3k, shift):
     moved = geometry.PointCloud(cloud.points + shift, 3)
     dm = gmra.build_dictionary(moved, local_dim=2, max_scale=8, min_points=6)
     assert dm.counts() == d.counts()
-    for name in ("all_parents", "all_local_dims", "all_origin_scales"):
+    for name in ("all_parents", "cell_fit", "fit_dims"):
         assert np.array_equal(getattr(dm, name), getattr(d, name)), name
-    assert np.abs(dm.all_centers - (d.all_centers + shift)).max() <= 1e-6
+    assert np.abs(dm.fit_centers - (d.fit_centers + shift)).max() <= 1e-6
     report = gmra.validate_structure(dm, moved)
     assert report.passed, report.failures
     M = measurement.gaussian_matrix(3, 3, seed=4)
@@ -291,8 +293,8 @@ def test_load_rejects_decreasing_counts(tmp_path):
         "ambient_dim": 2,
         "counts": [3, 1],
         "max_local_dim": 1,
-        "local_dim": [1, 1, 1, 1],
-        "origin_scale": [0, 0, 0, 1],
+        "fit_local_dim": [1, 1, 1, 1],
+        "cell_fit": [0, 1, 2, 3],
         "parent": [-1, -1, -1, 0],
         "sep_constant": 0.5,
         "root_radius": 3.0,
@@ -318,7 +320,7 @@ def test_load_rejects_non_finite_blob(tmp_path, circle_dict, where):
     path = tmp_path / "nan.mcsdict"
     gmra.save_dictionary(circle_dict, path)
     floats = np.frombuffer(storage.read_container(path, storage.DICT_MAGIC)[1], dtype="<f8").copy()
-    floats[0 if where == "center" else circle_dict.all_centers.size] = np.nan
+    floats[0 if where == "center" else circle_dict.fit_centers.size] = np.nan
     rewrite_container(path, floats=floats)
     with pytest.raises(FileFormatError, match="finite"):
         gmra.load_dictionary(path)
@@ -332,7 +334,7 @@ def test_load_rejects_non_object_manifest(tmp_path, circle_dict):
         gmra.load_dictionary(path)
 
 
-@pytest.mark.parametrize("key", ["counts", "ambient_dim", "max_local_dim", "local_dim", "origin_scale", "parent",
+@pytest.mark.parametrize("key", ["counts", "ambient_dim", "max_local_dim", "fit_local_dim", "cell_fit", "parent",
                                  "sep_constant", "root_radius"])
 def test_load_rejects_missing_manifest_key(tmp_path, circle_dict, key):
     path = tmp_path / "missing.mcsdict"
@@ -348,10 +350,23 @@ def test_load_rejects_non_orthonormal_basis(tmp_path, circle_dict):
     path = tmp_path / "skew.mcsdict"
     gmra.save_dictionary(circle_dict, path)
     floats = np.frombuffer(storage.read_container(path, storage.DICT_MAGIC)[1], dtype="<f8").copy()
-    floats[circle_dict.all_centers.size:] *= 1.5
+    floats[circle_dict.fit_centers.size:] *= 1.5
     rewrite_container(path, floats=floats)
     with pytest.raises(FileFormatError, match="non-orthonormal"):
         gmra.load_dictionary(path)
+
+
+def test_load_rejects_huge_basis_entry_before_any_product(tmp_path, circle_dict):
+    # a finite entry far outside [-1, 1] must be rejected, not multiplied into inf
+    path = tmp_path / "huge.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    floats = np.frombuffer(storage.read_container(path, storage.DICT_MAGIC)[1], dtype="<f8").copy()
+    floats[circle_dict.fit_centers.size] = 1e200
+    rewrite_container(path, floats=floats)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FileFormatError, match=r"\[-1, 1\]"):
+            gmra.load_dictionary(path)
 
 
 def test_constructor_rejects_non_finite_cells():
@@ -362,14 +377,30 @@ def test_constructor_rejects_non_finite_cells():
 
 
 def test_constructor_rejects_carried_cell_that_is_not_a_copy():
-    # cell 0 of scale 1 claims its fit comes from scale 0 but has another center
+    # scales of 1, 2 and 2 cells; fit 0 serves the root and is carried to cell 0 of scales 1 and 2
     axis = np.eye(2)[:1]
-    args = [[1, 1], [[0.0, 0.0], [1.0, 0.0]], [axis, axis], [1, 1], [0, 0], [-1, 0]]
-    with pytest.raises(ValueError, match="origin scale"):
-        gmra.MultiscaleDictionary(*args, sep_constant=1.0, root_radius=1.0, provenance={})
-    args[1][1] = [0.0, 0.0]
-    d = gmra.MultiscaleDictionary(*args, sep_constant=1.0, root_radius=1.0, provenance={})
-    assert d.origin_scales(1).tolist() == [0]
+    centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    def build(cell_fit, fits=3):
+        return gmra.MultiscaleDictionary(
+            [1, 2, 2], centers[:fits], [axis] * fits, [1] * fits, cell_fit, [-1, 0, 0, 0, 1], 1.0, 1.0, {}
+        )
+
+    d = build([0, 0, 1, 0, 2])
+    assert [d.origin_scales(j).tolist() for j in range(3)] == [[0], [0, 1], [0, 2]]
+    assert d.centers(2).tolist() == [[0.0, 0.0], [0.0, 1.0]]
+    assert [d.first_cell(f) for f in range(3)] == [(0, 0), (1, 1), (2, 1)]
+    # carried cell 0 of scale 2 takes fit 0, while the same cell one scale up has fit 1
+    with pytest.raises(ValueError, match="not the fit of the cell above"):
+        build([0, 1, 2, 0, 1])
+    # cell 1 of scale 1 takes the root's fit, but scale 0 has no cell 1 to carry it from
+    with pytest.raises(ValueError, match="not the fit of the cell above"):
+        build([0, 1, 0, 1, 2])
+    with pytest.raises(ValueError, match="serve no cell"):
+        build([0, 0, 1, 0, 1])
+    for bad in (-1, 3, 99):
+        with pytest.raises(ValueError, match="names fit"):
+            build([0, 0, 1, 0, bad])
     with pytest.raises(ValueError, match="zero basis rows"):
         gmra.MultiscaleDictionary([1], [[0.0, 0.0]], [np.eye(2)], [1], [0], [-1], 1.0, 1.0, {})
 

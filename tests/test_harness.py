@@ -174,6 +174,7 @@ def test_load_results_csv_round_trip(tmp_path):
     for key in res.aggregates:
         assert loaded.aggregates[key][0] == pytest.approx(res.aggregates[key][0], rel=1e-12)
     assert loaded.baselines.keys() == res.baselines.keys()
+    assert loaded.config == cfg
 
 
 def test_config_validation():

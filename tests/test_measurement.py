@@ -249,9 +249,9 @@ def test_subspace_margin_is_the_exact_singular_value_slack(swiss_cloud, swiss_di
     for m in (1, 40):
         M = measurement.gaussian_matrix(m, 3, seed=9)
         want = np.inf
-        for _, _, _, basis in swiss_dict.fits():
-            image = M.entries @ basis.T
-            low = np.linalg.norm(image, ord=-2) if m >= len(basis) else 0.0
+        for basis, d in zip(swiss_dict.fit_bases, swiss_dict.fit_dims):
+            image = M.entries @ basis[:d].T
+            low = np.linalg.norm(image, ord=-2) if m >= d else 0.0
             want = min(want, low - 0.7, 1.3 - np.linalg.norm(image, ord=2))
         item = measurement.verify_assumption_set(M, swiss_dict, x=x, which=1, eps=0.3).item("c-subspace-isometry")
         assert item.margin == pytest.approx(want, abs=1e-12)

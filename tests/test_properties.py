@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import FileFormatError
 
-DICT_ARRAYS = ("offsets", "all_centers", "all_bases", "all_local_dims", "all_origin_scales", "all_parents")
+DICT_ARRAYS = ("offsets", "fit_centers", "fit_bases", "fit_dims", "cell_fit", "all_parents")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=4),
@@ -188,6 +188,8 @@ def test_build_accounts_for_every_cell_and_stops_fps_at_the_finest_net(
     for j, count in enumerate(d.counts()):
         assert prov["fresh_per_scale"][j] + prov["reused_per_scale"][j] + prov["copied_per_scale"][j] == count
         assert prov["fresh_per_scale"][j] == np.count_nonzero(d.origin_scales(j) == j)
+    # the table holds each fresh fit once: carried cells share their fit's row
+    assert len(d.fit_dims) == len(d.fit_centers) == len(d.fit_bases) == sum(prov["fresh_per_scale"])
     [(order, radii)] = orderings
     finest = d.root_radius * 2.0**-max_scale
     assert len(order) == len(radii) == len(np.unique(order))
