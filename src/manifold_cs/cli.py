@@ -245,7 +245,10 @@ def cmd_measure_verify(args):
         if args.assumption_set == 1:
             if not args.query:
                 raise SystemExit("assumption set 1 needs --query")
-            x = geometry.load_csv(args.query).points[0]
+            query = geometry.load_csv(args.query).points
+            if len(query) != 1:
+                raise SystemExit("assumption set 1 takes one query point, %s has %d rows" % (args.query, len(query)))
+            x = query[0]
         else:
             if not args.cloud:
                 raise SystemExit("assumption set 2 needs --cloud")

@@ -9,6 +9,7 @@ Synthetic manifolds used throughout:
   (exactly uniform in any dimension).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +216,7 @@ def save_csv(cloud, path):
 
 
 def load_csv(path, label=None):
-    """Read a point cloud from CSV; a single non-numeric header row is allowed."""
+    """Read a point cloud from CSV; a single non-numeric header row is allowed, nan and inf are not."""
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -230,6 +231,8 @@ def load_csv(path, label=None):
                 if lineno == 1:
                     continue  # header row
                 raise CsvParseError("non-numeric value at row %d" % lineno, row=lineno)
+            if not all(map(math.isfinite, values)):
+                raise CsvParseError("non-finite value at row %d" % lineno, row=lineno)
             if width is None:
                 width = len(values)
             elif len(values) != width:

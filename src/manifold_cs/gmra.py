@@ -363,30 +363,29 @@ def project_at_scale(dictionary, j, pts):
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != dictionary.ambient_dim:
         raise ValueError("points have shape %s, the dictionary lives in R^%d" % (pts.shape, dictionary.ambient_dim))
-    cells = _nearest_rows(pts, dictionary.centers(j))
-    centers = dictionary.centers(j)[cells]
-    return in_plane_rows(dictionary, j, cells, pts - centers) + centers
+    fits = dictionary.cell_fits(j)[_nearest_rows(pts, dictionary.centers(j))]
+    centers = dictionary.fit_centers[fits]
+    return in_plane_rows(dictionary, fits, pts - centers) + centers
 
 
-def in_plane_rows(dictionary, j, cells, rel):
-    """Row i is B^T B rel[i], for the basis B of the scale-j cell cells[i]."""
-    return plane_rows(dictionary, j, cells, plane_coeffs(dictionary, j, cells, rel))
+def in_plane_rows(dictionary, fits, rel):
+    """Row i is B^T B rel[i], for the basis B of fit-table row fits[i]."""
+    return plane_rows(dictionary, fits, plane_coeffs(dictionary, fits, rel))
 
 
-def plane_coeffs(dictionary, j, cells, rel):
-    """Row i is B rel[i], zero past the cell's local dimension."""
-    bases = dictionary.bases(j)
-    return np.stack([(rel * bases[cells, t]).sum(axis=1) for t in range(bases.shape[1])], axis=1)
+def plane_coeffs(dictionary, fits, rel):
+    """Row i is B rel[i], for the basis B of fit-table row fits[i]; zero past its local dimension."""
+    bases = dictionary.fit_bases
+    return np.stack([(rel * bases[fits, t]).sum(axis=1) for t in range(bases.shape[1])], axis=1)
 
 
-def plane_rows(dictionary, j, cells, coeffs):
-    """Row i is coeffs[i] @ B, for the basis B of the scale-j cell cells[i].
+def plane_rows(dictionary, fits, coeffs):
+    """Row i is coeffs[i] @ B, for the basis B of fit-table row fits[i].
 
     Products are summed one basis row at a time, so a row's result does not
     depend on the other rows of the call.
     """
-    bases = dictionary.bases(j)
-    return sum(coeffs[:, t, None] * bases[cells, t] for t in range(coeffs.shape[1]))
+    return sum(coeffs[:, t, None] * dictionary.fit_bases[fits, t] for t in range(coeffs.shape[1]))
 
 
 @dataclass
@@ -564,8 +563,8 @@ def _check_idempotent(dictionary, rng_seed, probes=100):
 
 def _estimate_tube_scale(dictionary, cloud):
     """Smallest j0 such that all deeper scales keep centers inside the shrinking tube."""
-    centers, pts = dictionary.fit_centers[dictionary.cell_fit], cloud.points
-    dists = np.linalg.norm(centers - pts[_nearest_rows(centers, pts)], axis=1)
+    centers, pts = dictionary.fit_centers, cloud.points
+    dists = np.linalg.norm(centers - pts[_nearest_rows(centers, pts)], axis=1)[dictionary.cell_fit]
     worst = np.maximum.reduceat(dists, dictionary.offsets[:-1])
     allowed = dictionary.sep_constant * 2.0 ** (-2.0 - np.arange(len(worst)))
     hold = worst < allowed
@@ -619,7 +618,7 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     c16 = 0.0
     c8 = 0.0
     for j in range(dictionary.max_scale + 1):
-        centers = dictionary.centers(j)
+        centers, fits = dictionary.centers(j), dictionary.cell_fits(j)
         floor = dictionary.sep_constant * 2.0 ** (-j - 1)
         # a block's (probe, near center) offsets fill at most block x K_j x D entries
         block = max(1, _BLOCK_ENTRIES // centers.size)
@@ -629,7 +628,7 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
             base = np.maximum(dists.min(axis=1), floor)
             rows, near = np.nonzero(dists <= 16.0 * base[:, None])
             rel = x[rows] - centers[near]
-            ratio = np.linalg.norm(rel - in_plane_rows(dictionary, j, near, rel), axis=1) * 2.0**j
+            ratio = np.linalg.norm(rel - in_plane_rows(dictionary, fits[near], rel), axis=1) * 2.0**j
             c16 = max(c16, float(ratio.max()))
             c8 = max(c8, float(ratio[dists[rows, near] <= 8.0 * base[rows]].max(initial=0.0)))
     return c16, c8

@@ -246,16 +246,13 @@ class AssumptionReport:
 def assumption_set_vectors(dictionary, x):
     """The finite set whose embedding fidelity the nonuniform guarantee needs.
 
-    For a fixed query x this is every in-plane component B^T B (x - c), every
-    offset x - c, and the zero vector, across all scales and cells.
+    For a fixed query x: the zero vector, the offset x - c of each of the F
+    fits, then each fit's in-plane part B^T B (x - c), listed once however
+    many cells share the fit (1 + 2F rows).
     """
-    x = np.asarray(x, dtype=np.float64)
-    rows = [np.zeros((1, dictionary.ambient_dim))]
-    for j in range(dictionary.max_scale + 1):
-        offsets = x[None, :] - dictionary.centers(j)
-        rows.append(offsets)
-        rows.append(in_plane_rows(dictionary, j, np.arange(len(offsets)), offsets))
-    return np.vstack(rows)
+    offsets = np.asarray(x, dtype=np.float64) - dictionary.fit_centers
+    planes = in_plane_rows(dictionary, np.arange(len(offsets)), offsets)
+    return np.vstack([np.zeros((1, dictionary.ambient_dim)), offsets, planes])
 
 
 def verify_assumption_set(
@@ -271,18 +268,19 @@ def verify_assumption_set(
     """Empirically check one of the two measurement assumption sets.
 
     which=1 (nonuniform, per-query): (a) pairwise distortion on the finite
-    query-dependent vector set, (c) subspace isometry on every fitted plane,
-    checked exactly: the singular values of M B^T must lie in
-    [1 - eps, 1 + eps], and the margin is the smallest slack to either end.
-    Requires x.
+    query-dependent set ``assumption_set_vectors``, which runs over the fits,
+    (c) subspace isometry on every fitted plane, checked exactly: the singular
+    values of M B^T must lie in [1 - eps, 1 + eps], and the margin is the
+    smallest slack to either end.  Requires x.
 
     which=2 (uniform, stability): (a) pairwise distortion on sampled manifold
-    points plus all centers, (b) domination of ||My|| by the closed-form
+    points plus the F fit centers, (b) domination of ||My|| by the closed-form
     compression bound on random probes, (c) subspace isometry as above,
     (d) the projector-residual embedding inequality with additive 2^-J slack
     on sampled manifold points.  Requires cloud samples from the manifold;
     samples beyond the budget are subsampled.  Items a, b and d are a sampled
     audit, not a proof: set-membership is checked on finitely many probes.
+    An item-a detail counts the pairs of distinct probe vectors.
     """
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
@@ -309,7 +307,7 @@ def verify_assumption_set(
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
-    probes = np.vstack([pts, dictionary.fit_centers[dictionary.cell_fit]])
+    probes = np.vstack([pts, dictionary.fit_centers])
     report = verify_distortion(matrix, probes, eps)
     items.append(
         ItemCheck(

@@ -171,13 +171,9 @@ def recover_batch(measurements, matrix, dictionary, j):
         coeffs[rows, :d] = c
         residuals[rows] = np.linalg.norm((a_sub[slot] @ c[:, :, None])[:, :, 0] - rhs[rows], axis=1)
         ill[rows] = rank[slot] < d
-    if auto:
-        chosen_scales = dictionary.origin_scales(scale)[cells]
-    else:
-        chosen_scales = np.full(n, scale)
     return BatchRecovery(
-        reconstructions=plane_rows(dictionary, scale, cells, coeffs) + dictionary.centers(scale)[cells],
-        chosen_scales=chosen_scales,
+        reconstructions=plane_rows(dictionary, fits, coeffs) + dictionary.fit_centers[fits],
+        chosen_scales=dictionary.origin_scales(scale)[cells] if auto else np.full(n, scale),
         chosen_centers=cells,
         coefficients=coeffs,
         residuals=residuals,
@@ -218,27 +214,27 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
     if not (0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
+    scales, cells = batch.chosen_scales, batch.chosen_centers
+    if np.any((cells < 0) | (cells >= np.diff(dictionary.offsets)[scales])):
+        raise ValueError("a chosen center lies outside its scale")
+    # a row's fit: carried cells keep their index up to the fit's origin scale, so "auto" rows resolve too
+    fits = dictionary.cell_fit[dictionary.offsets[scales] + cells]
+    centers = dictionary.fit_centers[fits]
+    rel = x - centers
+    coeffs = plane_coeffs(dictionary, fits, rel)
+    proj_x = plane_rows(dictionary, fits, coeffs) + centers
     ratio = np.sqrt((1.0 + eps) / (1.0 - eps))
-    line3_lhs = np.empty(x.shape[0])
     line3_rhs = np.empty(x.shape[0])
-    line4_lhs = np.empty(x.shape[0])
-    proj_x = np.empty_like(x)
-    for j in np.unique(batch.chosen_scales):
-        rows = np.nonzero(batch.chosen_scales == j)[0]
-        centers = dictionary.centers(j)
-        cells = batch.chosen_centers[rows]
-        rel = x[rows] - centers[cells]
-        line3_lhs[rows] = np.linalg.norm(rel, axis=1)
-        line3_rhs[rows] = ratio * np.linalg.norm(x[rows] - centers[_nearest_rows(x[rows], centers)], axis=1)
-        coeffs = plane_coeffs(dictionary, j, cells, rel)
-        # ||P x - x'|| = ||B (x - c) - u'||: no cancellation between points of the cloud's magnitude
-        width = min(coeffs.shape[1], batch.coefficients.shape[1])
-        line4_lhs[rows] = np.linalg.norm(coeffs[:, :width] - batch.coefficients[rows, :width], axis=1)
-        proj_x[rows] = plane_rows(dictionary, j, cells, coeffs) + centers[cells]
+    for j in np.unique(scales):
+        rows = np.nonzero(scales == j)[0]
+        layer = dictionary.centers(j)
+        line3_rhs[rows] = ratio * np.linalg.norm(x[rows] - layer[_nearest_rows(x[rows], layer)], axis=1)
+    # ||P x - x'|| = ||B (x - c) - u'||: no cancellation between points of the cloud's magnitude
+    width = min(coeffs.shape[1], batch.coefficients.shape[1])
     columns = {
-        "line3_lhs": line3_lhs,
+        "line3_lhs": np.linalg.norm(rel, axis=1),
         "line3_rhs": line3_rhs,
-        "line4_lhs": line4_lhs,
+        "line4_lhs": np.linalg.norm(coeffs[:, :width] - batch.coefficients[:, :width], axis=1),
         # one matrix-vector product per row, so a row's value does not depend on the batch
         "line4_rhs": 2.0 / (1.0 - eps) * np.linalg.norm(matrix.entries @ (x - proj_x)[:, :, None], axis=(1, 2)),
     }
@@ -247,16 +243,15 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
         opt_err = np.linalg.norm(gap, axis=1)
         bound = STABLE_RECOVERY_CONSTANT * opt_err
         sparsity = int(dictionary.fit_dims.max())
-        finest = dictionary.max_scale
-        centers = dictionary.centers(finest)
-        d_man = dictionary.max_local_dim(finest)
+        layer = dictionary.centers(dictionary.max_scale)
+        d_man = dictionary.max_local_dim(dictionary.max_scale)
         columns["optimal_error_bound"] = bound
         columns["optimal_error_excess"] = np.linalg.norm(x - batch.reconstructions, axis=1) - bound
         columns["line3_set2_rhs"] = (
             line3_rhs + (1.0 + ratio) * opt_err + np.sqrt(4.0 / (1.0 - eps)) * e_m_bound(gap, eps, sparsity)
         )
         columns["tube_lhs"] = 2.0 * opt_err + 6.0 / (5.0 * np.sqrt(d_man)) * np.linalg.norm(gap, ord=1, axis=1)
-        columns["tube_rhs"] = np.maximum(np.linalg.norm(x - centers[_nearest_rows(x, centers)], axis=1), tube_delta)
+        columns["tube_rhs"] = np.maximum(np.linalg.norm(x - layer[_nearest_rows(x, layer)], axis=1), tube_delta)
     return columns
 
 

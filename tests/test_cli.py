@@ -2,6 +2,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from manifold_cs import cli, geometry, gmra, measurement
 
@@ -102,6 +103,13 @@ def test_measure_make_and_verify(tmp_path, capsys):
     )
     assert rc == 0
     assert "set 1" in capsys.readouterr().out
+    # set 1 is per query: a file with a second row is refused, not truncated
+    geometry.save_csv(geometry.PointCloud(np.array([[0.4, 0.8], [0.6, -0.8]]), 2), query)
+    with pytest.raises(SystemExit, match="one query point"):
+        run_cli(
+            "measure", "verify", "--matrix", m_path, "--dict", dict_path,
+            "--assumption-set", 1, "--query", query, "--eps", 0.3,
+        )
 
 
 def test_recover_with_certificates(tmp_path):

@@ -214,3 +214,12 @@ def test_csv_non_numeric_names_line(tmp_path):
     with pytest.raises(CsvParseError) as err:
         geometry.load_csv(path)
     assert err.value.row == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_csv_non_finite_names_line(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y\n0,1\n1,%s\n" % value)
+    with pytest.raises(CsvParseError) as err:
+        geometry.load_csv(path)
+    assert err.value.row == 3

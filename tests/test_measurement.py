@@ -230,6 +230,42 @@ def test_assumption_set_two_needs_cloud(circle_dict):
         measurement.verify_assumption_set(M, circle_dict, which=2, eps=0.1)
 
 
+def adaptive_roll_dict():
+    base = geometry.gen_swiss_roll(600, seed=3)
+    padded = np.zeros((600, 4))
+    padded[:, :3] = base.points
+    cloud = geometry.add_noise(geometry.PointCloud(padded, 4), 0.05, seed=4)
+    return cloud, gmra.build_dictionary(cloud, local_dim=None, max_local_dim=3, max_scale=5)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_item_a_over_fits_matches_the_per_cell_probe_lists(swiss_cloud, swiss_dict, adaptive):
+    cloud, d = adaptive_roll_dict() if adaptive else (swiss_cloud, swiss_dict)
+    assert len(d.fit_dims) < len(d.cell_fit)  # some cells are carried and share a fit
+    cloud = geometry.PointCloud(cloud.points[::5], cloud.ambient_dim)
+    x = cloud.points[3] + 0.1
+    # reference: the probe lists with one entry per cell of every scale, carried copies included
+    per_cell = [np.zeros((1, d.ambient_dim))]
+    for j in range(d.max_scale + 1):
+        offsets = x - d.centers(j)
+        per_cell += [offsets, gmra.in_plane_rows(d, d.cell_fits(j), offsets)]
+    per_cell = np.vstack(per_cell)
+    vectors = measurement.assumption_set_vectors(d, x)
+    assert vectors.shape == (1 + 2 * len(d.fit_dims), d.ambient_dim)
+    assert set(map(bytes, vectors)) == set(map(bytes, per_cell))
+    centers = np.vstack([d.centers(j) for j in range(d.max_scale + 1)])
+    for M in (measurement.gaussian_matrix(2, d.ambient_dim, seed=5),
+              measurement.orthoprojection_matrix(3, d.ambient_dim, seed=6)):
+        item1 = measurement.verify_assumption_set(M, d, x=x, which=1, eps=0.3).item("a-distortion-query-set")
+        item2 = measurement.verify_assumption_set(
+            M, d, which=2, eps=0.3, cloud=cloud, budget=cloud.n
+        ).item("a-distortion-manifold-and-centers")
+        for item, probes in ((item1, per_cell), (item2, np.vstack([cloud.points, centers]))):
+            want = measurement.verify_distortion(M, probes, 0.3)
+            assert item.margin == pytest.approx(0.3 - want.max_distortion, abs=1e-12)
+            assert item.passed == want.passed
+
+
 def test_rank_deficient_compression_fails_subspace_item(swiss_cloud, swiss_dict):
     # duplicate measurement rows collapse every 2-plane image to a line
     row = measurement.gaussian_matrix(1, 3, seed=2).entries

@@ -269,6 +269,17 @@ def test_reconstruction_assembles_from_parts(circle_dict):
     assert np.linalg.norm(manual - out.reconstruction) <= 1e-12
 
 
+def test_certify_rejects_a_center_outside_its_scale(circle_dict):
+    # fits are looked up by flat cell index: an index past K_j must not reach the next scale's cells
+    M = measurement.gaussian_matrix(6, 2, seed=43)
+    x = np.array([0.4, 0.9])
+    out = recovery.recover(M.apply(x), M, circle_dict, 2)
+    for k in (-1, len(circle_dict.centers(2))):
+        out.chosen_center = k
+        with pytest.raises(ValueError, match="outside its scale"):
+            recovery.certify(x, M, circle_dict, out, eps=0.3)
+
+
 def test_sphere_oracle():
     x = np.zeros(6)
     x[0] = 2.0
