@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import math
 import sys
 
@@ -161,31 +162,20 @@ def cmd_gmra_build(args):
     )
 
 
+# the StructureReport attributes that `gmra validate --json` writes
+VALIDATE_JSON_FIELDS = (
+    "passed", "counts", "k_monotone", "separation_ok", "separation_margin", "parent_total", "parent_margin",
+    "orthonormal_worst", "idempotent_worst", "tube_j0", "mean_error_per_scale", "decay_slope", "decay_slope_ci",
+    "monotone_refinement_ok", "ctilde_factor16", "ctilde_factor8", "failures",
+)
+
+
 def cmd_gmra_validate(args):
     dictionary = gmra.load_dictionary(args.dict_path)
     cloud = geometry.load_csv(args.cloud)
     report = gmra.validate_structure(dictionary, cloud)
     if args.json:
-        payload = {
-            "passed": report.passed,
-            "counts": report.counts,
-            "k_monotone": report.k_monotone,
-            "separation_ok": report.separation_ok,
-            "separation_margin": report.separation_margin,
-            "parent_total": report.parent_total,
-            "parent_margin": report.parent_margin,
-            "orthonormal_worst": report.orthonormal_worst,
-            "idempotent_worst": report.idempotent_worst,
-            "tube_j0": report.tube_j0,
-            "mean_error_per_scale": report.mean_error_per_scale,
-            "decay_slope": report.decay_slope,
-            "decay_slope_ci": list(report.decay_slope_ci),
-            "monotone_refinement_ok": report.monotone_refinement_ok,
-            "ctilde_factor16": report.ctilde_factor16,
-            "ctilde_factor8": report.ctilde_factor8,
-            "failures": report.failures,
-        }
-        payload = {key: _finite_or_null(value) for key, value in payload.items()}
+        payload = {name: _finite_or_null(getattr(report, name)) for name in VALIDATE_JSON_FIELDS}
         print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print("counts: %s" % report.counts)
@@ -224,7 +214,10 @@ def cmd_measure_verify(args):
     did = False
     if args.probes:
         probes = geometry.load_csv(args.probes).points
-        report = measurement.verify_distortion(matrix, probes, args.eps)
+        try:
+            report = measurement.verify_distortion(matrix, probes, args.eps)
+        except ValueError as exc:
+            raise SystemExit("--probes %s: %s" % (args.probes, exc))
         print(
             "distortion: max %.6g over %d pairs (worst pair %s) -> %s"
             % (
@@ -323,8 +316,14 @@ def cmd_bounds(args):
     eps_grid = _parse_grid(args.eps)
     j_grid = _parse_grid(args.scales, cast=int)
     deltas = _parse_grid(args.deltas)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["quantity", "d", "D", "V", "reach", "eps", "J", "C1", "delta", "j", "constant", "value"])
+    # a quantity's row leaves the columns it does not use empty (DictWriter's restval)
+    writer = csv.DictWriter(
+        sys.stdout,
+        ["quantity", "d", "D", "V", "reach", "eps", "J", "C1", "delta", "j", "constant", "value"],
+        lineterminator="\n",
+    )
+    writer.writeheader()
+    given = dict(d=args.d, D=args.ambient_dim, V=args.v, reach=args.reach, C1=args.c1, constant=args.constant)
     for eps in eps_grid:
         for j_max in j_grid:
             params = bounds_mod.BoundParams(
@@ -337,30 +336,13 @@ def cmd_bounds(args):
                 C1=args.c1,
                 big_o_constant=args.constant,
             )
-            writer.writerow(
-                ["m_nonuniform", args.d, args.ambient_dim, args.v, args.reach, eps, j_max, args.c1, "", "", args.constant, bounds_mod.m_nonuniform(params)]
-            )
+            grid = dict(given, eps=eps, J=j_max)
+            writer.writerow(dict(grid, quantity="m_nonuniform", value=bounds_mod.m_nonuniform(params)))
             if args.ambient_dim is not None and args.reach is not None:
-                writer.writerow(
-                    ["m_uniform", args.d, args.ambient_dim, args.v, args.reach, eps, j_max, args.c1, "", "", args.constant, bounds_mod.m_uniform(params)]
-                )
+                writer.writerow(dict(grid, quantity="m_uniform", value=bounds_mod.m_uniform(params)))
             for j in range(j_max + 1):
-                writer.writerow(
-                    [
-                        "center_count_bound",
-                        args.d,
-                        args.ambient_dim,
-                        args.v,
-                        args.reach,
-                        eps,
-                        j_max,
-                        args.c1,
-                        "",
-                        j,
-                        args.constant,
-                        "%.17g" % bounds_mod.center_count_bound(params, j),
-                    ]
-                )
+                value = "%.17g" % bounds_mod.center_count_bound(params, j)
+                writer.writerow(dict(grid, quantity="center_count_bound", j=j, value=value))
     if deltas:
         if args.reach is None:
             raise SystemExit("--deltas needs --reach")
@@ -368,22 +350,8 @@ def cmd_bounds(args):
             d=args.d, V=args.v, eps=eps_grid[0], reach=args.reach, C1=args.c1, big_o_constant=args.constant
         )
         for delta in deltas:
-            writer.writerow(
-                [
-                    "cover_bound",
-                    args.d,
-                    args.ambient_dim,
-                    args.v,
-                    args.reach,
-                    "",
-                    "",
-                    args.c1,
-                    delta,
-                    "",
-                    args.constant,
-                    "%.17g" % bounds_mod.cover_bound(params, delta),
-                ]
-            )
+            value = "%.17g" % bounds_mod.cover_bound(params, delta)
+            writer.writerow(dict(given, quantity="cover_bound", delta=delta, value=value))
 
 
 def cmd_experiment_run(args):
@@ -400,14 +368,19 @@ def cmd_experiment_run(args):
         config.num_draws = args.num_draws
     if args.experiment_scales is not None:
         config.scales = _parse_grid(args.experiment_scales, cast=int)
-    result = harness.run_experiment(config, verbose=args.verbose)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
+    result = harness.run_experiment(config)
     print("results: %s" % (config.output_dir,))
     for (sigma, j, f), (mean, std) in sorted(result.aggregates.items()):
         print("sigma=%g j=%d f=%d: relMSE %.4g +- %.4g" % (sigma, j, f, mean, std))
 
 
 def cmd_experiment_plot(args):
-    result = harness.load_results_csv(args.results)
+    try:
+        result = harness.load_results_csv(args.results)
+    except FileNotFoundError as exc:
+        raise SystemExit("experiment plot: %s: %s" % (exc.strerror, exc.filename))
     paths = harness.emit_plot(result, args.out)
     for path in paths:
         print("wrote %s" % path)

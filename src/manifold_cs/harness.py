@@ -8,11 +8,13 @@ draws of one noise level; only the matrix is redrawn.  All randomness is
 derived from the master seed by fixed spawn keys, so the result rows (and
 the CSV they serialize to) are a pure function of the config.  Wall-clock
 timings are inherently non-reproducible and therefore live in a separate
-timing CSV, keeping the results file byte-stable across reruns.
+timing CSV, keeping the results file byte-stable across reruns.  Progress
+goes to the module logger at INFO.
 """
 
 import csv
 import json
+import logging
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import geometry, gmra, measurement, recovery
+from .errors import CsvParseError
 from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
 
@@ -38,6 +41,8 @@ RESULTS_COLUMNS = [
 ]
 
 TIMING_COLUMNS = ["dataset", "sigma", "j", "f", "draw", "ms_per_point"]
+
+logger = logging.getLogger(__name__)
 
 
 def rel_mse(points, reconstructions):
@@ -116,13 +121,30 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
+    """A run's long-form rows; the per-cell numbers are derived from its "ok" rows.
+
+    The rows may hold a run's typed values or the strings read back from
+    results.csv: the derived dicts are equal either way.
+    """
+
     config: ExperimentConfig
     rows: list  # long-form result rows (deterministic)
     timing_rows: list  # wall-clock rows (not reproducible)
-    baselines: dict  # sigma -> relMSE_J
     mean_norms: dict  # sigma -> mean point norm of the evaluated cloud
-    aggregates: dict  # (sigma, j, f) -> (mean, std)
-    d_by_scale: dict  # (sigma, j) -> d_j
+    aggregates: dict = field(init=False)  # (sigma, j, f) -> (mean, std) of relMSE over the draws
+    baselines: dict = field(init=False)  # sigma -> relMSE_J
+    d_by_scale: dict = field(init=False)  # (sigma, j) -> d_j
+
+    def __post_init__(self):
+        draws, self.baselines, self.d_by_scale = {}, {}, {}
+        for row in self.rows:
+            if row["status"] != "ok":
+                continue
+            sigma, j = float(row["sigma"]), int(row["j"])
+            draws.setdefault((sigma, j, int(row["f"])), []).append(float(row["relMSE"]))
+            self.baselines[sigma] = float(row["relMSE_J"])
+            self.d_by_scale[(sigma, j)] = int(row["d_j"])
+        self.aggregates = {key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in draws.items()}
 
     def curve(self, sigma, f):
         """(scales, means, stds) for one noise level and oversampling factor."""
@@ -149,22 +171,18 @@ def load_dataset(descriptor):
     raise ValueError("dataset needs a csv path or a known generator, got %r" % (descriptor,))
 
 
-def run_experiment(config, verbose=False):
+def run_experiment(config):
     """Run the full relMSE grid and write config.json, results.csv, timing.csv, and SVG plots."""
     base = load_dataset(config.dataset)
     dataset_label = base.label or "dataset"
     max_scale = max(config.scales) if config.max_scale is None else config.max_scale
     rows = []
     timing_rows = []
-    baselines = {}
     mean_norms = {}
-    aggregates = {}
-    d_by_scale = {}
 
     for s_idx, sigma in enumerate(config.noise_sigmas):
         cloud = geometry.add_noise(base, sigma, derive_seed(config.seed, 1, s_idx))
-        if verbose:
-            print("[experiment] sigma=%g: building dictionary (n=%d)" % (sigma, cloud.n))
+        logger.info("sigma=%g: building dictionary (n=%d)", sigma, cloud.n)
         dictionary = gmra.build_dictionary(
             cloud,
             local_dim=config.local_dim,
@@ -175,32 +193,17 @@ def run_experiment(config, verbose=False):
             min_points=config.min_points,
         )
         baseline = rel_mse_baseline(cloud, dictionary)
-        baselines[sigma] = baseline
         mean_norms[sigma] = float(np.linalg.norm(cloud.points, axis=1).mean())
         dim = cloud.ambient_dim
         for j in config.scales:
+            cell = {"dataset": dataset_label, "sigma": sigma, "j": j}
             if j > dictionary.max_scale:
-                rows.append(
-                    {
-                        "dataset": dataset_label,
-                        "sigma": sigma,
-                        "j": j,
-                        "f": "",
-                        "draw": "",
-                        "relMSE": "",
-                        "relMSE_J": baseline,
-                        "d_j": "",
-                        "m": "",
-                        "max_sq_rel_err": "",
-                        "status": "skipped: scale beyond dictionary",
-                    }
-                )
+                blank = dict.fromkeys(RESULTS_COLUMNS, "")
+                rows.append(dict(blank, **cell, relMSE_J=baseline, status="skipped: scale beyond dictionary"))
                 continue
             d_j = dictionary.max_local_dim(j)
-            d_by_scale[(sigma, j)] = d_j
             for f in config.oversampling:
                 m = min(d_j * int(f), dim)
-                values = []
                 for draw in range(config.num_draws):
                     # one fixed matrix per drawn dimension: scales sharing m
                     # within a draw see the same projection
@@ -214,46 +217,14 @@ def run_experiment(config, verbose=False):
                     batch = recovery.recover_batch(comp, matrix, dictionary, j)
                     elapsed = time.perf_counter() - t0
                     value, max_sq = rel_mse_with_max(cloud, batch.reconstructions)
-                    values.append(value)
+                    key = dict(cell, f=int(f), draw=draw)
                     rows.append(
-                        {
-                            "dataset": dataset_label,
-                            "sigma": sigma,
-                            "j": j,
-                            "f": int(f),
-                            "draw": draw,
-                            "relMSE": value,
-                            "relMSE_J": baseline,
-                            "d_j": d_j,
-                            "m": m,
-                            "max_sq_rel_err": max_sq,
-                            "status": "ok",
-                        }
+                        dict(key, relMSE=value, relMSE_J=baseline, d_j=d_j, m=m, max_sq_rel_err=max_sq, status="ok")
                     )
-                    timing_rows.append(
-                        {
-                            "dataset": dataset_label,
-                            "sigma": sigma,
-                            "j": j,
-                            "f": int(f),
-                            "draw": draw,
-                            "ms_per_point": elapsed * 1000.0 / cloud.n,
-                        }
-                    )
-                arr = np.array(values)
-                aggregates[(sigma, j, int(f))] = (float(arr.mean()), float(arr.std()))
-            if verbose:
-                print("[experiment] sigma=%g scale=%d done" % (sigma, j))
+                    timing_rows.append(dict(key, ms_per_point=elapsed * 1000.0 / cloud.n))
+            logger.info("sigma=%g scale=%d done", sigma, j)
 
-    result = ExperimentResult(
-        config=config,
-        rows=rows,
-        timing_rows=timing_rows,
-        baselines=baselines,
-        mean_norms=mean_norms,
-        aggregates=aggregates,
-        d_by_scale=d_by_scale,
-    )
+    result = ExperimentResult(config=config, rows=rows, timing_rows=timing_rows, mean_norms=mean_norms)
     os.makedirs(config.output_dir, exist_ok=True)
     config.to_json(os.path.join(config.output_dir, "config.json"))
     write_results_csv(result, os.path.join(config.output_dir, "results.csv"))
@@ -262,55 +233,40 @@ def run_experiment(config, verbose=False):
     return result
 
 
-def _cell(value):
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+def _write_table(path, columns, rows):
+    """One CSV table: the header, then each row's columns; a float is written with 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({c: "%.17g" % v if isinstance(v, float) else v for c, v in row.items()})
 
 
 def write_results_csv(result, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_COLUMNS)
-        for row in result.rows:
-            writer.writerow([_cell(row[c]) for c in RESULTS_COLUMNS])
+    _write_table(path, RESULTS_COLUMNS, result.rows)
 
 
 def write_timing_csv(result, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMING_COLUMNS)
-        for row in result.timing_rows:
-            writer.writerow([_cell(row[c]) for c in TIMING_COLUMNS])
+    _write_table(path, TIMING_COLUMNS, result.timing_rows)
 
 
 def load_results_csv(path):
     """Rebuild an ExperimentResult for replotting from results.csv and the config.json beside it.
 
-    The rows are the results.csv rows with status "ok", as read (strings);
-    timing rows are not recoverable from the results file.
+    The rows are the results.csv rows as read (strings); timing rows and
+    mean norms are not recoverable from the results file.
     """
     config = ExperimentConfig.from_json(os.path.join(os.path.dirname(path), "config.json"))
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [raw for raw in csv.DictReader(fh) if raw["status"] == "ok"]
-    if not rows:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in RESULTS_COLUMNS if c not in (reader.fieldnames or [])]
+    if missing:
+        raise CsvParseError("%s has no %r column" % (path, missing[0]), row=1)
+    result = ExperimentResult(config=config, rows=rows, timing_rows=[], mean_norms={})
+    if not result.aggregates:
         raise ValueError("no usable result rows in %s" % path)
-    baselines = {}
-    draws = {}
-    for raw in rows:
-        sigma = float(raw["sigma"])
-        baselines[sigma] = float(raw["relMSE_J"])
-        draws.setdefault((sigma, int(raw["j"]), int(raw["f"])), []).append(float(raw["relMSE"]))
-    aggregates = {key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in draws.items()}
-    return ExperimentResult(
-        config=config,
-        rows=rows,
-        timing_rows=[],
-        baselines=baselines,
-        mean_norms={},
-        aggregates=aggregates,
-        d_by_scale={},
-    )
+    return result
 
 
 def emit_plot(result, out_dir):
@@ -337,7 +293,7 @@ def emit_plot(result, out_dir):
             scales,
             curves,
             result.baselines.get(sigma),
-            "%s, sigma=%g" % (result.rows[0]["dataset"] if result.rows else "dataset", sigma),
+            "%s, sigma=%g" % (result.rows[0]["dataset"], sigma),
         )
         path = os.path.join(out_dir, "relmse_sigma_%s.svg" % ("%g" % sigma))
         with open(path, "w", encoding="utf-8") as fh:

@@ -136,13 +136,10 @@ def verify_distortion(matrix, probes, eps):
 
 def _condensed_to_pair(k, n):
     """Map a condensed pdist index back to its (i, j) pair, i < j."""
-    i = 0
-    row = n - 1
-    while k >= row:
-        k -= row
-        i += 1
-        row -= 1
-    return (i, i + 1 + k)
+    # t = N - 1 - k counts back from the last pair; row i = n - 2 - r holds t in [r(r+1)/2, (r+1)(r+2)/2)
+    r = (math.isqrt(8 * (n * (n - 1) // 2 - 1 - k) + 1) - 1) // 2
+    i = n - 2 - r
+    return (i, k - i * (2 * n - i - 1) // 2 + i + 1)
 
 
 @dataclass

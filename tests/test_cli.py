@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import manifold_cs
 from manifold_cs import cli, geometry, gmra, measurement
 
 
@@ -40,6 +44,12 @@ def test_validate_json_output(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["k_monotone"] is True
+    assert set(payload) == {
+        "passed", "counts", "k_monotone", "separation_ok", "separation_margin", "parent_total",
+        "parent_margin", "orthonormal_worst", "idempotent_worst", "tube_j0", "mean_error_per_scale",
+        "decay_slope", "decay_slope_ci", "monotone_refinement_ok", "ctilde_factor16", "ctilde_factor8",
+        "failures",
+    }
 
 
 def test_validate_json_is_strict_on_shallow_dictionaries(tmp_path, capsys):
@@ -89,6 +99,13 @@ def test_measure_make_and_verify(tmp_path, capsys):
     assert run_cli("measure", "verify", "--matrix", m_path, "--probes", probes, "--eps", 0.3) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    # a probe file the check cannot use is refused with a message, not a traceback
+    geometry.save_csv(geometry.PointCloud(np.array([[0.4, 0.8]]), 2), probes)
+    with pytest.raises(SystemExit, match="at least two probe vectors"):
+        run_cli("measure", "verify", "--matrix", m_path, "--probes", probes)
+    geometry.save_csv(geometry.gen_sphere(5, 2, seed=6), probes)
+    with pytest.raises(SystemExit, match="probe dimension 3 does not match matrix D=2"):
+        run_cli("measure", "verify", "--matrix", m_path, "--probes", probes)
 
     cloud_path = tmp_path / "circle.csv"
     run_cli("generate", "--kind", "sphere", "--n", 256, "--d", 1, "--seed", 7, "--out", cloud_path)
@@ -188,6 +205,24 @@ def test_bounds_table(capsys):
     assert len(by_kind["cover_bound"]) == 2
 
 
+def test_bounds_table_golden(capsys):
+    rc = run_cli(
+        "bounds", "--d", 2, "--v", 10.0, "--reach", 1.0, "--ambient-dim", 100,
+        "--eps", "0.5", "--scales", "2", "--deltas", "0.1,0.2",
+    )
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "quantity,d,D,V,reach,eps,J,C1,delta,j,constant,value\n"
+        "m_nonuniform,2,100,10.0,1.0,0.5,2,1.0,,,1.0,37\n"
+        "m_uniform,2,100,10.0,1.0,0.5,2,1.0,,,1.0,68\n"
+        "center_count_bound,2,100,10.0,1.0,0.5,2,1.0,,0,1.0,320\n"
+        "center_count_bound,2,100,10.0,1.0,0.5,2,1.0,,1,1.0,1280\n"
+        "center_count_bound,2,100,10.0,1.0,0.5,2,1.0,,2,1.0,5120\n"
+        "cover_bound,2,100,10.0,1.0,,,1.0,0.1,,1.0,1999.9999999999995\n"
+        "cover_bound,2,100,10.0,1.0,,,1.0,0.2,,1.0,499.99999999999989\n"
+    )
+
+
 def test_experiment_run_and_plot(tmp_path, capsys):
     config = {
         "dataset": {"generator": "swiss-roll", "n": 300, "seed": 2},
@@ -215,4 +250,35 @@ def test_experiment_run_and_plot(tmp_path, capsys):
     assert draws == {"0"}
     plot_dir = tmp_path / "replot"  # created by the plot command itself
     assert run_cli("experiment", "plot", "--results", results, "--out", plot_dir) == 0
-    assert (plot_dir / "relmse_sigma_0.svg").exists()
+    assert (plot_dir / "relmse_sigma_0.svg").read_bytes() == (tmp_path / "exp" / "relmse_sigma_0.svg").read_bytes()
+
+    # a results file without the config.json beside it is refused with a message
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / "results.csv").write_bytes(results.read_bytes())
+    with pytest.raises(SystemExit, match="config.json"):
+        run_cli("experiment", "plot", "--results", lone / "results.csv", "--out", plot_dir)
+
+
+def test_experiment_run_verbose_logs_to_stderr(tmp_path):
+    config = {
+        "dataset": {"generator": "swiss-roll", "n": 200, "seed": 2},
+        "oversampling": [2],
+        "num_draws": 1,
+        "scales": [0],
+        "output_dir": str(tmp_path / "exp"),
+        "local_dim": 2,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(manifold_cs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "manifold_cs.cli", "experiment", "run", "--config", str(cfg_path), "--verbose"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stderr.splitlines() == [
+        "[manifold_cs.harness] sigma=0: building dictionary (n=200)",
+        "[manifold_cs.harness] sigma=0 scale=0 done",
+    ]
+    assert done.stdout.startswith("results: ")

@@ -1,9 +1,12 @@
+import csv
+import logging
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 from manifold_cs import geometry, gmra, harness
+from manifold_cs.errors import CsvParseError
 
 
 def test_rel_mse_perfect_recovery():
@@ -93,6 +96,9 @@ def test_run_experiment_skips_scales_beyond_dictionary(tmp_path):
     assert len(skipped) == 1
     assert skipped[0]["j"] == 5
     assert "skipped" in skipped[0]["status"]
+    # the derived numbers come from the "ok" rows only
+    assert sorted(res.aggregates) == [(0.0, j, f) for j in (0, 1) for f in (1, 2)]
+    assert sorted(res.d_by_scale) == [(0.0, 0), (0.0, 1)]
 
 
 def test_monotone_oversampling_on_compressible_data(tmp_path):
@@ -159,9 +165,7 @@ def test_emit_plot_rejects_empty():
         scales=[0],
         output_dir="unused",
     )
-    empty = harness.ExperimentResult(
-        config=cfg, rows=[], timing_rows=[], baselines={}, mean_norms={}, aggregates={}, d_by_scale={}
-    )
+    empty = harness.ExperimentResult(config=cfg, rows=[], timing_rows=[], mean_norms={})
     with pytest.raises(ValueError, match="nothing to plot"):
         harness.emit_plot(empty, "unused")
 
@@ -170,11 +174,37 @@ def test_load_results_csv_round_trip(tmp_path):
     cfg = small_config(tmp_path)
     res = harness.run_experiment(cfg)
     loaded = harness.load_results_csv(str(tmp_path / "out" / "results.csv"))
-    assert set(loaded.aggregates) == set(res.aggregates)
-    for key in res.aggregates:
-        assert loaded.aggregates[key][0] == pytest.approx(res.aggregates[key][0], rel=1e-12)
-    assert loaded.baselines.keys() == res.baselines.keys()
+    assert loaded.aggregates == res.aggregates
+    assert loaded.baselines == res.baselines
+    assert loaded.d_by_scale == res.d_by_scale
+    assert loaded.curve(0.1, 2) == res.curve(0.1, 2)
     assert loaded.config == cfg
+
+
+def test_load_results_csv_names_a_missing_column(tmp_path):
+    cfg = small_config(tmp_path, noise_sigmas=[0.0], scales=[0, 1], num_draws=1)
+    harness.run_experiment(cfg)
+    path = tmp_path / "out" / "results.csv"
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, [c for c in harness.RESULTS_COLUMNS if c != "status"], extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(CsvParseError, match="'status'"):
+        harness.load_results_csv(str(path))
+
+
+def test_run_experiment_logs_progress_instead_of_printing(tmp_path, caplog, capsys):
+    cfg = small_config(tmp_path, noise_sigmas=[0.0], scales=[0, 1], oversampling=[2], num_draws=1)
+    with caplog.at_level(logging.INFO, logger="manifold_cs.harness"):
+        harness.run_experiment(cfg)
+    assert [r.getMessage() for r in caplog.records] == [
+        "sigma=0: building dictionary (n=400)",
+        "sigma=0 scale=0 done",
+        "sigma=0 scale=1 done",
+    ]
+    assert capsys.readouterr().out == ""
 
 
 def test_config_validation():

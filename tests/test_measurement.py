@@ -332,3 +332,10 @@ def test_matrix_load_rejects_hostile_manifests(tmp_path):
     storage.write_container(path, storage.MATRIX_MAGIC, manifest, nan_blob)
     with pytest.raises(FileFormatError, match="non-finite"):
         measurement.load_matrix(path)
+
+
+def test_condensed_to_pair_inverts_the_condensed_index():
+    for n in range(2, 65):
+        rows, cols = np.triu_indices(n, 1)
+        pairs = [measurement._condensed_to_pair(k, n) for k in range(rows.size)]
+        assert pairs == list(zip(rows.tolist(), cols.tolist()))
