@@ -368,6 +368,7 @@ def cmd_experiment_run(args):
         config.num_draws = args.num_draws
     if args.experiment_scales is not None:
         config.scales = _parse_grid(args.experiment_scales, cast=int)
+    config = dataclasses.replace(config)  # the constructor's checks, on the overridden config
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
     result = harness.run_experiment(config)

@@ -141,21 +141,53 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     to the first k+1 selections; every prefix of the ordering is a net at
     its covered radius.  stop_radius must be >= 0: the radius reaches 0 once
     every distinct point is picked, which bounds the loop.
+
+    Each pick p updates dist, every row's distance to the picked prefix, to
+    min(dist, ||x - p||) with ||x - p|| computed in difference form,
+    np.linalg.norm(x - p).  Only the rows whose dist can shrink are
+    recomputed; one matrix-vector product about the rows' mean c finds them.
+    With r = x - c, s = ||r||^2, u the float64 machine epsilon and t the
+    smallest subnormal, a row is skipped when its computed Gram value
+
+        g = s_x + s_p - 2 <r_x, r_p>  >  dist^2 (1 + 1e-9) + 4 (D + 4) (u (s_x + s_p) + t).
+
+    The Gram rounding is below 2 (D + 2) u (s_x + s_p) (plus about D t on
+    underflow) and the centering rounding below 4 u (s_x + s_p), to first
+    order in u, so a skipped row has ||x - p||^2 > dist^2 (1 + 1e-9) with half
+    the slack to spare.  Its computed sum of squares is then above
+    dist^2 (1 + 1e-9) (1 - (D + 2) u) >= dist^2 for D below 10^6, so its
+    computed norm is >= dist and np.minimum would have kept dist.  A NaN g
+    (on overflow) is never skipped.  The rows are C-contiguous, so a gathered
+    row's norm sums its squares in the same order as a full-width one.  The
+    indices and radii are therefore bit for bit those of the loop that
+    recomputes every row's difference-form norm at every pick.
     """
     if pts.shape[0] == 0:
         raise ValueError("empty cloud")
     if not stop_radius >= 0:
         raise ValueError("stop_radius must be >= 0, got %g" % stop_radius)
-    order = [0]
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    rel = pts - pts.mean(axis=0)
+    sq = np.einsum("ij,ij->i", rel, rel)
+    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+    grow = 4.0 * (pts.shape[1] + 4)
+    slack = grow * (eps * sq + tiny)
     dist = np.linalg.norm(pts - pts[0], axis=1)
-    radii = [float(dist.max())]
+    limit = dist * dist * (1.0 + 1e-9) + slack  # pick p skips row x when g > limit_x + grow * eps * s_p
+    order = [0]
+    nxt = int(np.argmax(dist))
+    radii = [float(dist[nxt])]
     if stop_fraction is not None:
         stop_radius = max(stop_radius, radii[0] * stop_fraction)
     while radii[-1] > stop_radius:
-        nxt = int(np.argmax(dist))
         order.append(nxt)
-        np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)
-        radii.append(float(dist.max()))
+        gram = sq - 2.0 * (rel @ rel[nxt]) + sq[nxt]
+        cand = np.flatnonzero(~(gram > limit + grow * eps * sq[nxt]))
+        near = np.minimum(dist[cand], np.linalg.norm(pts[cand] - pts[nxt], axis=1))
+        dist[cand] = near
+        limit[cand] = near * near * (1.0 + 1e-9) + slack[cand]
+        nxt = int(np.argmax(dist))
+        radii.append(float(dist[nxt]))
     return np.array(order, dtype=np.intp), np.array(radii)
 
 

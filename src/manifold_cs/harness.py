@@ -102,6 +102,8 @@ class ExperimentConfig:
             raise ValueError("num_draws must be >= 1")
         if not self.scales:
             raise ValueError("scales must be nonempty")
+        if self.max_scale is not None and min(self.scales) > self.max_scale:
+            raise ValueError("every scale in %r exceeds max_scale %d: nothing to run" % (self.scales, self.max_scale))
         for f in self.oversampling:
             if int(f) != f or f < 1:
                 raise ValueError("oversampling factors must be positive integers, got %r" % (f,))
@@ -124,7 +126,9 @@ class ExperimentResult:
     """A run's long-form rows; the per-cell numbers are derived from its "ok" rows.
 
     The rows may hold a run's typed values or the strings read back from
-    results.csv: the derived dicts are equal either way.
+    results.csv: the derived dicts are equal either way.  A row with a missing
+    or extra field, or an "ok" row with a non-numeric value, raises
+    CsvParseError naming its results.csv line (the header is line 1).
     """
 
     config: ExperimentConfig
@@ -137,13 +141,20 @@ class ExperimentResult:
 
     def __post_init__(self):
         draws, self.baselines, self.d_by_scale = {}, {}, {}
-        for row in self.rows:
+        for line, row in enumerate(self.rows, start=2):
+            if None in row or None in row.values():
+                message = "results row at line %d does not have %d fields" % (line, len(RESULTS_COLUMNS))
+                raise CsvParseError(message, row=line)
             if row["status"] != "ok":
                 continue
-            sigma, j = float(row["sigma"]), int(row["j"])
-            draws.setdefault((sigma, j, int(row["f"])), []).append(float(row["relMSE"]))
-            self.baselines[sigma] = float(row["relMSE_J"])
-            self.d_by_scale[(sigma, j)] = int(row["d_j"])
+            try:
+                sigma, j, f = float(row["sigma"]), int(row["j"]), int(row["f"])
+                value, baseline, d_j = float(row["relMSE"]), float(row["relMSE_J"]), int(row["d_j"])
+            except ValueError as exc:
+                raise CsvParseError("results row at line %d: %s" % (line, exc), row=line) from None
+            draws.setdefault((sigma, j, f), []).append(value)
+            self.baselines[sigma] = baseline
+            self.d_by_scale[(sigma, j)] = d_j
         self.aggregates = {key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in draws.items()}
 
     def curve(self, sigma, f):

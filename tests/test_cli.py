@@ -260,6 +260,16 @@ def test_experiment_run_and_plot(tmp_path, capsys):
         run_cli("experiment", "plot", "--results", lone / "results.csv", "--out", plot_dir)
 
 
+def test_experiment_run_refuses_overridden_scales_beyond_max_scale(tmp_path):
+    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "max_scale": 1,
+              "output_dir": str(tmp_path / "exp")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match="exceeds max_scale 1"):
+        run_cli("experiment", "run", "--config", cfg_path, "--experiment-scales", "2,3")
+    assert not (tmp_path / "exp").exists()
+
+
 def test_experiment_run_verbose_logs_to_stderr(tmp_path):
     config = {
         "dataset": {"generator": "swiss-roll", "n": 200, "seed": 2},

@@ -133,6 +133,14 @@ def test_fps_ends_at_radius_zero_and_rejects_negative_stop_radius():
         geometry.farthest_point_ordering(pts, stop_radius=-1.0)
 
 
+@pytest.mark.parametrize("shift", [0.0, 1e8])
+def test_fps_settles_an_exact_tie_on_the_lowest_index(shift):
+    # rows 1-4 lie on the unit circle about row 0 and stay exactly 1 from the picked prefix until picked
+    pts = np.array([[0.0, 0.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]) + shift
+    order, radii = geometry.farthest_point_ordering(pts)
+    assert order.tolist() == [0, 1, 2, 3, 4] and radii.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
+
+
 def test_cover_sizes_below_covering_number_up_to_dim_three():
     # unit d-sphere: V * (d/2+1)^(d/2+1) / (2^(d/2) delta^d) caps the greedy size
     volumes = {1: 2 * np.pi, 2: 4 * np.pi, 3: 2 * np.pi**2}

@@ -195,6 +195,30 @@ def test_load_results_csv_names_a_missing_column(tmp_path):
         harness.load_results_csv(str(path))
 
 
+def damaged_results(tmp_path, extra_line):
+    """A run's results.csv with one more line appended; returns the path and that line's number."""
+    cfg = small_config(tmp_path, noise_sigmas=[0.0], scales=[0, 1], oversampling=[2], num_draws=1)
+    harness.run_experiment(cfg)
+    path = tmp_path / "out" / "results.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [extra_line]) + "\n")
+    return str(path), len(lines) + 1
+
+
+def test_load_results_csv_names_an_ok_row_with_a_non_numeric_value(tmp_path):
+    path, line = damaged_results(tmp_path, "swiss-roll,0,1,2,0,abc,0.1,2,4,0.2,ok")
+    with pytest.raises(CsvParseError, match="line %d: could not convert string to float: 'abc'" % line) as err:
+        harness.load_results_csv(path)
+    assert err.value.row == line
+
+
+def test_load_results_csv_names_a_truncated_row(tmp_path):
+    path, line = damaged_results(tmp_path, "swiss-roll,0,1")
+    with pytest.raises(CsvParseError, match="line %d does not have 11 fields" % line) as err:
+        harness.load_results_csv(path)
+    assert err.value.row == line
+
+
 def test_run_experiment_logs_progress_instead_of_printing(tmp_path, caplog, capsys):
     cfg = small_config(tmp_path, noise_sigmas=[0.0], scales=[0, 1], oversampling=[2], num_draws=1)
     with caplog.at_level(logging.INFO, logger="manifold_cs.harness"):
@@ -216,6 +240,13 @@ def test_config_validation():
         harness.ExperimentConfig(dataset={"generator": "swiss-roll", "n": 10}, scales=[])
     with pytest.raises(ValueError):
         harness.ExperimentConfig(dataset={"generator": "swiss-roll", "n": 10}, ensemble="fourier")
+
+
+def test_config_with_every_scale_beyond_max_scale_is_refused_before_any_output(tmp_path):
+    with pytest.raises(ValueError, match="exceeds max_scale 2"):
+        small_config(tmp_path, scales=[3, 5], max_scale=2)
+    assert list(tmp_path.iterdir()) == []
+    small_config(tmp_path, scales=[2, 5], max_scale=2)  # one runnable scale is enough
 
 
 def test_config_json_round_trip(tmp_path):

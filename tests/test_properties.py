@@ -1,4 +1,4 @@
-"""Property tests: bit-exact container round trips, typed errors on damage, the distance kernel, build accounting."""
+"""Property tests: bit-exact container round trips, typed errors on damage, the distance kernel, FPS, build accounting."""
 
 import json
 import os
@@ -153,6 +153,52 @@ def test_nearest_rows_matches_difference_scan(data):
     spread = ((a - ref) ** 2).sum(axis=1) + ((b - ref) ** 2).sum(axis=1).max()
     bound = 16 * (dim + 2) * np.finfo(np.float64).eps * spread
     assert np.all(d2[np.arange(len(a)), got] <= d2.min(axis=1) + bound)
+
+
+def difference_form_fps(pts, stop_radius=0.0, stop_fraction=None):
+    """Reference ordering: every row's distance recomputed as np.linalg.norm(x - p) at every pick."""
+    order = [0]
+    dist = np.linalg.norm(pts - pts[0], axis=1)
+    radii = [float(dist.max())]
+    if stop_fraction is not None:
+        stop_radius = max(stop_radius, radii[0] * stop_fraction)
+    while radii[-1] > stop_radius:
+        nxt = int(np.argmax(dist))
+        order.append(nxt)
+        np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)
+        radii.append(float(dist.max()))
+    return np.array(order, dtype=np.intp), np.array(radii)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    dim=st.sampled_from([1, 2, 3, 17, 200]),
+    lattice=st.booleans(),
+    shift=st.sampled_from([0.0, 1e8]),
+    scale=st.sampled_from([1.0, 1e-6, 1e6]),
+    apart=st.sampled_from([0.0, 1e6]),
+    stop=st.one_of(
+        st.just({"stop_radius": 0.0}),
+        st.floats(0.0, 3.0).map(lambda r: {"stop_radius": r}),
+        st.floats(0.0, 1.0).map(lambda f: {"stop_fraction": f}),
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 1.0)).map(lambda t: {"stop_radius": t[0], "stop_fraction": t[1]}),
+    ),
+)
+def test_fps_equals_the_difference_form_loop_bit_for_bit(seed, n, dim, lattice, shift, scale, apart, stop):
+    # The lattice gives duplicate points and exact distance ties.  The shift, the scale and two clusters
+    # `apart` (whose Gram values round far coarser than their in-cluster distances) stress the Gram screen.
+    pts = np.random.default_rng(seed).standard_normal((n, dim))
+    if lattice:
+        pts = np.round(pts * 2.0) / 2.0
+    pts[1::2, 0] += apart
+    pts = pts * scale + shift
+    stop = {k: v * scale if k == "stop_radius" else v for k, v in stop.items()}
+    order, radii = geometry.farthest_point_ordering(pts, **stop)
+    want_order, want_radii = difference_form_fps(pts, **stop)
+    assert order.tolist() == want_order.tolist()
+    assert radii.tobytes() == want_radii.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
