@@ -164,9 +164,9 @@ def cmd_gmra_build(args):
 
 # the StructureReport attributes that `gmra validate --json` writes
 VALIDATE_JSON_FIELDS = (
-    "passed", "counts", "k_monotone", "separation_ok", "separation_margin", "parent_total", "parent_margin",
-    "orthonormal_worst", "idempotent_worst", "tube_j0", "mean_error_per_scale", "decay_slope", "decay_slope_ci",
-    "monotone_refinement_ok", "ctilde_factor16", "ctilde_factor8", "failures",
+    "passed", "counts", "separation_ok", "separation_margin", "parent_margin", "orthonormal_worst", "idempotent_worst",
+    "tube_j0", "mean_error_per_scale", "decay_slope", "decay_slope_ci", "monotone_refinement_ok", "ctilde_factor16",
+    "ctilde_factor8", "failures",
 )
 
 
@@ -180,7 +180,7 @@ def cmd_gmra_validate(args):
     else:
         print("counts: %s" % report.counts)
         print("separation margin: %.6g (ok=%s)" % (report.separation_margin, report.separation_ok))
-        print("parent margin: %.6g (total=%s)" % (report.parent_margin, report.parent_total))
+        print("parent margin: %.6g" % report.parent_margin)
         print("orthonormal worst: %.3g; idempotent worst: %.3g" % (report.orthonormal_worst, report.idempotent_worst))
         print("tube scale j0: %s" % report.tube_j0)
         print("mean error per scale: %s" % ["%.4g" % e for e in report.mean_error_per_scale])
@@ -291,20 +291,20 @@ def cmd_recover(args):
         )
         # every CertificateBundle quantity, in field order; absent ones are left empty
         names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
-        with open(args.certificates, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "j", "k_prime", "compressed_residual", "ill_conditioned"] + names)
-            for i in range(recon.shape[0]):
-                writer.writerow(
-                    [
-                        i,
-                        batch.chosen_scales[i],
-                        batch.chosen_centers[i],
-                        "%.17g" % batch.residuals[i],
-                        int(batch.ill_conditioned[i]),
-                    ]
-                    + ["%.17g" % columns[name][i] if name in columns else "" for name in names]
-                )
+        rows = (
+            dict(
+                {name: column[i] for name, column in columns.items()},
+                index=i,
+                j=batch.chosen_scales[i],
+                k_prime=batch.chosen_centers[i],
+                compressed_residual=batch.residuals[i],
+                ill_conditioned=int(batch.ill_conditioned[i]),
+            )
+            for i in range(recon.shape[0])
+        )
+        harness._write_table(
+            args.certificates, ["index", "j", "k_prime", "compressed_residual", "ill_conditioned"] + names, rows
+        )
         print("wrote certificates to %s" % args.certificates)
 
 

@@ -27,7 +27,19 @@ _NET_SAMPLING_SEED = 0x5EED
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """n points in R^D, immutable after construction."""
+    """n points in R^D, immutable after construction.
+
+    The points must be finite and small enough for the squared distances
+    built from them.  Let S be the diagonal of the cloud's bounding box and
+    f_max the largest float64.  Every point and every mean of points (a cell
+    center, the reference of FPS or ``gmra.sq_dists``) lies in the box, so
+    every difference those form has norm at most S, and every squared norm
+    and Gram term |<r_x, r_y>| is at most S^2.  A Gram expansion
+    s_x + s_y - 2 <r_x, r_y> is then at most 4 S^2, which stays finite, with
+    a factor 2 to spare for rounding, when S <= sqrt(f_max / 8) (about
+    4.7e153).  The means sum up to n coordinates, which stays finite, with
+    the same factor to spare, when n max|x| <= f_max / 2.
+    """
 
     points: np.ndarray
     ambient_dim: int
@@ -44,20 +56,18 @@ class PointCloud:
             raise ValueError("ambient_dim %d does not match point width %d" % (self.ambient_dim, dim))
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite entries")
+        # the bounding box's diagonal, from half sides formed without overflow (inf past f_max)
+        spread = 2.0 * math.hypot(*(pts.max(axis=0) / 2 - pts.min(axis=0) / 2))
+        largest, f_max = np.abs(pts).max(), np.finfo(np.float64).max
+        if spread > math.sqrt(f_max / 8) or largest > f_max / 2 / n:
+            raise ValueError("point cloud too large for float64 squared distances: box diagonal %.3g, "
+                             "largest |coordinate| %.3g" % (spread, largest))
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
     def n(self):
         return self.points.shape[0]
-
-
-@dataclass(frozen=True)
-class CoverResult:
-    """Indices of selected cover centers and the cover radius delta."""
-
-    center_indices: list[int]
-    radius: float
 
 
 def gen_swiss_roll(n, seed):
@@ -112,22 +122,6 @@ def add_noise(cloud, sigma, seed):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         noise[i] = rng.standard_normal(dim)
     return PointCloud(cloud.points + scale * noise, dim, cloud.label)
-
-
-def greedy_delta_cover(cloud, delta):
-    """Farthest-point-sampling cover of the cloud at radius delta.
-
-    Starts from index 0 and keeps adding the point farthest from the chosen
-    set while that distance exceeds delta.  The result is simultaneously a
-    delta-cover (every point within delta of a center) and a delta-packing
-    (centers pairwise more than delta apart).
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive, got %g" % delta)
-    pts = cloud.points
-    order, dist = farthest_point_ordering(pts, stop_radius=delta)
-    del dist
-    return CoverResult(center_indices=[int(i) for i in order], radius=float(delta))
 
 
 def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):

@@ -2,12 +2,14 @@
 
 The dictionary is a tree of cells over dyadic scales j = 0 .. J.  It is
 stored as one table of affine fits (centers, zero-padded orthonormal bases,
-local dimensions), each fit held once, plus per-cell arrays in (scale,
-index) order: the table row serving each cell and its parent link.  Scale-j
-cells are Voronoi regions of a farthest-point-sampling net at radius
-r_0 * 2^-j; each fit's affine projector x -> B^T B (x - c) + c is the
-least-squares plane through its cell's points (cell mean c plus top
-principal directions B).
+local dimensions), each fit held once, plus one array in (scale, index)
+order: the table row serving each cell.  Scale-j cells are Voronoi regions
+of a farthest-point-sampling net at radius r_0 * 2^-j; each fit's affine
+projector x -> B^T B (x - c) + c is the least-squares plane through its
+cell's points (cell mean c plus top principal directions B).  A cell's
+parent is not stored: it is the nearest scale-(j-1) center (ties to the
+lowest index), which recovery never walks and ``validate_structure``
+recomputes.
 Construction details that matter for the invariants:
 
 * One global FPS ordering is computed once and stops at the first pick
@@ -40,7 +42,7 @@ from .errors import FileFormatError
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
-DICT_FORMAT_VERSION = 3
+DICT_FORMAT_VERSION = 4
 
 ORTHONORMALITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
@@ -51,14 +53,14 @@ class MultiscaleDictionary:
 
     Row f of the fit table is a center and a basis: fit_dims[f] orthonormal
     rows, then zero rows up to the widest fit.  Cell offsets[j] + k is cell k
-    of scale j; cell_fit gives the table row serving it and parent its parent
-    at scale j - 1 (-1 at scale 0).  A fit's origin scale is the scale of the
-    first cell it serves.  A cell served by a fit from a coarser scale keeps
-    the fit of the same cell one scale up, which the constructor checks.  The
-    per-scale accessors gather the table through cell_fit.
+    of scale j; cell_fit gives the table row serving it.  A fit's origin scale
+    is the scale of the first cell it serves.  A cell served by a fit from a
+    coarser scale keeps the fit of the same cell one scale up, which the
+    constructor checks.  The per-scale accessors gather the table through
+    cell_fit.
     """
 
-    def __init__(self, counts, fit_centers, fit_bases, fit_dims, cell_fit, parent, sep_constant, root_radius, provenance):
+    def __init__(self, counts, fit_centers, fit_bases, fit_dims, cell_fit, sep_constant, root_radius, provenance):
         counts = [int(c) for c in counts]
         if not counts or counts[0] < 1:
             raise ValueError("dictionary needs at least one cell at scale 0")
@@ -70,7 +72,6 @@ class MultiscaleDictionary:
         self.fit_bases = np.array(fit_bases, dtype=np.float64)
         self.fit_dims = np.array(fit_dims, dtype=np.intp)
         self.cell_fit = np.array(cell_fit, dtype=np.intp)
-        self.all_parents = np.array(parent, dtype=np.intp)
         self.sep_constant = float(sep_constant)
         self.root_radius = float(root_radius)
         self.provenance = provenance
@@ -78,16 +79,16 @@ class MultiscaleDictionary:
         # the first cell each fit serves, and so the scale at which it was fit
         self._first_cell = self._validate(np.array([0] + counts[:-1])[self._scale])
         self._origin = self._scale[self._first_cell]
-        for arr in (self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit, self.all_parents):
+        for arr in (self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit):
             arr.setflags(write=False)
 
     def _validate(self, prev_count):
         n, scale = self.offsets[-1], self._scale
-        centers, bases, dims, fit, parent = self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit, self.all_parents
+        centers, bases, dims, fit = self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit
         if centers.ndim != 2 or bases.ndim != 3 or bases.shape[::2] != centers.shape or dims.shape != centers.shape[:1]:
             raise ValueError("need F x D centers, F x d_max x D bases and F local dims for a table of F fits")
-        if fit.shape != (n,) or parent.shape != (n,):
-            raise ValueError("cell_fit and parent need one entry per cell")
+        if fit.shape != (n,):
+            raise ValueError("cell_fit needs one entry per cell")
         if not (np.isfinite(centers).all() and np.isfinite(bases).all()):
             raise ValueError("centers and bases must be finite")
         # orthonormal rows have entries in [-1, 1]; checked before any product of bases can overflow
@@ -106,10 +107,6 @@ class MultiscaleDictionary:
         used, first = np.unique(fit, return_index=True)
         if len(used) < len(dims):
             raise ValueError("%d of the %d fits serve no cell" % (len(dims) - len(used), len(dims)))
-        bad = np.nonzero(np.where(scale == 0, parent != -1, (parent < 0) | (parent >= prev_count)))[0]
-        if bad.size:
-            r = bad[0]
-            raise ValueError("parent of (%d,%d) out of range: %d" % (scale[r], index[r], parent[r]))
         # a cell served by a fit from a coarser scale keeps the fit of the same cell one scale up
         carried = scale[first[fit]] < scale
         up = np.where(carried & (index < prev_count), self.offsets[scale - 1] + index, row)
@@ -156,9 +153,6 @@ class MultiscaleDictionary:
 
     def origin_scales(self, j):
         return self._origin[self.cell_fits(j)]
-
-    def parents(self, j):
-        return self.all_parents[self.offsets[j] : self.offsets[j + 1]]
 
 
 def _cell_fit(points, mode):
@@ -302,8 +296,6 @@ def build_dictionary(
     dims = np.array([len(basis) for basis in fit_bases])
     bases = np.zeros((len(dims), dims.max(), pts.shape[1]))
     bases[np.arange(dims.max()) < dims[:, None]] = np.concatenate(fit_bases)
-    parents = [np.array([-1])]
-    parents += [_nearest_rows(centers[fine], centers[coarse]) for coarse, fine in zip(rows, rows[1:])]
 
     # the observed separation: the closest center pair per scale, normalized by 2^-j
     seps = [_closest_pair(centers[r])[2] * 2.0**j for j, r in enumerate(rows) if len(r) >= 2]
@@ -332,7 +324,6 @@ def build_dictionary(
         bases,
         dims,
         np.concatenate(rows),
-        np.concatenate(parents),
         sep_constant,
         root_radius,
         provenance,
@@ -393,11 +384,9 @@ class StructureReport:
     """Recomputable audit of the dictionary invariants against a cloud."""
 
     counts: list
-    k_monotone: bool
     separation_ok: bool
     separation_margin: float
     separation_worst_pair: tuple | None
-    parent_total: bool
     parent_margin: float
     parent_worst: tuple | None
     orthonormal_ok: bool
@@ -416,22 +405,16 @@ class StructureReport:
 
     @property
     def passed(self):
-        return (
-            self.k_monotone
-            and self.separation_ok
-            and self.parent_total
-            and self.orthonormal_ok
-            and self.idempotent_ok
-        )
+        return self.separation_ok and self.orthonormal_ok and self.idempotent_ok
 
 
 def validate_structure(dictionary, cloud, probe_budget=200, rng_seed=0):
     """Exhaustively check the structural invariants and estimate the soft constants.
 
-    Hard checks: nondecreasing per-scale counts, pairwise center separation
-    against the recorded constant, parent totality with the strict
-    nearest-parent inequality, orthonormal bases, idempotent projections.
-    Soft quantities (reported, not gated): the tube scale j_0, per-scale mean
+    Hard checks: pairwise center separation against the recorded constant,
+    orthonormal bases, idempotent projections.  (Nondecreasing per-scale
+    counts are the constructor's to refuse.)  Soft quantities (reported, not
+    gated): the parent margin, the tube scale j_0, per-scale mean
     approximation error with its fitted dyadic decay exponent, and the
     near-center error constants under both the 16x and 8x qualifying radii.
     The decay exponent is the OLS slope of log2(mean error) against scale
@@ -439,18 +422,11 @@ def validate_structure(dictionary, cloud, probe_budget=200, rng_seed=0):
     on that slope (zero width when the fit is exact; see ``_fit_decay``).
     """
     failures = []
-    counts = dictionary.counts()
-    k_monotone = all(counts[j] <= counts[j + 1] for j in range(len(counts) - 1))
-    if not k_monotone:
-        failures.append("per-scale counts decrease")
-
     sep_ok, sep_margin, sep_pair = _check_separation(dictionary)
     if not sep_ok:
         failures.append("separation violated at scale %d between centers %d and %d" % sep_pair)
 
-    parent_total, parent_margin, parent_worst = _check_parents(dictionary)
-    if not parent_total:
-        failures.append("parent inequality violated at %s" % (parent_worst,))
+    parent_margin, parent_worst = _check_parents(dictionary)
 
     ortho_ok, ortho_worst = _check_orthonormal(dictionary)
     if not ortho_ok:
@@ -471,12 +447,10 @@ def validate_structure(dictionary, cloud, probe_budget=200, rng_seed=0):
     c16, c8 = _estimate_near_center_constants(dictionary, cloud, probe_budget, rng_seed)
 
     return StructureReport(
-        counts=counts,
-        k_monotone=k_monotone,
+        counts=dictionary.counts(),
         separation_ok=sep_ok,
         separation_margin=sep_margin,
         separation_worst_pair=sep_pair,
-        parent_total=parent_total,
         parent_margin=parent_margin,
         parent_worst=parent_worst,
         orthonormal_ok=ortho_ok,
@@ -515,27 +489,25 @@ def _check_separation(dictionary):
 
 
 def _check_parents(dictionary):
-    """Each parent must be its cell's nearest coarser center; margin (second nearest - parent) / second nearest."""
-    total = True
+    """How clearly each cell's parent, its nearest coarser center, beats the second nearest.
+
+    The margin is (second nearest - nearest) / second nearest, worst over the
+    cells of scales 1..J whose coarser scale has two centers or more, and
+    -inf for a cell whose two nearest coarser centers both sit on it.
+    """
     worst_margin = np.inf
     worst = None
     for j in range(1, dictionary.max_scale + 1):
         if len(dictionary.centers(j - 1)) == 1:
             continue
         dists = np.sqrt(sq_dists(dictionary.centers(j), dictionary.centers(j - 1)))
-        rows, p = np.arange(len(dists)), dictionary.parents(j)
-        own = dists[rows, p]
-        nearest = dists.min(axis=1)
-        dists[rows, p] = np.inf
-        second = dists.min(axis=1)
-        margin = np.divide(second - own, second, out=np.full_like(second, -np.inf), where=second > 0)
+        nearest, second = np.partition(dists, 1, axis=1)[:, :2].T
+        margin = np.divide(second - nearest, second, out=np.full_like(second, -np.inf), where=second > 0)
         k = int(np.argmin(margin))
         if margin[k] < worst_margin:
             worst_margin = float(margin[k])
             worst = (j, k)
-        if np.any(own >= nearest + 1e-12) or np.any(margin < 0):
-            total = False
-    return total, float(worst_margin), worst
+    return float(worst_margin), worst
 
 
 def _check_orthonormal(dictionary):
@@ -610,25 +582,36 @@ def _fit_decay(errors, min_scale=1):
 
 
 def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
-    """Largest error-to-scale ratio over near-qualifying centers, at factors 16 and 8."""
+    """Largest error-to-scale ratio over near-qualifying centers, at factors 16 and 8.
+
+    A probe's off-plane residual depends only on the fit, so each (probe,
+    fit) residual is computed once and every scale reads its cells' columns.
+    """
     rng = np.random.default_rng(rng_seed)
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
+    fit_centers = dictionary.fit_centers
+    every_fit = np.arange(len(fit_centers))
+    # a block's (probe, fit) offsets fill at most block x F x D entries
+    block = max(1, _BLOCK_ENTRIES // fit_centers.size)
+    resid = np.empty((len(pts), len(fit_centers)))
+    for lo in range(0, len(pts), block):
+        x = pts[lo : lo + block]
+        rel = (x[:, None] - fit_centers).reshape(-1, fit_centers.shape[1])
+        off = rel - in_plane_rows(dictionary, np.tile(every_fit, len(x)), rel)
+        resid[lo : lo + block] = np.linalg.norm(off, axis=1).reshape(len(x), -1)
     c16 = 0.0
     c8 = 0.0
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)
         floor = dictionary.sep_constant * 2.0 ** (-j - 1)
-        # a block's (probe, near center) offsets fill at most block x K_j x D entries
         block = max(1, _BLOCK_ENTRIES // centers.size)
         for lo in range(0, len(pts), block):
-            x = pts[lo : lo + block]
-            dists = np.sqrt(sq_dists(x, centers))
+            dists = np.sqrt(sq_dists(pts[lo : lo + block], centers))
             base = np.maximum(dists.min(axis=1), floor)
             rows, near = np.nonzero(dists <= 16.0 * base[:, None])
-            rel = x[rows] - centers[near]
-            ratio = np.linalg.norm(rel - in_plane_rows(dictionary, fits[near], rel), axis=1) * 2.0**j
+            ratio = resid[lo + rows, fits[near]] * 2.0**j
             c16 = max(c16, float(ratio.max()))
             c8 = max(c8, float(ratio[dists[rows, near] <= 8.0 * base[rows]].max(initial=0.0)))
     return c16, c8
@@ -638,9 +621,9 @@ def save_dictionary(dictionary, path):
     """Write the dictionary as a manifest plus one little-endian float64 blob.
 
     The manifest holds the per-scale counts, the local dimension of each of
-    the F fits, and the fit and parent of each of the N cells in (scale,
-    index) order.  The blob holds the fit centers (F x D), then the
-    zero-padded fit bases (F x max_local_dim x D), both row-major.
+    the F fits, and the fit of each of the N cells in (scale, index) order.
+    The blob holds the fit centers (F x D), then the zero-padded fit bases
+    (F x max_local_dim x D), both row-major.
     """
     manifest = {
         "version": DICT_FORMAT_VERSION,
@@ -649,7 +632,6 @@ def save_dictionary(dictionary, path):
         "max_local_dim": dictionary.fit_bases.shape[1],
         "fit_local_dim": dictionary.fit_dims.tolist(),
         "cell_fit": dictionary.cell_fit.tolist(),
-        "parent": dictionary.all_parents.tolist(),
         "sep_constant": dictionary.sep_constant,
         "root_radius": dictionary.root_radius,
         "provenance": dictionary.provenance,
@@ -673,7 +655,6 @@ def load_dictionary(path):
             flat[fits * dim :].reshape(fits, width, dim),
             manifest["fit_local_dim"],
             manifest["cell_fit"],
-            manifest["parent"],
             manifest["sep_constant"],
             manifest["root_radius"],
             manifest.get("provenance", {}),

@@ -198,10 +198,10 @@ def test_criterion_06_covering_bounds(circle512, circle_dict):
     circle_params = bounds.BoundParams(d=1, V=2 * np.pi, eps=0.3, reach=1.0)
     sphere_params = bounds.BoundParams(d=2, V=4 * np.pi, eps=0.3, reach=1.0)
     for delta in (0.05, 0.1, 0.2):  # multiples of reach = 1
-        assert len(geometry.greedy_delta_cover(circle512, delta).center_indices) < bounds.cover_bound(
+        assert len(geometry.farthest_point_ordering(circle512.points, stop_radius=delta)[0]) < bounds.cover_bound(
             circle_params, delta
         )
-        assert len(geometry.greedy_delta_cover(sphere, delta).center_indices) < bounds.cover_bound(
+        assert len(geometry.farthest_point_ordering(sphere.points, stop_radius=delta)[0]) < bounds.cover_bound(
             sphere_params, delta
         )
 

@@ -118,9 +118,9 @@ def test_cover_bound_dominates_greedy_cover_sizes():
     circle_params = bounds.BoundParams(d=1, V=2 * np.pi, eps=0.3, reach=1.0)
     sphere_params = bounds.BoundParams(d=2, V=4 * np.pi, eps=0.3, reach=1.0)
     for delta in (0.1, 0.2, 0.4):
-        size = len(geometry.greedy_delta_cover(circle, delta).center_indices)
+        size = len(geometry.farthest_point_ordering(circle.points, stop_radius=delta)[0])
         assert size < bounds.cover_bound(circle_params, delta)
-        size = len(geometry.greedy_delta_cover(sphere, delta).center_indices)
+        size = len(geometry.farthest_point_ordering(sphere.points, stop_radius=delta)[0])
         assert size < bounds.cover_bound(sphere_params, delta)
 
 

@@ -43,12 +43,10 @@ def test_validate_json_output(tmp_path, capsys):
     assert run_cli("gmra", "validate", "--dict", dict_path, "--cloud", cloud_path, "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
-    assert payload["k_monotone"] is True
     assert set(payload) == {
-        "passed", "counts", "k_monotone", "separation_ok", "separation_margin", "parent_total",
-        "parent_margin", "orthonormal_worst", "idempotent_worst", "tube_j0", "mean_error_per_scale",
-        "decay_slope", "decay_slope_ci", "monotone_refinement_ok", "ctilde_factor16", "ctilde_factor8",
-        "failures",
+        "passed", "counts", "separation_ok", "separation_margin", "parent_margin", "orthonormal_worst",
+        "idempotent_worst", "tube_j0", "mean_error_per_scale", "decay_slope", "decay_slope_ci",
+        "monotone_refinement_ok", "ctilde_factor16", "ctilde_factor8", "failures",
     }
 
 

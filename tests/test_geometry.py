@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from manifold_cs import geometry
+from manifold_cs import geometry, gmra
 from manifold_cs.errors import CsvParseError, ResourceLimitError
 
 
@@ -90,27 +92,27 @@ def test_add_noise_rejects_negative():
 
 def test_cover_radius_exceeding_diameter_gives_one_center(circle_cloud):
     small = geometry.PointCloud(circle_cloud.points[:100], 2)
-    cover = geometry.greedy_delta_cover(small, 10.0)
-    assert cover.center_indices == [0]
+    order, _ = geometry.farthest_point_ordering(small.points, stop_radius=10.0)
+    assert order.tolist() == [0]
 
 
 def test_cover_and_packing_properties(circle_cloud):
-    cover = geometry.greedy_delta_cover(circle_cloud, 0.1)
-    centers = circle_cloud.points[cover.center_indices]
+    order, _ = geometry.farthest_point_ordering(circle_cloud.points, stop_radius=0.1)
+    centers = circle_cloud.points[order]
     dists = np.linalg.norm(circle_cloud.points[:, None, :] - centers[None, :, :], axis=2)
     assert dists.min(axis=1).max() <= 0.1 + 1e-12
     pair = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     np.fill_diagonal(pair, np.inf)
     assert pair.min() > 0.1
     # covering-number bound for the circle: 2 pi 1.5^1.5 / (2^0.5 * 0.1)
-    assert len(cover.center_indices) <= 82
+    assert len(order) <= 82
 
 
 def test_cover_packing_on_larger_cloud():
     cloud = geometry.gen_swiss_roll(10000, seed=2)
     delta = 3.0
-    cover = geometry.greedy_delta_cover(cloud, delta)
-    centers = cloud.points[cover.center_indices]
+    order, _ = geometry.farthest_point_ordering(cloud.points, stop_radius=delta)
+    centers = cloud.points[order]
     best = np.full(cloud.n, np.inf)
     for c in centers:
         np.minimum(best, np.linalg.norm(cloud.points - c, axis=1), out=best)
@@ -118,11 +120,6 @@ def test_cover_packing_on_larger_cloud():
     pair = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     np.fill_diagonal(pair, np.inf)
     assert pair.min() > delta
-
-
-def test_cover_rejects_nonpositive_delta(circle_cloud):
-    with pytest.raises(ValueError):
-        geometry.greedy_delta_cover(circle_cloud, 0.0)
 
 
 def test_fps_ends_at_radius_zero_and_rejects_negative_stop_radius():
@@ -147,9 +144,24 @@ def test_cover_sizes_below_covering_number_up_to_dim_three():
     for d, volume in volumes.items():
         cloud = geometry.gen_sphere(3000, d, seed=6)
         for delta in (0.3, 0.5):
-            size = len(geometry.greedy_delta_cover(cloud, delta).center_indices)
+            size = len(geometry.farthest_point_ordering(cloud.points, stop_radius=delta)[0])
             bound = volume * (d / 2 + 1) ** (d / 2 + 1) / (2 ** (d / 2) * delta**d)
             assert size < bound, (d, delta, size, bound)
+
+
+def test_point_cloud_refuses_coordinates_whose_squared_distances_overflow():
+    g = np.random.default_rng(0).standard_normal((300, 5))
+    with pytest.raises(ValueError, match="too large"):
+        geometry.PointCloud(g * 1e160, 5)
+    # no spread at all, but the mean of the two rows sums past the largest float
+    with pytest.raises(ValueError, match="too large"):
+        geometry.PointCloud(np.full((2, 1), 1e308), 1)
+    cloud = geometry.PointCloud(g * 1e150, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = gmra.build_dictionary(cloud, local_dim=2, max_scale=6)
+        report = gmra.validate_structure(d, cloud)
+    assert report.passed, report.failures
 
 
 def test_point_cloud_rejects_empty_and_nonfinite():

@@ -12,7 +12,7 @@ def one_cell_dictionary(center, basis):
     """A dictionary whose only cell, at scale 0, has the given center and basis."""
     basis = np.atleast_2d(np.asarray(basis, dtype=float))
     return gmra.MultiscaleDictionary(
-        [1], [center], [basis], [basis.shape[0]], [0], [-1], sep_constant=1.0, root_radius=1.0,
+        [1], [center], [basis], [basis.shape[0]], [0], sep_constant=1.0, root_radius=1.0,
         provenance={},
     )
 
@@ -28,7 +28,7 @@ def two_scale_dictionary(centers1):
     k = len(centers1)
     return gmra.MultiscaleDictionary(
         [1, k], [np.zeros(dim)] + list(centers1), [np.eye(dim)[:1]] * (k + 1), [1] * (k + 1),
-        list(range(k + 1)), [-1] + [0] * k, sep_constant=0.25, root_radius=4.0, provenance={},
+        list(range(k + 1)), sep_constant=0.25, root_radius=4.0, provenance={},
     )
 
 
@@ -162,7 +162,7 @@ def test_dictionary_is_exact_under_translation(roll3k, shift):
     moved = geometry.PointCloud(cloud.points + shift, 3)
     dm = gmra.build_dictionary(moved, local_dim=2, max_scale=8, min_points=6)
     assert dm.counts() == d.counts()
-    for name in ("all_parents", "cell_fit", "fit_dims"):
+    for name in ("cell_fit", "fit_dims"):
         assert np.array_equal(getattr(dm, name), getattr(d, name)), name
     assert np.abs(dm.fit_centers - (d.fit_centers + shift)).max() <= 1e-6
     report = gmra.validate_structure(dm, moved)
@@ -180,11 +180,86 @@ def test_dictionary_is_exact_under_translation(roll3k, shift):
 def test_validate_structure_passes_on_circle(circle_cloud, circle_dict):
     report = gmra.validate_structure(circle_dict, circle_cloud)
     assert report.passed
-    assert report.k_monotone and report.separation_ok and report.parent_total
+    assert report.separation_ok and report.orthonormal_ok and report.idempotent_ok
     assert report.orthonormal_worst < 1e-10
     assert report.idempotent_worst < 1e-10
     assert report.monotone_refinement_ok
     assert np.isfinite(report.decay_slope)
+
+
+@pytest.mark.parametrize("scale", [2000.0, 1e4, 1e-4])
+def test_validate_structure_does_not_depend_on_the_cloud_scale(scale):
+    cloud = geometry.gen_swiss_roll(1500, seed=1)
+    scaled = geometry.PointCloud(cloud.points * scale, 3)
+    want, got = (
+        gmra.validate_structure(gmra.build_dictionary(c, local_dim=2, max_scale=6, min_points=6), c)
+        for c in (cloud, scaled)
+    )
+    assert got.passed, got.failures
+    assert (got.counts, got.separation_worst_pair, got.parent_worst) == (
+        want.counts, want.separation_worst_pair, want.parent_worst)
+    # the margins are 1 - nearest / second nearest and closest pair / (C1 2^-j) - 1: compare those ratios
+    assert abs((1.0 - got.parent_margin) / (1.0 - want.parent_margin) - 1.0) <= 1e-12
+    assert abs((1.0 + got.separation_margin) / (1.0 + want.separation_margin) - 1.0) <= 1e-12
+
+
+def test_parent_margin_is_the_nearest_coarser_centers_lead(roll3k):
+    _, d = roll3k
+    worst = np.inf
+    for j in range(2, d.max_scale + 1):  # scale 0 has one center: no second nearest
+        dists = np.linalg.norm(d.centers(j)[:, None] - d.centers(j - 1)[None], axis=2)
+        dists.sort(axis=1)
+        worst = min(worst, ((dists[:, 1] - dists[:, 0]) / dists[:, 1]).min())
+    assert abs(gmra._check_parents(d)[0] - worst) <= 1e-12
+
+
+def reference_near_center_constants(dictionary, cloud, budget, rng_seed):
+    """The per-scale loop that recomputes each near (probe, center) residual at every scale."""
+    rng = np.random.default_rng(rng_seed)
+    pts = cloud.points
+    if pts.shape[0] > budget:
+        pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
+    c16 = 0.0
+    c8 = 0.0
+    for j in range(dictionary.max_scale + 1):
+        centers, fits = dictionary.centers(j), dictionary.cell_fits(j)
+        floor = dictionary.sep_constant * 2.0 ** (-j - 1)
+        block = max(1, gmra._BLOCK_ENTRIES // centers.size)
+        for lo in range(0, len(pts), block):
+            x = pts[lo : lo + block]
+            dists = np.sqrt(gmra.sq_dists(x, centers))
+            base = np.maximum(dists.min(axis=1), floor)
+            rows, near = np.nonzero(dists <= 16.0 * base[:, None])
+            rel = x[rows] - centers[near]
+            ratio = np.linalg.norm(rel - gmra.in_plane_rows(dictionary, fits[near], rel), axis=1) * 2.0**j
+            c16 = max(c16, float(ratio.max()))
+            c8 = max(c8, float(ratio[dists[rows, near] <= 8.0 * base[rows]].max(initial=0.0)))
+    return c16, c8
+
+
+def test_near_center_constants_equal_the_per_scale_loop(roll3k, circle_cloud, circle_dict):
+    rng = np.random.default_rng(6)
+    basis = np.linalg.qr(rng.standard_normal((40, 3)))[0].T
+    padded = geometry.PointCloud(roll3k[0].points[:1200] @ basis + 1e3, 40)
+    cases = [
+        (circle_cloud, circle_dict, 200),
+        (*roll3k, 300),
+        (padded, gmra.build_dictionary(padded, local_dim=None, max_local_dim=3, max_scale=6), 150),
+    ]
+    for cloud, d, budget in cases:
+        want = reference_near_center_constants(d, cloud, budget, 0)
+        assert gmra._estimate_near_center_constants(d, cloud, budget, 0) == want
+
+
+def test_load_refuses_a_version_3_container(tmp_path, circle_dict):
+    # version 3 stored a parent per cell; a v3 file is refused, not read
+    path = tmp_path / "v3.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    manifest, blob = storage.read_container(path, storage.DICT_MAGIC)
+    parents = [-1] + [0] * (len(manifest["cell_fit"]) - 1)
+    storage.write_container(path, storage.DICT_MAGIC, dict(manifest, version=3, parent=parents), blob)
+    with pytest.raises(FileFormatError, match="version 3"):
+        gmra.load_dictionary(path)
 
 
 def test_validate_structure_names_planted_coincident_pair():
@@ -261,7 +336,6 @@ def test_save_load_round_trip(tmp_path, circle_dict):
     assert back.sep_constant == circle_dict.sep_constant
     assert back.root_radius == circle_dict.root_radius
     for j in range(circle_dict.max_scale + 1):
-        assert np.array_equal(back.parents(j), circle_dict.parents(j))
         assert back.centers(j).tobytes() == circle_dict.centers(j).tobytes()
         assert back.bases(j).tobytes() == circle_dict.bases(j).tobytes()
         assert np.array_equal(back.local_dims(j), circle_dict.local_dims(j))
@@ -295,7 +369,6 @@ def test_load_rejects_decreasing_counts(tmp_path):
         "max_local_dim": 1,
         "fit_local_dim": [1, 1, 1, 1],
         "cell_fit": [0, 1, 2, 3],
-        "parent": [-1, -1, -1, 0],
         "sep_constant": 0.5,
         "root_radius": 3.0,
         "provenance": {},
@@ -334,7 +407,7 @@ def test_load_rejects_non_object_manifest(tmp_path, circle_dict):
         gmra.load_dictionary(path)
 
 
-@pytest.mark.parametrize("key", ["counts", "ambient_dim", "max_local_dim", "fit_local_dim", "cell_fit", "parent",
+@pytest.mark.parametrize("key", ["counts", "ambient_dim", "max_local_dim", "fit_local_dim", "cell_fit",
                                  "sep_constant", "root_radius"])
 def test_load_rejects_missing_manifest_key(tmp_path, circle_dict, key):
     path = tmp_path / "missing.mcsdict"
@@ -383,7 +456,7 @@ def test_constructor_rejects_carried_cell_that_is_not_a_copy():
 
     def build(cell_fit, fits=3):
         return gmra.MultiscaleDictionary(
-            [1, 2, 2], centers[:fits], [axis] * fits, [1] * fits, cell_fit, [-1, 0, 0, 0, 1], 1.0, 1.0, {}
+            [1, 2, 2], centers[:fits], [axis] * fits, [1] * fits, cell_fit, 1.0, 1.0, {}
         )
 
     d = build([0, 0, 1, 0, 2])
@@ -402,7 +475,7 @@ def test_constructor_rejects_carried_cell_that_is_not_a_copy():
         with pytest.raises(ValueError, match="names fit"):
             build([0, 0, 1, 0, bad])
     with pytest.raises(ValueError, match="zero basis rows"):
-        gmra.MultiscaleDictionary([1], [[0.0, 0.0]], [np.eye(2)], [1], [0], [-1], 1.0, 1.0, {})
+        gmra.MultiscaleDictionary([1], [[0.0, 0.0]], [np.eye(2)], [1], [0], 1.0, 1.0, {})
 
 
 def test_load_rejects_wrong_version(tmp_path, circle_dict):

@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import FileFormatError
 
-DICT_ARRAYS = ("offsets", "fit_centers", "fit_bases", "fit_dims", "cell_fit", "all_parents")
+DICT_ARRAYS = ("offsets", "fit_centers", "fit_bases", "fit_dims", "cell_fit")
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-(10**20), 10**20) | st.floats() | st.text(max_size=4),

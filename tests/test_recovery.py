@@ -330,7 +330,7 @@ def test_line4_lhs_exact_far_from_origin():
     rng = np.random.default_rng(61)
     basis = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
     center = 1e6 * np.ones(3) + rng.standard_normal(3)
-    d = gmra.MultiscaleDictionary([1], [center], [basis], [2], [0], [-1], 1.0, 1.0, {})
+    d = gmra.MultiscaleDictionary([1], [center], [basis], [2], [0], 1.0, 1.0, {})
     M = measurement.gaussian_matrix(3, 3, seed=67)
     x = center + basis.T @ rng.standard_normal(2) + 1e-5 * np.cross(basis[0], basis[1])
     batch = recovery.recover_batch(M.apply(x[None]), M, d, 0)
