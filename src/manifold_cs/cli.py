@@ -51,7 +51,6 @@ def build_parser():
     b.add_argument("--energy", type=float, default=0.95)
     b.add_argument("--max-scale", type=int, default=6)
     b.add_argument("--min-points", type=int, default=None)
-    b.add_argument("--sep-hint", type=float, default=1.0)
     b.set_defaults(func=cmd_gmra_build)
     v = gsub.add_parser("validate")
     v.add_argument("--dict", dest="dict_path", required=True)
@@ -66,7 +65,6 @@ def build_parser():
     mk.add_argument("--m", type=int, required=True)
     mk.add_argument("--dim", type=int, required=True)
     mk.add_argument("--seed", type=int, default=0)
-    mk.add_argument("--eps", type=float, default=0.3)
     mk.add_argument("--out", required=True)
     mk.set_defaults(func=cmd_measure_make)
     mv = msub.add_parser("verify")
@@ -108,14 +106,7 @@ def build_parser():
     e = sub.add_parser("experiment", help="run or replot relMSE experiments")
     esub = e.add_subparsers(dest="experiment_command")
     er = esub.add_parser("run")
-    er.add_argument("--config", required=True, help="JSON config file")
-    er.add_argument("--seed", type=int, default=None, help="override the config seed")
-    er.add_argument("--output-dir", default=None)
-    er.add_argument("--sigmas", default=None, help="override noise levels, comma-separated")
-    er.add_argument("--oversampling", default=None, help="override factors, comma-separated")
-    er.add_argument("--num-draws", type=int, default=None)
-    er.add_argument("--experiment-scales", dest="experiment_scales", default=None,
-                    help="override scales, comma-separated")
+    er.add_argument("--config", required=True, help="JSON config file: the run's only configuration")
     er.add_argument("--verbose", action="store_true")
     er.set_defaults(func=cmd_experiment_run)
     ep = esub.add_parser("plot")
@@ -150,7 +141,6 @@ def cmd_gmra_build(args):
         cloud,
         local_dim=args.local_dim,
         max_scale=args.max_scale,
-        sep_constant_hint=args.sep_hint,
         energy_threshold=args.energy,
         max_local_dim=args.max_local_dim,
         min_points=args.min_points,
@@ -201,9 +191,9 @@ def _finite_or_null(value):
 
 def cmd_measure_make(args):
     if args.ensemble == "gaussian":
-        matrix = measurement.gaussian_matrix(args.m, args.dim, args.seed, args.eps)
+        matrix = measurement.gaussian_matrix(args.m, args.dim, args.seed)
     else:
-        matrix = measurement.orthoprojection_matrix(args.m, args.dim, args.seed, args.eps)
+        matrix = measurement.orthoprojection_matrix(args.m, args.dim, args.seed)
     measurement.save_matrix(matrix, args.out)
     print("wrote %d x %d %s matrix to %s" % (matrix.m, matrix.ambient_dim, matrix.ensemble, args.out))
 
@@ -356,19 +346,6 @@ def cmd_bounds(args):
 
 def cmd_experiment_run(args):
     config = harness.ExperimentConfig.from_json(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.output_dir is not None:
-        config.output_dir = args.output_dir
-    if args.sigmas is not None:
-        config.noise_sigmas = _parse_grid(args.sigmas)
-    if args.oversampling is not None:
-        config.oversampling = _parse_grid(args.oversampling, cast=int)
-    if args.num_draws is not None:
-        config.num_draws = args.num_draws
-    if args.experiment_scales is not None:
-        config.scales = _parse_grid(args.experiment_scales, cast=int)
-    config = dataclasses.replace(config)  # the constructor's checks, on the overridden config
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
     result = harness.run_experiment(config)

@@ -167,12 +167,11 @@ def _cell_fit(points, mode):
         d = mode[1]
     else:
         _, threshold, d_max = mode
-        energy = svals**2
-        total = energy.sum()
-        if total <= 0.0:
+        if svals[0] == 0.0:
             d = 1
         else:
-            frac = np.cumsum(energy) / total
+            energy = (svals / svals[0]) ** 2  # normalised first: squaring the raw values can overflow
+            frac = np.cumsum(energy) / energy.sum()
             d = int(np.searchsorted(frac, threshold - 1e-12) + 1)
         d = min(d, d_max, points.shape[1])
     return mean, vt[: min(d, vt.shape[0])]
@@ -218,7 +217,6 @@ def build_dictionary(
     cloud,
     local_dim=None,
     max_scale=6,
-    sep_constant_hint=1.0,
     energy_threshold=0.95,
     max_local_dim=None,
     min_points=None,
@@ -299,24 +297,20 @@ def build_dictionary(
 
     # the observed separation: the closest center pair per scale, normalized by 2^-j
     seps = [_closest_pair(centers[r])[2] * 2.0**j for j, r in enumerate(rows) if len(r) >= 2]
-    sep_constant = min([sep_constant_hint * root_radius] + [sep * (1.0 - 1e-9) for sep in seps])
+    sep_constant = min([root_radius] + [sep * (1.0 - 1e-9) for sep in seps])
 
     provenance = {
         "builder": "fps-voronoi-tree",
         "n": int(n),
-        "ambient_dim": int(cloud.ambient_dim),
         "cloud_sha256": hashlib.sha256(pts.tobytes()).hexdigest(),
         "cloud_label": cloud.label,
         "local_dim": None if local_dim is None else int(local_dim),
         "energy_threshold": float(energy_threshold) if local_dim is None else None,
         "max_local_dim": None if max_local_dim is None else int(max_local_dim),
         "min_points": int(min_points),
-        "max_scale": int(max_scale),
-        "sep_constant_hint": float(sep_constant_hint),
         "fresh_per_scale": fresh_per_scale,
         "reused_per_scale": reused_per_scale,
         "copied_per_scale": copied_per_scale,
-        "net_radius_per_scale": [root_radius * 2.0**-j for j in range(max_scale + 1)],
     }
     return MultiscaleDictionary(
         [len(r) for r in rows],
@@ -520,9 +514,13 @@ def _check_orthonormal(dictionary):
 
 
 def _check_idempotent(dictionary, rng_seed, probes=100):
-    """Largest |P P r - P r| / (1 + |r|), P = B^T B, over random offsets r: independent of where centers sit."""
+    """Largest |P P r - P r| / (1 + |r|), P = B^T B, over standard normal offsets r.
+
+    The ratio is relative, so the offsets need not follow the cloud's scale
+    (at a huge one, their norms would overflow) nor where its centers sit.
+    """
     rng = np.random.default_rng(rng_seed)
-    rel = rng.standard_normal(size=(probes, dictionary.ambient_dim)) * (1.0 + dictionary.root_radius)
+    rel = rng.standard_normal(size=(probes, dictionary.ambient_dim))
     scale = 1.0 + np.linalg.norm(rel, axis=1)
     worst = 0.0
     for basis, d in zip(dictionary.fit_bases, dictionary.fit_dims):

@@ -1,15 +1,16 @@
 """End-to-end experiment orchestration: relMSE curves over scale and noise.
 
 Protocol per noise level: perturb the base cloud, rebuild the dictionary on
-the perturbed points, then for each requested scale and oversampling factor
-draw num_draws fresh measurement matrices with m = min(d_j * f, D) rows and
-run batch recovery over every point.  The dictionary is shared across the
-draws of one noise level; only the matrix is redrawn.  All randomness is
-derived from the master seed by fixed spawn keys, so the result rows (and
-the CSV they serialize to) are a pure function of the config.  Wall-clock
-timings are inherently non-reproducible and therefore live in a separate
-timing CSV, keeping the results file byte-stable across reruns.  Progress
-goes to the module logger at INFO.
+the perturbed points down to the deepest requested scale, then for each
+requested scale and oversampling factor draw num_draws fresh measurement
+matrices with m = min(d_j * f, D) rows and run batch recovery over every
+point.  The dictionary is shared across the draws of one noise level; only
+the matrix is redrawn.  All randomness is derived from the master seed by
+fixed spawn keys, so the result rows (and the CSV they serialize to) are a
+pure function of the config, which is the run's only configuration.
+Wall-clock timings are inherently non-reproducible and therefore live in a
+separate timing CSV, keeping the results file byte-stable across reruns.
+Progress goes to the module logger at INFO.
 """
 
 import csv
@@ -17,7 +18,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -37,7 +38,6 @@ RESULTS_COLUMNS = [
     "d_j",
     "m",
     "max_sq_rel_err",
-    "status",
 ]
 
 TIMING_COLUMNS = ["dataset", "sigma", "j", "f", "draw", "ms_per_point"]
@@ -93,27 +93,35 @@ class ExperimentConfig:
     max_local_dim: int | None = None
     energy_threshold: float = 0.95
     min_points: int | None = None
-    sep_constant_hint: float = 1.0
     ensemble: str = "haar-orthoprojection"
-    max_scale: int | None = None  # dictionary depth; default: deepest requested scale
 
     def __post_init__(self):
-        if self.num_draws < 1:
-            raise ValueError("num_draws must be >= 1")
-        if not self.scales:
-            raise ValueError("scales must be nonempty")
-        if self.max_scale is not None and min(self.scales) > self.max_scale:
-            raise ValueError("every scale in %r exceeds max_scale %d: nothing to run" % (self.scales, self.max_scale))
-        for f in self.oversampling:
-            if int(f) != f or f < 1:
-                raise ValueError("oversampling factors must be positive integers, got %r" % (f,))
+        integers, numbers = ("integers", (int, np.integer)), ("numbers", (int, np.integer, float))
+        for name, values, low, (kind, types) in (
+            ("noise_sigmas", self.noise_sigmas, 0, numbers),
+            ("num_draws", [self.num_draws], 1, integers),
+            ("scales", self.scales, 0, integers),
+            ("oversampling", self.oversampling, 1, integers),
+        ):
+            if not isinstance(values, list) or not values:
+                raise ValueError("%s must be a nonempty list, got %r" % (name, values))
+            for v in values:
+                if isinstance(v, bool) or not isinstance(v, types) or not low <= v < np.inf:
+                    raise ValueError("%s must be finite %s >= %d, got %r" % (name, kind, low, v))
         if self.ensemble not in ("haar-orthoprojection", "gaussian"):
             raise ValueError("unknown ensemble %r" % self.ensemble)
 
     @classmethod
     def from_json(cls, path):
+        """Read a config file; a key that is not a field, or a missing dataset, raises ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
-            return cls(**json.load(fh))
+            given = json.load(fh)
+        if not isinstance(given, dict):
+            raise ValueError("%s holds a JSON %s, not an object of config fields" % (path, type(given).__name__))
+        unknown = sorted(set(given) - {f.name for f in fields(cls)})
+        if unknown or "dataset" not in given:
+            raise ValueError("%s: %s" % (path, "unknown key %r" % unknown[0] if unknown else "no 'dataset' key"))
+        return cls(**given)
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -123,12 +131,12 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """A run's long-form rows; the per-cell numbers are derived from its "ok" rows.
+    """A run's long-form rows; the per-cell numbers are derived from them.
 
     The rows may hold a run's typed values or the strings read back from
     results.csv: the derived dicts are equal either way.  A row with a missing
-    or extra field, or an "ok" row with a non-numeric value, raises
-    CsvParseError naming its results.csv line (the header is line 1).
+    or extra field, or a non-numeric value, raises CsvParseError naming its
+    results.csv line (the header is line 1).
     """
 
     config: ExperimentConfig
@@ -145,8 +153,6 @@ class ExperimentResult:
             if None in row or None in row.values():
                 message = "results row at line %d does not have %d fields" % (line, len(RESULTS_COLUMNS))
                 raise CsvParseError(message, row=line)
-            if row["status"] != "ok":
-                continue
             try:
                 sigma, j, f = float(row["sigma"]), int(row["j"]), int(row["f"])
                 value, baseline, d_j = float(row["relMSE"]), float(row["relMSE_J"]), int(row["d_j"])
@@ -186,7 +192,6 @@ def run_experiment(config):
     """Run the full relMSE grid and write config.json, results.csv, timing.csv, and SVG plots."""
     base = load_dataset(config.dataset)
     dataset_label = base.label or "dataset"
-    max_scale = max(config.scales) if config.max_scale is None else config.max_scale
     rows = []
     timing_rows = []
     mean_norms = {}
@@ -197,8 +202,7 @@ def run_experiment(config):
         dictionary = gmra.build_dictionary(
             cloud,
             local_dim=config.local_dim,
-            max_scale=max_scale,
-            sep_constant_hint=config.sep_constant_hint,
+            max_scale=max(config.scales),
             energy_threshold=config.energy_threshold,
             max_local_dim=config.max_local_dim,
             min_points=config.min_points,
@@ -207,11 +211,6 @@ def run_experiment(config):
         mean_norms[sigma] = float(np.linalg.norm(cloud.points, axis=1).mean())
         dim = cloud.ambient_dim
         for j in config.scales:
-            cell = {"dataset": dataset_label, "sigma": sigma, "j": j}
-            if j > dictionary.max_scale:
-                blank = dict.fromkeys(RESULTS_COLUMNS, "")
-                rows.append(dict(blank, **cell, relMSE_J=baseline, status="skipped: scale beyond dictionary"))
-                continue
             d_j = dictionary.max_local_dim(j)
             for f in config.oversampling:
                 m = min(d_j * int(f), dim)
@@ -228,10 +227,8 @@ def run_experiment(config):
                     batch = recovery.recover_batch(comp, matrix, dictionary, j)
                     elapsed = time.perf_counter() - t0
                     value, max_sq = rel_mse_with_max(cloud, batch.reconstructions)
-                    key = dict(cell, f=int(f), draw=draw)
-                    rows.append(
-                        dict(key, relMSE=value, relMSE_J=baseline, d_j=d_j, m=m, max_sq_rel_err=max_sq, status="ok")
-                    )
+                    key = {"dataset": dataset_label, "sigma": sigma, "j": j, "f": int(f), "draw": draw}
+                    rows.append(dict(key, relMSE=value, relMSE_J=baseline, d_j=d_j, m=m, max_sq_rel_err=max_sq))
                     timing_rows.append(dict(key, ms_per_point=elapsed * 1000.0 / cloud.n))
             logger.info("sigma=%g scale=%d done", sigma, j)
 

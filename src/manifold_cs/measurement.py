@@ -7,6 +7,10 @@ same normalization.  Verification is empirical and exact on the probe sets
 it is handed: pairwise distortion, restricted isometry by support
 enumeration, and the item-by-item assumption checks used by the recovery
 guarantees.
+
+A saved matrix (format version 2) is a manifest of m, D, ensemble and seed,
+then exactly m x D little-endian float64 entries, row-major; the ensemble
+and seed regenerate it.
 """
 
 import itertools
@@ -23,7 +27,7 @@ from .geometry import epsilon_net_ball  # noqa: F401
 from .gmra import _BLOCK_ENTRIES, in_plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
-MATRIX_FORMAT_VERSION = 1
+MATRIX_FORMAT_VERSION = 2
 ORTHO_ROW_TOL = 1e-10
 
 
@@ -34,7 +38,6 @@ class MeasurementMatrix:
     entries: np.ndarray
     ensemble: str
     seed: int
-    target_epsilon: float
 
     def __post_init__(self):
         entries = np.ascontiguousarray(self.entries, dtype=np.float64)
@@ -65,16 +68,16 @@ class MeasurementMatrix:
         return np.asarray(vectors, dtype=np.float64) @ self.entries.T
 
 
-def gaussian_matrix(m, dim, seed, target_epsilon=0.3):
+def gaussian_matrix(m, dim, seed):
     """i.i.d. N(0, 1/m) entries; E||Mv||^2 = ||v||^2."""
     if m < 1 or dim < 1:
         raise ValueError("matrix dimensions must be positive, got %d x %d" % (m, dim))
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal(size=(m, dim)) / np.sqrt(m)
-    return MeasurementMatrix(entries, "gaussian", int(seed), float(target_epsilon))
+    return MeasurementMatrix(entries, "gaussian", int(seed))
 
 
-def orthoprojection_matrix(m, dim, seed, target_epsilon=0.3):
+def orthoprojection_matrix(m, dim, seed):
     """First m rows of a Haar-random orthogonal matrix, scaled by sqrt(D/m)."""
     if m < 1 or dim < 1:
         raise ValueError("matrix dimensions must be positive, got %d x %d" % (m, dim))
@@ -85,7 +88,7 @@ def orthoprojection_matrix(m, dim, seed, target_epsilon=0.3):
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))  # sign fix makes the distribution exactly Haar
     entries = q[:m] * np.sqrt(dim / m)
-    return MeasurementMatrix(entries, "haar-orthoprojection", int(seed), float(target_epsilon))
+    return MeasurementMatrix(entries, "haar-orthoprojection", int(seed))
 
 
 @dataclass
@@ -380,8 +383,6 @@ def save_matrix(matrix, path):
         "ambient_dim": matrix.ambient_dim,
         "ensemble": matrix.ensemble,
         "seed": matrix.seed,
-        "target_epsilon": matrix.target_epsilon,
-        "entries_offset": 0,
     }
     write_container(path, MATRIX_MAGIC, manifest, blob)
 
@@ -392,12 +393,12 @@ def load_matrix(path):
     if manifest.get("version") != MATRIX_FORMAT_VERSION:
         raise FileFormatError("unsupported matrix version %r" % manifest.get("version"))
     try:
-        m, dim, start = manifest["m"], manifest["ambient_dim"], manifest["entries_offset"]
-        need = start + m * dim * 8
-        if min(m, dim) < 1 or start < 0 or need > len(blob):
-            raise FileFormatError("truncated blob: need %d bytes, have %d" % (need, len(blob)))
-        entries = np.frombuffer(blob[start:need], dtype="<f8").reshape(m, dim)
-        return MeasurementMatrix(entries, manifest["ensemble"], manifest["seed"], manifest["target_epsilon"])
+        m, dim = manifest["m"], manifest["ambient_dim"]
+        # min() first: it refuses a non-numeric m or D before any product is formed
+        if min(m, dim) < 1 or len(blob) != m * dim * 8:
+            raise FileFormatError("a %s x %s matrix needs %d blob bytes, have %d" % (m, dim, m * dim * 8, len(blob)))
+        entries = np.frombuffer(blob, dtype="<f8").reshape(m, dim)
+        return MeasurementMatrix(entries, manifest["ensemble"], manifest["seed"])
     except FileFormatError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

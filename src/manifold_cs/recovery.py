@@ -8,9 +8,10 @@ pseudoinverse truncated at 1e-10 relative, and (iii) assembles B^T u' + c.
 One batched core runs all three steps: ``recover_batch`` is its n-row call
 and ``recover`` its 1-row call, and a row's answer does not depend on the
 rows recovered with it.  ``certify_batch`` evaluates, for known queries x,
-both sides of the center-quality (line 3) and least-squares-quality
-(line 4) inequalities, plus the optimal-point comparison when the nearest
-manifold points are known; ``certify`` is its 1-row call.
+both sides of the center-quality (line 3, against the best center of the
+layer the recovery searched) and least-squares-quality (line 4)
+inequalities, plus the optimal-point comparison when the nearest manifold
+points are known; ``certify`` is its 1-row call.
 """
 
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ class RecoveryOutcome:
     """Result of one compressed reconstruction."""
 
     reconstruction: np.ndarray
+    searched_scale: int
     chosen_scale: int
     chosen_center: int
     coefficients: np.ndarray
@@ -85,14 +87,16 @@ class RecoveryOutcome:
 class BatchRecovery:
     """Column-oriented result of recovering n measurement rows; row i is point i.
 
-    chosen_centers index the layer searched (the finest one for "auto"), and
-    chosen_scales give the scale whose fit served each row: the requested
-    scale, or for "auto" the scale at which the chosen cell was last refit.
+    searched_scale is the layer whose centers were searched (the finest one
+    for "auto"), and chosen_centers index it.  chosen_scales give the scale
+    whose fit served each row: the requested scale, or for "auto" the scale
+    at which the chosen cell was last refit.
     coefficients has one column per basis row of the widest cell, zero past
     each row's local dimension.
     """
 
     reconstructions: np.ndarray
+    searched_scale: int
     chosen_scales: np.ndarray
     chosen_centers: np.ndarray
     coefficients: np.ndarray
@@ -124,13 +128,13 @@ def recover(measurements, matrix, dictionary, j):
     if y.shape != (matrix.m,):
         raise ValueError("measurements have shape %s, matrix yields m=%d" % (y.shape, matrix.m))
     batch = recover_batch(y[None], matrix, dictionary, j)
-    scale = int(batch.chosen_scales[0])
     k = int(batch.chosen_centers[0])
     return RecoveryOutcome(
         reconstruction=batch.reconstructions[0],
-        chosen_scale=scale,
+        searched_scale=batch.searched_scale,
+        chosen_scale=int(batch.chosen_scales[0]),
         chosen_center=k,
-        coefficients=batch.coefficients[0, : dictionary.local_dims(scale)[k]],
+        coefficients=batch.coefficients[0, : dictionary.local_dims(batch.searched_scale)[k]],
         compressed_residual=float(batch.residuals[0]),
         ill_conditioned=bool(batch.ill_conditioned[0]),
     )
@@ -173,6 +177,7 @@ def recover_batch(measurements, matrix, dictionary, j):
         ill[rows] = rank[slot] < d
     return BatchRecovery(
         reconstructions=plane_rows(dictionary, fits, coeffs) + dictionary.fit_centers[fits],
+        searched_scale=scale,
         chosen_scales=dictionary.origin_scales(scale)[cells] if auto else np.full(n, scale),
         chosen_centers=cells,
         coefficients=coeffs,
@@ -192,6 +197,7 @@ def certify(x, matrix, dictionary, outcome, eps, x_opt=None, tube_delta=0.0):
     """
     one = BatchRecovery(
         reconstructions=np.array([outcome.reconstruction], dtype=np.float64),
+        searched_scale=outcome.searched_scale,
         chosen_scales=np.array([outcome.chosen_scale]),
         chosen_centers=np.array([outcome.chosen_center]),
         coefficients=np.array([outcome.coefficients]),
@@ -207,28 +213,26 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
 
     The keys are the CertificateBundle fields other than epsilon_used.  Line
     3 compares each row's chosen center with the center nearest to the query
-    at the row's chosen scale.  The optimal-error, set-2 and tube columns are
-    present only when x_opt, the nearest manifold point of each query, is
-    given.
+    in the layer the recovery searched (the finest one for "auto", whatever
+    scale the chosen fit was made at).  The optimal-error, set-2 and tube
+    columns are present only when x_opt, the nearest manifold point of each
+    query, is given.
     """
     if not (0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
-    scales, cells = batch.chosen_scales, batch.chosen_centers
-    if np.any((cells < 0) | (cells >= np.diff(dictionary.offsets)[scales])):
+    searched, cells = batch.searched_scale, batch.chosen_centers
+    layer = dictionary.centers(searched)
+    if np.any((cells < 0) | (cells >= len(layer))):
         raise ValueError("a chosen center lies outside its scale")
-    # a row's fit: carried cells keep their index up to the fit's origin scale, so "auto" rows resolve too
-    fits = dictionary.cell_fit[dictionary.offsets[scales] + cells]
+    fits = dictionary.cell_fits(searched)[cells]
     centers = dictionary.fit_centers[fits]
     rel = x - centers
     coeffs = plane_coeffs(dictionary, fits, rel)
     proj_x = plane_rows(dictionary, fits, coeffs) + centers
     ratio = np.sqrt((1.0 + eps) / (1.0 - eps))
-    line3_rhs = np.empty(x.shape[0])
-    for j in np.unique(scales):
-        rows = np.nonzero(scales == j)[0]
-        layer = dictionary.centers(j)
-        line3_rhs[rows] = ratio * np.linalg.norm(x[rows] - layer[_nearest_rows(x[rows], layer)], axis=1)
+    best = np.linalg.norm(x - layer[_nearest_rows(x, layer)], axis=1)
+    line3_rhs = ratio * best
     # ||P x - x'|| = ||B (x - c) - u'||: no cancellation between points of the cloud's magnitude
     width = min(coeffs.shape[1], batch.coefficients.shape[1])
     columns = {
@@ -243,7 +247,10 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
         opt_err = np.linalg.norm(gap, axis=1)
         bound = STABLE_RECOVERY_CONSTANT * opt_err
         sparsity = int(dictionary.fit_dims.max())
-        layer = dictionary.centers(dictionary.max_scale)
+        # the tube's distance to the finest layer: line 3's when that is the layer searched
+        if searched != dictionary.max_scale:
+            finest = dictionary.centers(dictionary.max_scale)
+            best = np.linalg.norm(x - finest[_nearest_rows(x, finest)], axis=1)
         d_man = dictionary.max_local_dim(dictionary.max_scale)
         columns["optimal_error_bound"] = bound
         columns["optimal_error_excess"] = np.linalg.norm(x - batch.reconstructions, axis=1) - bound
@@ -251,7 +258,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
             line3_rhs + (1.0 + ratio) * opt_err + np.sqrt(4.0 / (1.0 - eps)) * e_m_bound(gap, eps, sparsity)
         )
         columns["tube_lhs"] = 2.0 * opt_err + 6.0 / (5.0 * np.sqrt(d_man)) * np.linalg.norm(gap, ord=1, axis=1)
-        columns["tube_rhs"] = np.maximum(np.linalg.norm(x - layer[_nearest_rows(x, layer)], axis=1), tube_delta)
+        columns["tube_rhs"] = np.maximum(best, tube_delta)
     return columns
 
 

@@ -110,6 +110,7 @@ def test_criterion_03_center_and_least_squares_certificates(circle512, circle_di
             outcome = recovery.RecoveryOutcome(
                 batch.reconstructions[i],
                 j,
+                j,
                 int(batch.chosen_centers[i]),
                 batch.coefficients[i],
                 float(batch.residuals[i]),

@@ -226,7 +226,7 @@ def test_experiment_run_and_plot(tmp_path, capsys):
         "dataset": {"generator": "swiss-roll", "n": 300, "seed": 2},
         "noise_sigmas": [0.0],
         "oversampling": [2],
-        "num_draws": 2,
+        "num_draws": 1,
         "seed": 9,
         "scales": [0, 1, 2],
         "output_dir": str(tmp_path / "exp"),
@@ -234,13 +234,7 @@ def test_experiment_run_and_plot(tmp_path, capsys):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
-    assert (
-        run_cli(
-            "experiment", "run", "--config", cfg_path,
-            "--num-draws", 1, "--oversampling", "2", "--experiment-scales", "0,1,2",
-        )
-        == 0
-    )
+    assert run_cli("experiment", "run", "--config", cfg_path) == 0
     results = tmp_path / "exp" / "results.csv"
     assert results.exists()
     with open(results) as fh:
@@ -258,14 +252,31 @@ def test_experiment_run_and_plot(tmp_path, capsys):
         run_cli("experiment", "plot", "--results", lone / "results.csv", "--out", plot_dir)
 
 
-def test_experiment_run_refuses_overridden_scales_beyond_max_scale(tmp_path):
-    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "max_scale": 1,
-              "output_dir": str(tmp_path / "exp")}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
-    with pytest.raises(ValueError, match="exceeds max_scale 1"):
-        run_cli("experiment", "run", "--config", cfg_path, "--experiment-scales", "2,3")
-    assert not (tmp_path / "exp").exists()
+def test_experiment_commands_refuse_a_config_with_removed_keys(tmp_path):
+    # a config.json written when max_scale and sep_constant_hint were config fields
+    exp = tmp_path / "exp"
+    exp.mkdir()
+    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "max_scale": None,
+              "sep_constant_hint": 1.0, "output_dir": str(tmp_path / "out")}
+    (exp / "config.json").write_text(json.dumps(config))
+    (exp / "results.csv").write_text("dataset,sigma,j,f,draw,relMSE,relMSE_J,d_j,m,max_sq_rel_err,status\n")
+    with pytest.raises(ValueError, match="unknown key 'max_scale'"):
+        run_cli("experiment", "run", "--config", exp / "config.json")
+    with pytest.raises(ValueError, match="unknown key 'max_scale'"):
+        run_cli("experiment", "plot", "--results", exp / "results.csv", "--out", tmp_path / "plots")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp"]
+
+
+def test_removed_options_are_refused(tmp_path, capsys):
+    for argv in (
+        ["experiment", "run", "--config", tmp_path / "c.json", "--seed", 1],
+        ["experiment", "run", "--config", tmp_path / "c.json", "--experiment-scales", "0,1"],
+        ["measure", "make", "--ensemble", "gaussian", "--m", 2, "--dim", 3, "--eps", 0.3, "--out", tmp_path / "M"],
+        ["gmra", "build", "--cloud", tmp_path / "c.csv", "--out", tmp_path / "d", "--sep-hint", 0.5],
+    ):
+        with pytest.raises(SystemExit):
+            run_cli(*argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_experiment_run_verbose_logs_to_stderr(tmp_path):

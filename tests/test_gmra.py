@@ -493,3 +493,35 @@ def test_monotone_refinement_on_held_out(swiss_dict):
     errors = gmra.mean_error_per_scale(swiss_dict, held_out)
     for j in range(len(errors) - 1):
         assert errors[j + 1] <= errors[j] * 1.05
+
+
+def near_overflow_cloud(seed, dim=5):
+    """300 N(0, 1) points in R^5, zero-padded to R^dim, scaled to a box diagonal of 4.5e153.
+
+    That is just under the 4.7e153 that ``PointCloud`` accepts.
+    """
+    pts = np.zeros((300, dim))
+    pts[:, :5] = np.random.default_rng(seed).standard_normal((300, 5))
+    return geometry.PointCloud(pts * (4.5e153 / np.linalg.norm(np.ptp(pts, axis=0))), dim)
+
+
+@pytest.mark.parametrize("seed", [2, 3, 5, 6, 7])
+def test_adaptive_build_does_not_overflow_near_the_cloud_bound(seed):
+    cloud = near_overflow_cloud(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = gmra.build_dictionary(cloud, local_dim=None, max_local_dim=3)
+        report = gmra.validate_structure(d, cloud)
+    assert report.passed, report.failures
+    unit = gmra.build_dictionary(geometry.PointCloud(cloud.points / 4.5e153, 5), local_dim=None, max_local_dim=3)
+    assert d.counts() == unit.counts()
+    assert np.array_equal(d.fit_dims, unit.fit_dims)
+
+
+def test_validate_structure_does_not_overflow_near_the_cloud_bound_at_high_dimension():
+    cloud = near_overflow_cloud(2, dim=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = gmra.validate_structure(gmra.build_dictionary(cloud, local_dim=2), cloud)
+    assert report.passed, report.failures
+    assert report.idempotent_worst < gmra.IDEMPOTENCY_TOL

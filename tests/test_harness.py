@@ -63,8 +63,7 @@ def test_run_experiment_rows_and_determinism(tmp_path):
     cfg_b = small_config(tmp_path, output_dir=str(tmp_path / "b"))
     res_a = harness.run_experiment(cfg_a)
     res_b = harness.run_experiment(cfg_b)
-    ok_rows = [r for r in res_a.rows if r["status"] == "ok"]
-    assert len(ok_rows) == 2 * 4 * 2 * 2  # sigmas x scales x factors x draws
+    assert len(res_a.rows) == 2 * 4 * 2 * 2  # sigmas x scales x factors x draws
     a_csv = (tmp_path / "a" / "results.csv").read_bytes()
     b_csv = (tmp_path / "b" / "results.csv").read_bytes()
     assert a_csv == b_csv
@@ -87,18 +86,6 @@ def test_run_experiment_full_rank_matches_uncompressed(tmp_path):
         want = harness.rel_mse(noisy, recon)
         got = res.aggregates[(0.0, j, 2)][0]
         assert abs(got - want) <= 1e-10
-
-
-def test_run_experiment_skips_scales_beyond_dictionary(tmp_path):
-    cfg = small_config(tmp_path, scales=[0, 1, 5], max_scale=1, noise_sigmas=[0.0])
-    res = harness.run_experiment(cfg)
-    skipped = [r for r in res.rows if r["status"] != "ok"]
-    assert len(skipped) == 1
-    assert skipped[0]["j"] == 5
-    assert "skipped" in skipped[0]["status"]
-    # the derived numbers come from the "ok" rows only
-    assert sorted(res.aggregates) == [(0.0, j, f) for j in (0, 1) for f in (1, 2)]
-    assert sorted(res.d_by_scale) == [(0.0, 0), (0.0, 1)]
 
 
 def test_monotone_oversampling_on_compressible_data(tmp_path):
@@ -126,8 +113,7 @@ def test_monotone_oversampling_on_compressible_data(tmp_path):
         # the uncompressed baseline is never beaten by a compressed run
         assert res.baselines[0.0] <= mean16 + 2.0 * std16 + 1e-12
         assert res.d_by_scale[(0.0, j)] == 2
-    ok = [r for r in res.rows if r["status"] == "ok"]
-    assert {r["m"] for r in ok} == {4, 20}
+    assert {r["m"] for r in res.rows} == {4, 20}
 
 
 def test_noise_floor_on_sphere(tmp_path):
@@ -188,10 +174,11 @@ def test_load_results_csv_names_a_missing_column(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, [c for c in harness.RESULTS_COLUMNS if c != "status"], extrasaction="ignore")
+        columns = [c for c in harness.RESULTS_COLUMNS if c != "max_sq_rel_err"]
+        writer = csv.DictWriter(fh, columns, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    with pytest.raises(CsvParseError, match="'status'"):
+    with pytest.raises(CsvParseError, match="'max_sq_rel_err'"):
         harness.load_results_csv(str(path))
 
 
@@ -206,7 +193,7 @@ def damaged_results(tmp_path, extra_line):
 
 
 def test_load_results_csv_names_an_ok_row_with_a_non_numeric_value(tmp_path):
-    path, line = damaged_results(tmp_path, "swiss-roll,0,1,2,0,abc,0.1,2,4,0.2,ok")
+    path, line = damaged_results(tmp_path, "swiss-roll,0,1,2,0,abc,0.1,2,4,0.2")
     with pytest.raises(CsvParseError, match="line %d: could not convert string to float: 'abc'" % line) as err:
         harness.load_results_csv(path)
     assert err.value.row == line
@@ -214,7 +201,7 @@ def test_load_results_csv_names_an_ok_row_with_a_non_numeric_value(tmp_path):
 
 def test_load_results_csv_names_a_truncated_row(tmp_path):
     path, line = damaged_results(tmp_path, "swiss-roll,0,1")
-    with pytest.raises(CsvParseError, match="line %d does not have 11 fields" % line) as err:
+    with pytest.raises(CsvParseError, match="line %d does not have 10 fields" % line) as err:
         harness.load_results_csv(path)
     assert err.value.row == line
 
@@ -242,11 +229,34 @@ def test_config_validation():
         harness.ExperimentConfig(dataset={"generator": "swiss-roll", "n": 10}, ensemble="fourier")
 
 
-def test_config_with_every_scale_beyond_max_scale_is_refused_before_any_output(tmp_path):
-    with pytest.raises(ValueError, match="exceeds max_scale 2"):
-        small_config(tmp_path, scales=[3, 5], max_scale=2)
+@pytest.mark.parametrize("field, values, bad", [
+    ("scales", [2, -1], "-1"),
+    ("scales", [0, 1.5], "1.5"),
+    ("scales", [0, True], "True"),
+    ("scales", [], r"\[\]"),
+    ("oversampling", [2, 2.0], "2.0"),
+    ("noise_sigmas", [0.0, -0.1], "-0.1"),
+    ("noise_sigmas", [0.0, float("nan")], "nan"),
+    ("noise_sigmas", 0.1, "0.1"),
+])
+def test_config_refuses_values_out_of_range_before_any_work(tmp_path, field, values, bad):
+    with pytest.raises(ValueError, match="%s must .*got %s" % (field, bad)):
+        small_config(tmp_path, **{field: values})
     assert list(tmp_path.iterdir()) == []
-    small_config(tmp_path, scales=[2, 5], max_scale=2)  # one runnable scale is enough
+
+
+@pytest.mark.parametrize("text, cause", [
+    ('{"dataset": {"n": 10}, "seed": 1, "max_scale": 3}', "unknown key 'max_scale'"),
+    ('{"dataset": {"n": 10}, "sep_constant_hint": 1.0}', "unknown key 'sep_constant_hint'"),
+    ('{"seed": 1}', "no 'dataset' key"),
+    ('[{"dataset": {"n": 10}}]', "JSON list, not an object"),
+    ('{"dataset": {"n": 10}, "num_draws": "3"}', "num_draws must .*got '3'"),
+])
+def test_config_from_json_refuses_a_hostile_file(tmp_path, text, cause):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=cause):
+        harness.ExperimentConfig.from_json(path)
 
 
 def test_config_json_round_trip(tmp_path):

@@ -60,7 +60,7 @@ def test_orthoprojection_rejects_m_above_dim():
 
 
 def test_distortion_identity_matrix():
-    M = measurement.MeasurementMatrix(np.eye(5), "haar-orthoprojection", 0, 0.1)
+    M = measurement.MeasurementMatrix(np.eye(5), "haar-orthoprojection", 0)
     rng = np.random.default_rng(3)
     probes = rng.standard_normal((20, 5))
     report = measurement.verify_distortion(M, probes, 1e-9)
@@ -71,7 +71,7 @@ def test_distortion_identity_matrix():
 def test_distortion_planted_stretch_names_pair():
     entries = np.eye(4)
     entries[0, 0] = 2.0  # stretches the first coordinate beyond 1+eps
-    M = measurement.MeasurementMatrix(entries, "gaussian", 0, 0.3)
+    M = measurement.MeasurementMatrix(entries, "gaussian", 0)
     probes = np.vstack([np.zeros(4), np.eye(4)])
     report = measurement.verify_distortion(M, probes, 0.3)
     assert not report.passed
@@ -126,7 +126,7 @@ def test_rip_reproducible_per_seed():
 def test_rip_zero_column_fails_with_support():
     entries = measurement.orthoprojection_matrix(6, 6, seed=3).entries.copy()
     entries[:, 4] = 0.0
-    M = measurement.MeasurementMatrix(entries, "gaussian", 3, 0.3)
+    M = measurement.MeasurementMatrix(entries, "gaussian", 3)
     report = measurement.rip_check_bruteforce(M, 2, 0.9)
     assert not report.passed
     assert 4 in report.worst_support
@@ -177,7 +177,7 @@ def test_rip_consistent_with_subspace_net_distortion():
 
     broken = M.entries.copy()
     broken[:, 3] = 0.0
-    Mb = measurement.MeasurementMatrix(broken, "gaussian", 8, eps)
+    Mb = measurement.MeasurementMatrix(broken, "gaussian", 8)
     assert not measurement.rip_check_bruteforce(Mb, 2, eps).passed
     probes = np.zeros((net.shape[0], 6))
     probes[:, (3, 4)] = net
@@ -269,7 +269,7 @@ def test_item_a_over_fits_matches_the_per_cell_probe_lists(swiss_cloud, swiss_di
 def test_rank_deficient_compression_fails_subspace_item(swiss_cloud, swiss_dict):
     # duplicate measurement rows collapse every 2-plane image to a line
     row = measurement.gaussian_matrix(1, 3, seed=2).entries
-    M = measurement.MeasurementMatrix(np.vstack([row, row]), "gaussian", 2, 0.3)
+    M = measurement.MeasurementMatrix(np.vstack([row, row]), "gaussian", 2)
     x = swiss_cloud.points[0]
     report = measurement.verify_assumption_set(M, swiss_dict, x=x, which=1, eps=0.3)
     assert not report.item("c-subspace-isometry").passed
@@ -295,14 +295,36 @@ def test_subspace_margin_is_the_exact_singular_value_slack(swiss_cloud, swiss_di
 
 
 def test_matrix_save_load_round_trip(tmp_path):
-    M = measurement.gaussian_matrix(7, 9, seed=13, target_epsilon=0.25)
+    M = measurement.gaussian_matrix(7, 9, seed=13)
     path = tmp_path / "m.mcsmtrx"
     measurement.save_matrix(M, path)
     back = measurement.load_matrix(path)
     assert back.entries.tobytes() == M.entries.tobytes()
     assert back.ensemble == M.ensemble
     assert back.seed == M.seed
-    assert back.target_epsilon == M.target_epsilon
+    manifest, _ = storage.read_container(path, storage.MATRIX_MAGIC)
+    assert manifest == {"version": 2, "m": 7, "ambient_dim": 9, "ensemble": "gaussian", "seed": 13}
+
+
+def test_matrix_load_refuses_a_version_1_container(tmp_path):
+    path = tmp_path / "m.mcsmtrx"
+    measurement.save_matrix(measurement.gaussian_matrix(3, 4, seed=1), path)
+    manifest, blob = storage.read_container(path, storage.MATRIX_MAGIC)
+    old = dict(manifest, version=1, target_epsilon=0.3, entries_offset=0)
+    storage.write_container(path, storage.MATRIX_MAGIC, old, blob)
+    with pytest.raises(FileFormatError, match="unsupported matrix version 1"):
+        measurement.load_matrix(path)
+
+
+@pytest.mark.parametrize("change", [-8, -1, 1, 8])
+def test_matrix_load_refuses_a_blob_of_the_wrong_length(tmp_path, change):
+    path = tmp_path / "m.mcsmtrx"
+    measurement.save_matrix(measurement.gaussian_matrix(3, 4, seed=1), path)
+    manifest, blob = storage.read_container(path, storage.MATRIX_MAGIC)
+    blob = blob[:change] if change < 0 else blob + bytes(change)
+    storage.write_container(path, storage.MATRIX_MAGIC, manifest, blob)
+    with pytest.raises(FileFormatError, match="a 3 x 4 matrix needs 96 blob bytes, have %d" % (96 + change)):
+        measurement.load_matrix(path)
 
 
 def test_matrix_load_rejects_dictionary_container(tmp_path, circle_dict):
@@ -316,7 +338,7 @@ def test_matrix_load_rejects_hostile_manifests(tmp_path):
     path = tmp_path / "m.mcsmtrx"
     measurement.save_matrix(measurement.gaussian_matrix(3, 4, seed=1), path)
     manifest, blob = storage.read_container(path, storage.MATRIX_MAGIC)
-    for key in ("m", "ambient_dim", "entries_offset", "ensemble", "seed", "target_epsilon"):
+    for key in ("m", "ambient_dim", "ensemble", "seed"):
         broken = dict(manifest)
         del broken[key]
         storage.write_container(path, storage.MATRIX_MAGIC, broken, blob)

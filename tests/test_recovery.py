@@ -80,6 +80,7 @@ def assert_rows_match_single(batch, comp, M, d, j):
         k = single.chosen_center
         assert k == batch.chosen_centers[i]
         assert single.chosen_scale == batch.chosen_scales[i]
+        assert single.searched_scale == batch.searched_scale == (d.max_scale if j == "auto" else j)
         assert np.array_equal(single.reconstruction, batch.reconstructions[i])
         dim = d.local_dims(single.chosen_scale)[k]
         assert single.coefficients.shape == (dim,)
@@ -135,6 +136,31 @@ def test_mixed_local_dims_share_one_batch(mixed_dict):
                 )
                 for name, column in columns.items():
                     assert getattr(bundle, name) == column[i], name
+
+
+def test_auto_certificates_equal_the_finest_scale_ones():
+    # "auto" searches the finest layer, so line 3's best center comes from that layer too,
+    # even for rows whose fit was made at a coarser scale
+    train = geometry.add_noise(geometry.gen_swiss_roll(2000, seed=1), 0.05, 2)
+    query = geometry.add_noise(geometry.gen_swiss_roll(2000, seed=3), 0.05, 4).points
+    d = gmra.build_dictionary(train, local_dim=2, max_scale=8, min_points=6)
+    M = measurement.gaussian_matrix(8, 3, seed=1)
+    comp = M.apply(query)
+    auto = recovery.recover_batch(comp, M, d, "auto")
+    finest = recovery.recover_batch(comp, M, d, 8)
+    assert np.array_equal(auto.reconstructions, finest.reconstructions)
+    coarser = np.nonzero(auto.chosen_scales < 8)[0]
+    assert coarser.size > 100
+    x_opt = query + 0.01
+    columns = recovery.certify_batch(query, M, d, auto, 0.3, x_opt=x_opt)
+    want = recovery.certify_batch(query, M, d, finest, 0.3, x_opt=x_opt)
+    assert columns.keys() == want.keys()
+    for name in columns:
+        assert np.array_equal(columns[name], want[name]), name
+    for i in coarser[:20]:
+        bundle = recovery.certify(query[i], M, d, recovery.recover(comp[i], M, d, "auto"), 0.3, x_opt=x_opt[i])
+        for name, column in columns.items():
+            assert getattr(bundle, name) == column[i], name
 
 
 def test_recover_centers_exactly_in_mixed_dictionary(mixed_dict):
