@@ -345,7 +345,12 @@ def cmd_bounds(args):
 
 
 def cmd_experiment_run(args):
-    config = harness.ExperimentConfig.from_json(args.config)
+    try:
+        config = harness.ExperimentConfig.from_json(args.config)
+    except FileNotFoundError as exc:
+        raise SystemExit("experiment run: %s: %s" % (exc.strerror, exc.filename))
+    except ValueError as exc:
+        raise SystemExit("experiment run: %s" % exc)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
     result = harness.run_experiment(config)
@@ -359,6 +364,8 @@ def cmd_experiment_plot(args):
         result = harness.load_results_csv(args.results)
     except FileNotFoundError as exc:
         raise SystemExit("experiment plot: %s: %s" % (exc.strerror, exc.filename))
+    except ValueError as exc:
+        raise SystemExit("experiment plot: %s" % exc)
     paths = harness.emit_plot(result, args.out)
     for path in paths:
         print("wrote %s" % path)

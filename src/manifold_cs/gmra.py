@@ -28,8 +28,13 @@ Construction details that matter for the invariants:
 * Every distance search goes through one kernel, ``sq_dists``, or its
   blocked argmin ``_nearest_rows``: a Gram expansion in coordinates centered
   on the mean of the searched rows, so rounding scales with the cloud's
-  spread, not its offset (a cloud shifted by 1e8 builds the same cells), and
-  a query's answer does not depend on the other queries of the call.
+  spread, not its offset (a cloud shifted by 1e8 builds the same cells).
+  For many queries over many rows of few coordinates a k-d tree prunes the
+  search: it settles each query whose nearest row a rounding bound
+  certifies as the kernel's unique argmin, and the kernel decides the rest,
+  so every answer is the blocked scan's.  Only on a near-tie within the kernel's rounding can a
+  query's answer depend on the other queries of the call: BLAS may round a
+  1-row product differently from a block's.
 """
 
 import hashlib
@@ -37,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats
+from scipy.spatial import cKDTree
 
 from .errors import FileFormatError
 from .geometry import farthest_point_ordering
@@ -179,6 +185,11 @@ def _cell_fit(points, mode):
 
 # Blocked scans keep each temporary near this many float64 entries (2 MB).
 _BLOCK_ENTRIES = 1 << 18
+# A search of at least this many query-row pairs, over at least this many rows of at most
+# this many coordinates, asks a k-d tree first; ``_nearest_rows`` gives the measured crossover.
+_TREE_MIN_PAIRS = 1 << 17
+_TREE_MIN_ROWS = 64
+_TREE_MAX_DIM = 8
 
 
 def _centered(b):
@@ -204,11 +215,80 @@ def sq_dists(a, b):
 
 
 def _nearest_rows(a, b):
-    """Index of the row of b nearest to each row of a (ties to the lowest): blocked argmin of ``sq_dists``."""
-    terms = _centered(b)
+    """Index of the row of b nearest to each row of a (ties to the lowest): blocked argmin of ``sq_dists``.
+
+    The answer is that of the scan that evaluates the kernel on blocks of
+    _BLOCK_ENTRIES // len(b) rows of a against every row of b.  When b has at
+    least _TREE_MIN_ROWS rows of at most _TREE_MAX_DIM coordinates and
+    len(a) * len(b) is at least _TREE_MIN_PAIRS, a k-d tree over b's rows, in
+    the kernel's frame, first gives each row of a its two nearest rows of b
+    in difference form.  Where the rounding bound below certifies the tree's
+    nearest as the kernel's unique argmin, it is the answer.  Each block of
+    the scan that holds a row the bound leaves open (a near-tie) is evaluated
+    as the scan would: BLAS may round a 1-row product differently from a
+    block's, so the whole block, not the open rows alone, gives those rows
+    the scan's answer bit for bit.
+
+    The bound.  With r = x - m for each row x of a and b (m the mean of b's
+    rows), s = ||r||^2, u the float64 machine epsilon and t the smallest
+    normal float64, let δ_k = ||r_x - r_k|| exactly.  The kernel's value g_k
+    is within 2 (D + 2) u (s_x + s_k) of δ_k^2, plus a few subnormal spacings
+    on underflow.  The tree's squared distances are within (D + 2) u of δ^2
+    relative, its pruning bounds within 2 u per tree level more, and
+    squaring the distances it returns adds 2 u; for D plus twice the depth
+    below 10^6 that is under 1e-9 relative, and underflow adds far less than
+    t.  So with t1 <= t2 the squared distances of the two rows it returns,
+    every row but the nearest, k1, has δ^2 >= t2 (1 - 1e-9) - t, and
+    δ_k1^2 <= t1 (1 + 1e-9) + t.  The tree's nearest is taken when
+
+        t2 (1 - 1e-9) > t1 (1 + 1e-9) + 8 (D + 4) (u (s_x + max_k s_k) + t),
+
+    for then every other row's δ^2 exceeds δ_k1^2 by more than both kernel
+    roundings, and its g by more than g_k1.  Like the kernel's rounding, the
+    slack scales with the squared distances from b's mean, so it holds for a
+    cloud shifted by 1e8.  A row whose slack is not finite is left open.
+
+    Where the tree pays (2 cores, OpenBLAS on 1 thread; milliseconds per
+    call, scan / tree; swiss-roll queries against well-spread roll points,
+    D = 3 unless said).  The tree's cost has a floor per call: one query
+    against K = 64-2,000 rows costs 0.03-0.12 by the scan and 0.11-0.84 by
+    the tree.  The scan's cost follows its len(a) * K kernel entries: below
+    about 2^17 of them it is fast (2,000 queries, K = 32: 0.49 / 1.21; 64
+    queries, K = 1,000: 0.38 / 0.54), past about 2^18 its temporaries leave
+    the cache and it slows 2-3 times (2,000 queries, K = 128: 3.1-3.3 / 1.6,
+    K = 400: 10.0 / 1.8-2.2; 256 queries, K = 1,000: 3.0 / 0.7; 20,000
+    queries, K = 64: 15.4-16.0 / 13.4-13.5, K = 128: 31.6 / 13.5-15.4;
+    D = 8, 20,000 queries, K = 64: 14.2 / 12.9), and between the two it
+    varies from process to process with the allocator's state (2,000
+    queries, K = 96: 0.96-1.00 / 1.47-1.51 in two, 2.5 / 1.6 in a third;
+    1,000 queries, K = 192: 0.86-0.95 / 0.92-0.98).  There the tree is at
+    worst 1.6 times slower and the scan 2.6 times, so the tree starts at
+    2^17.  Below 64 rows the tree loses at any size (20,000 queries,
+    K = 32: 8.2 / 9.6).
+    Wide rows favour the scan: the roll in R^200 measured by a Haar m = 8
+    matrix (1,500 queries, K = 87-169) comes out about even, by a Gaussian
+    m = 32 one 0.75-1.39 / 1.44-1.88.  So the tree takes calls of at least
+    2^17 query-row pairs over K >= 64 rows of D <= 8 coordinates, and the
+    scan stays the exact evaluator for near-ties, for few queries, for few
+    rows and for wide ones.
+    """
+    terms = ref, b_rel, b_sq = _centered(b)
+    dim = b.shape[1]
     block = max(1, _BLOCK_ENTRIES // len(b))
+    starts = range(0, len(a), block)
     out = np.empty(len(a), dtype=np.intp)
-    for lo in range(0, len(a), block):
+    tree_pays = len(b) >= _TREE_MIN_ROWS and dim <= _TREE_MAX_DIM and len(a) * len(b) >= _TREE_MIN_PAIRS
+    if tree_pays and np.isfinite(b_sq.max()):
+        a_rel = a - ref
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
+        slack = 8.0 * (dim + 4) * (eps * (np.einsum("ij,ij->i", a_rel, a_rel) + b_sq.max()) + tiny)
+        # the tree takes finite queries only; a row whose slack is not finite is left open anyway
+        dist, near = cKDTree(b_rel).query(np.where(np.isfinite(slack)[:, None], a_rel, 0.0), k=2)
+        first, second = (dist * dist).T
+        out[:] = near[:, 0]
+        open_rows = np.flatnonzero(~(second * (1.0 - 1e-9) > first * (1.0 + 1e-9) + slack))
+        starts = np.unique(open_rows // block) * block
+    for lo in starts:
         out[lo : lo + block] = np.argmin(_sq_dists_centered(a[lo : lo + block], *terms), axis=1)
     return out
 

@@ -2,12 +2,14 @@
 
 Protocol per noise level: perturb the base cloud, rebuild the dictionary on
 the perturbed points down to the deepest requested scale, then for each
-requested scale and oversampling factor draw num_draws fresh measurement
+requested scale and oversampling factor take num_draws measurement
 matrices with m = min(d_j * f, D) rows and run batch recovery over every
-point.  The dictionary is shared across the draws of one noise level; only
-the matrix is redrawn.  All randomness is derived from the master seed by
-fixed spawn keys, so the result rows (and the CSV they serialize to) are a
-pure function of the config, which is the run's only configuration.
+point.  The dictionary is shared across the draws of one noise level.  A
+matrix is seeded by (noise level, f, draw, m), so the scales that share m
+share it, and each is drawn and applied to the cloud once.  All randomness
+is derived from the master seed by fixed spawn keys, so the result rows
+(and the CSV they serialize to) are a pure function of the config, which is
+the run's only configuration.
 Wall-clock timings are inherently non-reproducible and therefore live in a
 separate timing CSV, keeping the results file byte-stable across reruns.
 Progress goes to the module logger at INFO.
@@ -69,12 +71,10 @@ def rel_mse_with_max(points, reconstructions):
     return float(np.sqrt(err_sq.mean())), float(err_sq.max())
 
 
-def rel_mse_baseline(points, dictionary, finest=None):
+def rel_mse_baseline(points, dictionary):
     """Uncompressed finest-scale relMSE: project each point on its nearest cell."""
-    if finest is None:
-        finest = dictionary.max_scale
     pts = points.points if isinstance(points, geometry.PointCloud) else np.asarray(points, dtype=np.float64)
-    recon = project_at_scale(dictionary, finest, pts)
+    recon = project_at_scale(dictionary, dictionary.max_scale, pts)
     return rel_mse(points, recon)
 
 
@@ -113,15 +113,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
-        """Read a config file; a key that is not a field, or a missing dataset, raises ValueError."""
-        with open(path, "r", encoding="utf-8") as fh:
-            given = json.load(fh)
-        if not isinstance(given, dict):
-            raise ValueError("%s holds a JSON %s, not an object of config fields" % (path, type(given).__name__))
-        unknown = sorted(set(given) - {f.name for f in fields(cls)})
-        if unknown or "dataset" not in given:
-            raise ValueError("%s: %s" % (path, "unknown key %r" % unknown[0] if unknown else "no 'dataset' key"))
-        return cls(**given)
+        """Read a config file.
+
+        Text that is not JSON, a JSON value that is not an object, a key that
+        is not a field, a missing dataset and a value the constructor refuses
+        each raise ValueError naming the file.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                given = json.load(fh)
+            if not isinstance(given, dict):
+                raise ValueError("a JSON %s, not an object of config fields" % type(given).__name__)
+            unknown = sorted(set(given) - {f.name for f in fields(cls)})
+            if unknown or "dataset" not in given:
+                raise ValueError("unknown key %r" % unknown[0] if unknown else "no 'dataset' key")
+            return cls(**given)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -210,6 +218,7 @@ def run_experiment(config):
         baseline = rel_mse_baseline(cloud, dictionary)
         mean_norms[sigma] = float(np.linalg.norm(cloud.points, axis=1).mean())
         dim = cloud.ambient_dim
+        drawn = {}  # seed -> (matrix, measured cloud), each drawn and applied once
         for j in config.scales:
             d_j = dictionary.max_local_dim(j)
             for f in config.oversampling:
@@ -218,11 +227,13 @@ def run_experiment(config):
                     # one fixed matrix per drawn dimension: scales sharing m
                     # within a draw see the same projection
                     seed = derive_seed(config.seed, 2, s_idx, f, draw, m)
-                    if config.ensemble == "haar-orthoprojection":
-                        matrix = measurement.orthoprojection_matrix(m, dim, seed)
-                    else:
-                        matrix = measurement.gaussian_matrix(m, dim, seed)
-                    comp = matrix.apply(cloud.points)
+                    if seed not in drawn:
+                        if config.ensemble == "haar-orthoprojection":
+                            matrix = measurement.orthoprojection_matrix(m, dim, seed)
+                        else:
+                            matrix = measurement.gaussian_matrix(m, dim, seed)
+                        drawn[seed] = matrix, matrix.apply(cloud.points)
+                    matrix, comp = drawn[seed]
                     t0 = time.perf_counter()
                     batch = recovery.recover_batch(comp, matrix, dictionary, j)
                     elapsed = time.perf_counter() - t0
@@ -262,7 +273,9 @@ def load_results_csv(path):
     """Rebuild an ExperimentResult for replotting from results.csv and the config.json beside it.
 
     The rows are the results.csv rows as read (strings); timing rows and
-    mean norms are not recoverable from the results file.
+    mean norms are not recoverable from the results file.  A refused config
+    or a damaged row raises ValueError (CsvParseError for a row) naming its
+    file.
     """
     config = ExperimentConfig.from_json(os.path.join(os.path.dirname(path), "config.json"))
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -271,7 +284,10 @@ def load_results_csv(path):
     missing = [c for c in RESULTS_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
         raise CsvParseError("%s has no %r column" % (path, missing[0]), row=1)
-    result = ExperimentResult(config=config, rows=rows, timing_rows=[], mean_norms={})
+    try:
+        result = ExperimentResult(config=config, rows=rows, timing_rows=[], mean_norms={})
+    except CsvParseError as exc:
+        raise CsvParseError("%s: %s" % (path, exc), row=exc.row) from None
     if not result.aggregates:
         raise ValueError("no usable result rows in %s" % path)
     return result

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -251,6 +252,15 @@ def test_experiment_run_and_plot(tmp_path, capsys):
     with pytest.raises(SystemExit, match="config.json"):
         run_cli("experiment", "plot", "--results", lone / "results.csv", "--out", plot_dir)
 
+    # so is a damaged row, with the file and the line named
+    damaged = tmp_path / "damaged"
+    damaged.mkdir()
+    (damaged / "config.json").write_bytes((tmp_path / "exp" / "config.json").read_bytes())
+    (damaged / "results.csv").write_text(results.read_text() + "swiss-roll,0,1,2,0,abc,0.1,2,4,0.2\n")
+    cause = "experiment plot: %s: results row at line 5: could not convert string to float: 'abc'"
+    with pytest.raises(SystemExit, match=re.escape(cause % (damaged / "results.csv"))):
+        run_cli("experiment", "plot", "--results", damaged / "results.csv", "--out", plot_dir)
+
 
 def test_experiment_commands_refuse_a_config_with_removed_keys(tmp_path):
     # a config.json written when max_scale and sep_constant_hint were config fields
@@ -260,9 +270,10 @@ def test_experiment_commands_refuse_a_config_with_removed_keys(tmp_path):
               "sep_constant_hint": 1.0, "output_dir": str(tmp_path / "out")}
     (exp / "config.json").write_text(json.dumps(config))
     (exp / "results.csv").write_text("dataset,sigma,j,f,draw,relMSE,relMSE_J,d_j,m,max_sq_rel_err,status\n")
-    with pytest.raises(ValueError, match="unknown key 'max_scale'"):
+    cause = re.escape("%s: unknown key 'max_scale'" % (exp / "config.json"))
+    with pytest.raises(SystemExit, match="^experiment run: " + cause):
         run_cli("experiment", "run", "--config", exp / "config.json")
-    with pytest.raises(ValueError, match="unknown key 'max_scale'"):
+    with pytest.raises(SystemExit, match="^experiment plot: " + cause):
         run_cli("experiment", "plot", "--results", exp / "results.csv", "--out", tmp_path / "plots")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp"]
 

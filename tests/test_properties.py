@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.spatial import cKDTree
 
 from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import FileFormatError
@@ -144,15 +145,73 @@ def test_nearest_rows_matches_difference_scan(data):
     dim = data.draw(st.integers(1, 5), label="dim")
     coords = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
     a = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30)), dim), elements=coords), label="a")
-    b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 30)), dim), elements=coords), label="b")
+    b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 300)), dim), elements=coords), label="b")
     shift = data.draw(st.sampled_from([0.0, 1e4, -1e6, 1e8]), label="shift")
-    a, b = a + shift, b + shift
+    # repeating a's rows up to the tree's query-row pair count reaches the tree when b has enough rows
+    reps = data.draw(st.sampled_from([1, -(-gmra._TREE_MIN_PAIRS // (len(a) * len(b)))]), label="reps")
+    a, b = np.tile(a, (reps, 1)) + shift, b + shift
     got = gmra._nearest_rows(a, b)
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     ref = b.mean(axis=0)
     spread = ((a - ref) ** 2).sum(axis=1) + ((b - ref) ** 2).sum(axis=1).max()
     bound = 16 * (dim + 2) * np.finfo(np.float64).eps * spread
     assert np.all(d2[np.arange(len(a)), got] <= d2.min(axis=1) + bound)
+
+
+def flat_nearest_rows(a, b):
+    """Reference search: the blocked argmin of the kernel over every row of b, ties to the lowest index."""
+    terms = gmra._centered(b)
+    block = max(1, gmra._BLOCK_ENTRIES // len(b))
+    out = np.empty(len(a), dtype=np.intp)
+    for lo in range(0, len(a), block):
+        out[lo : lo + block] = np.argmin(gmra._sq_dists_centered(a[lo : lo + block], *terms), axis=1)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.one_of(st.integers(1, gmra._TREE_MIN_ROWS - 1), st.integers(gmra._TREE_MIN_ROWS, 300)),
+    n=st.integers(1, 30),
+    bulk=st.booleans(),
+    nudge=st.sampled_from([0.0, 1e-7]),
+    dim=st.sampled_from([1, 2, 3, 8, 9, 32]),
+    lattice=st.booleans(),
+    duplicates=st.booleans(),
+    apart=st.sampled_from([0.0, 1e6]),
+    shift=st.sampled_from([0.0, 1e8]),
+)
+def test_nearest_rows_equals_the_flat_scan_bit_for_bit(seed, k, n, bulk, nudge, dim, lattice, duplicates, apart, shift):
+    # Lattice coordinates and rows of b drawn with replacement give exact ties.  Each random query comes with a
+    # planted one: a point near a random row of b moved onto the bisector of its two nearest rows, then nudged
+    # towards one of them by `nudge` of their gap.  Two clusters `apart` make the kernel's rounding far coarser
+    # than the distances inside a cluster, so near-ties that a tree could settle wrongly are not rare.  `bulk`
+    # plants queries up to the tree's query-row pair count, so the call reaches the tree when b has enough rows.
+    # The nudge is one per call: a single tie the slack leaves open sends its whole scan block to the kernel, so
+    # only a call without exact ties shows whether the slack certifies a near-tie that the kernel decides apart.
+    # A 1-row call must equal the reference's 1-row call: BLAS may round a one-row product differently from a
+    # block, so on such near-ties the kernel's own 1-row and n-row answers can differ, and both must be kept.
+    rng = np.random.default_rng(seed)
+    n_planted = n + (-(-gmra._TREE_MIN_PAIRS // k) if bulk else 0)
+    a, b = rng.standard_normal((n, dim)), rng.standard_normal((k, dim))
+    if lattice:
+        a, b = np.round(a * 2.0) / 2.0, np.round(b * 2.0) / 2.0
+    b[1::2, 0] += apart
+    if duplicates:
+        b = b[rng.integers(0, k, size=k)]
+    x = b[rng.integers(0, k, size=n_planted)] + 0.5 * rng.standard_normal((n_planted, dim))
+    if k > 1:
+        near = cKDTree(b).query(x, k=2)[1]
+        first, second = b[near[:, 0]], b[near[:, 1]]
+        gap = first - second
+        gap_sq = np.einsum("ij,ij->i", gap, gap)
+        along = np.einsum("ij,ij->i", x - (first + second) / 2.0, gap) / np.where(gap_sq > 0.0, gap_sq, 1.0)
+        x += (nudge - along)[:, None] * gap
+    a, b = np.vstack([a, x]) + shift, b + shift
+    got = gmra._nearest_rows(a, b)
+    assert got.tolist() == flat_nearest_rows(a, b).tolist()
+    for row in a[: 2 * n]:
+        assert gmra._nearest_rows(row[None], b).tolist() == flat_nearest_rows(row[None], b).tolist()
 
 
 def difference_form_fps(pts, stop_radius=0.0, stop_fraction=None):

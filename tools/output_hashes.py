@@ -1,0 +1,114 @@
+"""Print one sha256 per output that a change keeping results bit for bit must leave unmoved.
+
+    PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/output_hashes.py
+
+Each line is ``<seed> <output> <sha256>``, for seeds 1 and 501. The inputs
+are the benchmark's three workloads at full size (bench/workloads.py, see
+bench/README.md), each set up and run once:
+
+* grid-roll3: the ``results.csv`` its run writes;
+* roll200: the saved dictionary of its cloud, and ``recover_batch``'s
+  outputs at every scale and at "auto" for each of its two matrices;
+* cli-roll3: the ``roll.dict``, ``recon.csv``, ``recon_auto.csv`` and
+  ``cert.csv`` its CLI chain writes, ``recover_batch``'s outputs at every
+  scale for its matrix, and the ``gmra validate --json`` report.
+
+To check that a change moves no output, run the script against each
+commit's ``src`` and compare::
+
+    PYTHONPATH=<old checkout>/src python3 tools/output_hashes.py > old.txt
+    PYTHONPATH=src python3 tools/output_hashes.py > new.txt
+    diff old.txt new.txt
+
+Run both with the same BLAS thread count: some roll200 hashes depend on it,
+because a threaded product rounds differently.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from manifold_cs import cli, geometry, gmra, measurement, recovery
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
+import workloads  # noqa: E402
+
+SEEDS = (1, 501)
+
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def file_sha(path):
+    with open(path, "rb") as fh:
+        return sha(fh.read())
+
+
+def batch_sha(batch):
+    """One hash over every array of a BatchRecovery, with its dtype and shape."""
+    h = hashlib.sha256()
+    for name in ("reconstructions", "chosen_scales", "chosen_centers", "coefficients", "residuals", "ill_conditioned"):
+        arr = np.ascontiguousarray(getattr(batch, name))
+        h.update(("%s %s %s;" % (name, arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def recover_every_scale(label, matrix, dictionary, points):
+    comp = matrix.apply(points)
+    for j in list(range(dictionary.max_scale + 1)) + ["auto"]:
+        yield "%s recover_batch j=%s" % (label, j), batch_sha(recovery.recover_batch(comp, matrix, dictionary, j))
+
+
+def grid_roll3(seed, tmp):
+    work = workloads.GridRoll3(seed, "full", tmp, {})
+    work.setup()
+    work.iteration(workloads.OpLog())
+    yield "grid-roll3 results.csv", file_sha(os.path.join(work.config.output_dir, "results.csv"))
+
+
+def roll200(seed, tmp):
+    work = workloads.Roll200(seed, "full", tmp, {})
+    work.setup()
+    dictionary = gmra.build_dictionary(work.cloud, local_dim=2, max_scale=work.p["max_scale"], min_points=6)
+    path = os.path.join(tmp, "roll200.dict")
+    gmra.save_dictionary(dictionary, path)
+    yield "roll200 dictionary", file_sha(path)
+    for label, draw, m, matrix_seed in work.matrices:
+        matrix = getattr(measurement, draw)(m, work.p["dim"], matrix_seed)
+        yield from recover_every_scale("roll200 " + label, matrix, dictionary, work.cloud.points)
+
+
+def cli_roll3(seed, tmp):
+    work = workloads.CliRoll3(seed, "full", tmp, {})
+    work.setup()
+    work.iteration(workloads.OpLog())
+    for name in ("roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
+        yield "cli-roll3 " + name, file_sha(work.path(name))
+    matrix = measurement.load_matrix(work.path("M.mtx"))
+    dictionary = gmra.load_dictionary(work.path("roll.dict"))
+    query = geometry.load_csv(work.path("query.csv"))
+    yield from recover_every_scale("cli-roll3 gaussian m=8", matrix, dictionary, query.points)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        cli.main(["gmra", "validate", "--dict", work.path("roll.dict"), "--cloud", work.path("train.csv"), "--json"])
+    yield "cli-roll3 validate --json", sha(report.getvalue().encode())
+
+
+def main():
+    for seed in SEEDS:
+        for workload in (grid_roll3, roll200, cli_roll3):
+            with tempfile.TemporaryDirectory() as tmp:
+                for name, digest in workload(seed, tmp):
+                    print("%d %s %s" % (seed, name, digest), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
