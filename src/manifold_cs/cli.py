@@ -12,6 +12,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, gmra, harness, measurement, recovery
+from .errors import CsvParseError, FileFormatError
 
 
 def main(argv=None):
@@ -86,9 +87,7 @@ def build_parser():
     r.add_argument("--points", help="CSV of the original points (enables certificates)")
     r.add_argument("--certificates", help="CSV path for per-point certificates")
     r.add_argument("--eps", type=float, default=0.3)
-    r.add_argument("--tube-delta", type=float, default=0.0)
     r.add_argument("--manifold", help="sphere | swiss-roll | path to a dense-cloud CSV")
-    r.add_argument("--intrinsic-dim", type=int, default=None)
     r.set_defaults(func=cmd_recover)
 
     bo = sub.add_parser("bounds", help="print a CSV table of the closed-form bounds")
@@ -135,8 +134,18 @@ def cmd_generate(args):
     print("wrote %d x %d cloud to %s" % (cloud.n, cloud.ambient_dim, args.out))
 
 
+def _read(load, path):
+    """load(path), with an unreadable, damaged or malformed file ending the command in one line naming it."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise SystemExit("%s: %s" % (path, exc.strerror))
+    except (CsvParseError, FileFormatError) as exc:
+        raise SystemExit("%s: %s" % (path, exc))
+
+
 def cmd_gmra_build(args):
-    cloud = geometry.load_csv(args.cloud)
+    cloud = _read(geometry.load_csv, args.cloud)
     dictionary = gmra.build_dictionary(
         cloud,
         local_dim=args.local_dim,
@@ -161,8 +170,8 @@ VALIDATE_JSON_FIELDS = (
 
 
 def cmd_gmra_validate(args):
-    dictionary = gmra.load_dictionary(args.dict_path)
-    cloud = geometry.load_csv(args.cloud)
+    dictionary = _read(gmra.load_dictionary, args.dict_path)
+    cloud = _read(geometry.load_csv, args.cloud)
     report = gmra.validate_structure(dictionary, cloud)
     if args.json:
         payload = {name: _finite_or_null(getattr(report, name)) for name in VALIDATE_JSON_FIELDS}
@@ -199,11 +208,11 @@ def cmd_measure_make(args):
 
 
 def cmd_measure_verify(args):
-    matrix = measurement.load_matrix(args.matrix)
+    matrix = _read(measurement.load_matrix, args.matrix)
     rc = 0
     did = False
     if args.probes:
-        probes = geometry.load_csv(args.probes).points
+        probes = _read(geometry.load_csv, args.probes).points
         try:
             report = measurement.verify_distortion(matrix, probes, args.eps)
         except ValueError as exc:
@@ -222,20 +231,20 @@ def cmd_measure_verify(args):
     if args.assumption_set:
         if not args.dict_path:
             raise SystemExit("--assumption-set needs --dict")
-        dictionary = gmra.load_dictionary(args.dict_path)
+        dictionary = _read(gmra.load_dictionary, args.dict_path)
         x = None
         cloud = None
         if args.assumption_set == 1:
             if not args.query:
                 raise SystemExit("assumption set 1 needs --query")
-            query = geometry.load_csv(args.query).points
+            query = _read(geometry.load_csv, args.query).points
             if len(query) != 1:
                 raise SystemExit("assumption set 1 takes one query point, %s has %d rows" % (args.query, len(query)))
             x = query[0]
         else:
             if not args.cloud:
                 raise SystemExit("assumption set 2 needs --cloud")
-            cloud = geometry.load_csv(args.cloud)
+            cloud = _read(geometry.load_csv, args.cloud)
         report = measurement.verify_assumption_set(
             matrix, dictionary, x=x, which=args.assumption_set, eps=args.eps, cloud=cloud
         )
@@ -252,9 +261,9 @@ def cmd_measure_verify(args):
 
 
 def cmd_recover(args):
-    matrix = measurement.load_matrix(args.matrix)
-    dictionary = gmra.load_dictionary(args.dict_path)
-    meas = geometry.load_csv(args.measurements).points
+    matrix = _read(measurement.load_matrix, args.matrix)
+    dictionary = _read(gmra.load_dictionary, args.dict_path)
+    meas = _read(geometry.load_csv, args.measurements).points
     if meas.shape[1] != matrix.m:
         raise SystemExit("measurement rows have %d entries, matrix m=%d" % (meas.shape[1], matrix.m))
     batch = recovery.recover_batch(meas, matrix, dictionary, args.scale)
@@ -265,20 +274,18 @@ def cmd_recover(args):
     if args.points or args.certificates:
         if not (args.points and args.certificates):
             raise SystemExit("certificates need both --points and --certificates")
-        points = geometry.load_csv(args.points).points
+        points = _read(geometry.load_csv, args.points).points
         if points.shape[0] != meas.shape[0]:
             raise SystemExit("points and measurements row counts differ")
         x_opt = None
         if args.manifold:
             manifold = (
-                geometry.load_csv(args.manifold)
+                _read(geometry.load_csv, args.manifold)
                 if args.manifold not in ("sphere", "swiss-roll")
                 else args.manifold
             )
-            x_opt = recovery.nearest_point_oracle(points, manifold, args.intrinsic_dim)
-        columns = recovery.certify_batch(
-            points, matrix, dictionary, batch, args.eps, x_opt=x_opt, tube_delta=args.tube_delta
-        )
+            x_opt = recovery.nearest_point_oracle(points, manifold)
+        columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt)
         # every CertificateBundle quantity, in field order; absent ones are left empty
         names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
         rows = (
@@ -353,7 +360,12 @@ def cmd_experiment_run(args):
         raise SystemExit("experiment run: %s" % exc)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
-    result = harness.run_experiment(config)
+    try:
+        result = harness.run_experiment(config)
+    except OSError as exc:
+        raise SystemExit("experiment run: %s: %s" % (exc.strerror, exc.filename))
+    except CsvParseError as exc:  # the dataset CSV; the message names it
+        raise SystemExit("experiment run: %s" % exc)
     print("results: %s" % (config.output_dir,))
     for (sigma, j, f), (mean, std) in sorted(result.aggregates.items()):
         print("sigma=%g j=%d f=%d: relMSE %.4g +- %.4g" % (sigma, j, f, mean, std))

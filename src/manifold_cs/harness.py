@@ -26,6 +26,7 @@ import numpy as np
 
 from . import geometry, gmra, measurement, recovery
 from .errors import CsvParseError
+from .geometry import csv_number
 from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
 
@@ -162,8 +163,9 @@ class ExperimentResult:
                 message = "results row at line %d does not have %d fields" % (line, len(RESULTS_COLUMNS))
                 raise CsvParseError(message, row=line)
             try:
-                sigma, j, f = float(row["sigma"]), int(row["j"]), int(row["f"])
-                value, baseline, d_j = float(row["relMSE"]), float(row["relMSE_J"]), int(row["d_j"])
+                sigma, j, f = csv_number(row["sigma"]), csv_number(row["j"], int), csv_number(row["f"], int)
+                value, baseline = csv_number(row["relMSE"]), csv_number(row["relMSE_J"])
+                d_j = csv_number(row["d_j"], int)
             except ValueError as exc:
                 raise CsvParseError("results row at line %d: %s" % (line, exc), row=line) from None
             draws.setdefault((sigma, j, f), []).append(value)
@@ -187,7 +189,11 @@ def derive_seed(master, *key):
 def load_dataset(descriptor):
     """Materialize the configured base cloud (generator or CSV)."""
     if "csv" in descriptor:
-        return geometry.load_csv(descriptor["csv"], label=descriptor.get("label", "csv"))
+        path = descriptor["csv"]
+        try:
+            return geometry.load_csv(path, label=descriptor.get("label", "csv"))
+        except CsvParseError as exc:
+            raise CsvParseError("%s: %s" % (path, exc), row=exc.row) from None
     gen = descriptor.get("generator")
     if gen == "swiss-roll":
         return geometry.gen_swiss_roll(descriptor["n"], descriptor.get("seed", 0))
@@ -278,9 +284,13 @@ def load_results_csv(path):
     file.
     """
     config = ExperimentConfig.from_json(os.path.join(os.path.dirname(path), "config.json"))
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    try:
+        reader = csv.DictReader(geometry.csv_lines(path, newline=""))
         rows = list(reader)
+    except CsvParseError as exc:
+        raise CsvParseError("%s: %s" % (path, exc), row=exc.row) from None
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise CsvParseError("%s: %s" % (path, exc)) from None
     missing = [c for c in RESULTS_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
         raise CsvParseError("%s has no %r column" % (path, missing[0]), row=1)

@@ -6,12 +6,14 @@ center k' at scale j, (ii) solves the overdetermined least squares problem
 min_u || M B^T u - (Mx - Mc) || on that cell's plane with an SVD
 pseudoinverse truncated at 1e-10 relative, and (iii) assembles B^T u' + c.
 One batched core runs all three steps: ``recover_batch`` is its n-row call
-and ``recover`` its 1-row call, and a row's answer does not depend on the
-rows recovered with it.  ``certify_batch`` evaluates, for known queries x,
-both sides of the center-quality (line 3, against the best center of the
-layer the recovery searched) and least-squares-quality (line 4)
-inequalities, plus the optimal-point comparison when the nearest manifold
-points are known; ``certify`` is its 1-row call.
+and ``recover`` its 1-row call.  Only on a near-tie within the distance
+kernel's rounding can a row's answer depend on the rows recovered with it:
+BLAS may round a 1-row product differently from a block's (see ``gmra``).
+``certify_batch`` evaluates, for known queries x, both sides of the
+center-quality (line 3, against the best center of the layer the recovery
+searched) and least-squares-quality (line 4) inequalities, plus the
+optimal-point comparison when the nearest manifold points are known;
+``certify`` is its 1-row call.
 """
 
 from dataclasses import dataclass

@@ -278,12 +278,37 @@ def test_experiment_commands_refuse_a_config_with_removed_keys(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp"]
 
 
+def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_path):
+    bad_csv = tmp_path / "cloud.csv"
+    bad_csv.write_bytes(b"1,2,3\n\xff\xfe,1,2\n")
+    with pytest.raises(SystemExit, match="^%s: row 2 is not UTF-8 text$" % re.escape(str(bad_csv))):
+        run_cli("gmra", "build", "--cloud", bad_csv, "--out", tmp_path / "d")
+    with pytest.raises(SystemExit, match="^%s: " % re.escape(str(tmp_path / "none.csv"))):
+        run_cli("gmra", "build", "--cloud", tmp_path / "none.csv", "--out", tmp_path / "d")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"dataset": {"csv": str(bad_csv)}, "oversampling": [2], "num_draws": 1,
+                                  "scales": [0], "output_dir": str(tmp_path / "exp")}))
+    with pytest.raises(SystemExit, match="^experiment run: %s: row 2 is not UTF-8 text$" % re.escape(str(bad_csv))):
+        run_cli("experiment", "run", "--config", config)
+    m_path = tmp_path / "m.mcsmtrx"
+    run_cli("measure", "make", "--ensemble", "gaussian", "--m", 2, "--dim", 3, "--seed", 1, "--out", m_path)
+    truncated = tmp_path / "cut.mcsmtrx"
+    truncated.write_bytes(m_path.read_bytes()[:10])
+    with pytest.raises(SystemExit, match="^%s: truncated file" % re.escape(str(truncated))):
+        run_cli("recover", "--measurements", tmp_path / "y.csv", "--matrix", truncated, "--dict", tmp_path / "d",
+                "--out", tmp_path / "x.csv")
+
+
 def test_removed_options_are_refused(tmp_path, capsys):
     for argv in (
         ["experiment", "run", "--config", tmp_path / "c.json", "--seed", 1],
         ["experiment", "run", "--config", tmp_path / "c.json", "--experiment-scales", "0,1"],
         ["measure", "make", "--ensemble", "gaussian", "--m", 2, "--dim", 3, "--eps", 0.3, "--out", tmp_path / "M"],
         ["gmra", "build", "--cloud", tmp_path / "c.csv", "--out", tmp_path / "d", "--sep-hint", 0.5],
+        ["recover", "--measurements", tmp_path / "y.csv", "--matrix", tmp_path / "M", "--dict", tmp_path / "d",
+         "--out", tmp_path / "x.csv", "--tube-delta", 0.1],
+        ["recover", "--measurements", tmp_path / "y.csv", "--matrix", tmp_path / "M", "--dict", tmp_path / "d",
+         "--out", tmp_path / "x.csv", "--intrinsic-dim", 2],
     ):
         with pytest.raises(SystemExit):
             run_cli(*argv)

@@ -138,6 +138,28 @@ def test_fps_settles_an_exact_tie_on_the_lowest_index(shift):
     assert order.tolist() == [0, 1, 2, 3, 4] and radii.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
 
 
+def test_fps_screens_low_rank_clouds_in_few_coordinates_and_full_rank_ones_at_full_width():
+    rng = np.random.default_rng(5)
+    frame = np.linalg.qr(rng.standard_normal((200, 3)))[0]
+    clouds = {
+        "roll in R^3": geometry.gen_swiss_roll(1500, seed=5).points,
+        "roll rotated into R^200": geometry.gen_swiss_roll(1500, seed=5).points @ frame.T,
+        "Gaussian in R^17": rng.standard_normal((1500, 17)),
+        "Gaussian in R^200": rng.standard_normal((1500, 200)),
+    }
+    widths = {}
+    for name, pts in clouds.items():
+        rel = pts - pts.mean(axis=0)
+        coords, _ = geometry._screen_coordinates(rel)
+        widths[name] = "full" if coords is rel else coords.shape[1]
+    assert widths == {
+        "roll in R^3": "full",
+        "roll rotated into R^200": geometry._SCREEN_RANK + 1,
+        "Gaussian in R^17": "full",
+        "Gaussian in R^200": "full",
+    }
+
+
 def test_cover_sizes_below_covering_number_up_to_dim_three():
     # unit d-sphere: V * (d/2+1)^(d/2+1) / (2^(d/2) delta^d) caps the greedy size
     volumes = {1: 2 * np.pi, 2: 4 * np.pi, 3: 2 * np.pi**2}
@@ -212,6 +234,12 @@ def test_csv_header_row(tmp_path):
     assert cloud.points.shape == (1, 2)
 
 
+def test_csv_byte_order_mark_is_not_a_header(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"\xef\xbb\xbf0.5,1.5\n2,3\n")
+    assert geometry.load_csv(path).points.tolist() == [[0.5, 1.5], [2.0, 3.0]]
+
+
 def test_csv_round_trip(tmp_path):
     cloud = geometry.gen_sphere(10, 2, seed=4)
     path = tmp_path / "sphere.csv"
@@ -234,6 +262,39 @@ def test_csv_non_numeric_names_line(tmp_path):
     with pytest.raises(CsvParseError) as err:
         geometry.load_csv(path)
     assert err.value.row == 2
+
+
+def test_csv_names_the_row_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2,3\n\xff\xfe,1,2\n")
+    with pytest.raises(CsvParseError, match="row 2 is not UTF-8 text") as err:
+        geometry.load_csv(path)
+    assert err.value.row == 2
+
+
+def test_csv_counts_rows_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n\xff,3\n")
+    with pytest.raises(CsvParseError, match="row 2 is not UTF-8 text") as err:
+        geometry.load_csv(path)
+    assert err.value.row == 2
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"])
+def test_csv_refuses_numbers_float_reads_but_csv_never_writes(tmp_path, value):
+    # underscores between digits, an Arabic-Indic one, a fullwidth one
+    path = tmp_path / "bad.csv"
+    path.write_text("0,1\n1,%s\n" % value, encoding="utf-8")
+    with pytest.raises(CsvParseError) as err:
+        geometry.load_csv(path)
+    assert err.value.row == 2
+
+
+def test_csv_refuses_a_cloud_too_large_for_squared_distances(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("0,0\n1e300,0\n")
+    with pytest.raises(CsvParseError, match="too large"):
+        geometry.load_csv(path)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])

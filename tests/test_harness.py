@@ -1,5 +1,6 @@
 import csv
 import logging
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -197,6 +198,28 @@ def test_load_results_csv_names_an_ok_row_with_a_non_numeric_value(tmp_path):
     with pytest.raises(CsvParseError, match="line %d: could not convert string to float: 'abc'" % line) as err:
         harness.load_results_csv(path)
     assert err.value.row == line
+
+
+def test_load_results_csv_names_a_row_with_a_number_float_reads_but_csv_never_writes(tmp_path):
+    path, line = damaged_results(tmp_path, "swiss-roll,0,1_0,2,0,0.1,0.1,2,4,0.2")
+    with pytest.raises(CsvParseError, match="line %d: '1_0' is not a CSV number" % line) as err:
+        harness.load_results_csv(path)
+    assert err.value.row == line
+
+
+def test_load_results_csv_names_the_file_and_row_that_is_not_utf8(tmp_path):
+    path, line = damaged_results(tmp_path, "swiss-roll,0,1,2,0,0.1,0.1,2,4,0.2")
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    with pytest.raises(CsvParseError, match="^%s: row %d is not UTF-8 text$" % (re.escape(path), line + 1)) as err:
+        harness.load_results_csv(path)
+    assert err.value.row == line + 1
+
+
+def test_load_results_csv_names_the_file_of_an_oversized_field(tmp_path):
+    path, _ = damaged_results(tmp_path, "swiss-roll,0,1,2,0," + "9" * 200_000 + ",0.1,2,4,0.2")
+    with pytest.raises(CsvParseError, match="^%s: field larger than field limit" % re.escape(path)):
+        harness.load_results_csv(path)
 
 
 def test_load_results_csv_names_a_truncated_row(tmp_path):

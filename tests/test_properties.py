@@ -1,4 +1,5 @@
-"""Property tests: bit-exact container round trips, typed errors on damage, the distance kernel, FPS, build accounting."""
+"""Property tests: bit-exact container round trips, typed errors on damage and fuzzed CSV, the distance kernel, FPS,
+build accounting."""
 
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
 from manifold_cs import geometry, gmra, measurement, storage
-from manifold_cs.errors import FileFormatError
+from manifold_cs.errors import CsvParseError, FileFormatError
 
 DICT_ARRAYS = ("offsets", "fit_centers", "fit_bases", "fit_dims", "cell_fit")
 
@@ -258,6 +259,61 @@ def test_fps_equals_the_difference_form_loop_bit_for_bit(seed, n, dim, lattice, 
     want_order, want_radii = difference_form_fps(pts, **stop)
     assert order.tolist() == want_order.tolist()
     assert radii.tobytes() == want_radii.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    dim=st.sampled_from([17, 200, 1000]),
+    rank=st.sampled_from([1, 2, 3, 8, 12, None]),
+    noise=st.sampled_from([0.0, 1e-3, 0.1]),
+    lattice=st.booleans(),
+    shift=st.sampled_from([0.0, 1e8]),
+    scale=st.sampled_from([1.0, 1e-6, 1e6]),
+    stop=st.one_of(
+        st.just({"stop_radius": 0.0}),
+        st.floats(0.0, 1.0).map(lambda f: {"stop_fraction": f}),
+    ),
+)
+def test_fps_on_rotated_low_rank_clouds_equals_the_difference_form_loop_bit_for_bit(
+    seed, n, dim, rank, noise, lattice, shift, scale, stop
+):
+    # A cloud of `rank` coordinates (all of them for None: full rank), padded into R^dim and rotated by a Haar
+    # matrix (the first `rank` columns of one are a uniform orthonormal frame), plus ambient noise of norm about
+    # `noise`.  Low ranks take the low-rank screen, high ranks and strong noise the full-width one.
+    rng = np.random.default_rng(seed)
+    rank = dim if rank is None else rank
+    base = rng.standard_normal((n, rank))
+    if lattice:
+        base = np.round(base * 2.0) / 2.0
+    frame, signs = np.linalg.qr(rng.standard_normal((dim, rank)))
+    pts = base @ (frame * np.sign(np.diag(signs))).T + noise / np.sqrt(dim) * rng.standard_normal((n, dim))
+    pts = pts * scale + shift
+    order, radii = geometry.farthest_point_ordering(pts, **stop)
+    want_order, want_radii = difference_form_fps(pts, **stop)
+    assert order.tolist() == want_order.tolist()
+    assert radii.tobytes() == want_radii.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.one_of(
+        st.binary(max_size=300),
+        st.lists(st.sampled_from([b"0", b"1", b"7", b".", b",", b"e", b"-", b"+", b"_", b"\n", b"\r", b" ", b"\xff",
+                                  b"\xc3", b"nan", b"inf", b"1e300", b"x"]), max_size=80).map(b"".join),
+    )
+)
+def test_fuzzed_csv_bytes_give_a_cloud_or_a_csv_parse_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            cloud = geometry.load_csv(path)
+        except CsvParseError:
+            return
+    assert isinstance(cloud, geometry.PointCloud) and np.isfinite(cloud.points).all()
 
 
 @settings(max_examples=60, deadline=None)
