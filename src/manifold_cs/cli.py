@@ -116,7 +116,16 @@ def build_parser():
     return parser
 
 
+def _require(ok, flag, value, need):
+    """End the command in one line naming the flag unless ok; commands check their flags before any output."""
+    if not ok:
+        raise SystemExit("%s must be %s, got %s" % (flag, need, value))
+
+
 def cmd_generate(args):
+    _require(args.n >= 1, "--n", args.n, ">= 1")
+    _require(args.kind != "sphere" or args.d >= 1, "--d", args.d, ">= 1")
+    _require(args.sigma >= 0, "--sigma", args.sigma, ">= 0")
     if args.kind == "swiss-roll":
         cloud = geometry.gen_swiss_roll(args.n, args.seed)
     else:
@@ -146,6 +155,10 @@ def _read(load, path):
 
 def cmd_gmra_build(args):
     cloud = _read(geometry.load_csv, args.cloud)
+    _require(args.max_scale >= 0, "--max-scale", args.max_scale, ">= 0")
+    _require(args.local_dim is None or args.local_dim >= 1, "--local-dim", args.local_dim, ">= 1")
+    if args.local_dim is None and args.max_local_dim is None:
+        raise SystemExit("gmra build needs --local-dim, or --max-local-dim for adaptive local dimensions")
     dictionary = gmra.build_dictionary(
         cloud,
         local_dim=args.local_dim,
@@ -199,6 +212,10 @@ def _finite_or_null(value):
 
 
 def cmd_measure_make(args):
+    _require(args.m >= 1, "--m", args.m, ">= 1")
+    _require(args.dim >= 1, "--dim", args.dim, ">= 1")
+    if args.ensemble == "haar-orthoprojection":
+        _require(args.m <= args.dim, "--m", args.m, "<= --dim (%d) for %s" % (args.dim, args.ensemble))
     if args.ensemble == "gaussian":
         matrix = measurement.gaussian_matrix(args.m, args.dim, args.seed)
     else:
@@ -229,6 +246,7 @@ def cmd_measure_verify(args):
         rc = rc or (0 if report.passed else 2)
         did = True
     if args.assumption_set:
+        _require(0 <= args.eps < 0.5, "--eps", args.eps, "in [0, 1/2) for --assumption-set")
         if not args.dict_path:
             raise SystemExit("--assumption-set needs --dict")
         dictionary = _read(gmra.load_dictionary, args.dict_path)
@@ -260,31 +278,47 @@ def cmd_measure_verify(args):
     return rc
 
 
+def _scale(text, max_scale):
+    """The --scale of recover as recover_batch takes it: "auto" or an integer in [0, max_scale]."""
+    if text == "auto":
+        return text
+    try:
+        j = int(text)
+    except ValueError:
+        j = None
+    _require(j is not None and 0 <= j <= max_scale, "--scale", repr(text), "'auto' or an integer in [0, %d]" % max_scale)
+    return j
+
+
 def cmd_recover(args):
     matrix = _read(measurement.load_matrix, args.matrix)
     dictionary = _read(gmra.load_dictionary, args.dict_path)
+    if matrix.ambient_dim != dictionary.ambient_dim:
+        raise SystemExit("--matrix %s acts on R^%d, --dict %s lives in R^%d"
+                         % (args.matrix, matrix.ambient_dim, args.dict_path, dictionary.ambient_dim))
+    scale = _scale(args.scale, dictionary.max_scale)
+    certify = bool(args.points or args.certificates)
+    if certify:
+        if not (args.points and args.certificates):
+            raise SystemExit("certificates need both --points and --certificates")
+        _require(0 < args.eps < 0.5, "--eps", args.eps, "in (0, 1/2)")
     meas = _read(geometry.load_csv, args.measurements).points
     if meas.shape[1] != matrix.m:
         raise SystemExit("measurement rows have %d entries, matrix m=%d" % (meas.shape[1], matrix.m))
-    batch = recovery.recover_batch(meas, matrix, dictionary, args.scale)
+    if certify:
+        points = _read(geometry.load_csv, args.points).points
+        if points.shape[0] != meas.shape[0]:
+            raise SystemExit("points and measurements row counts differ")
+        manifold = args.manifold
+        if manifold and manifold not in ("sphere", "swiss-roll"):
+            manifold = _read(geometry.load_csv, manifold)
+    batch = recovery.recover_batch(meas, matrix, dictionary, scale)
     recon = batch.reconstructions
     geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
     print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
 
-    if args.points or args.certificates:
-        if not (args.points and args.certificates):
-            raise SystemExit("certificates need both --points and --certificates")
-        points = _read(geometry.load_csv, args.points).points
-        if points.shape[0] != meas.shape[0]:
-            raise SystemExit("points and measurements row counts differ")
-        x_opt = None
-        if args.manifold:
-            manifold = (
-                _read(geometry.load_csv, args.manifold)
-                if args.manifold not in ("sphere", "swiss-roll")
-                else args.manifold
-            )
-            x_opt = recovery.nearest_point_oracle(points, manifold)
+    if certify:
+        x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
         columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt)
         # every CertificateBundle quantity, in field order; absent ones are left empty
         names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
@@ -305,14 +339,17 @@ def cmd_recover(args):
         print("wrote certificates to %s" % args.certificates)
 
 
-def _parse_grid(text, cast=float):
-    return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_grid(flag, text, cast=float):
+    try:
+        return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise SystemExit("%s must be a comma-separated list of %ss, got %r" % (flag, cast.__name__, text)) from None
 
 
 def cmd_bounds(args):
-    eps_grid = _parse_grid(args.eps)
-    j_grid = _parse_grid(args.scales, cast=int)
-    deltas = _parse_grid(args.deltas)
+    eps_grid = _parse_grid("--eps", args.eps)
+    j_grid = _parse_grid("--scales", args.scales, cast=int)
+    deltas = _parse_grid("--deltas", args.deltas)
     # a quantity's row leaves the columns it does not use empty (DictWriter's restval)
     writer = csv.DictWriter(
         sys.stdout,

@@ -12,6 +12,7 @@ Synthetic manifolds used throughout:
 import codecs
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -32,6 +33,8 @@ _NET_SAMPLING_SEED = 0x5EED
 _SCREEN_RANK = 8
 _SCREEN_SAMPLE_ROWS = 128
 _SCREEN_MAX_TAIL = 0.1
+# load_csv and save_csv convert this many lines per bulk step, so a file is never held as one string.
+_CSV_BLOCK_LINES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,11 +287,18 @@ def epsilon_net_ball(dim, eps):
 
 
 def save_csv(cloud, path):
-    """Write the cloud as comma-separated rows with 17 significant digits."""
+    """Write the cloud as comma-separated rows with 17 significant digits, "%.17g" per value.
+
+    Each block of _CSV_BLOCK_LINES rows is formatted by one % operation on
+    the row format repeated per row, applied to the block's values as Python
+    floats: the same formatting as "%.17g" % v per value, so the same bytes.
+    """
+    points = cloud.points
+    row = ",".join(["%.17g"] * points.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for row in cloud.points:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
+        for start in range(0, len(points), _CSV_BLOCK_LINES):
+            block = points[start : start + _CSV_BLOCK_LINES]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _plain(text):
@@ -323,39 +333,92 @@ def csv_lines(path, newline=None):
     raise CsvParseError("file changed while it was read")  # the file decoded this time
 
 
+def _blocks(lines):
+    """Lists of up to _CSV_BLOCK_LINES lines; when the stream raises CsvParseError, the lines read before it come first."""
+    block = []
+    while True:
+        try:
+            block.append(next(lines))
+        except StopIteration:
+            yield block
+            return
+        except CsvParseError:
+            yield block
+            raise
+        if len(block) == _CSV_BLOCK_LINES:
+            yield block
+            block = []
+
+
+def _row_values(line):
+    """The numbers of a stripped line, or None when one of its fields is not a CSV number."""
+    try:
+        values = [float(f) for f in line.split(",")]
+    except ValueError:
+        return None
+    return values if _plain(line) else None
+
+
+def _block_values(rows, width):
+    """The numbers of stripped lines as one flat array, or None when one of them fails a check of load_csv."""
+    text = ",".join(rows)
+    if set(map(str.count, rows, repeat(","))) != {width - 1} or not _plain(text):
+        return None
+    try:
+        values = np.fromiter(map(float, text.split(",")), np.float64, count=len(rows) * width)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _first_bad_row(block, start, width):
+    """The CsvParseError of the first line of block (line start onwards) that fails a check of load_csv.
+
+    width is the first data line's field count, which the ragged check compares against.
+    """
+    for lineno, line in enumerate(map(str.strip, block), start):
+        if not line:
+            continue
+        values = _row_values(line)
+        if values is None:
+            return CsvParseError("non-numeric value at row %d" % lineno, row=lineno)
+        if not all(map(math.isfinite, values)):
+            return CsvParseError("non-finite value at row %d" % lineno, row=lineno)
+        if len(values) != width:
+            return CsvParseError("ragged row %d: expected %d columns, got %d" % (lineno, width, len(values)), row=lineno)
+    raise AssertionError("block of lines %d.. passed every check" % start)
+
+
 def load_csv(path, label=None):
     """Read a point cloud from CSV; a single non-numeric header row is allowed, nan and inf are not.
 
-    Any content raises CsvParseError or gives a PointCloud.
+    Any content raises CsvParseError or gives a PointCloud.  The lines are
+    stripped and blank ones skipped.  Line 1 is a header when a field of it
+    is not a CSV number (float() fails, or the line is not _plain); every
+    other line must hold as many finite CSV numbers as the first data line.
+    The error names the first line that fails, in that order of checks.
+
+    The file is read in blocks of _CSV_BLOCK_LINES lines, each checked and
+    converted in bulk: the comma count of each line, _plain over the block's
+    joined text and one float() pass over its fields, which gives the same
+    values as float() per field.  Only a block that fails is walked line by
+    line, to name its first bad line.
     """
-    rows = []
-    width = None
-    for lineno, line in enumerate(csv_lines(path), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            values = None
-        if values is None or not _plain(line):
-            if lineno == 1:
-                continue  # header row
-            raise CsvParseError("non-numeric value at row %d" % lineno, row=lineno)
-        if not all(map(math.isfinite, values)):
-            raise CsvParseError("non-finite value at row %d" % lineno, row=lineno)
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise CsvParseError(
-                "ragged row %d: expected %d columns, got %d" % (lineno, width, len(values)),
-                row=lineno,
-            )
-        rows.append(values)
-    if not rows:
+    chunks, width, start = [], None, 1
+    for block in _blocks(csv_lines(path)):
+        if start == 1 and block and _row_values(block[0].strip()) is None:
+            block, start = block[1:], 2  # a header, or a blank line 1
+        rows = list(filter(None, map(str.strip, block)))
+        if rows:
+            width = width or rows[0].count(",") + 1  # the first data line's
+            values = _block_values(rows, width)
+            if values is None:
+                raise _first_bad_row(block, start, width)
+            chunks.append(values)
+        start += len(block)
+    if not chunks:
         raise CsvParseError("no data rows")
     try:
-        return PointCloud(np.array(rows, dtype=np.float64), width, label=label)
+        return PointCloud(np.concatenate(chunks).reshape(-1, width), width, label=label)
     except ValueError as exc:
         raise CsvParseError(str(exc)) from None

@@ -299,6 +299,54 @@ def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_
                 "--out", tmp_path / "x.csv")
 
 
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv."""
+    d = tmp_path_factory.mktemp("chain")
+    run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, "--out", d / "train.csv")
+    run_cli("gmra", "build", "--cloud", d / "train.csv", "--out", d / "roll.dict", "--local-dim", 2, "--max-scale", 3)
+    run_cli("measure", "make", "--ensemble", "gaussian", "--m", 8, "--dim", 3, "--out", d / "M.mtx")
+    run_cli("measure", "make", "--ensemble", "gaussian", "--m", 2, "--dim", 4, "--out", d / "M4.mtx")
+    matrix = measurement.load_matrix(d / "M.mtx")
+    geometry.save_csv(geometry.PointCloud(matrix.apply(geometry.load_csv(d / "train.csv").points), 8), d / "meas.csv")
+    return d
+
+
+RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict", "roll.dict", "--out", "out.csv"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (RECOVER + ["--scale", "abc"], "--scale"),
+    (RECOVER + ["--scale", "99"], "--scale"),
+    (RECOVER + ["--scale", "-1"], "--scale"),
+    (RECOVER + ["--eps", "0.7", "--points", "train.csv", "--certificates", "cert.csv"], "--eps"),
+    (RECOVER + ["--points", "train.csv"], "--certificates"),
+    (["recover", "--measurements", "meas.csv", "--matrix", "M4.mtx", "--dict", "roll.dict", "--out", "out.csv"],
+     "--matrix"),
+    (["generate", "--kind", "swiss-roll", "--n", "0", "--out", "out.csv"], "--n"),
+    (["generate", "--kind", "sphere", "--n", "5", "--d", "0", "--out", "out.csv"], "--d"),
+    (["generate", "--kind", "swiss-roll", "--n", "5", "--sigma", "-1", "--out", "out.csv"], "--sigma"),
+    (["measure", "make", "--ensemble", "gaussian", "--m", "0", "--dim", "3", "--out", "out.mtx"], "--m"),
+    (["measure", "make", "--ensemble", "haar-orthoprojection", "--m", "5", "--dim", "3", "--out", "out.mtx"], "--m"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--local-dim", "2", "--max-scale", "-1"],
+     "--max-scale"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--local-dim", "0"], "--local-dim"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict"], "--max-local-dim"),
+    (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "2", "--cloud", "train.csv",
+      "--eps", "0.7"], "--eps"),
+    (["bounds", "--d", "2", "--v", "1", "--eps", "abc"], "--eps"),
+])
+def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(chain_dir)
+    before = sorted(os.listdir(chain_dir))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    message = exc.value.code
+    assert isinstance(message, str) and flag in message and "\n" not in message
+    assert sorted(os.listdir(chain_dir)) == before
+    assert capsys.readouterr().out == ""
+
+
 def test_removed_options_are_refused(tmp_path, capsys):
     for argv in (
         ["experiment", "run", "--config", tmp_path / "c.json", "--seed", 1],

@@ -280,6 +280,17 @@ def test_csv_counts_rows_after_a_byte_order_mark(tmp_path):
     assert err.value.row == 2
 
 
+def test_csv_names_a_bad_row_read_before_a_later_row_that_is_not_utf8(tmp_path):
+    # the stream decodes 8 KiB at a time: row 2 is read before the chunk holding the bad byte
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1,2\n1,zap\n" + b"3,4\n" * 3000 + b"\xff\n")
+    with pytest.raises(CsvParseError, match="^non-numeric value at row 2$"):
+        geometry.load_csv(path)
+    path.write_bytes(b"1,2\n" + b"3,4\n" * 3000 + b"5,\xff\n")
+    with pytest.raises(CsvParseError, match="^row 3002 is not UTF-8 text$"):
+        geometry.load_csv(path)
+
+
 @pytest.mark.parametrize("value", ["1_0", "\u0661", "\uff11"])
 def test_csv_refuses_numbers_float_reads_but_csv_never_writes(tmp_path, value):
     # underscores between digits, an Arabic-Indic one, a fullwidth one

@@ -2,6 +2,7 @@
 build accounting."""
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -314,6 +315,141 @@ def test_fuzzed_csv_bytes_give_a_cloud_or_a_csv_parse_error(data):
         except CsvParseError:
             return
     assert isinstance(cloud, geometry.PointCloud) and np.isfinite(cloud.points).all()
+
+
+def line_by_line_load_csv(path, label=None):
+    """load_csv as one loop over the lines, checking and converting each in turn: the bulk parse's reference."""
+    rows = []
+    width = None
+    for lineno, line in enumerate(geometry.csv_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            values = None
+        if values is None or not geometry._plain(line):
+            if lineno == 1:
+                continue  # header row
+            raise CsvParseError("non-numeric value at row %d" % lineno, row=lineno)
+        if not all(map(math.isfinite, values)):
+            raise CsvParseError("non-finite value at row %d" % lineno, row=lineno)
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise CsvParseError(
+                "ragged row %d: expected %d columns, got %d" % (lineno, width, len(values)),
+                row=lineno,
+            )
+        rows.append(values)
+    if not rows:
+        raise CsvParseError("no data rows")
+    try:
+        return geometry.PointCloud(np.array(rows, dtype=np.float64), width, label=label)
+    except ValueError as exc:
+        raise CsvParseError(str(exc)) from None
+
+
+def load_outcome(load, path):
+    """What load(path) gives: the cloud's width and bytes, or its CsvParseError's message and row."""
+    try:
+        cloud = load(path, label="c")
+    except CsvParseError as exc:
+        return "refused", str(exc), exc.row
+    return "cloud", cloud.ambient_dim, cloud.label, cloud.points.shape, cloud.points.tobytes()
+
+
+CSV_BLOCK_LINES = geometry._CSV_BLOCK_LINES
+CSV_FIELDS = ["0", "1", "-2.5", "-0", "1e-5", "3.0000000000000004", "1e300", " 7", "8\t", "\t9 ", "", "x",
+              "nan", "inf", "-inf", "1e999", "1_0", "\u0661"]
+# file iteration ends a line only at \n, \r and \r\n; str.splitlines also splits at the others
+CSV_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_load_csv_equals_the_line_by_line_reference(data):
+    width = data.draw(st.integers(1, 4), label="width")
+    numbers = st.lists(st.sampled_from(CSV_FIELDS[:10]), min_size=width, max_size=width)
+    line = st.one_of(
+        numbers.map(",".join),
+        st.lists(st.sampled_from(CSV_FIELDS), min_size=1, max_size=5).map(",".join),  # ragged or bad fields
+        numbers.map(lambda f: ",".join(f) + ","),  # a trailing comma
+        st.sampled_from(["", " ", "\t \t", "x,y", "x", "\ufeff1"]),  # blank, whitespace-only, headers
+    )
+    lines = data.draw(st.lists(line, max_size=14), label="lines")
+    text = [s + data.draw(st.sampled_from(CSV_BREAKS), label="break") for s in lines]
+    # a long valid run puts what follows it past the stream's first decoded chunk (8 KiB)
+    run = data.draw(st.sampled_from([0, 3, 2500]), label="valid run lines")
+    text.insert(data.draw(st.integers(0, len(text)), label="run at"), (",".join(["0.5"] * width) + "\n") * run)
+    text = "".join(text)
+    if data.draw(st.booleans(), label="no final newline"):
+        text = text.rstrip("".join(CSV_BREAKS))
+    if data.draw(st.booleans(), label="byte-order mark"):
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    if data.draw(st.booleans(), label="bad byte"):
+        at = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))), label="bad byte at")
+        raw = raw[:at] + b"\xff" + raw[at:]
+    block = data.draw(st.sampled_from([1, 2, 3, 7, CSV_BLOCK_LINES]), label="block lines")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.csv")
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        want = load_outcome(line_by_line_load_csv, path)
+        with mock.patch.object(geometry, "_CSV_BLOCK_LINES", block):
+            assert load_outcome(geometry.load_csv, path) == want
+
+
+def per_value_save_csv(cloud, path):
+    """save_csv formatting one value at a time: the bulk writer's reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in cloud.points:
+            fh.write(",".join("%.17g" % v for v in row))
+            fh.write("\n")
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+CSV_EDGE_VALUES = [0.0, -0.0, TINY, -TINY, 3 * TINY, np.finfo(np.float64).tiny / 3, 1e-5, 1e-4, 1e16, 1e17, 1e150,
+                   -1e150, 0.1, 1 / 3, -2.5]
+CSV_EDGE_VALUES += [np.nextafter(v, w) for v in (1e-5, 1e-4, 1e16, 1e17) for w in (0.0, np.inf)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dim=st.sampled_from([1, 3, 8, 200]),
+    n=st.integers(1, 9),
+    block=st.sampled_from([1, 2, 4, CSV_BLOCK_LINES]),
+    data=st.data(),
+)
+def test_save_csv_writes_the_per_value_bytes_and_loads_back_bit_for_bit(dim, n, block, data):
+    values = st.one_of(st.sampled_from(CSV_EDGE_VALUES), st.floats(-1e150, 1e150))
+    points = data.draw(arrays(np.float64, (n, dim), elements=values), label="points")
+    cloud = geometry.PointCloud(points, dim)
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = os.path.join(tmp, "want.csv"), os.path.join(tmp, "got.csv")
+        per_value_save_csv(cloud, want)
+        with mock.patch.object(geometry, "_CSV_BLOCK_LINES", block):
+            geometry.save_csv(cloud, got)
+            back = geometry.load_csv(got)
+        assert Path(got).read_bytes() == Path(want).read_bytes()
+    assert back.points.shape == points.shape and back.points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("n", [CSV_BLOCK_LINES - 1, CSV_BLOCK_LINES, CSV_BLOCK_LINES + 1])
+def test_save_csv_and_load_csv_agree_with_the_references_around_one_block(tmp_path, n):
+    points = np.random.default_rng(n).standard_normal((n, 2)) * 10.0 ** np.arange(-6, 18, 12)
+    cloud = geometry.PointCloud(points, 2)
+    per_value_save_csv(cloud, tmp_path / "want.csv")
+    geometry.save_csv(cloud, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    with open(tmp_path / "got.csv", "a") as fh:
+        fh.write("1,nan\n")
+    assert load_outcome(geometry.load_csv, tmp_path / "got.csv") == ("refused", "non-finite value at row %d" % (n + 1),
+                                                                   n + 1)
+    assert load_outcome(geometry.load_csv, tmp_path / "want.csv")[4] == points.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,9 +9,11 @@ bench/README.md), each set up and run once:
 * grid-roll3: the ``results.csv`` its run writes;
 * roll200: the saved dictionary of its cloud, and ``recover_batch``'s
   outputs at every scale and at "auto" for each of its two matrices;
-* cli-roll3: the ``roll.dict``, ``recon.csv``, ``recon_auto.csv`` and
-  ``cert.csv`` its CLI chain writes, ``recover_batch``'s outputs at every
-  scale for its matrix, and the ``gmra validate --json`` report.
+* cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
+  the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
+  ``recon.csv``, ``recon_auto.csv`` and ``cert.csv`` its CLI chain writes,
+  ``recover_batch``'s outputs at every scale for its matrix, and the
+  ``gmra validate --json`` report.
 
 To check that a change moves no output, run the script against each
 commit's ``src`` and compare::
@@ -89,7 +91,7 @@ def cli_roll3(seed, tmp):
     work = workloads.CliRoll3(seed, "full", tmp, {})
     work.setup()
     work.iteration(workloads.OpLog())
-    for name in ("roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
+    for name in ("train.csv", "query.csv", "meas.csv", "roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
         yield "cli-roll3 " + name, file_sha(work.path(name))
     matrix = measurement.load_matrix(work.path("M.mtx"))
     dictionary = gmra.load_dictionary(work.path("roll.dict"))
