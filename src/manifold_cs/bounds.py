@@ -35,6 +35,8 @@ class BoundParams:
             raise ValueError("eps must lie in (0, 1/2]")
         if self.reach is not None and self.reach <= 0:
             raise ValueError("reach must be positive")
+        if self.D is not None and self.D < 1:
+            raise ValueError("D must be >= 1")
         if self.C1 <= 0:
             raise ValueError("C1 must be positive")
         if self.big_o_constant <= 0:

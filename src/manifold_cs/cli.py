@@ -350,6 +350,32 @@ def cmd_bounds(args):
     eps_grid = _parse_grid("--eps", args.eps)
     j_grid = _parse_grid("--scales", args.scales, cast=int)
     deltas = _parse_grid("--deltas", args.deltas)
+    _require(eps_grid, "--eps", repr(args.eps), "a nonempty list")
+    _require(j_grid, "--scales", repr(args.scales), "a nonempty list")
+    if deltas and args.reach is None:
+        raise SystemExit("--deltas needs --reach")
+    given = dict(d=args.d, D=args.ambient_dim, V=args.v, reach=args.reach, C1=args.c1, constant=args.constant)
+    shared = dict(d=args.d, V=args.v, reach=args.reach, C1=args.c1, big_o_constant=args.constant)
+    # every row is built before the header is written, so a refused value ends the command with no output
+    rows = []
+    try:
+        for eps in eps_grid:
+            for j_max in j_grid:
+                params = bounds_mod.BoundParams(eps=eps, D=args.ambient_dim, J=j_max, **shared)
+                grid = dict(given, eps=eps, J=j_max)
+                rows.append(dict(grid, quantity="m_nonuniform", value=bounds_mod.m_nonuniform(params)))
+                if args.ambient_dim is not None and args.reach is not None:
+                    rows.append(dict(grid, quantity="m_uniform", value=bounds_mod.m_uniform(params)))
+                for j in range(j_max + 1):
+                    value = "%.17g" % bounds_mod.center_count_bound(params, j)
+                    rows.append(dict(grid, quantity="center_count_bound", j=j, value=value))
+        if deltas:
+            params = bounds_mod.BoundParams(eps=eps_grid[0], **shared)
+            for delta in deltas:
+                value = "%.17g" % bounds_mod.cover_bound(params, delta)
+                rows.append(dict(given, quantity="cover_bound", delta=delta, value=value))
+    except ValueError as exc:
+        raise SystemExit("bounds: %s" % exc)
     # a quantity's row leaves the columns it does not use empty (DictWriter's restval)
     writer = csv.DictWriter(
         sys.stdout,
@@ -357,35 +383,7 @@ def cmd_bounds(args):
         lineterminator="\n",
     )
     writer.writeheader()
-    given = dict(d=args.d, D=args.ambient_dim, V=args.v, reach=args.reach, C1=args.c1, constant=args.constant)
-    for eps in eps_grid:
-        for j_max in j_grid:
-            params = bounds_mod.BoundParams(
-                d=args.d,
-                V=args.v,
-                eps=eps,
-                reach=args.reach,
-                D=args.ambient_dim,
-                J=j_max,
-                C1=args.c1,
-                big_o_constant=args.constant,
-            )
-            grid = dict(given, eps=eps, J=j_max)
-            writer.writerow(dict(grid, quantity="m_nonuniform", value=bounds_mod.m_nonuniform(params)))
-            if args.ambient_dim is not None and args.reach is not None:
-                writer.writerow(dict(grid, quantity="m_uniform", value=bounds_mod.m_uniform(params)))
-            for j in range(j_max + 1):
-                value = "%.17g" % bounds_mod.center_count_bound(params, j)
-                writer.writerow(dict(grid, quantity="center_count_bound", j=j, value=value))
-    if deltas:
-        if args.reach is None:
-            raise SystemExit("--deltas needs --reach")
-        params = bounds_mod.BoundParams(
-            d=args.d, V=args.v, eps=eps_grid[0], reach=args.reach, C1=args.c1, big_o_constant=args.constant
-        )
-        for delta in deltas:
-            value = "%.17g" % bounds_mod.cover_bound(params, delta)
-            writer.writerow(dict(given, quantity="cover_bound", delta=delta, value=value))
+    writer.writerows(rows)
 
 
 def cmd_experiment_run(args):

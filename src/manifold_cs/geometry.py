@@ -89,13 +89,12 @@ def gen_swiss_roll(n, seed):
     rng = np.random.default_rng(seed)
     t = rng.uniform(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, size=n)
     h = rng.uniform(0.0, SWISS_ROLL_HEIGHT, size=n)
-    pts = np.stack([t * np.cos(t), h, t * np.sin(t)], axis=1)
-    return PointCloud(pts, 3, label="swiss-roll")
+    return PointCloud(swiss_roll_point(t, h), 3, label="swiss-roll")
 
 
 def swiss_roll_point(t, h):
-    """Map swiss roll parameters (t, h) to a point in R^3."""
-    return np.array([t * np.cos(t), h, t * np.sin(t)])
+    """Map swiss roll parameters (t, h), scalars or arrays of one shape, to points in R^3 along a last axis."""
+    return np.stack([t * np.cos(t), h, t * np.sin(t)], axis=-1)
 
 
 def gen_sphere(n, d, seed):

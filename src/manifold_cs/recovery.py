@@ -13,13 +13,14 @@ BLAS may round a 1-row product differently from a block's (see ``gmra``).
 center-quality (line 3, against the best center of the layer the recovery
 searched) and least-squares-quality (line 4) inequalities, plus the
 optimal-point comparison when the nearest manifold points are known;
-``certify`` is its 1-row call.
+``certify`` is its 1-row call.  ``nearest_point_oracle`` gives those points
+for every row at once; on the swiss roll, by one grid search and one
+bisection pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .geometry import (
     SWISS_ROLL_HEIGHT,
@@ -188,7 +189,7 @@ def recover_batch(measurements, matrix, dictionary, j):
     )
 
 
-def certify(x, matrix, dictionary, outcome, eps, x_opt=None, tube_delta=0.0):
+def certify(x, matrix, dictionary, outcome, eps, x_opt=None):
     """Evaluate the per-instance inequality certificates for a known query x.
 
     Certification is diagnostic: it needs the uncompressed point.  With
@@ -206,11 +207,11 @@ def certify(x, matrix, dictionary, outcome, eps, x_opt=None, tube_delta=0.0):
         residuals=np.array([outcome.compressed_residual]),
         ill_conditioned=np.array([outcome.ill_conditioned]),
     )
-    columns = certify_batch([x], matrix, dictionary, one, eps, None if x_opt is None else [x_opt], tube_delta)
+    columns = certify_batch([x], matrix, dictionary, one, eps, None if x_opt is None else [x_opt])
     return CertificateBundle(epsilon_used=float(eps), **{name: float(col[0]) for name, col in columns.items()})
 
 
-def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta=0.0):
+def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     """Certificates for every row of a BatchRecovery, one array per quantity.
 
     The keys are the CertificateBundle fields other than epsilon_used.  Line
@@ -260,7 +261,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None, tube_delta
             line3_rhs + (1.0 + ratio) * opt_err + np.sqrt(4.0 / (1.0 - eps)) * e_m_bound(gap, eps, sparsity)
         )
         columns["tube_lhs"] = 2.0 * opt_err + 6.0 / (5.0 * np.sqrt(d_man)) * np.linalg.norm(gap, ord=1, axis=1)
-        columns["tube_rhs"] = np.maximum(best, tube_delta)
+        columns["tube_rhs"] = best
     return columns
 
 
@@ -279,7 +280,7 @@ def nearest_point_oracle(x, manifold, intrinsic_dim=None):
         out = manifold.points[_nearest_rows(rows, manifold.points)]
     elif manifold == "sphere":
         d = (rows.shape[1] - 1) if intrinsic_dim is None else int(intrinsic_dim)
-        norms = np.array([np.linalg.norm(row[: d + 1]) for row in rows])
+        norms = np.linalg.norm(rows[:, : d + 1], axis=1)
         if np.any(norms < 1e-300):
             raise ValueError("nearest sphere point is not unique at the origin")
         out = np.zeros_like(rows)
@@ -291,30 +292,29 @@ def nearest_point_oracle(x, manifold, intrinsic_dim=None):
     return out if x.ndim == 2 else out[0]
 
 
-def _nearest_on_swiss_roll(x, grid_size=4096, block=256):
-    """Dense parameter grid seed per row, refined per row to 1e-10 gradient tolerance."""
+def _nearest_on_swiss_roll(x):
+    """Nearest roll point per row, the height clipped to the roll's.
+
+    Each row's seed is its nearest point of a 4,096-point spiral grid by the
+    distance kernel.  One bisection over all rows, on the sign of the squared
+    distance's derivative within a grid step of the seed, runs until no
+    bracket shrinks; a row keeps the nearest of its bisection end, bracket
+    ends and the spiral's two ends.
+    """
     if x.shape[1] != 3:
         raise ValueError("swiss roll lives in R^3")
-    ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, grid_size)
-    seeds = np.empty(x.shape[0], dtype=np.intp)
-    # blocks of rows keep the grid's temporaries at block x grid_size
-    for start in range(0, x.shape[0], block):
-        chunk = x[start : start + block]
-        seeds[start : start + block] = np.argmin(_roll_fval(ts, chunk[:, :1], chunk[:, 2:]), axis=1)
-    out = np.empty_like(x)
-    for r, (a, height, b) in enumerate(x):
-        lo = ts[max(0, seeds[r] - 1)]
-        hi = ts[min(grid_size - 1, seeds[r] + 1)]
-        if _roll_fgrad(lo, a, b) < 0 < _roll_fgrad(hi, a, b):
-            t_star = brentq(_roll_fgrad, lo, hi, args=(a, b), xtol=1e-13)
-        else:
-            res = minimize_scalar(_roll_fval, bounds=(lo, hi), args=(a, b), method="bounded", options={"xatol": 1e-13})
-            t_star = float(res.x)
-            for edge in (SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX):
-                if _roll_fval(edge, a, b) < _roll_fval(t_star, a, b):
-                    t_star = edge
-        out[r] = swiss_roll_point(t_star, float(np.clip(height, 0.0, SWISS_ROLL_HEIGHT)))
-    return out
+    a, b = x[:, 0], x[:, 2]
+    ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, 4096)
+    seeds = _nearest_rows(x[:, [0, 2]], np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1))
+    lo0, hi0 = ts[np.maximum(seeds - 1, 0)], ts[np.minimum(seeds + 1, len(ts) - 1)]
+    lo, hi, mid = lo0, hi0, 0.5 * (lo0 + hi0)
+    while np.any((lo < mid) & (mid < hi)):
+        below = _roll_fgrad(mid, a, b) < 0.0
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        mid = 0.5 * (lo + hi)
+    candidates = np.stack([lo, lo0, hi0, np.full_like(lo, SWISS_ROLL_T_MIN), np.full_like(lo, SWISS_ROLL_T_MAX)])
+    t_star = candidates[np.argmin(_roll_fval(candidates, a, b), axis=0), np.arange(len(x))]
+    return swiss_roll_point(t_star, np.clip(x[:, 1], 0.0, SWISS_ROLL_HEIGHT))
 
 
 def _roll_fval(t, a, b):

@@ -24,7 +24,7 @@ def _fmt(v):
     return "%.2f" % v
 
 
-def render_curves(scales, curves, baseline, title, y_label="relMSE"):
+def render_curves(scales, curves, baseline, title):
     """Render the experiment curves as an SVG string.
 
     scales: list of x positions (dictionary scales).
@@ -102,7 +102,7 @@ def render_curves(scales, curves, baseline, title, y_label="relMSE"):
     )
     parts.append(
         '<text x="16" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle" '
-        'transform="rotate(-90 16 %d)">%s</text>' % (HEIGHT // 2, HEIGHT // 2, _escape(y_label))
+        'transform="rotate(-90 16 %d)">relMSE</text>' % (HEIGHT // 2, HEIGHT // 2)
     )
 
     # std bands first, curves above them

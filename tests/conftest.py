@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from manifold_cs import geometry, gmra
 
@@ -41,3 +42,23 @@ def plane_cloud():
     basis = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     pts = u @ basis + np.array([0.0, 0.0, 1.0, 2.0])
     return geometry.PointCloud(pts, 4, label="plane")
+
+
+def curved_cloud(seed, n, dim, intrinsic):
+    """n points near an intrinsic-dimensional curved sheet, mapped into R^dim at a random scale and offset."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, (n, intrinsic))
+    features = np.hstack([u, u**2, np.sin(3.0 * u)])
+    pts = features @ rng.standard_normal((3 * intrinsic, dim)) + 0.01 * rng.standard_normal((n, dim))
+    return geometry.PointCloud(10.0 ** rng.uniform(-2, 3) * pts + rng.uniform(-50, 50, dim), dim)
+
+
+@st.composite
+def fit_tables(draw):
+    """A cloud and a dictionary built on it, in R^2 to R^40, with a fixed or an adaptive local dimension."""
+    dim, intrinsic = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    cloud = curved_cloud(draw(st.integers(0, 2**32 - 1)), draw(st.integers(40, 300)), dim, intrinsic)
+    max_scale = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return cloud, gmra.build_dictionary(cloud, max_local_dim=min(3, dim), max_scale=max_scale)
+    return cloud, gmra.build_dictionary(cloud, local_dim=min(intrinsic, dim), max_scale=max_scale)

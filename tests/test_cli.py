@@ -222,6 +222,26 @@ def test_bounds_table_golden(capsys):
     )
 
 
+@pytest.mark.parametrize("extra", [
+    ["--eps", "0.7"],
+    ["--d", "0"],
+    ["--v", "0"],
+    ["--scales", "-1"],
+    ["--reach", "1", "--deltas", "2"],
+    ["--reach", "1", "--ambient-dim", "0"],
+    ["--deltas", "0.1"],
+])
+def test_bounds_refuses_a_bad_value_in_one_line_before_any_output(capsys, extra):
+    argv = {"--d": "2", "--v": "1"}
+    argv.update(zip(extra[::2], extra[1::2]))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bounds", *[tok for pair in argv.items() for tok in pair])
+    message = exc.value.code
+    assert isinstance(message, str) and "\n" not in message
+    assert message.startswith("bounds: ") or message == "--deltas needs --reach"
+    assert capsys.readouterr().out == ""
+
+
 def test_experiment_run_and_plot(tmp_path, capsys):
     config = {
         "dataset": {"generator": "swiss-roll", "n": 300, "seed": 2},
@@ -335,6 +355,8 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "2", "--cloud", "train.csv",
       "--eps", "0.7"], "--eps"),
     (["bounds", "--d", "2", "--v", "1", "--eps", "abc"], "--eps"),
+    (["bounds", "--d", "2", "--v", "1", "--eps", "", "--reach", "1", "--deltas", "0.1"], "--eps"),
+    (["bounds", "--d", "2", "--v", "1", "--scales", ","], "--scales"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)

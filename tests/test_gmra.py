@@ -2,8 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import stats
 
+from conftest import fit_tables
 from manifold_cs import geometry, gmra, measurement, recovery, storage
 from manifold_cs.errors import FileFormatError
 
@@ -284,7 +286,7 @@ def test_validate_reports_decay_interval_on_nine_sphere():
     # fitted exponent and its interval are still reported
     cloud = geometry.gen_sphere(3000, 9, seed=8)
     d = gmra.build_dictionary(cloud, local_dim=9, max_scale=3)
-    report = gmra.validate_structure(d, cloud, probe_budget=50)
+    report = gmra.validate_structure(d, cloud)
     assert np.isfinite(report.decay_slope)
     lo, hi = report.decay_slope_ci
     assert lo <= report.decay_slope <= hi
@@ -525,3 +527,32 @@ def test_validate_structure_does_not_overflow_near_the_cloud_bound_at_high_dimen
         report = gmra.validate_structure(gmra.build_dictionary(cloud, local_dim=2), cloud)
     assert report.passed, report.failures
     assert report.idempotent_worst < gmra.IDEMPOTENCY_TOL
+
+
+def reference_check_idempotent(dictionary):
+    """The per-fit loop: each fit's projector applied twice to the same 100 offsets, one basis at a time."""
+    rel = np.random.default_rng(0).standard_normal(size=(100, dictionary.ambient_dim))
+    scale = 1.0 + np.linalg.norm(rel, axis=1)
+    worst = 0.0
+    for basis, d in zip(dictionary.fit_bases, dictionary.fit_dims):
+        basis = basis[:d]
+        once = (rel @ basis.T) @ basis
+        twice = (once @ basis.T) @ basis
+        worst = max(worst, float((np.linalg.norm(twice - once, axis=1) / scale).max()))
+    return worst < gmra.IDEMPOTENCY_TOL, worst
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_tables())
+def test_idempotency_check_matches_the_per_fit_loop(case):
+    _, d = case
+    got_ok, got = gmra._check_idempotent(d)
+    want_ok, want = reference_check_idempotent(d)
+    if np.all(d.fit_dims == d.fit_bases.shape[1]):
+        # no zero padding: the stacked products are the loop's, bit for bit
+        assert (got_ok, got) == (want_ok, want)
+    else:
+        # zero basis rows change the products' shapes, and so their rounding: each value is a rounding error of
+        # at most a few (D + d_max) ulps, so the two differ by no more than that
+        assert abs(got - want) <= 8.0 * (d.ambient_dim + d.fit_bases.shape[1]) * np.finfo(float).eps
+        assert got_ok == want_ok

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import fit_tables
 from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import FileFormatError, ResourceLimitError
 
@@ -292,6 +295,35 @@ def test_subspace_margin_is_the_exact_singular_value_slack(swiss_cloud, swiss_di
         item = measurement.verify_assumption_set(M, swiss_dict, x=x, which=1, eps=0.3).item("c-subspace-isometry")
         assert item.margin == pytest.approx(want, abs=1e-12)
         assert item.passed == (want >= 0.0)
+
+
+def reference_item_d_margin(matrix, dictionary, pts, eps):
+    """The per-fit loop of set-2 item d: each fit's projection of every point, then both residuals."""
+    slack = 2.0 ** -dictionary.max_scale
+    margin_d = np.inf
+    m_pts = matrix.apply(pts)
+    for center, basis, d in zip(dictionary.fit_centers, dictionary.fit_bases, dictionary.fit_dims):
+        basis = basis[:d]
+        projected = center + ((pts - center) @ basis.T) @ basis
+        resid = np.linalg.norm(pts - projected, axis=1)
+        m_resid = np.linalg.norm(m_pts - matrix.apply(projected), axis=1)
+        upper = (1.0 + eps) * resid + slack
+        lower = (1.0 - eps) * resid - slack
+        margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))
+    return margin_d
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_tables(), st.booleans(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.45), st.data())
+def test_item_d_matches_the_per_fit_loop(case, haar, seed, eps, data):
+    cloud, d = case
+    m = data.draw(st.integers(1, d.ambient_dim))
+    draw = measurement.orthoprojection_matrix if haar else measurement.gaussian_matrix
+    M = draw(m, d.ambient_dim, seed)
+    item = measurement.verify_assumption_set(M, d, which=2, eps=eps, cloud=cloud).item("d-residual-embedding")
+    want = reference_item_d_margin(M, d, cloud.points, eps)
+    assert abs(item.margin - want) <= 1e-12 * (1.0 + abs(want))
+    assert item.passed == (want >= 0.0)
 
 
 def test_matrix_save_load_round_trip(tmp_path):

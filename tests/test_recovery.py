@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from manifold_cs import geometry, gmra, measurement, recovery
 
@@ -127,13 +130,11 @@ def test_mixed_local_dims_share_one_batch(mixed_dict):
         assert dims == {1, 2}
         assert_rows_match_single(batch, comp, M, d, j)
         for opt in (None, x_opt):
-            columns = recovery.certify_batch(probes, M, d, batch, 0.3, x_opt=opt, tube_delta=0.01)
+            columns = recovery.certify_batch(probes, M, d, batch, 0.3, x_opt=opt)
             assert len(columns) == (4 if opt is None else 9)
             for i in range(probes.shape[0]):
                 single = recovery.recover(comp[i], M, d, j)
-                bundle = recovery.certify(
-                    probes[i], M, d, single, 0.3, x_opt=None if opt is None else opt[i], tube_delta=0.01
-                )
+                bundle = recovery.certify(probes[i], M, d, single, 0.3, x_opt=None if opt is None else opt[i])
                 for name, column in columns.items():
                     assert getattr(bundle, name) == column[i], name
 
@@ -262,11 +263,13 @@ def test_certify_with_oracle_point(circle_cloud, circle_dict):
     x = np.array([1.05, 0.02])
     x_opt = recovery.nearest_point_oracle(x, "sphere")
     out = recovery.recover(M.apply(x), M, circle_dict, 4)
-    cert = recovery.certify(x, M, circle_dict, out, eps=0.3, x_opt=x_opt, tube_delta=0.1)
+    cert = recovery.certify(x, M, circle_dict, out, eps=0.3, x_opt=x_opt)
     assert cert.optimal_error_bound == pytest.approx(100.3 * np.linalg.norm(x - x_opt))
     assert cert.optimal_error_excess is not None
     assert cert.line3_set2_rhs >= cert.line3_rhs
-    assert cert.tube_lhs is not None and cert.tube_rhs >= 0.1
+    assert cert.tube_lhs is not None
+    # the distance to the nearest finest-scale center, whatever scale the recovery searched
+    assert cert.tube_rhs == np.linalg.norm(x - circle_dict.centers(circle_dict.max_scale), axis=1).min()
     with pytest.raises(ValueError):
         recovery.certify(x, M, circle_dict, out, eps=0.7)
 
@@ -396,3 +399,78 @@ def test_sphere_and_cloud_oracles_take_blocks(circle_cloud):
         block = recovery.nearest_point_oracle(probes, manifold, dim)
         rows = [recovery.nearest_point_oracle(x, manifold, dim) for x in probes]
         assert np.array_equal(block, np.array(rows))
+
+
+def reference_nearest_on_swiss_roll(x, grid_size=4096, block=256):
+    """The per-row oracle: a blocked grid argmin, then brentq or a bounded minimize_scalar per row."""
+    ts = np.linspace(geometry.SWISS_ROLL_T_MIN, geometry.SWISS_ROLL_T_MAX, grid_size)
+    seeds = np.empty(x.shape[0], dtype=np.intp)
+    for start in range(0, x.shape[0], block):
+        chunk = x[start : start + block]
+        seeds[start : start + block] = np.argmin(recovery._roll_fval(ts, chunk[:, :1], chunk[:, 2:]), axis=1)
+    out = np.empty_like(x)
+    for r, (a, height, b) in enumerate(x):
+        lo = ts[max(0, seeds[r] - 1)]
+        hi = ts[min(grid_size - 1, seeds[r] + 1)]
+        if recovery._roll_fgrad(lo, a, b) < 0 < recovery._roll_fgrad(hi, a, b):
+            t_star = brentq(recovery._roll_fgrad, lo, hi, args=(a, b), xtol=1e-13)
+        else:
+            res = minimize_scalar(
+                recovery._roll_fval, bounds=(lo, hi), args=(a, b), method="bounded", options={"xatol": 1e-13}
+            )
+            t_star = float(res.x)
+            for edge in (geometry.SWISS_ROLL_T_MIN, geometry.SWISS_ROLL_T_MAX):
+                if recovery._roll_fval(edge, a, b) < recovery._roll_fval(t_star, a, b):
+                    t_star = edge
+        out[r] = geometry.swiss_roll_point(t_star, float(np.clip(height, 0.0, geometry.SWISS_ROLL_HEIGHT)))
+    return out
+
+
+def roll_probe(t, radial, height):
+    """A point at the spiral's angle t, radius t + radial: on the roll at 0, between arms at about +-pi."""
+    return np.array([(t + radial) * np.cos(t), height, (t + radial) * np.sin(t)])
+
+
+roll_probes = st.one_of(
+    # on, near and far from the roll, between its arms, past both spiral ends, heights outside [0, 21]
+    st.builds(
+        roll_probe,
+        st.floats(geometry.SWISS_ROLL_T_MIN - 2.0, geometry.SWISS_ROLL_T_MAX + 2.0),
+        st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6), st.floats(-12.0, 12.0)),
+        st.floats(-30.0, 50.0),
+    ),
+    # anywhere in a box around the roll, the spiral's inner end included
+    st.builds(lambda p: np.array(p), st.tuples(*[st.floats(-25.0, 25.0)] * 3)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(roll_probes, min_size=1, max_size=12))
+def test_swiss_roll_oracle_matches_the_per_row_reference(probes):
+    x = np.array(probes)
+    got = recovery.nearest_point_oracle(x, "swiss-roll")
+    want = reference_nearest_on_swiss_roll(x)
+    assert np.array_equal(got[:, 1], want[:, 1])
+    got_dist, want_dist = np.linalg.norm(x - got, axis=1), np.linalg.norm(x - want, axis=1)
+    assert np.all(np.abs(got_dist - want_dist) <= 1e-12 * (1.0 + want_dist))
+
+
+def test_swiss_roll_oracle_agrees_by_distance_on_planted_grid_ties():
+    # points equidistant from two neighbouring points of the oracle's 4,096-point spiral grid: the kernel's
+    # rounding picks either seed, and may pick differently in a 1-row and an n-row call, so every answer is
+    # compared by distance
+    ts = np.linspace(geometry.SWISS_ROLL_T_MIN, geometry.SWISS_ROLL_T_MAX, 4096)
+    grid = np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1)
+    k = np.random.default_rng(83).choice(len(ts) - 1, size=300)
+    chord = grid[k + 1] - grid[k]
+    normal = np.stack([-chord[:, 1], chord[:, 0]], axis=1) / np.linalg.norm(chord, axis=1)[:, None]
+    ab = 0.5 * (grid[k] + grid[k + 1]) + np.linspace(-0.5, 0.5, len(k))[:, None] * normal
+    x = np.stack([ab[:, 0], np.linspace(-3.0, 24.0, len(k)), ab[:, 1]], axis=1)
+    block = recovery.nearest_point_oracle(x, "swiss-roll")
+    rows = np.array([recovery.nearest_point_oracle(row, "swiss-roll") for row in x])
+    want = reference_nearest_on_swiss_roll(x)
+    want_dist = np.linalg.norm(x - want, axis=1)
+    for got in (block, rows):
+        assert np.array_equal(got[:, 1], want[:, 1])
+        got_dist = np.linalg.norm(x - got, axis=1)
+        assert np.all(np.abs(got_dist - want_dist) <= 1e-12 * (1.0 + want_dist))

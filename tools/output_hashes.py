@@ -12,6 +12,8 @@ bench/README.md), each set up and run once:
 * cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
   the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
   ``recon.csv``, ``recon_auto.csv`` and ``cert.csv`` its CLI chain writes,
+  then each column of ``cert.csv`` on its own (``cert.csv[<column>]``), so
+  a diff names the certificate quantities that moved,
   ``recover_batch``'s outputs at every scale for its matrix, and the
   ``gmra validate --json`` report.
 
@@ -27,6 +29,7 @@ because a threaded product rounds differently.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import os
@@ -50,6 +53,14 @@ def sha(data):
 def file_sha(path):
     with open(path, "rb") as fh:
         return sha(fh.read())
+
+
+def column_shas(path):
+    """(name, sha256) for each column of a CSV file, over its fields in row order, one per line."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    for k, name in enumerate(header):
+        yield name, sha("".join(row[k] + "\n" for row in rows).encode())
 
 
 def batch_sha(batch):
@@ -93,6 +104,8 @@ def cli_roll3(seed, tmp):
     work.iteration(workloads.OpLog())
     for name in ("train.csv", "query.csv", "meas.csv", "roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
         yield "cli-roll3 " + name, file_sha(work.path(name))
+    for column, digest in column_shas(work.path("cert.csv")):
+        yield "cli-roll3 cert.csv[%s]" % column, digest
     matrix = measurement.load_matrix(work.path("M.mtx"))
     dictionary = gmra.load_dictionary(work.path("roll.dict"))
     query = geometry.load_csv(work.path("query.csv"))
