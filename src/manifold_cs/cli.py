@@ -312,6 +312,11 @@ def cmd_recover(args):
         manifold = args.manifold
         if manifold and manifold not in ("sphere", "swiss-roll"):
             manifold = _read(geometry.load_csv, manifold)
+        dim = dictionary.ambient_dim
+        # the sphere oracle takes any width; the swiss roll lives in R^3, a sample cloud in its own
+        widths = (points.shape[1], 3 if manifold == "swiss-roll" else getattr(manifold, "ambient_dim", dim))
+        for flag, value, width in zip(("--points", "--manifold"), (args.points, args.manifold), widths):
+            _require(width == dim, flag, "%s in R^%d" % (value, width), "in R^%d like --dict" % dim)
     batch = recovery.recover_batch(meas, matrix, dictionary, scale)
     recon = batch.reconstructions
     geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
@@ -321,21 +326,11 @@ def cmd_recover(args):
         x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
         columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt)
         # every CertificateBundle quantity, in field order; absent ones are left empty
+        n = recon.shape[0]
+        table = dict(index=range(n), j=batch.chosen_scales, k_prime=batch.chosen_centers,
+                     compressed_residual=batch.residuals, ill_conditioned=batch.ill_conditioned.astype(int))
         names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
-        rows = (
-            dict(
-                {name: column[i] for name, column in columns.items()},
-                index=i,
-                j=batch.chosen_scales[i],
-                k_prime=batch.chosen_centers[i],
-                compressed_residual=batch.residuals[i],
-                ill_conditioned=int(batch.ill_conditioned[i]),
-            )
-            for i in range(recon.shape[0])
-        )
-        harness._write_table(
-            args.certificates, ["index", "j", "k_prime", "compressed_residual", "ill_conditioned"] + names, rows
-        )
+        harness._write_table(args.certificates, table | {name: columns.get(name, [None] * n) for name in names})
         print("wrote certificates to %s" % args.certificates)
 
 

@@ -430,12 +430,7 @@ def project_at_scale(dictionary, j, pts):
         raise ValueError("points have shape %s, the dictionary lives in R^%d" % (pts.shape, dictionary.ambient_dim))
     fits = dictionary.cell_fits(j)[_nearest_rows(pts, dictionary.centers(j))]
     centers = dictionary.fit_centers[fits]
-    return in_plane_rows(dictionary, fits, pts - centers) + centers
-
-
-def in_plane_rows(dictionary, fits, rel):
-    """Row i is B^T B rel[i], for the basis B of fit-table row fits[i]."""
-    return plane_rows(dictionary, fits, plane_coeffs(dictionary, fits, rel))
+    return plane_rows(dictionary, fits, plane_coeffs(dictionary, fits, pts - centers)) + centers
 
 
 def plane_coeffs(dictionary, fits, rel):
@@ -663,25 +658,21 @@ def _fit_decay(errors, min_scale=1):
 def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     """Largest error-to-scale ratio over near-qualifying centers, at factors 16 and 8.
 
-    A probe's off-plane residual depends only on the fit, so each (probe,
-    fit) residual is computed once and every scale reads its cells' columns.
+    A probe's off-plane residual depends only on the fit, so each (fit,
+    probe) residual is computed once, by stacked products over blocks of
+    fits, and every scale reads its cells' rows.
     """
     rng = np.random.default_rng(rng_seed)
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
-    fit_centers = dictionary.fit_centers
-    every_fit = np.arange(len(fit_centers))
-    # a block's (probe, fit) offsets fill at most block x F x D entries
-    block = max(1, _BLOCK_ENTRIES // fit_centers.size)
-    resid = np.empty((len(pts), len(fit_centers)))
-    for lo in range(0, len(pts), block):
-        x = pts[lo : lo + block]
-        rel = (x[:, None] - fit_centers).reshape(-1, fit_centers.shape[1])
-        off = rel - in_plane_rows(dictionary, np.tile(every_fit, len(x)), rel)
-        resid[lo : lo + block] = np.linalg.norm(off, axis=1).reshape(len(x), -1)
-    c16 = 0.0
-    c8 = 0.0
+    fit_centers, bases = dictionary.fit_centers, dictionary.fit_bases
+    block = max(1, _BLOCK_ENTRIES // pts.size)
+    resid = np.empty((len(fit_centers), len(pts)))
+    for fits in (slice(lo, lo + block) for lo in range(0, len(fit_centers), block)):
+        rel = pts - fit_centers[fits, None]
+        resid[fits] = np.linalg.norm(rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits], axis=2)
+    c16 = c8 = 0.0
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)
         floor = dictionary.sep_constant * 2.0 ** (-j - 1)
@@ -690,7 +681,7 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
             dists = np.sqrt(sq_dists(pts[lo : lo + block], centers))
             base = np.maximum(dists.min(axis=1), floor)
             rows, near = np.nonzero(dists <= 16.0 * base[:, None])
-            ratio = resid[lo + rows, fits[near]] * 2.0**j
+            ratio = resid[fits[near], lo + rows] * 2.0**j
             c16 = max(c16, float(ratio.max()))
             c8 = max(c8, float(ratio[dists[rows, near] <= 8.0 * base[rows]].max(initial=0.0)))
     return c16, c8

@@ -258,21 +258,21 @@ def run_experiment(config):
     return result
 
 
-def _write_table(path, columns, rows):
-    """One CSV table: the header, then each row's columns; a float is written with 17 significant digits."""
+def _write_table(path, columns):
+    """One CSV table from {name: column}: the header, then a line per row; a float as "%.17g", None as empty."""
+    cells = [["%.17g" % v if isinstance(v, float) else v for v in column] for column in columns.values()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.DictWriter(fh, columns, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: "%.17g" % v if isinstance(v, float) else v for c, v in row.items()})
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
 
 
 def write_results_csv(result, path):
-    _write_table(path, RESULTS_COLUMNS, result.rows)
+    _write_table(path, {c: [row[c] for row in result.rows] for c in RESULTS_COLUMNS})
 
 
 def write_timing_csv(result, path):
-    _write_table(path, TIMING_COLUMNS, result.timing_rows)
+    _write_table(path, {c: [row[c] for row in result.timing_rows] for c in TIMING_COLUMNS})
 
 
 def load_results_csv(path):

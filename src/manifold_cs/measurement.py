@@ -24,7 +24,7 @@ from .errors import FileFormatError, ResourceLimitError
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
-from .gmra import _BLOCK_ENTRIES, in_plane_rows
+from .gmra import _BLOCK_ENTRIES, plane_coeffs, plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 2
@@ -251,7 +251,8 @@ def assumption_set_vectors(dictionary, x):
     many cells share the fit (1 + 2F rows).
     """
     offsets = np.asarray(x, dtype=np.float64) - dictionary.fit_centers
-    planes = in_plane_rows(dictionary, np.arange(len(offsets)), offsets)
+    fits = np.arange(len(offsets))
+    planes = plane_rows(dictionary, fits, plane_coeffs(dictionary, fits, offsets))
     return np.vstack([np.zeros((1, dictionary.ambient_dim)), offsets, planes])
 
 
@@ -329,17 +330,17 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
 
     items.append(_subspace_item(matrix, dictionary, eps))
 
-    # item d over blocks of about _BLOCK_ENTRIES offsets x - c; their coefficients B (x - c) give both residuals
+    # item d over blocks of about _BLOCK_ENTRIES offsets x - c; M acts on the off-plane
+    # part itself, as M x - M c - (M B^T) B (x - c) would cancel digits of |M x|
     slack = 2.0 ** -dictionary.max_scale
     centers, bases = dictionary.fit_centers, dictionary.fit_bases
-    m_pts, m_centers, m_bases = matrix.apply(pts), matrix.apply(centers), matrix.apply(bases)
     block = max(1, _BLOCK_ENTRIES // pts.size)
     margin_d = np.inf
     for fits in (slice(lo, lo + block) for lo in range(0, len(centers), block)):
         rel = pts - centers[fits, None]
-        coeffs = rel @ bases[fits].swapaxes(1, 2)
-        resid = np.linalg.norm(rel - coeffs @ bases[fits], axis=2)
-        m_resid = np.linalg.norm(m_pts - m_centers[fits, None] - coeffs @ m_bases[fits], axis=2)
+        off = rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits]
+        resid = np.linalg.norm(off, axis=2)
+        m_resid = np.linalg.norm(matrix.apply(off), axis=2)
         upper = (1.0 + eps) * resid + slack
         lower = (1.0 - eps) * resid - slack
         margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))

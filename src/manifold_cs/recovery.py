@@ -296,24 +296,36 @@ def _nearest_on_swiss_roll(x):
     """Nearest roll point per row, the height clipped to the roll's.
 
     Each row's seed is its nearest point of a 4,096-point spiral grid by the
-    distance kernel.  One bisection over all rows, on the sign of the squared
-    distance's derivative within a grid step of the seed, runs until no
-    bracket shrinks; a row keeps the nearest of its bisection end, bracket
-    ends and the spiral's two ends.
+    distance kernel.  The grid may seed the farther of two about equally
+    near arms, so a row also brackets the other arm, half a radian about the
+    seed's angle one turn in or out (at most one is on the spiral), unless its
+    radius keeps it farther from there than from the seed: a spiral point at
+    t lies at radius t.  One bisection over all brackets, on the sign of the
+    squared distance's derivative, runs until no bracket shrinks; a row keeps
+    the nearest of its bisection ends, seed bracket ends and the spiral ends.
     """
     if x.shape[1] != 3:
         raise ValueError("swiss roll lives in R^3")
-    a, b = x[:, 0], x[:, 2]
+    n, a, b = len(x), x[:, 0], x[:, 2]
     ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, 4096)
     seeds = _nearest_rows(x[:, [0, 2]], np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1))
     lo0, hi0 = ts[np.maximum(seeds - 1, 0)], ts[np.minimum(seeds + 1, len(ts) - 1)]
-    lo, hi, mid = lo0, hi0, 0.5 * (lo0 + hi0)
+    turn = ts[seeds] + np.where(ts[seeds] < 3.0 * np.pi, 2.0 * np.pi, -2.0 * np.pi)
+    turn_lo, turn_hi = (np.clip(turn + w, SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX) for w in (-0.5, 0.5))
+    radius = np.hypot(a, b)
+    other = np.nonzero((np.clip(radius, turn_lo, turn_hi) - radius) ** 2 < _roll_fval(ts[seeds], a, b))[0]
+    lo, hi = np.concatenate([lo0, turn_lo[other]]), np.concatenate([hi0, turn_hi[other]])
+    row_a, row_b = np.concatenate([a, a[other]]), np.concatenate([b, b[other]])
+    mid = 0.5 * (lo + hi)
     while np.any((lo < mid) & (mid < hi)):
-        below = _roll_fgrad(mid, a, b) < 0.0
+        below = _roll_fgrad(mid, row_a, row_b) < 0.0
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         mid = 0.5 * (lo + hi)
-    candidates = np.stack([lo, lo0, hi0, np.full_like(lo, SWISS_ROLL_T_MIN), np.full_like(lo, SWISS_ROLL_T_MAX)])
-    t_star = candidates[np.argmin(_roll_fval(candidates, a, b), axis=0), np.arange(len(x))]
+    far = lo0.copy()  # a row with no second bracket repeats a candidate
+    far[other] = lo[n:]
+    # the other arm's candidate comes last, so it wins only when strictly nearer
+    candidates = np.stack([lo[:n], lo0, hi0, np.full(n, SWISS_ROLL_T_MIN), np.full(n, SWISS_ROLL_T_MAX), far])
+    t_star = candidates[np.argmin(_roll_fval(candidates, a, b), axis=0), np.arange(n)]
     return swiss_roll_point(t_star, np.clip(x[:, 1], 0.0, SWISS_ROLL_HEIGHT))
 
 

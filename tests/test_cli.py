@@ -321,14 +321,19 @@ def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_
 
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
-    """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv."""
+    """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv,
+    and the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx)."""
     d = tmp_path_factory.mktemp("chain")
-    run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, "--out", d / "train.csv")
-    run_cli("gmra", "build", "--cloud", d / "train.csv", "--out", d / "roll.dict", "--local-dim", 2, "--max-scale", 3)
+    for suffix, extra in (("", []), ("4", ["--ambient-dim", 4])):
+        run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, *extra, "--out", d / f"train{suffix}.csv")
+        run_cli("gmra", "build", "--cloud", d / f"train{suffix}.csv", "--out", d / f"roll{suffix}.dict",
+                "--local-dim", 2, "--max-scale", 3)
     run_cli("measure", "make", "--ensemble", "gaussian", "--m", 8, "--dim", 3, "--out", d / "M.mtx")
     run_cli("measure", "make", "--ensemble", "gaussian", "--m", 2, "--dim", 4, "--out", d / "M4.mtx")
-    matrix = measurement.load_matrix(d / "M.mtx")
-    geometry.save_csv(geometry.PointCloud(matrix.apply(geometry.load_csv(d / "train.csv").points), 8), d / "meas.csv")
+    for suffix, m in (("", 8), ("4", 2)):
+        matrix = measurement.load_matrix(d / f"M{suffix}.mtx")
+        measured = matrix.apply(geometry.load_csv(d / f"train{suffix}.csv").points)
+        geometry.save_csv(geometry.PointCloud(measured, m), d / f"meas{suffix}.csv")
     return d
 
 
@@ -357,6 +362,11 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (["bounds", "--d", "2", "--v", "1", "--eps", "abc"], "--eps"),
     (["bounds", "--d", "2", "--v", "1", "--eps", "", "--reach", "1", "--deltas", "0.1"], "--eps"),
     (["bounds", "--d", "2", "--v", "1", "--scales", ","], "--scales"),
+    # an input whose width is not the dictionary's: meas.csv has 8 columns, roll4.dict lives in R^4
+    (RECOVER + ["--points", "meas.csv", "--certificates", "cert.csv"], "--points"),
+    (RECOVER + ["--points", "train.csv", "--certificates", "cert.csv", "--manifold", "meas.csv"], "--manifold"),
+    (["recover", "--measurements", "meas4.csv", "--matrix", "M4.mtx", "--dict", "roll4.dict", "--out", "out.csv",
+      "--points", "train4.csv", "--certificates", "cert.csv", "--manifold", "swiss-roll"], "--manifold"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import fit_tables
@@ -233,7 +234,8 @@ def reference_near_center_constants(dictionary, cloud, budget, rng_seed):
             base = np.maximum(dists.min(axis=1), floor)
             rows, near = np.nonzero(dists <= 16.0 * base[:, None])
             rel = x[rows] - centers[near]
-            ratio = np.linalg.norm(rel - gmra.in_plane_rows(dictionary, fits[near], rel), axis=1) * 2.0**j
+            plane = gmra.plane_rows(dictionary, fits[near], gmra.plane_coeffs(dictionary, fits[near], rel))
+            ratio = np.linalg.norm(rel - plane, axis=1) * 2.0**j
             c16 = max(c16, float(ratio.max()))
             c8 = max(c8, float(ratio[dists[rows, near] <= 8.0 * base[rows]].max(initial=0.0)))
     return c16, c8
@@ -251,6 +253,19 @@ def test_near_center_constants_equal_the_per_scale_loop(roll3k, circle_cloud, ci
     for cloud, d, budget in cases:
         want = reference_near_center_constants(d, cloud, budget, 0)
         assert gmra._estimate_near_center_constants(d, cloud, budget, 0) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_tables(), st.integers(1, 300))
+def test_near_center_constants_match_the_per_scale_loop_on_any_fit_table(case, budget):
+    # stacked products and zero basis rows round differently from the loop's per-row sums: a residual may move by
+    # a few ulps of the offset x - c it is taken from (on a flat cloud it is all rounding), so each constant is
+    # compared to 1e-12 relative to the largest offset-to-scale ratio ||x - c|| 2^J
+    cloud, d = case
+    got = gmra._estimate_near_center_constants(d, cloud, budget, 0)
+    want = reference_near_center_constants(d, cloud, budget, 0)
+    ratio = np.sqrt(gmra.sq_dists(cloud.points, d.fit_centers).max()) * 2.0**d.max_scale
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * ratio)
 
 
 def test_load_refuses_a_version_3_container(tmp_path, circle_dict):

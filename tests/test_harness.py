@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifold_cs import geometry, gmra, harness
 from manifold_cs.errors import CsvParseError
@@ -293,3 +295,51 @@ def test_config_json_round_trip(tmp_path):
 def test_load_dataset_validates_descriptor():
     with pytest.raises(ValueError):
         harness.load_dataset({"generator": "torus", "n": 5})
+
+
+def reference_write_table(path, columns, rows):
+    """The row-dict writer: csv.DictWriter over one dict per row, a float written with 17 significant digits."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.DictWriter(fh, columns, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({c: "%.17g" % v if isinstance(v, float) else v for c, v in row.items()})
+
+
+csv_text = st.text(st.sampled_from('ab ,"\n\r\t'), max_size=5)  # commas, quotes and line breaks need quoting
+table_cells = st.one_of(
+    st.floats(),  # -0.0, nan and +-inf included
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.none(),
+    csv_text,
+)
+
+
+@st.composite
+def tables(draw):
+    """{name: column}: lists of mixed cells, float64 arrays and int64 arrays, every column as long."""
+    names = draw(st.lists(csv_text, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 6))
+    columns = {}
+    for name in names:
+        kind = draw(st.sampled_from(["cells", "float64", "int64"]))
+        if kind == "cells":
+            columns[name] = draw(st.lists(table_cells, min_size=n, max_size=n))
+        else:
+            values = st.floats() if kind == "float64" else st.integers(-(2**63), 2**63 - 1)
+            columns[name] = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=kind)
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_write_table_matches_the_row_dict_writer(tmp_path_factory, columns):
+    tmp = tmp_path_factory.mktemp("table")
+    n = len(next(iter(columns.values())))
+    harness._write_table(tmp / "got.csv", columns)
+    reference_write_table(tmp / "want.csv", list(columns), [{c: col[i] for c, col in columns.items()} for i in range(n)])
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()

@@ -251,7 +251,7 @@ def test_item_a_over_fits_matches_the_per_cell_probe_lists(swiss_cloud, swiss_di
     per_cell = [np.zeros((1, d.ambient_dim))]
     for j in range(d.max_scale + 1):
         offsets = x - d.centers(j)
-        per_cell += [offsets, gmra.in_plane_rows(d, d.cell_fits(j), offsets)]
+        per_cell += [offsets, gmra.plane_rows(d, d.cell_fits(j), gmra.plane_coeffs(d, d.cell_fits(j), offsets))]
     per_cell = np.vstack(per_cell)
     vectors = measurement.assumption_set_vectors(d, x)
     assert vectors.shape == (1 + 2 * len(d.fit_dims), d.ambient_dim)

@@ -474,3 +474,18 @@ def test_swiss_roll_oracle_agrees_by_distance_on_planted_grid_ties():
         assert np.array_equal(got[:, 1], want[:, 1])
         got_dist = np.linalg.norm(x - got, axis=1)
         assert np.all(np.abs(got_dist - want_dist) <= 1e-12 * (1.0 + want_dist))
+
+
+def test_swiss_roll_oracle_picks_the_nearer_arm_where_two_arms_tie():
+    # on the ray at angle 7, both arms' nearest points (t ~ 7.04 and t ~ 13.26) are equally near at radius
+    # 10.14669176...; within ~1e-6 of it the 4,096-point grid's argmin can lie on the farther arm.  The per-row
+    # reference shares that seeding, so the judge is a 400,001-point grid over the whole spiral
+    radius = 10.146691762085252 + np.linspace(-1e-5, 1e-5, 201)
+    x = np.stack([radius * np.cos(7.0), np.linspace(-2.0, 23.0, len(radius)), radius * np.sin(7.0)], axis=1)
+    got = np.linalg.norm(x - recovery.nearest_point_oracle(x, "swiss-roll"), axis=1)
+    ts = np.linspace(geometry.SWISS_ROLL_T_MIN, geometry.SWISS_ROLL_T_MAX, 400_001)
+    spiral_a, spiral_b = ts * np.cos(ts), ts * np.sin(ts)
+    height = x[:, 1] - np.clip(x[:, 1], 0.0, geometry.SWISS_ROLL_HEIGHT)
+    for row, dist, h in zip(x, got, height):
+        plane = ((spiral_a - row[0]) ** 2 + (spiral_b - row[2]) ** 2).min()
+        assert dist <= np.sqrt(plane + h**2) + 1e-12

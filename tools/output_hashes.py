@@ -15,7 +15,9 @@ bench/README.md), each set up and run once:
   then each column of ``cert.csv`` on its own (``cert.csv[<column>]``), so
   a diff names the certificate quantities that moved,
   ``recover_batch``'s outputs at every scale for its matrix, and the
-  ``gmra validate --json`` report.
+  ``gmra validate --json`` report, then each of its fields on its own
+  (``validate --json[<field>]``), so a diff names the validation quantities
+  that moved.
 
 To check that a change moves no output, run the script against each
 commit's ``src`` and compare::
@@ -32,6 +34,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -114,6 +117,8 @@ def cli_roll3(seed, tmp):
     with contextlib.redirect_stdout(report):
         cli.main(["gmra", "validate", "--dict", work.path("roll.dict"), "--cloud", work.path("train.csv"), "--json"])
     yield "cli-roll3 validate --json", sha(report.getvalue().encode())
+    for field, value in sorted(json.loads(report.getvalue()).items()):
+        yield "cli-roll3 validate --json[%s]" % field, sha(json.dumps(value).encode())
 
 
 def main():
