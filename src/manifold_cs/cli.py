@@ -122,6 +122,11 @@ def _require(ok, flag, value, need):
         raise SystemExit("%s must be %s, got %s" % (flag, need, value))
 
 
+def _require_space(flag, path, width, dim, like):
+    """End the command in one line unless flag's file, of width width, lives in R^dim like the file of like."""
+    _require(width == dim, flag, "%s in R^%d" % (path, width), "in R^%d like %s" % (dim, like))
+
+
 def cmd_generate(args):
     _require(args.n >= 1, "--n", args.n, ">= 1")
     _require(args.kind != "sphere" or args.d >= 1, "--d", args.d, ">= 1")
@@ -157,6 +162,8 @@ def cmd_gmra_build(args):
     cloud = _read(geometry.load_csv, args.cloud)
     _require(args.max_scale >= 0, "--max-scale", args.max_scale, ">= 0")
     _require(args.local_dim is None or args.local_dim >= 1, "--local-dim", args.local_dim, ">= 1")
+    _require(args.max_local_dim is None or args.max_local_dim >= 1, "--max-local-dim", args.max_local_dim, ">= 1")
+    _require(0 < args.energy <= 1, "--energy", args.energy, "in (0, 1]")
     if args.local_dim is None and args.max_local_dim is None:
         raise SystemExit("gmra build needs --local-dim, or --max-local-dim for adaptive local dimensions")
     dictionary = gmra.build_dictionary(
@@ -185,6 +192,7 @@ VALIDATE_JSON_FIELDS = (
 def cmd_gmra_validate(args):
     dictionary = _read(gmra.load_dictionary, args.dict_path)
     cloud = _read(geometry.load_csv, args.cloud)
+    _require_space("--cloud", args.cloud, cloud.ambient_dim, dictionary.ambient_dim, "--dict")
     report = gmra.validate_structure(dictionary, cloud)
     if args.json:
         payload = {name: _finite_or_null(getattr(report, name)) for name in VALIDATE_JSON_FIELDS}
@@ -226,10 +234,33 @@ def cmd_measure_make(args):
 
 def cmd_measure_verify(args):
     matrix = _read(measurement.load_matrix, args.matrix)
+    if not (args.probes or args.assumption_set):
+        raise SystemExit("nothing to verify: pass --probes and/or --assumption-set")
+    # every input is read and checked before the first report line
+    probes = _read(geometry.load_csv, args.probes).points if args.probes else None
+    if args.assumption_set:
+        _require(0 <= args.eps < 0.5, "--eps", args.eps, "in [0, 1/2) for --assumption-set")
+        if not args.dict_path:
+            raise SystemExit("--assumption-set needs --dict")
+        dictionary = _read(gmra.load_dictionary, args.dict_path)
+        _require_space("--dict", args.dict_path, dictionary.ambient_dim, matrix.ambient_dim, "--matrix")
+        x = None
+        cloud = None
+        if args.assumption_set == 1:
+            if not args.query:
+                raise SystemExit("assumption set 1 needs --query")
+            query = _read(geometry.load_csv, args.query).points
+            _require_space("--query", args.query, query.shape[1], matrix.ambient_dim, "--matrix")
+            if len(query) != 1:
+                raise SystemExit("assumption set 1 takes one query point, %s has %d rows" % (args.query, len(query)))
+            x = query[0]
+        else:
+            if not args.cloud:
+                raise SystemExit("assumption set 2 needs --cloud")
+            cloud = _read(geometry.load_csv, args.cloud)
+            _require_space("--cloud", args.cloud, cloud.ambient_dim, matrix.ambient_dim, "--matrix")
     rc = 0
-    did = False
-    if args.probes:
-        probes = _read(geometry.load_csv, args.probes).points
+    if probes is not None:
         try:
             report = measurement.verify_distortion(matrix, probes, args.eps)
         except ValueError as exc:
@@ -243,26 +274,8 @@ def cmd_measure_verify(args):
                 "PASS" if report.passed else "FAIL",
             )
         )
-        rc = rc or (0 if report.passed else 2)
-        did = True
+        rc = 0 if report.passed else 2
     if args.assumption_set:
-        _require(0 <= args.eps < 0.5, "--eps", args.eps, "in [0, 1/2) for --assumption-set")
-        if not args.dict_path:
-            raise SystemExit("--assumption-set needs --dict")
-        dictionary = _read(gmra.load_dictionary, args.dict_path)
-        x = None
-        cloud = None
-        if args.assumption_set == 1:
-            if not args.query:
-                raise SystemExit("assumption set 1 needs --query")
-            query = _read(geometry.load_csv, args.query).points
-            if len(query) != 1:
-                raise SystemExit("assumption set 1 takes one query point, %s has %d rows" % (args.query, len(query)))
-            x = query[0]
-        else:
-            if not args.cloud:
-                raise SystemExit("assumption set 2 needs --cloud")
-            cloud = _read(geometry.load_csv, args.cloud)
         report = measurement.verify_assumption_set(
             matrix, dictionary, x=x, which=args.assumption_set, eps=args.eps, cloud=cloud
         )
@@ -272,9 +285,6 @@ def cmd_measure_verify(args):
                 % (report.which, item.name, item.margin, "PASS" if item.passed else "FAIL", item.detail)
             )
         rc = rc or (0 if report.passed else 2)
-        did = True
-    if not did:
-        raise SystemExit("nothing to verify: pass --probes and/or --assumption-set")
     return rc
 
 
@@ -316,14 +326,17 @@ def cmd_recover(args):
         # the sphere oracle takes any width; the swiss roll lives in R^3, a sample cloud in its own
         widths = (points.shape[1], 3 if manifold == "swiss-roll" else getattr(manifold, "ambient_dim", dim))
         for flag, value, width in zip(("--points", "--manifold"), (args.points, args.manifold), widths):
-            _require(width == dim, flag, "%s in R^%d" % (value, width), "in R^%d like --dict" % dim)
+            _require_space(flag, value, width, dim, "--dict")
+        try:
+            x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
+        except ValueError as exc:  # the sphere's nearest point at the origin
+            raise SystemExit("--manifold %s: %s" % (args.manifold, exc))
     batch = recovery.recover_batch(meas, matrix, dictionary, scale)
     recon = batch.reconstructions
     geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
     print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
 
     if certify:
-        x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
         columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt)
         # every CertificateBundle quantity, in field order; absent ones are left empty
         n = recon.shape[0]

@@ -311,6 +311,10 @@ def build_dictionary(
     """
     if max_scale < 0:
         raise ValueError("max_scale must be >= 0")
+    if max_local_dim is not None and max_local_dim < 1:
+        raise ValueError("max_local_dim must be >= 1")
+    if not 0 < energy_threshold <= 1:
+        raise ValueError("energy_threshold must lie in (0, 1]")
     if local_dim is not None:
         if local_dim < 1:
             raise ValueError("local_dim must be >= 1")
@@ -626,17 +630,17 @@ def mean_error_per_scale(dictionary, cloud):
     ]
 
 
-def _fit_decay(errors, min_scale=1):
+def _fit_decay(errors):
     """OLS slope of log2(error) against scale, with its 95 percent t-interval.
 
-    Only scales j >= min_scale with a positive error are used. Edge cases:
+    Only scales j >= 1 with a positive error are used. Edge cases:
     fewer than 2 usable scales give NaN for the slope and both bounds;
     exactly 2 give the line through them with an infinite half-width (no
     residual degrees of freedom); an exact fit (zero residuals, as when the
     fine scales are carried-forward copies and the errors are constant) gives
     a zero-width interval at the slope.
     """
-    usable = [(j, e) for j, e in enumerate(errors) if e > 0 and j >= min_scale]
+    usable = [(j, e) for j, e in enumerate(errors) if e > 0 and j >= 1]
     n = len(usable)
     if n < 2:
         return float("nan"), (float("nan"), float("nan"))
@@ -655,6 +659,18 @@ def _fit_decay(errors, min_scale=1):
     return slope, (slope - half, slope + half)
 
 
+def _off_plane_blocks(dictionary, pts):
+    """Off-plane parts of pts against every fit, in blocks of consecutive fits of about _BLOCK_ENTRIES offsets.
+
+    Row f of a block holds (x - c) - B^T B (x - c) for each x in pts and the block's f-th fit (c, B).
+    """
+    centers, bases = dictionary.fit_centers, dictionary.fit_bases
+    block = max(1, _BLOCK_ENTRIES // pts.size)
+    for fits in (slice(lo, lo + block) for lo in range(0, len(centers), block)):
+        rel = pts - centers[fits, None]
+        yield rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits]
+
+
 def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     """Largest error-to-scale ratio over near-qualifying centers, at factors 16 and 8.
 
@@ -666,12 +682,7 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
-    fit_centers, bases = dictionary.fit_centers, dictionary.fit_bases
-    block = max(1, _BLOCK_ENTRIES // pts.size)
-    resid = np.empty((len(fit_centers), len(pts)))
-    for fits in (slice(lo, lo + block) for lo in range(0, len(fit_centers), block)):
-        rel = pts - fit_centers[fits, None]
-        resid[fits] = np.linalg.norm(rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits], axis=2)
+    resid = np.concatenate([np.linalg.norm(off, axis=2) for off in _off_plane_blocks(dictionary, pts)])
     c16 = c8 = 0.0
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)

@@ -109,6 +109,13 @@ class ExperimentConfig:
             for v in values:
                 if isinstance(v, bool) or not isinstance(v, types) or not low <= v < np.inf:
                     raise ValueError("%s must be finite %s >= %d, got %r" % (name, kind, low, v))
+        for name in ("local_dim", "max_local_dim"):
+            v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, integers[1]) or v < 1):
+                raise ValueError("%s must be an integer >= 1 or null, got %r" % (name, v))
+        v = self.energy_threshold
+        if isinstance(v, bool) or not isinstance(v, numbers[1]) or not 0 < v <= 1:
+            raise ValueError("energy_threshold must be a number in (0, 1], got %r" % (v,))
         if self.ensemble not in ("haar-orthoprojection", "gaussian"):
             raise ValueError("unknown ensemble %r" % self.ensemble)
 

@@ -24,7 +24,7 @@ from .errors import FileFormatError, ResourceLimitError
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
-from .gmra import _BLOCK_ENTRIES, plane_coeffs, plane_rows
+from .gmra import _BLOCK_ENTRIES, _off_plane_blocks, plane_coeffs, plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 2
@@ -330,15 +330,11 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
 
     items.append(_subspace_item(matrix, dictionary, eps))
 
-    # item d over blocks of about _BLOCK_ENTRIES offsets x - c; M acts on the off-plane
+    # item d over the blocks of _off_plane_blocks; M acts on the off-plane
     # part itself, as M x - M c - (M B^T) B (x - c) would cancel digits of |M x|
     slack = 2.0 ** -dictionary.max_scale
-    centers, bases = dictionary.fit_centers, dictionary.fit_bases
-    block = max(1, _BLOCK_ENTRIES // pts.size)
     margin_d = np.inf
-    for fits in (slice(lo, lo + block) for lo in range(0, len(centers), block)):
-        rel = pts - centers[fits, None]
-        off = rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits]
+    for off in _off_plane_blocks(dictionary, pts):
         resid = np.linalg.norm(off, axis=2)
         m_resid = np.linalg.norm(matrix.apply(off), axis=2)
         upper = (1.0 + eps) * resid + slack
@@ -358,12 +354,10 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
 def _subspace_item(matrix, dictionary, eps):
     """Exact isometry slack of M on each fitted plane: min(s_min - (1 - eps), (1 + eps) - s_max) of M B^T."""
     dims = dictionary.fit_dims
-    margins = np.empty(len(dims))
-    for d in np.unique(dims):
-        idx = np.nonzero(dims == d)[0]
-        svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases[idx, :d].swapaxes(1, 2), compute_uv=False)
-        low = svals[:, -1] if matrix.m >= d else 0.0
-        margins[idx] = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
+    svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases.swapaxes(1, 2), compute_uv=False)
+    # s_min is a fit's d-th singular value, the padding's zeros coming after it, and 0 when m < d
+    low = np.where(dims <= matrix.m, svals[np.arange(len(dims)), np.minimum(dims, matrix.m) - 1], 0.0)
+    margins = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
     worst = int(np.argmin(margins))
     return ItemCheck(
         "c-subspace-isometry",

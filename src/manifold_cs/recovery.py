@@ -147,9 +147,9 @@ def recover_batch(measurements, matrix, dictionary, j):
     """Recover every row of an n x m measurement block at scale j or "auto".
 
     The pseudoinverses of the fits the rows touch (one per fit, however many
-    cells share it) come from one stacked SVD per local dimension, and each
-    row is solved and assembled on its own, so a 1-row call gives the same
-    answer as the matching row of an n-row call.
+    cells share it) come from one stacked SVD of their zero-padded systems, and
+    each row is solved and assembled on its own, so a 1-row call gives the
+    same answer as the matching row of an n-row call.
     """
     y = np.asarray(measurements, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != matrix.m:
@@ -164,28 +164,20 @@ def recover_batch(measurements, matrix, dictionary, j):
     cells = _nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
     fits = dictionary.cell_fits(scale)[cells]
-    dims = dictionary.fit_dims[fits]
-    n = y.shape[0]
-    coeffs = np.zeros((n, dictionary.max_local_dim(scale)))
-    residuals = np.empty(n)
-    ill = np.empty(n, dtype=bool)
-    for d in np.unique(dims):
-        rows = np.nonzero(dims == d)[0]
-        group, slot = np.unique(fits[rows], return_inverse=True)
-        a_sub = matrix.entries @ dictionary.fit_bases[group, :d].swapaxes(1, 2)  # one m x d system per touched fit
-        pinv, rank = _truncated_pinv(a_sub)
-        c = (pinv[slot] @ rhs[rows, :, None])[:, :, 0]
-        coeffs[rows, :d] = c
-        residuals[rows] = np.linalg.norm((a_sub[slot] @ c[:, :, None])[:, :, 0] - rhs[rows], axis=1)
-        ill[rows] = rank[slot] < d
+    # one m x d_max system per touched fit, d_max the scale's widest; padding columns get zero coefficients
+    group, slot = np.unique(fits, return_inverse=True)
+    a_sub = matrix.entries @ dictionary.fit_bases[group, : dictionary.max_local_dim(scale)].swapaxes(1, 2)
+    pinv, rank = _truncated_pinv(a_sub)
+    coeffs = (pinv[slot] @ rhs[:, :, None])[:, :, 0]
+    residuals = np.linalg.norm((a_sub[slot] @ coeffs[:, :, None])[:, :, 0] - rhs, axis=1)
     return BatchRecovery(
         reconstructions=plane_rows(dictionary, fits, coeffs) + dictionary.fit_centers[fits],
         searched_scale=scale,
-        chosen_scales=dictionary.origin_scales(scale)[cells] if auto else np.full(n, scale),
+        chosen_scales=dictionary.origin_scales(scale)[cells] if auto else np.full(len(y), scale),
         chosen_centers=cells,
         coefficients=coeffs,
         residuals=residuals,
-        ill_conditioned=ill,
+        ill_conditioned=rank[slot] < dictionary.fit_dims[fits],
     )
 
 
@@ -265,26 +257,22 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     return columns
 
 
-def nearest_point_oracle(x, manifold, intrinsic_dim=None):
+def nearest_point_oracle(x, manifold):
     """Nearest point on a known manifold: the benchmark recovery is judged by.
 
     x is a D-vector or an n x D block (one nearest point per row).  manifold
-    is "sphere", "swiss-roll", or a PointCloud (exact nearest sample).  For
-    spheres embedded in a larger ambient space, intrinsic_dim selects the
-    leading block that carries the sphere; trailing coordinates of the
-    optimum are zero.
+    is "sphere" (the unit sphere of R^D), "swiss-roll", or a PointCloud
+    (exact nearest sample).
     """
     x = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):
         out = manifold.points[_nearest_rows(rows, manifold.points)]
     elif manifold == "sphere":
-        d = (rows.shape[1] - 1) if intrinsic_dim is None else int(intrinsic_dim)
-        norms = np.linalg.norm(rows[:, : d + 1], axis=1)
+        norms = np.linalg.norm(rows, axis=1)
         if np.any(norms < 1e-300):
             raise ValueError("nearest sphere point is not unique at the origin")
-        out = np.zeros_like(rows)
-        out[:, : d + 1] = rows[:, : d + 1] / norms[:, None]
+        out = rows / norms[:, None]
     elif manifold == "swiss-roll":
         out = _nearest_on_swiss_roll(rows)
     else:

@@ -6,6 +6,7 @@ ids.  One plot = log-scaled relMSE against scale, one polyline per
 oversampling factor with a +-1 std band, plus a single dashed baseline.
 """
 
+import html
 import math
 
 WIDTH = 640
@@ -68,92 +69,62 @@ def render_curves(scales, curves, baseline, title):
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">'
         % (WIDTH, HEIGHT, WIDTH, HEIGHT),
         '<rect width="%d" height="%d" fill="white"/>' % (WIDTH, HEIGHT),
-        '<text x="%d" y="24" font-family="sans-serif" font-size="15" text-anchor="middle">%s</text>'
-        % (WIDTH // 2, _escape(title)),
+        _text(WIDTH // 2, 24, 15, ' text-anchor="middle"', _escape(title)),
+        # axes
+        _line(MARGIN_L, HEIGHT - MARGIN_B, WIDTH - MARGIN_R, HEIGHT - MARGIN_B, 'stroke="black"'),
+        _line(MARGIN_L, MARGIN_T, MARGIN_L, HEIGHT - MARGIN_B, 'stroke="black"'),
     ]
-    # axes
-    parts.append(
-        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
-        % (_fmt(MARGIN_L), _fmt(HEIGHT - MARGIN_B), _fmt(WIDTH - MARGIN_R), _fmt(HEIGHT - MARGIN_B))
-    )
-    parts.append(
-        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
-        % (_fmt(MARGIN_L), _fmt(MARGIN_T), _fmt(MARGIN_L), _fmt(HEIGHT - MARGIN_B))
-    )
     for x in xs:
-        parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="11" text-anchor="middle">%d</text>'
-            % (_fmt(px(x)), _fmt(HEIGHT - MARGIN_B + 16), x)
-        )
+        parts.append(_text(_fmt(px(x)), _fmt(HEIGHT - MARGIN_B + 16), 11, ' text-anchor="middle"', "%d" % x))
     tick = lo
     while tick <= hi + 1e-9:
-        parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="11" text-anchor="end">1e%g</text>'
-            % (_fmt(MARGIN_L - 6), _fmt(py(10.0**tick) + 4), tick)
-        )
-        parts.append(
-            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#cccccc" stroke-width="0.5"/>'
-            % (_fmt(MARGIN_L), _fmt(py(10.0**tick)), _fmt(WIDTH - MARGIN_R), _fmt(py(10.0**tick)))
-        )
+        y = py(10.0**tick)
+        parts.append(_text(_fmt(MARGIN_L - 6), _fmt(y + 4), 11, ' text-anchor="end"', "1e%g" % tick))
+        parts.append(_line(MARGIN_L, y, WIDTH - MARGIN_R, y, 'stroke="#cccccc" stroke-width="0.5"'))
         tick += 1.0
-    parts.append(
-        '<text x="%d" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle">scale j</text>'
-        % (WIDTH // 2, HEIGHT - 12)
-    )
-    parts.append(
-        '<text x="16" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle" '
-        'transform="rotate(-90 16 %d)">relMSE</text>' % (HEIGHT // 2, HEIGHT // 2)
-    )
+    parts.append(_text(WIDTH // 2, HEIGHT - 12, 13, ' text-anchor="middle"', "scale j"))
+    rotate = ' text-anchor="middle" transform="rotate(-90 16 %d)"' % (HEIGHT // 2)
+    parts.append(_text(16, HEIGHT // 2, 13, rotate, "relMSE"))
 
     # std bands first, curves above them
-    for idx, (label, means, stds) in enumerate(curves):
+    for idx, (_, means, stds) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
-        pts_hi, pts_lo = [], []
-        for x, m, s in zip(xs, means, stds):
-            if m is None:
-                continue
-            s = s or 0.0
-            pts_hi.append((px(x), py(m + s)))
-            pts_lo.append((px(x), py(max(m - s, _FLOOR))))
-        if len(pts_hi) >= 2:
-            ring = pts_hi + pts_lo[::-1]
-            path = " ".join("%s,%s" % (_fmt(a), _fmt(b)) for a, b in ring)
-            parts.append('<polygon points="%s" fill="%s" fill-opacity="0.15" stroke="none"/>' % (path, color))
-    for idx, (label, means, stds) in enumerate(curves):
+        band = [(px(x), m, s or 0.0) for x, m, s in zip(xs, means, stds) if m is not None]
+        if len(band) >= 2:
+            ring = [(a, py(m + s)) for a, m, s in band] + [(a, py(max(m - s, _FLOOR))) for a, m, s in band[::-1]]
+            parts.append(_shape("polygon", ring, 'fill="%s" fill-opacity="0.15" stroke="none"' % color))
+    for idx, (label, means, _) in enumerate(curves):
         color = PALETTE[idx % len(PALETTE)]
         pts = [(px(x), py(m)) for x, m in zip(xs, means) if m is not None]
-        if not pts:
-            continue
-        path = " ".join("%s,%s" % (_fmt(a), _fmt(b)) for a, b in pts)
-        parts.append(
-            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>' % (path, color)
-        )
-        lx, ly = pts[-1]
-        parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="11" fill="%s">%s</text>'
-            % (_fmt(min(lx + 4, WIDTH - MARGIN_R - 30)), _fmt(ly - 4), color, _escape(label))
-        )
+        if pts:
+            parts.append(_shape("polyline", pts, 'fill="none" stroke="%s" stroke-width="1.5"' % color))
+            lx, ly = pts[-1]
+            lx = min(lx + 4, WIDTH - MARGIN_R - 30)
+            parts.append(_text(_fmt(lx), _fmt(ly - 4), 11, ' fill="%s"' % color, _escape(label)))
 
     if baseline is not None and baseline > 0:
         by = py(baseline)
-        parts.append(
-            '<line class="baseline" x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" '
-            'stroke-dasharray="6,4" stroke-width="1.2"/>'
-            % (_fmt(MARGIN_L), _fmt(by), _fmt(WIDTH - MARGIN_R), _fmt(by))
-        )
-        parts.append(
-            '<text x="%s" y="%s" font-family="sans-serif" font-size="11">baseline</text>'
-            % (_fmt(MARGIN_L + 4), _fmt(by - 4))
-        )
+        dashed = 'stroke="black" stroke-dasharray="6,4" stroke-width="1.2"'
+        parts.append(_line(MARGIN_L, by, WIDTH - MARGIN_R, by, dashed, 'class="baseline" '))
+        parts.append(_text(_fmt(MARGIN_L + 4), _fmt(by - 4), 11, "", "baseline"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
+def _text(x, y, size, attrs, body):
+    """A sans-serif <text> element; x and y are written as given."""
+    return '<text x="%s" y="%s" font-family="sans-serif" font-size="%d"%s>%s</text>' % (x, y, size, attrs, body)
+
+
+def _line(x1, y1, x2, y2, style, lead=""):
+    return '<line %sx1="%s" y1="%s" x2="%s" y2="%s" %s/>' % (lead, _fmt(x1), _fmt(y1), _fmt(x2), _fmt(y2), style)
+
+
+def _shape(tag, pts, style):
+    """A <polygon> or <polyline> through the (x, y) pairs pts."""
+    return '<%s points="%s" %s/>' % (tag, " ".join("%s,%s" % (_fmt(a), _fmt(b)) for a, b in pts), style)
+
+
 def _escape(text):
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
+    # html, not xml.sax.saxutils: that one imports urllib.request, and with it ssl and http.client
+    return html.escape(str(text), quote=False).replace('"', "&quot;")

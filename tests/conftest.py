@@ -44,6 +44,21 @@ def plane_cloud():
     return geometry.PointCloud(pts, 4, label="plane")
 
 
+@pytest.fixture(scope="session")
+def mixed_dict():
+    # a curve and a plane patch in R^4: the adaptive build fits 1- and 2-planes
+    rng = np.random.default_rng(4)
+    t = rng.uniform(0, 1, 300)
+    curve = np.zeros((300, 4))
+    curve[:, 0] = t
+    curve[:, 2] = 3.0
+    patch = np.zeros((300, 4))
+    patch[:, :2] = rng.uniform(0, 1, (300, 2))
+    pts = np.vstack([curve, patch]) + rng.standard_normal((600, 4)) * 1e-3
+    cloud = geometry.PointCloud(pts, 4)
+    return cloud, gmra.build_dictionary(cloud, max_local_dim=3, max_scale=4)
+
+
 def curved_cloud(seed, n, dim, intrinsic):
     """n points near an intrinsic-dimensional curved sheet, mapped into R^dim at a random scale and offset."""
     rng = np.random.default_rng(seed)

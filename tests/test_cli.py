@@ -322,7 +322,8 @@ def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
     """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv,
-    and the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx)."""
+    the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx), and origin.csv, as many
+    points of R^3 as meas.csv has rows, all at the origin."""
     d = tmp_path_factory.mktemp("chain")
     for suffix, extra in (("", []), ("4", ["--ambient-dim", 4])):
         run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, *extra, "--out", d / f"train{suffix}.csv")
@@ -334,6 +335,7 @@ def chain_dir(tmp_path_factory):
         matrix = measurement.load_matrix(d / f"M{suffix}.mtx")
         measured = matrix.apply(geometry.load_csv(d / f"train{suffix}.csv").points)
         geometry.save_csv(geometry.PointCloud(measured, m), d / f"meas{suffix}.csv")
+    geometry.save_csv(geometry.PointCloud(np.zeros((200, 3)), 3), d / "origin.csv")
     return d
 
 
@@ -367,6 +369,20 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (RECOVER + ["--points", "train.csv", "--certificates", "cert.csv", "--manifold", "meas.csv"], "--manifold"),
     (["recover", "--measurements", "meas4.csv", "--matrix", "M4.mtx", "--dict", "roll4.dict", "--out", "out.csv",
       "--points", "train4.csv", "--certificates", "cert.csv", "--manifold", "swiss-roll"], "--manifold"),
+    (["gmra", "validate", "--dict", "roll.dict", "--cloud", "train4.csv"], "--cloud"),
+    (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "1", "--query", "train4.csv"],
+     "--query"),
+    (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "2", "--cloud", "train4.csv"],
+     "--cloud"),
+    (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll4.dict", "--assumption-set", "2", "--cloud", "train.csv"],
+     "--dict"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "0"], "--max-local-dim"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "-1"], "--max-local-dim"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "2", "--energy", "1.5"],
+     "--energy"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "2", "--energy", "0"],
+     "--energy"),
+    (RECOVER + ["--points", "origin.csv", "--certificates", "cert.csv", "--manifold", "sphere"], "--manifold"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)
@@ -393,6 +409,17 @@ def test_removed_options_are_refused(tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli(*argv)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["local_dim", "max_local_dim"])
+def test_experiment_run_refuses_a_local_dimension_below_1(tmp_path, key):
+    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "output_dir": str(tmp_path / "out"),
+              key: 0}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    cause = re.escape("%s: %s must be an integer >= 1 or null, got 0" % (tmp_path / "config.json", key))
+    with pytest.raises(SystemExit, match="^experiment run: " + cause + "$"):
+        run_cli("experiment", "run", "--config", tmp_path / "config.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_experiment_run_verbose_logs_to_stderr(tmp_path):

@@ -102,6 +102,22 @@ def test_build_requires_enough_points():
         gmra.build_dictionary(cloud, local_dim=2, max_scale=1)
 
 
+@pytest.mark.parametrize("setting, cause", [
+    (dict(max_local_dim=0), "max_local_dim must be >= 1"),
+    (dict(max_local_dim=-1), "max_local_dim must be >= 1"),
+    (dict(max_local_dim=2, energy_threshold=1.5), r"energy_threshold must lie in \(0, 1\]"),
+    (dict(max_local_dim=2, energy_threshold=0.0), r"energy_threshold must lie in \(0, 1\]"),
+    (dict(max_local_dim=2, energy_threshold=float("nan")), r"energy_threshold must lie in \(0, 1\]"),
+])
+def test_build_refuses_bad_local_dimension_settings_before_fps(swiss_cloud, monkeypatch, setting, cause):
+    def no_fps(*args, **kwargs):
+        raise AssertionError("farthest-point sampling started")
+
+    monkeypatch.setattr(gmra, "farthest_point_ordering", no_fps)
+    with pytest.raises(ValueError, match=cause):
+        gmra.build_dictionary(swiss_cloud, max_scale=3, **setting)
+
+
 def test_degenerate_branch_copies_forward():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((4, 3)) * 0.1

@@ -1,5 +1,6 @@
 import csv
 import logging
+import math
 import re
 import xml.etree.ElementTree as ET
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from manifold_cs import geometry, gmra, harness
 from manifold_cs.errors import CsvParseError
+from manifold_cs.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, _FLOOR, render_curves
 
 
 def test_rel_mse_perfect_recovery():
@@ -159,6 +161,168 @@ def test_emit_plot_rejects_empty():
         harness.emit_plot(empty, "unused")
 
 
+def reference_fmt(v):
+    return "%.2f" % v
+
+
+def reference_escape(text):
+    return (
+        str(text)
+        .replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace('"', "&quot;")
+    )
+
+
+def reference_render_curves(scales, curves, baseline, title):
+    """The renderer that spelled out each element's template in place."""
+    if not scales:
+        raise ValueError("nothing to plot: empty scale list")
+    xs = list(scales)
+    values = [baseline] if baseline and baseline > 0 else []
+    for _, means, stds in curves:
+        for m, s in zip(means, stds):
+            if m is not None:
+                values.append(max(m - (s or 0.0), _FLOOR))
+                values.append(m + (s or 0.0))
+    values = [max(v, _FLOOR) for v in values if v is not None and v > 0]
+    if not values:
+        raise ValueError("nothing to plot: no positive values")
+    lo = math.log10(min(values))
+    hi = math.log10(max(values))
+    if hi - lo < 0.5:
+        mid = 0.5 * (hi + lo)
+        lo, hi = mid - 0.25, mid + 0.25
+    lo = math.floor(lo * 2.0) / 2.0
+    hi = math.ceil(hi * 2.0) / 2.0
+
+    x0, x1 = min(xs), max(xs)
+    if x1 == x0:
+        x1 = x0 + 1
+
+    def px(x):
+        return MARGIN_L + (x - x0) / (x1 - x0) * (WIDTH - MARGIN_L - MARGIN_R)
+
+    def py(v):
+        lv = math.log10(max(v, _FLOOR))
+        return MARGIN_T + (hi - lv) / (hi - lo) * (HEIGHT - MARGIN_T - MARGIN_B)
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" viewBox="0 0 %d %d">'
+        % (WIDTH, HEIGHT, WIDTH, HEIGHT),
+        '<rect width="%d" height="%d" fill="white"/>' % (WIDTH, HEIGHT),
+        '<text x="%d" y="24" font-family="sans-serif" font-size="15" text-anchor="middle">%s</text>'
+        % (WIDTH // 2, reference_escape(title)),
+    ]
+    # axes
+    parts.append(
+        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
+        % (reference_fmt(MARGIN_L), reference_fmt(HEIGHT - MARGIN_B), reference_fmt(WIDTH - MARGIN_R), reference_fmt(HEIGHT - MARGIN_B))
+    )
+    parts.append(
+        '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black"/>'
+        % (reference_fmt(MARGIN_L), reference_fmt(MARGIN_T), reference_fmt(MARGIN_L), reference_fmt(HEIGHT - MARGIN_B))
+    )
+    for x in xs:
+        parts.append(
+            '<text x="%s" y="%s" font-family="sans-serif" font-size="11" text-anchor="middle">%d</text>'
+            % (reference_fmt(px(x)), reference_fmt(HEIGHT - MARGIN_B + 16), x)
+        )
+    tick = lo
+    while tick <= hi + 1e-9:
+        parts.append(
+            '<text x="%s" y="%s" font-family="sans-serif" font-size="11" text-anchor="end">1e%g</text>'
+            % (reference_fmt(MARGIN_L - 6), reference_fmt(py(10.0**tick) + 4), tick)
+        )
+        parts.append(
+            '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#cccccc" stroke-width="0.5"/>'
+            % (reference_fmt(MARGIN_L), reference_fmt(py(10.0**tick)), reference_fmt(WIDTH - MARGIN_R), reference_fmt(py(10.0**tick)))
+        )
+        tick += 1.0
+    parts.append(
+        '<text x="%d" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle">scale j</text>'
+        % (WIDTH // 2, HEIGHT - 12)
+    )
+    parts.append(
+        '<text x="16" y="%d" font-family="sans-serif" font-size="13" text-anchor="middle" '
+        'transform="rotate(-90 16 %d)">relMSE</text>' % (HEIGHT // 2, HEIGHT // 2)
+    )
+
+    # std bands first, curves above them
+    for idx, (label, means, stds) in enumerate(curves):
+        color = PALETTE[idx % len(PALETTE)]
+        pts_hi, pts_lo = [], []
+        for x, m, s in zip(xs, means, stds):
+            if m is None:
+                continue
+            s = s or 0.0
+            pts_hi.append((px(x), py(m + s)))
+            pts_lo.append((px(x), py(max(m - s, _FLOOR))))
+        if len(pts_hi) >= 2:
+            ring = pts_hi + pts_lo[::-1]
+            path = " ".join("%s,%s" % (reference_fmt(a), reference_fmt(b)) for a, b in ring)
+            parts.append('<polygon points="%s" fill="%s" fill-opacity="0.15" stroke="none"/>' % (path, color))
+    for idx, (label, means, stds) in enumerate(curves):
+        color = PALETTE[idx % len(PALETTE)]
+        pts = [(px(x), py(m)) for x, m in zip(xs, means) if m is not None]
+        if not pts:
+            continue
+        path = " ".join("%s,%s" % (reference_fmt(a), reference_fmt(b)) for a, b in pts)
+        parts.append(
+            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>' % (path, color)
+        )
+        lx, ly = pts[-1]
+        parts.append(
+            '<text x="%s" y="%s" font-family="sans-serif" font-size="11" fill="%s">%s</text>'
+            % (reference_fmt(min(lx + 4, WIDTH - MARGIN_R - 30)), reference_fmt(ly - 4), color, reference_escape(label))
+        )
+
+    if baseline is not None and baseline > 0:
+        by = py(baseline)
+        parts.append(
+            '<line class="baseline" x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" '
+            'stroke-dasharray="6,4" stroke-width="1.2"/>'
+            % (reference_fmt(MARGIN_L), reference_fmt(by), reference_fmt(WIDTH - MARGIN_R), reference_fmt(by))
+        )
+        parts.append(
+            '<text x="%s" y="%s" font-family="sans-serif" font-size="11">baseline</text>'
+            % (reference_fmt(MARGIN_L + 4), reference_fmt(by - 4))
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+plot_values = st.one_of(st.none(), st.just(0.0), st.floats(-10.0, 0.0), st.floats(1e-20, 1e4))
+
+
+@st.composite
+def plot_inputs(draw):
+    """Scales, curves with gaps and non-positive values, a baseline and a title, as render_curves takes them."""
+    scales = sorted(draw(st.sets(st.integers(-3, 12), min_size=1, max_size=9)))
+    label = st.text(alphabet=st.sampled_from("ab <&\"'>\u00e9"), max_size=6)
+    curves = []
+    for _ in range(draw(st.integers(0, 7))):
+        means = draw(st.lists(plot_values, min_size=len(scales), max_size=len(scales)))
+        stds = draw(st.lists(st.one_of(st.none(), st.floats(0.0, 1e3)), min_size=len(scales), max_size=len(scales)))
+        curves.append((draw(label), means, stds))
+    baseline = draw(st.one_of(st.none(), st.just(0), st.floats(-1.0, 0.0), st.floats(1e-20, 1e3)))
+    return scales, curves, baseline, draw(label)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plot_inputs())
+def test_render_curves_matches_the_reference_byte_for_byte(case):
+    try:
+        want = reference_render_curves(*case)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="^%s$" % re.escape(str(exc))):
+            render_curves(*case)
+    else:
+        assert render_curves(*case) == want
+
+
 def test_load_results_csv_round_trip(tmp_path):
     cfg = small_config(tmp_path)
     res = harness.run_experiment(cfg)
@@ -263,6 +427,13 @@ def test_config_validation():
     ("noise_sigmas", [0.0, -0.1], "-0.1"),
     ("noise_sigmas", [0.0, float("nan")], "nan"),
     ("noise_sigmas", 0.1, "0.1"),
+    ("local_dim", 0, "0"),
+    ("local_dim", 1.5, "1.5"),
+    ("max_local_dim", 0, "0"),
+    ("max_local_dim", -1, "-1"),
+    ("energy_threshold", 1.5, "1.5"),
+    ("energy_threshold", 0, "0"),
+    ("energy_threshold", "0.9", "'0.9'"),
 ])
 def test_config_refuses_values_out_of_range_before_any_work(tmp_path, field, values, bad):
     with pytest.raises(ValueError, match="%s must .*got %s" % (field, bad)):

@@ -297,6 +297,50 @@ def test_subspace_margin_is_the_exact_singular_value_slack(swiss_cloud, swiss_di
         assert item.passed == (want >= 0.0)
 
 
+def reference_subspace_item(matrix, dictionary, eps):
+    """The per-local-dimension subspace item: for each d, one stacked SVD of the unpadded M B^T."""
+    dims = dictionary.fit_dims
+    margins = np.empty(len(dims))
+    for d in np.unique(dims):
+        idx = np.nonzero(dims == d)[0]
+        svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases[idx, :d].swapaxes(1, 2), compute_uv=False)
+        low = svals[:, -1] if matrix.m >= d else 0.0
+        margins[idx] = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
+    worst = int(np.argmin(margins))
+    return measurement.ItemCheck(
+        "c-subspace-isometry",
+        bool(margins[worst] >= 0.0),
+        float(margins[worst]),
+        "min two-sided slack of the singular values of M B^T, worst at cell %s" % (dictionary.first_cell(worst),),
+    )
+
+
+def assert_subspace_item_matches_the_reference(d, M, eps):
+    """Equal to the reference where every fit has the widest local dimension, else margins within 1e-12."""
+    got, want = measurement._subspace_item(M, d, eps), reference_subspace_item(M, d, eps)
+    if np.all(d.fit_dims == d.fit_bases.shape[1]):
+        assert got == want
+    else:
+        assert abs(got.margin - want.margin) <= 1e-12
+        assert got.passed == want.passed or abs(want.margin) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(fit_tables(), st.booleans(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.45), st.data())
+def test_subspace_item_matches_the_per_dimension_reference(case, haar, seed, eps, data):
+    _, d = case
+    m = data.draw(st.integers(1, d.ambient_dim))
+    draw = measurement.orthoprojection_matrix if haar else measurement.gaussian_matrix
+    assert_subspace_item_matches_the_reference(d, draw(m, d.ambient_dim, seed), eps)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_subspace_item_matches_the_per_dimension_reference_on_mixed_local_dims(mixed_dict, m):
+    _, d = mixed_dict
+    assert len(set(d.fit_dims)) > 1
+    assert_subspace_item_matches_the_reference(d, measurement.gaussian_matrix(m, 4, seed=70 + m), 0.3)
+
+
 def reference_item_d_margin(matrix, dictionary, pts, eps):
     """The per-fit loop of set-2 item d: each fit's projection of every point, then both residuals."""
     slack = 2.0 ** -dictionary.max_scale

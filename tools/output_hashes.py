@@ -6,7 +6,8 @@ Each line is ``<seed> <output> <sha256>``, for seeds 1 and 501. The inputs
 are the benchmark's three workloads at full size (bench/workloads.py, see
 bench/README.md), each set up and run once:
 
-* grid-roll3: the ``results.csv`` its run writes;
+* grid-roll3: the ``results.csv`` its run writes, then each
+  ``relmse_sigma_*.svg`` figure, in name order;
 * roll200: the saved dictionary of its cloud, and ``recover_batch``'s
   outputs at every scale and at "auto" for each of its two matrices;
 * cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
@@ -86,7 +87,10 @@ def grid_roll3(seed, tmp):
     work = workloads.GridRoll3(seed, "full", tmp, {})
     work.setup()
     work.iteration(workloads.OpLog())
-    yield "grid-roll3 results.csv", file_sha(os.path.join(work.config.output_dir, "results.csv"))
+    out = work.config.output_dir
+    yield "grid-roll3 results.csv", file_sha(os.path.join(out, "results.csv"))
+    for name in sorted(n for n in os.listdir(out) if n.startswith("relmse_sigma_") and n.endswith(".svg")):
+        yield "grid-roll3 " + name, file_sha(os.path.join(out, name))
 
 
 def roll200(seed, tmp):
