@@ -401,6 +401,8 @@ def cmd_experiment_run(args):
         raise SystemExit("experiment run: %s: %s" % (exc.strerror, exc.filename))
     except ValueError as exc:
         raise SystemExit("experiment run: %s" % exc)
+    if config.local_dim is None and config.max_local_dim is None:
+        raise SystemExit("experiment run: %s: neither local_dim nor max_local_dim is set" % args.config)
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
     try:

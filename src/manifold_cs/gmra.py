@@ -41,8 +41,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
-from scipy.spatial import cKDTree
 
 from .errors import FileFormatError
 from .geometry import farthest_point_ordering
@@ -279,6 +277,8 @@ def _nearest_rows(a, b):
     out = np.empty(len(a), dtype=np.intp)
     tree_pays = len(b) >= _TREE_MIN_ROWS and dim <= _TREE_MAX_DIM and len(a) * len(b) >= _TREE_MIN_PAIRS
     if tree_pays and np.isfinite(b_sq.max()):
+        from scipy.spatial import cKDTree
+
         a_rel = a - ref
         eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
         slack = 8.0 * (dim + 4) * (eps * (np.einsum("ij,ij->i", a_rel, a_rel) + b_sq.max()) + tiny)
@@ -651,9 +651,11 @@ def _fit_decay(errors):
     sxx = float(dx @ dx)
     slope = float(dx @ dy) / sxx
     if n > 2:
+        from scipy.special import stdtrit  # the 0.975 t-quantile, as scipy.stats.t.ppf computes it
+
         resid = dy - slope * dx
         stderr = np.sqrt((resid @ resid) / (n - 2) / sxx)
-        half = float(stats.t.ppf(0.975, n - 2) * stderr)
+        half = float(stdtrit(n - 2, 0.975) * stderr)
     else:
         half = np.inf
     return slope, (slope - half, slope + half)

@@ -288,9 +288,9 @@ def load_results_csv(path):
     The rows are the results.csv rows as read (strings); timing rows and
     mean norms are not recoverable from the results file.  A refused config
     or a damaged row raises ValueError (CsvParseError for a row) naming its
-    file.
+    file.  The results file is read first, so a missing one is the file a
+    FileNotFoundError names; the config is then looked for by its full path.
     """
-    config = ExperimentConfig.from_json(os.path.join(os.path.dirname(path), "config.json"))
     try:
         reader = csv.DictReader(geometry.csv_lines(path, newline=""))
         rows = list(reader)
@@ -301,6 +301,7 @@ def load_results_csv(path):
     missing = [c for c in RESULTS_COLUMNS if c not in (reader.fieldnames or [])]
     if missing:
         raise CsvParseError("%s has no %r column" % (path, missing[0]), row=1)
+    config = ExperimentConfig.from_json(os.path.join(os.path.dirname(os.path.abspath(path)), "config.json"))
     try:
         result = ExperimentResult(config=config, rows=rows, timing_rows=[], mean_norms={})
     except CsvParseError as exc:

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .errors import FileFormatError, ResourceLimitError
 # epsilon_net_ball is not called here; it stays a module attribute because the
@@ -118,6 +117,8 @@ def verify_distortion(matrix, probes, eps):
         raise ValueError(
             "probe dimension %d does not match matrix D=%d" % (probes.shape[1], matrix.ambient_dim)
         )
+    from scipy.spatial.distance import pdist
+
     d2 = pdist(probes, metric="sqeuclidean")
     md2 = pdist(matrix.apply(probes), metric="sqeuclidean")
     alive = d2 > 0.0

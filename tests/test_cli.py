@@ -282,6 +282,20 @@ def test_experiment_run_and_plot(tmp_path, capsys):
         run_cli("experiment", "plot", "--results", damaged / "results.csv", "--out", plot_dir)
 
 
+def test_experiment_plot_names_the_missing_file(tmp_path, monkeypatch):
+    # a missing results file is named as given, even with no config.json beside it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match="^experiment plot: No such file or directory: missing.csv$"):
+        run_cli("experiment", "plot", "--results", "missing.csv", "--out", "plots")
+    # a results file without its config.json: the config is named by its full path
+    (tmp_path / "exp").mkdir()
+    (tmp_path / "exp" / "results.csv").write_text("dataset,sigma,j,f,draw,relMSE,relMSE_J,d_j,m,max_sq_rel_err\n")
+    cause = re.escape("experiment plot: No such file or directory: %s" % (tmp_path / "exp" / "config.json"))
+    with pytest.raises(SystemExit, match="^%s$" % cause):
+        run_cli("experiment", "plot", "--results", os.path.join("exp", "results.csv"), "--out", "plots")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp"]
+
+
 def test_experiment_commands_refuse_a_config_with_removed_keys(tmp_path):
     # a config.json written when max_scale and sep_constant_hint were config fields
     exp = tmp_path / "exp"
@@ -307,7 +321,7 @@ def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_
         run_cli("gmra", "build", "--cloud", tmp_path / "none.csv", "--out", tmp_path / "d")
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"dataset": {"csv": str(bad_csv)}, "oversampling": [2], "num_draws": 1,
-                                  "scales": [0], "output_dir": str(tmp_path / "exp")}))
+                                  "scales": [0], "output_dir": str(tmp_path / "exp"), "local_dim": 2}))
     with pytest.raises(SystemExit, match="^experiment run: %s: row 2 is not UTF-8 text$" % re.escape(str(bad_csv))):
         run_cli("experiment", "run", "--config", config)
     m_path = tmp_path / "m.mcsmtrx"
@@ -322,8 +336,9 @@ def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
     """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv,
-    the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx), and origin.csv, as many
-    points of R^3 as meas.csv has rows, all at the origin."""
+    the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx), origin.csv, as many
+    points of R^3 as meas.csv has rows, all at the origin, and nodim.json, an experiment config that sets neither
+    local_dim nor max_local_dim."""
     d = tmp_path_factory.mktemp("chain")
     for suffix, extra in (("", []), ("4", ["--ambient-dim", 4])):
         run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, *extra, "--out", d / f"train{suffix}.csv")
@@ -336,6 +351,8 @@ def chain_dir(tmp_path_factory):
         measured = matrix.apply(geometry.load_csv(d / f"train{suffix}.csv").points)
         geometry.save_csv(geometry.PointCloud(measured, m), d / f"meas{suffix}.csv")
     geometry.save_csv(geometry.PointCloud(np.zeros((200, 3)), 3), d / "origin.csv")
+    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "output_dir": "out"}
+    (d / "nodim.json").write_text(json.dumps(config))
     return d
 
 
@@ -383,6 +400,7 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "2", "--energy", "0"],
      "--energy"),
     (RECOVER + ["--points", "origin.csv", "--certificates", "cert.csv", "--manifold", "sphere"], "--manifold"),
+    (["experiment", "run", "--config", "nodim.json"], "nodim.json: neither local_dim nor max_local_dim"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)

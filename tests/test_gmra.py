@@ -350,6 +350,23 @@ def test_fit_decay_matches_linregress_on_noisy_errors():
     assert lo < slope < hi
 
 
+def test_fit_decay_half_width_is_the_t_quantile_bit_for_bit():
+    # the interval's factor is scipy.stats.t.ppf(0.975, df) exactly, for every df in 1..2,000
+    rng = np.random.default_rng(19)
+    errors = rng.uniform(0.1, 1.0, 2003)
+    for df in range(1, 2001):
+        errs = errors[: df + 3]  # scale 0 is ignored, scales 1..df+2 are used
+        slope, (lo, hi) = gmra._fit_decay(errs.tolist())
+        dx = np.arange(1.0, df + 3.0)
+        dx -= dx.mean()
+        dy = np.log2(errs[1:])
+        dy -= dy.mean()
+        sxx = float(dx @ dx)
+        resid = dy - slope * dx
+        half = float(stats.t.ppf(0.975, df) * np.sqrt((resid @ resid) / df / sxx))
+        assert (lo, hi) == (slope - half, slope + half), df
+
+
 def test_fit_decay_too_few_scales():
     slope, (lo, hi) = gmra._fit_decay([1.0, 0.5])
     assert np.isnan(slope) and np.isnan(lo) and np.isnan(hi)
