@@ -12,7 +12,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, gmra, harness, measurement, recovery
-from .errors import CsvParseError, FileFormatError
+from .errors import CsvParseError, FileFormatError, TooFewPointsError
 
 
 def main(argv=None):
@@ -131,6 +131,8 @@ def cmd_generate(args):
     _require(args.n >= 1, "--n", args.n, ">= 1")
     _require(args.kind != "sphere" or args.d >= 1, "--d", args.d, ">= 1")
     _require(args.sigma >= 0, "--sigma", args.sigma, ">= 0")
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
+    _require(args.noise_seed is None or args.noise_seed >= 0, "--noise-seed", args.noise_seed, ">= 0")
     if args.kind == "swiss-roll":
         cloud = geometry.gen_swiss_roll(args.n, args.seed)
     else:
@@ -166,14 +168,17 @@ def cmd_gmra_build(args):
     _require(0 < args.energy <= 1, "--energy", args.energy, "in (0, 1]")
     if args.local_dim is None and args.max_local_dim is None:
         raise SystemExit("gmra build needs --local-dim, or --max-local-dim for adaptive local dimensions")
-    dictionary = gmra.build_dictionary(
-        cloud,
-        local_dim=args.local_dim,
-        max_scale=args.max_scale,
-        energy_threshold=args.energy,
-        max_local_dim=args.max_local_dim,
-        min_points=args.min_points,
-    )
+    try:
+        dictionary = gmra.build_dictionary(
+            cloud,
+            local_dim=args.local_dim,
+            max_scale=args.max_scale,
+            energy_threshold=args.energy,
+            max_local_dim=args.max_local_dim,
+            min_points=args.min_points,
+        )
+    except TooFewPointsError as exc:
+        raise SystemExit("--cloud %s: %s" % (args.cloud, exc))
     gmra.save_dictionary(dictionary, args.out)
     print(
         "built dictionary: scales 0..%d, counts %s, sep constant %.6g"
@@ -222,6 +227,7 @@ def _finite_or_null(value):
 def cmd_measure_make(args):
     _require(args.m >= 1, "--m", args.m, ">= 1")
     _require(args.dim >= 1, "--dim", args.dim, ">= 1")
+    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
     if args.ensemble == "haar-orthoprojection":
         _require(args.m <= args.dim, "--m", args.m, "<= --dim (%d) for %s" % (args.dim, args.ensemble))
     if args.ensemble == "gaussian":
@@ -403,6 +409,9 @@ def cmd_experiment_run(args):
         raise SystemExit("experiment run: %s" % exc)
     if config.local_dim is None and config.max_local_dim is None:
         raise SystemExit("experiment run: %s: neither local_dim nor max_local_dim is set" % args.config)
+    seed = config.dataset.get("seed", 0) if isinstance(config.dataset, dict) else 0
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise SystemExit("experiment run: %s: dataset seed must be an integer >= 0, got %r" % (args.config, seed))
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
     try:
@@ -411,6 +420,8 @@ def cmd_experiment_run(args):
         raise SystemExit("experiment run: %s: %s" % (exc.strerror, exc.filename))
     except CsvParseError as exc:  # the dataset CSV; the message names it
         raise SystemExit("experiment run: %s" % exc)
+    except TooFewPointsError as exc:  # raised by a build, which comes before any file is written
+        raise SystemExit("experiment run: %s: %s" % (args.config, exc))
     print("results: %s" % (config.output_dir,))
     for (sigma, j, f), (mean, std) in sorted(result.aggregates.items()):
         print("sigma=%g j=%d f=%d: relMSE %.4g +- %.4g" % (sigma, j, f, mean, std))

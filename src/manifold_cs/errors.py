@@ -13,5 +13,9 @@ class CsvParseError(ValueError):
         self.row = row
 
 
+class TooFewPointsError(ValueError):
+    """A cloud has fewer points than a dictionary build needs to fit its planes."""
+
+
 class FileFormatError(ValueError):
     """A dictionary/matrix container file is malformed or has an unknown version."""

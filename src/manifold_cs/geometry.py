@@ -159,10 +159,18 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     the selected prefix, so no pick lies past the net at that radius.
     stop_fraction, when given, raises stop_radius to that fraction of the
     first covering radius (the max distance from row 0).  Returns (indices,
-    covered_radius) where covered_radius[k] is the max distance of any point
-    to the first k+1 selections; every prefix of the ordering is a net at
-    its covered radius.  stop_radius must be >= 0: the radius reaches 0 once
-    every distinct point is picked, which bounds the loop.
+    covered_radius, (rows, picks)) where covered_radius[k] is the max
+    distance of any point to the first k+1 selections; every prefix of the
+    ordering is a net at its covered radius.  stop_radius must be >= 0: the
+    radius reaches 0 once every distinct point is picked, which bounds the
+    loop.
+
+    (rows[e], picks[e]) says that pick picks[e] (a position in indices)
+    became the strictly nearest pick of row rows[e], by the difference-form
+    distance below; picks is nondecreasing, and pick 0, every row's first
+    nearest pick, has no entries.  So a row's nearest pick among the first
+    P, ties to the earliest, is the largest picks[e] < P of its entries, or
+    0 if it has none.
 
     Each pick p updates dist, every row's distance to the picked prefix, to
     min(dist, ||x - p||) with ||x - p|| computed in difference form,
@@ -206,8 +214,9 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     computed norm is >= dist and np.minimum would have kept dist.  A NaN g
     (on overflow) is never skipped.  The rows are C-contiguous, so a gathered
     row's norm sums its squares in the same order as a full-width one.  The
-    indices and radii are therefore bit for bit those of the loop that
-    recomputes every row's difference-form norm at every pick.
+    indices, radii and moves are therefore bit for bit those of the loop
+    that recomputes every row's difference-form norm at every pick: a
+    skipped row is not strictly nearer the pick, so it has no move there.
     """
     if pts.shape[0] == 0:
         raise ValueError("empty cloud")
@@ -223,18 +232,23 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     order = [0]
     nxt = int(np.argmax(dist))
     radii = [float(dist[nxt])]
+    moved = []  # per pick, the rows it is the strictly nearest pick of
     if stop_fraction is not None:
         stop_radius = max(stop_radius, radii[0] * stop_fraction)
     while radii[-1] > stop_radius:
         order.append(nxt)
         gram = sq - 2.0 * (coords @ coords[nxt]) + sq[nxt]
         cand = np.flatnonzero(~(gram > limit + grow * eps * sq[nxt]))
-        near = np.minimum(dist[cand], np.linalg.norm(pts[cand] - pts[nxt], axis=1))
-        dist[cand] = near
-        limit[cand] = near * near * (1.0 + 1e-9) + slack[cand]
+        near = np.linalg.norm(pts[cand] - pts[nxt], axis=1)
+        closer = near < dist[cand]
+        rows, near = cand[closer], near[closer]
+        dist[rows] = near
+        limit[rows] = near * near * (1.0 + 1e-9) + slack[rows]
+        moved.append(rows)
         nxt = int(np.argmax(dist))
         radii.append(float(dist[nxt]))
-    return np.array(order, dtype=np.intp), np.array(radii)
+    picks = np.repeat(np.arange(1, len(order), dtype=np.intp), [len(rows) for rows in moved])
+    return np.array(order, dtype=np.intp), np.array(radii), (np.concatenate([np.empty(0, np.intp)] + moved), picks)
 
 
 def epsilon_net_ball(dim, eps):
@@ -281,8 +295,7 @@ def epsilon_net_ball(dim, eps):
     # so the kept set is a net at the full radius.  Row 0 is the zero vector
     # and is always kept (FPS is seeded there).
     stacked = np.vstack([np.zeros((1, dim)), cand])
-    order, _ = farthest_point_ordering(stacked, stop_radius=pack)
-    return stacked[order]
+    return stacked[farthest_point_ordering(stacked, stop_radius=pack)[0]]
 
 
 def save_csv(cloud, path):

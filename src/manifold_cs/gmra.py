@@ -25,16 +25,34 @@ Construction details that matter for the invariants:
   is the scale of the first cell it serves.
 * Centers are cell means, not sample points, so the recorded separation
   constant is measured on the built centers rather than assumed.
-* Every distance search goes through one kernel, ``sq_dists``, or its
-  blocked argmin ``_nearest_rows``: a Gram expansion in coordinates centered
-  on the mean of the searched rows, so rounding scales with the cloud's
-  spread, not its offset (a cloud shifted by 1e8 builds the same cells).
-  For many queries over many rows of few coordinates a k-d tree prunes the
-  search: it settles each query whose nearest row a rounding bound
-  certifies as the kernel's unique argmin, and the kernel decides the rest,
-  so every answer is the blocked scan's.  Only on a near-tie within the kernel's rounding can a
-  query's answer depend on the other queries of the call: BLAS may round a
-  1-row product differently from a block's.
+* Cells are read off the FPS pass.  At every pick FPS holds each row's
+  difference-form distance to the picked prefix, and it reports each row
+  that the pick becomes the strictly nearest pick of.  Replaying those
+  moves up to a scale's net gives every row's nearest net point, ties to the
+  earliest pick.  Their counts are the first populations that accept or
+  reject the new seeds, and a row whose nearest net point was accepted
+  stays in that point's cell.  Only the orphans of a rejected point are
+  searched, by the kernel below, against the accepted seeds in pick order,
+  so that ties go to the earliest pick there too.  A build thus costs one
+  FPS pass plus the orphans' search, not two scans of every row per scale.
+* Each fresh fit's plane comes from the thin SVD of its centered cell, or,
+  when d + 2 is below both the cell's size and D, from the smaller Gram
+  matrix refined by one subspace-iteration step (see ``_cell_fit``), so a
+  fit costs O(n_k D min(n_k, D)) with a small constant.
+* Every other distance search goes through one kernel, ``sq_dists``, or its
+  blocked argmin ``_nearest_rows``: the orphans' above, the separation and
+  parent checks on centers, ``nearest_center``, ``project_at_scale``,
+  recovery's compressed-center search and nearest-point oracles, the
+  tube-scale estimate and the near-center constants.  The kernel is a Gram
+  expansion in coordinates centered on the mean of the searched rows, so
+  rounding scales with the cloud's spread, not its offset (a cloud shifted
+  by 1e8 builds the same cells).  For many queries over many rows of few
+  coordinates a k-d tree prunes the search: it settles each query whose
+  nearest row a rounding bound certifies as the kernel's unique argmin, and
+  the kernel decides the rest, so every answer is the blocked scan's.  Only
+  on a near-tie within the kernel's rounding can a query's answer depend on
+  the other queries of the call: BLAS may round a 1-row product differently
+  from a block's.
 """
 
 import hashlib
@@ -42,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import FileFormatError, TooFewPointsError
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
@@ -79,6 +97,9 @@ class MultiscaleDictionary:
         self.sep_constant = float(sep_constant)
         self.root_radius = float(root_radius)
         self.provenance = provenance
+        # checked before the per-cell arrays are made, so a damaged count cannot ask for a huge one
+        if self.cell_fit.shape != (self.offsets[-1],):
+            raise ValueError("cell_fit needs one entry per cell")
         self._scale = np.repeat(np.arange(len(counts)), counts)
         # the first cell each fit serves, and so the scale at which it was fit
         self._first_cell = self._validate(np.array([0] + counts[:-1])[self._scale])
@@ -91,8 +112,6 @@ class MultiscaleDictionary:
         centers, bases, dims, fit = self.fit_centers, self.fit_bases, self.fit_dims, self.cell_fit
         if centers.ndim != 2 or bases.ndim != 3 or bases.shape[::2] != centers.shape or dims.shape != centers.shape[:1]:
             raise ValueError("need F x D centers, F x d_max x D bases and F local dims for a table of F fits")
-        if fit.shape != (n,):
-            raise ValueError("cell_fit needs one entry per cell")
         if not (np.isfinite(centers).all() and np.isfinite(bases).all()):
             raise ValueError("centers and bases must be finite")
         # orthonormal rows have entries in [-1, 1]; checked before any product of bases can overflow
@@ -159,25 +178,65 @@ class MultiscaleDictionary:
         return self._origin[self.cell_fits(j)]
 
 
+# _cell_fit's oversampling p: the Gram path keeps d + p candidate directions.
+_OVERSAMPLE = 2
+
+
 def _cell_fit(points, mode):
     """Mean of a cell's points and the rows of its top right-singular-vector basis.
 
     mode is either ("fixed", d) or ("adaptive", energy_threshold, d_max).
+    With C the centered n_k x D cell and k = min(d + _OVERSAMPLE, n_k, D)
+    (d_max for d in adaptive mode), k = D takes the thin SVD of C.  Below
+    that the top-k subspace comes from the smaller Gram matrix of C scaled
+    to max |entry| 1, so that squaring cannot overflow: the top-k
+    eigenvectors V of C^T C (n_k >= D), or C^T U for those U of C C^T.  One
+    subspace-iteration step C^T (C V) and its QR basis Q, then the thin SVD
+    of C Q, give the basis (Halko, Martinsson and Tropp, SIAM Review 2011,
+    Algorithms 4.4 and 5.1): O(n_k D min(n_k, D)) for the Gram matrix, at a
+    far smaller constant than the thin SVD's.  Adaptive mode reads the
+    energy fractions from the singular values squared, or from the Gram
+    eigenvalues.
+
+    Accuracy.  With singular values s_0 >= s_1 >= ... of C and u the float64
+    machine epsilon, the Gram matrix's rounding moves its top-i subspace by
+    about u s_0^2 / (s_{i-1}^2 - s_i^2).  The step shrinks what lies past
+    the top k by (s_k / s_{d-1})^2 against the top d, and the SVD of C Q
+    adds the thin SVD's own u s_0 / (s_{d-1} - s_d).  So where the spectrum
+    falls past the plane, as on a sampled manifold, the plane is the thin
+    SVD's to rounding; a direction whose singular value lies under about
+    sqrt(u) s_0 = 1.5e-8 s_0 in a flat tail is set by rounding instead,
+    which moves the fit's residual by no more than that singular value.
     """
     mean = points.mean(axis=0)
     centered = points - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    n_k, dim = centered.shape
+    k = min((mode[1] if mode[0] == "fixed" else mode[2]) + _OVERSAMPLE, n_k, dim)
+    if k == dim:
+        _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+        energy = (svals / svals[0]) ** 2 if svals[0] > 0 else svals  # normalised first: raw squares can overflow
+    else:
+        top = np.abs(centered).max()
+        cell = centered / top if top > 0 else centered
+        if n_k >= dim:
+            energy, vecs = np.linalg.eigh(cell.T @ cell)
+            start = vecs[:, -k:]
+        else:
+            energy, vecs = np.linalg.eigh(cell @ cell.T)
+            start = cell.T @ vecs[:, -k:]
+        energy = np.maximum(energy[::-1], 0.0)
+        q = np.linalg.qr(cell.T @ (cell @ start))[0]
+        vt = np.linalg.svd(cell @ q, full_matrices=False)[2] @ q.T
     if mode[0] == "fixed":
         d = mode[1]
     else:
         _, threshold, d_max = mode
-        if svals[0] == 0.0:
+        if energy[0] == 0.0:
             d = 1
         else:
-            energy = (svals / svals[0]) ** 2  # normalised first: squaring the raw values can overflow
             frac = np.cumsum(energy) / energy.sum()
             d = int(np.searchsorted(frac, threshold - 1e-12) + 1)
-        d = min(d, d_max, points.shape[1])
+        d = min(d, d_max, dim)
     return mean, vt[: min(d, vt.shape[0])]
 
 
@@ -331,11 +390,13 @@ def build_dictionary(
     pts = cloud.points
     n = pts.shape[0]
     if n < min_required:
-        raise ValueError("cloud has %d points, need at least %d" % (n, min_required))
+        raise TooFewPointsError("cloud has %d points, need at least %d" % (n, min_required))
 
-    order, radii = farthest_point_ordering(pts, stop_fraction=2.0**-max_scale)
+    order, radii, (moved, picks) = farthest_point_ordering(pts, stop_fraction=2.0**-max_scale)
     root_radius = float(radii[0])
-    seeds = np.empty(0, dtype=np.intp)  # accepted seeds, stable across scales: cell k <-> seeds[k]
+    nearest = np.zeros(n, dtype=np.intp)  # each row's nearest pick of the current net, ties to the earliest
+    cell_of = np.full(len(order), -1, dtype=np.intp)  # the cell each pick seeds, -1 while it seeds none
+    replayed = 0  # the moves replayed so far
     pops = np.empty(0, dtype=np.intp)  # cell populations at the previous scale
     row = np.empty(0, dtype=np.intp)  # the fit-table row serving each cell of the current scale
     rows = []  # row, for every scale
@@ -344,16 +405,22 @@ def build_dictionary(
 
     for j in range(max_scale + 1):
         # the scale-j net: the FPS prefix whose covering radius is <= r_0 2^-j
-        net = order[: np.argmax(radii <= root_radius * 2.0**-j) + 1]
-        new = net[~np.isin(net, seeds)]
-        if j > 0 and new.size:  # the root seed is accepted unconditionally
-            pool = np.concatenate([seeds, new])
-            first_pops = np.bincount(_nearest_rows(pts, pts[pool]), minlength=len(pool))
-            new = new[first_pops[len(seeds) :] >= min_points]
-        old = len(seeds)
-        seeds = np.concatenate([seeds, new])
-        assign = _nearest_rows(pts, pts[seeds])
-        new_pops = np.bincount(assign, minlength=len(seeds))
+        size = int(np.argmax(radii <= root_radius * 2.0**-j)) + 1
+        start, replayed = replayed, int(np.searchsorted(picks, size))
+        np.maximum.at(nearest, moved[start:replayed], picks[start:replayed])  # a row's nearest pick only grows
+        new = np.flatnonzero(cell_of[:size] < 0)
+        if j > 0:  # the root seed is accepted unconditionally
+            new = new[np.bincount(nearest, minlength=size)[new] >= min_points]
+        old = len(pops)
+        cell_of[new] = old + np.arange(len(new))
+        # a row keeps its nearest net point when that was accepted; the orphans of a rejected one go to
+        # the nearest accepted seed, searched in pick order so that ties go to the earliest pick
+        assign = cell_of[nearest]
+        orphans = np.flatnonzero(assign < 0)
+        if orphans.size:
+            seeds = np.flatnonzero(cell_of[:size] >= 0)
+            assign[orphans] = cell_of[seeds[_nearest_rows(pts[orphans], pts[order[seeds]])]]
+        new_pops = np.bincount(assign, minlength=old + len(new))
         # cells only ever lose points to newly accepted seeds, so an unchanged
         # population means an unchanged cell, which keeps its fit; a cell left
         # with too few points to refit keeps the coarser fit as well
@@ -438,18 +505,22 @@ def project_at_scale(dictionary, j, pts):
 
 
 def plane_coeffs(dictionary, fits, rel):
-    """Row i is B rel[i], for the basis B of fit-table row fits[i]; zero past its local dimension."""
+    """Row i is B rel[i], for the basis B of fit-table row fits[i]; zero past its local dimension.
+
+    fits may have any shape that broadcasts against rel's leading axes.
+    """
     bases = dictionary.fit_bases
-    return np.stack([(rel * bases[fits, t]).sum(axis=1) for t in range(bases.shape[1])], axis=1)
+    return np.stack([(rel * bases[fits, t]).sum(axis=-1) for t in range(bases.shape[1])], axis=-1)
 
 
 def plane_rows(dictionary, fits, coeffs):
     """Row i is coeffs[i] @ B, for the basis B of fit-table row fits[i].
 
     Products are summed one basis row at a time, so a row's result does not
-    depend on the other rows of the call.
+    depend on the other rows of the call. As in ``plane_coeffs``, fits may
+    broadcast against coeffs' leading axes.
     """
-    return sum(coeffs[:, t, None] * dictionary.fit_bases[fits, t] for t in range(coeffs.shape[1]))
+    return sum(coeffs[..., t, None] * dictionary.fit_bases[fits, t] for t in range(coeffs.shape[-1]))
 
 
 @dataclass
@@ -551,7 +622,8 @@ def _check_separation(dictionary):
         if centers.shape[0] < 2:
             continue
         k1, k2, min_dist = _closest_pair(centers)
-        margin = min_dist / (c1 * 2.0**-j) - 1.0
+        # c1 is 0 only when two centers of some scale coincide
+        margin = (min_dist / (c1 * 2.0**-j) if c1 > 0 else np.inf if min_dist > 0 else 0.0) - 1.0
         if margin < worst_margin:
             worst_margin = margin
             worst_pair = (j, k1, k2)
@@ -677,14 +749,24 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     """Largest error-to-scale ratio over near-qualifying centers, at factors 16 and 8.
 
     A probe's off-plane residual depends only on the fit, so each (fit,
-    probe) residual is computed once, by stacked products over blocks of
-    fits, and every scale reads its cells' rows.
+    probe) residual is computed once, over blocks of fits, and every scale
+    reads its cells' rows. The residuals go through ``plane_coeffs`` and
+    ``plane_rows``, whose sums do not depend on the other rows of the call,
+    so each equals the one a per-scale pass over only the near pairs gets.
     """
     rng = np.random.default_rng(rng_seed)
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
-    resid = np.concatenate([np.linalg.norm(off, axis=2) for off in _off_plane_blocks(dictionary, pts)])
+    every = np.arange(len(dictionary.fit_centers))
+    # the helpers hold a few temporaries of a block's size: a quarter block keeps them in cache
+    block = max(1, _BLOCK_ENTRIES // (4 * pts.size))
+    resid = []
+    for fits in (every[lo : lo + block] for lo in range(0, len(every), block)):
+        rel = pts - dictionary.fit_centers[fits, None]
+        off = rel - plane_rows(dictionary, fits[:, None], plane_coeffs(dictionary, fits[:, None], rel))
+        resid.append(np.linalg.norm(off, axis=2))
+    resid = np.concatenate(resid)
     c16 = c8 = 0.0
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)

@@ -101,6 +101,7 @@ class ExperimentConfig:
         for name, values, low, (kind, types) in (
             ("noise_sigmas", self.noise_sigmas, 0, numbers),
             ("num_draws", [self.num_draws], 1, integers),
+            ("seed", [self.seed], 0, integers),
             ("scales", self.scales, 0, integers),
             ("oversampling", self.oversampling, 1, integers),
         ):

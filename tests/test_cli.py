@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import manifold_cs
-from manifold_cs import cli, geometry, gmra, measurement
+from manifold_cs import cli, geometry, gmra, harness, measurement
 
 
 def run_cli(*argv):
@@ -337,8 +337,9 @@ def test_unreadable_input_files_end_the_command_in_one_line_naming_the_file(tmp_
 def chain_dir(tmp_path_factory):
     """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv,
     the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx), origin.csv, as many
-    points of R^3 as meas.csv has rows, all at the origin, and nodim.json, an experiment config that sets neither
-    local_dim nor max_local_dim."""
+    points of R^3 as meas.csv has rows, all at the origin, one.csv, a single point of R^3, nodim.json, an experiment
+    config that sets neither local_dim nor max_local_dim, and four configs that set local_dim 2: two.json, of a
+    2-point swiss roll, negseed.json and fracseed.json, of seeds -1 and 1.5, and dataseed.json, of dataset seed -2."""
     d = tmp_path_factory.mktemp("chain")
     for suffix, extra in (("", []), ("4", ["--ambient-dim", 4])):
         run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, *extra, "--out", d / f"train{suffix}.csv")
@@ -353,6 +354,12 @@ def chain_dir(tmp_path_factory):
     geometry.save_csv(geometry.PointCloud(np.zeros((200, 3)), 3), d / "origin.csv")
     config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "output_dir": "out"}
     (d / "nodim.json").write_text(json.dumps(config))
+    geometry.save_csv(geometry.PointCloud(np.ones((1, 3)), 3), d / "one.csv")
+    config["local_dim"] = 2
+    for name, change in (("two", {"dataset": {"generator": "swiss-roll", "n": 2}}), ("negseed", {"seed": -1}),
+                         ("fracseed", {"seed": 1.5}), ("dataseed", {"dataset": {"generator": "swiss-roll", "n": 200,
+                                                                               "seed": -2}})):
+        (d / f"{name}.json").write_text(json.dumps(config | change))
     return d
 
 
@@ -401,6 +408,17 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
      "--energy"),
     (RECOVER + ["--points", "origin.csv", "--certificates", "cert.csv", "--manifold", "sphere"], "--manifold"),
     (["experiment", "run", "--config", "nodim.json"], "nodim.json: neither local_dim nor max_local_dim"),
+    (["gmra", "build", "--cloud", "one.csv", "--out", "out.dict", "--local-dim", "2"],
+     "--cloud one.csv: cloud has 1 points, need at least 3"),
+    (["experiment", "run", "--config", "two.json"], "two.json: cloud has 2 points, need at least 3"),
+    (["generate", "--kind", "swiss-roll", "--n", "5", "--seed", "-1", "--out", "out.csv"], "--seed"),
+    (["generate", "--kind", "swiss-roll", "--n", "5", "--sigma", "0.1", "--noise-seed", "-3", "--out", "out.csv"],
+     "--noise-seed"),
+    (["measure", "make", "--ensemble", "gaussian", "--m", "2", "--dim", "3", "--seed", "-1", "--out", "out.mtx"],
+     "--seed"),
+    (["experiment", "run", "--config", "negseed.json"], "negseed.json: seed must be finite integers >= 0, got -1"),
+    (["experiment", "run", "--config", "fracseed.json"], "fracseed.json: seed must be finite integers >= 0, got 1.5"),
+    (["experiment", "run", "--config", "dataseed.json"], "dataseed.json: dataset seed must be an integer >= 0, got -2"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)
@@ -438,6 +456,22 @@ def test_experiment_run_refuses_a_local_dimension_below_1(tmp_path, key):
     with pytest.raises(SystemExit, match="^experiment run: " + cause + "$"):
         run_cli("experiment", "run", "--config", tmp_path / "config.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_experiment_run_leaves_a_value_error_past_the_builds_to_its_traceback(tmp_path, monkeypatch):
+    # only the build's too-few-points refusal becomes a one-line message about the config; a ValueError raised
+    # while the figures are written, after config.json and the CSVs exist, is not the config's fault
+    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "output_dir": str(tmp_path / "out"),
+              "local_dim": 2, "num_draws": 1}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+
+    def broken_plot(result, out_dir):
+        raise ValueError("broken plot writer")
+
+    monkeypatch.setattr(harness, "emit_plot", broken_plot)
+    with pytest.raises(ValueError, match="^broken plot writer$"):
+        run_cli("experiment", "run", "--config", tmp_path / "config.json")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["config.json", "results.csv", "timing.csv"]
 
 
 def test_experiment_run_verbose_logs_to_stderr(tmp_path):

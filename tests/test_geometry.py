@@ -92,12 +92,12 @@ def test_add_noise_rejects_negative():
 
 def test_cover_radius_exceeding_diameter_gives_one_center(circle_cloud):
     small = geometry.PointCloud(circle_cloud.points[:100], 2)
-    order, _ = geometry.farthest_point_ordering(small.points, stop_radius=10.0)
+    order = geometry.farthest_point_ordering(small.points, stop_radius=10.0)[0]
     assert order.tolist() == [0]
 
 
 def test_cover_and_packing_properties(circle_cloud):
-    order, _ = geometry.farthest_point_ordering(circle_cloud.points, stop_radius=0.1)
+    order = geometry.farthest_point_ordering(circle_cloud.points, stop_radius=0.1)[0]
     centers = circle_cloud.points[order]
     dists = np.linalg.norm(circle_cloud.points[:, None, :] - centers[None, :, :], axis=2)
     assert dists.min(axis=1).max() <= 0.1 + 1e-12
@@ -111,7 +111,7 @@ def test_cover_and_packing_properties(circle_cloud):
 def test_cover_packing_on_larger_cloud():
     cloud = geometry.gen_swiss_roll(10000, seed=2)
     delta = 3.0
-    order, _ = geometry.farthest_point_ordering(cloud.points, stop_radius=delta)
+    order = geometry.farthest_point_ordering(cloud.points, stop_radius=delta)[0]
     centers = cloud.points[order]
     best = np.full(cloud.n, np.inf)
     for c in centers:
@@ -124,8 +124,10 @@ def test_cover_packing_on_larger_cloud():
 
 def test_fps_ends_at_radius_zero_and_rejects_negative_stop_radius():
     pts = np.array([[0.0], [1.0], [1.0], [3.0]])
-    order, radii = geometry.farthest_point_ordering(pts)
+    order, radii, (rows, picks) = geometry.farthest_point_ordering(pts)
     assert order.tolist() == [0, 3, 1] and radii.tolist() == [3.0, 1.0, 0.0]
+    # row 3 moves to pick 1 (itself), rows 1 and 2 to pick 2 (row 1); row 0 stays with pick 0
+    assert rows.tolist() == [3, 1, 2] and picks.tolist() == [1, 2, 2]
     with pytest.raises(ValueError):
         geometry.farthest_point_ordering(pts, stop_radius=-1.0)
 
@@ -134,8 +136,10 @@ def test_fps_ends_at_radius_zero_and_rejects_negative_stop_radius():
 def test_fps_settles_an_exact_tie_on_the_lowest_index(shift):
     # rows 1-4 lie on the unit circle about row 0 and stay exactly 1 from the picked prefix until picked
     pts = np.array([[0.0, 0.0], [0.0, -1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]) + shift
-    order, radii = geometry.farthest_point_ordering(pts)
+    order, radii, (rows, picks) = geometry.farthest_point_ordering(pts)
     assert order.tolist() == [0, 1, 2, 3, 4] and radii.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0]
+    # each pick is the strictly nearest pick of itself alone: row 0 stays exactly 1 from every later one
+    assert rows.tolist() == [1, 2, 3, 4] and picks.tolist() == [1, 2, 3, 4]
 
 
 def test_fps_screens_low_rank_clouds_in_few_coordinates_and_full_rank_ones_at_full_width():

@@ -8,7 +8,7 @@ from scipy import stats
 
 from conftest import fit_tables
 from manifold_cs import geometry, gmra, measurement, recovery, storage
-from manifold_cs.errors import FileFormatError
+from manifold_cs.errors import FileFormatError, TooFewPointsError
 
 
 def one_cell_dictionary(center, basis):
@@ -98,7 +98,7 @@ def test_build_swiss_roll_decay(swiss_cloud, swiss_dict):
 
 def test_build_requires_enough_points():
     cloud = geometry.PointCloud(np.eye(2), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(TooFewPointsError, match="^cloud has 2 points, need at least 3$"):
         gmra.build_dictionary(cloud, local_dim=2, max_scale=1)
 
 
@@ -175,18 +175,34 @@ def roll3k():
     return cloud, gmra.build_dictionary(cloud, local_dim=2, max_scale=8, min_points=6)
 
 
-@pytest.mark.parametrize("shift", [1e6, 1e8])
-def test_dictionary_is_exact_under_translation(roll3k, shift):
-    cloud, d = roll3k
-    moved = geometry.PointCloud(cloud.points + shift, 3)
+@pytest.fixture(scope="module")
+def roll3k_in_r40(roll3k):
+    # the roll3k cloud turned into R^40 by an orthonormal frame: its cells take the Gram-matrix plane fits
+    frame = np.linalg.qr(np.random.default_rng(40).standard_normal((40, 3)))[0]
+    cloud = geometry.PointCloud(roll3k[0].points @ frame.T, 40)
+    return cloud, gmra.build_dictionary(cloud, local_dim=2, max_scale=8, min_points=6)
+
+
+@pytest.mark.parametrize("case, shift", [
+    pytest.param("roll3k", 1e6, id="1000000.0"),
+    pytest.param("roll3k", 1e8, id="100000000.0"),
+    pytest.param("roll3k_in_r40", 1e6, id="rotated-r40-1000000.0"),
+])
+def test_dictionary_is_exact_under_translation(request, case, shift):
+    cloud, d = request.getfixturevalue(case)
+    dim = cloud.ambient_dim
+    moved = geometry.PointCloud(cloud.points + shift, dim)
     dm = gmra.build_dictionary(moved, local_dim=2, max_scale=8, min_points=6)
     assert dm.counts() == d.counts()
     for name in ("cell_fit", "fit_dims"):
         assert np.array_equal(getattr(dm, name), getattr(d, name)), name
     assert np.abs(dm.fit_centers - (d.fit_centers + shift)).max() <= 1e-6
+    projectors = [np.einsum("fki,fkj->fij", x.fit_bases, x.fit_bases) for x in (d, dm)]
+    # the shifted coordinates are rounded to ulps of the shift, which moves the planes: 1e-9 at 1e6
+    assert np.abs(projectors[1] - projectors[0]).max() <= 1e-15 * shift
     report = gmra.validate_structure(dm, moved)
     assert report.passed, report.failures
-    M = measurement.gaussian_matrix(3, 3, seed=4)
+    M = measurement.gaussian_matrix(3, dim, seed=4)
     for j in (3, 8, "auto"):
         want = recovery.recover_batch(M.apply(cloud.points), M, d, j).chosen_centers
         assert np.array_equal(recovery.recover_batch(M.apply(moved.points), M, dm, j).chosen_centers, want)
@@ -274,14 +290,11 @@ def test_near_center_constants_equal_the_per_scale_loop(roll3k, circle_cloud, ci
 @settings(max_examples=40, deadline=None)
 @given(fit_tables(), st.integers(1, 300))
 def test_near_center_constants_match_the_per_scale_loop_on_any_fit_table(case, budget):
-    # stacked products and zero basis rows round differently from the loop's per-row sums: a residual may move by
-    # a few ulps of the offset x - c it is taken from (on a flat cloud it is all rounding), so each constant is
-    # compared to 1e-12 relative to the largest offset-to-scale ratio ||x - c|| 2^J
+    # both take each residual through plane_coeffs and plane_rows, whose per-row sums do not depend on the other
+    # rows of the call, so zero basis rows and flat clouds included they agree bit for bit
     cloud, d = case
-    got = gmra._estimate_near_center_constants(d, cloud, budget, 0)
-    want = reference_near_center_constants(d, cloud, budget, 0)
-    ratio = np.sqrt(gmra.sq_dists(cloud.points, d.fit_centers).max()) * 2.0**d.max_scale
-    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * ratio)
+    assert gmra._estimate_near_center_constants(d, cloud, budget, 0) == reference_near_center_constants(
+        d, cloud, budget, 0)
 
 
 def test_load_refuses_a_version_3_container(tmp_path, circle_dict):
@@ -302,6 +315,20 @@ def test_validate_structure_names_planted_coincident_pair():
     assert not report.separation_ok
     assert report.separation_worst_pair == (1, 0, 1)
     assert any("scale 1" in f for f in report.failures)
+
+
+def test_validate_structure_names_a_built_coincident_pair_when_the_separation_constant_is_zero():
+    # rows stacked on lattice points: a scale-2 cell's mean, -1.5, is the center of the fit a thinned scale-1
+    # cell carries forward, so the build records a separation constant of 0 (this once divided by zero)
+    rng = np.random.default_rng(6)
+    pts = (np.round(rng.standard_normal((54, 1)) * 2.0) / 2.0)[rng.integers(0, 54, 54)]
+    cloud = geometry.PointCloud(pts, 1)
+    d = gmra.build_dictionary(cloud, max_local_dim=1, max_scale=2)
+    assert d.sep_constant == 0.0
+    report = gmra.validate_structure(d, cloud)
+    assert not report.separation_ok and report.separation_margin == -1.0
+    j, k1, k2 = report.separation_worst_pair
+    assert j == 2 and d.centers(2)[k1] == d.centers(2)[k2] == -1.5
 
 
 def test_validate_reports_decay_interval_on_sphere():
@@ -436,6 +463,16 @@ def rewrite_container(path, manifest=None, floats=None):
     manifest = old_manifest if manifest is None else manifest
     blob = blob if floats is None else floats.astype("<f8").tobytes()
     storage.write_container(path, storage.DICT_MAGIC, manifest, blob)
+
+
+def test_load_refuses_a_cell_count_past_the_cell_table_before_allocating_it(tmp_path, circle_dict):
+    # a count of 1.45e9 cells once reached np.repeat, which asked for 10.8 GiB before the table-length check
+    path = tmp_path / "huge.mcsdict"
+    gmra.save_dictionary(circle_dict, path)
+    manifest, _ = storage.read_container(path, storage.DICT_MAGIC)
+    rewrite_container(path, manifest=dict(manifest, counts=[1454214443]))
+    with pytest.raises(FileFormatError, match="cell_fit needs one entry per cell"):
+        gmra.load_dictionary(path)
 
 
 @pytest.mark.parametrize("where", ["center", "basis"])

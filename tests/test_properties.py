@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
 
+from conftest import curved_cloud
 from manifold_cs import geometry, gmra, measurement, storage
 from manifold_cs.errors import CsvParseError, FileFormatError
 
@@ -217,18 +218,31 @@ def test_nearest_rows_equals_the_flat_scan_bit_for_bit(seed, k, n, bulk, nudge, 
 
 
 def difference_form_fps(pts, stop_radius=0.0, stop_fraction=None):
-    """Reference ordering: every row's distance recomputed as np.linalg.norm(x - p) at every pick."""
+    """Reference ordering: every row's distance recomputed as np.linalg.norm(x - p) at every pick.
+
+    Also returns, per pick after the first, the rows it is the strictly nearest pick of.
+    """
     order = [0]
     dist = np.linalg.norm(pts - pts[0], axis=1)
     radii = [float(dist.max())]
+    moved = []
     if stop_fraction is not None:
         stop_radius = max(stop_radius, radii[0] * stop_fraction)
     while radii[-1] > stop_radius:
         nxt = int(np.argmax(dist))
         order.append(nxt)
-        np.minimum(dist, np.linalg.norm(pts - pts[nxt], axis=1), out=dist)
+        near = np.linalg.norm(pts - pts[nxt], axis=1)
+        moved.append(np.flatnonzero(near < dist).tolist())
+        np.minimum(dist, near, out=dist)
         radii.append(float(dist.max()))
-    return np.array(order, dtype=np.intp), np.array(radii)
+    return np.array(order, dtype=np.intp), np.array(radii), moved
+
+
+def check_fps_moves(order, moves, want_moved):
+    """The FPS moves are the reference's, per pick in pick order."""
+    rows, picks = moves
+    assert picks.tolist() == sorted(picks.tolist()) and set(picks.tolist()) <= set(range(1, len(order)))
+    assert [rows[picks == k].tolist() for k in range(1, len(order))] == want_moved
 
 
 @settings(max_examples=250, deadline=None)
@@ -256,10 +270,11 @@ def test_fps_equals_the_difference_form_loop_bit_for_bit(seed, n, dim, lattice, 
     pts[1::2, 0] += apart
     pts = pts * scale + shift
     stop = {k: v * scale if k == "stop_radius" else v for k, v in stop.items()}
-    order, radii = geometry.farthest_point_ordering(pts, **stop)
-    want_order, want_radii = difference_form_fps(pts, **stop)
+    order, radii, moves = geometry.farthest_point_ordering(pts, **stop)
+    want_order, want_radii, want_moved = difference_form_fps(pts, **stop)
     assert order.tolist() == want_order.tolist()
     assert radii.tobytes() == want_radii.tobytes()
+    check_fps_moves(order, moves, want_moved)
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,10 +306,11 @@ def test_fps_on_rotated_low_rank_clouds_equals_the_difference_form_loop_bit_for_
     frame, signs = np.linalg.qr(rng.standard_normal((dim, rank)))
     pts = base @ (frame * np.sign(np.diag(signs))).T + noise / np.sqrt(dim) * rng.standard_normal((n, dim))
     pts = pts * scale + shift
-    order, radii = geometry.farthest_point_ordering(pts, **stop)
-    want_order, want_radii = difference_form_fps(pts, **stop)
+    order, radii, moves = geometry.farthest_point_ordering(pts, **stop)
+    want_order, want_radii, want_moved = difference_form_fps(pts, **stop)
     assert order.tolist() == want_order.tolist()
     assert radii.tobytes() == want_radii.tobytes()
+    check_fps_moves(order, moves, want_moved)
 
 
 @settings(max_examples=300, deadline=None)
@@ -487,7 +503,212 @@ def test_build_accounts_for_every_cell_and_stops_fps_at_the_finest_net(
         assert prov["fresh_per_scale"][j] == np.count_nonzero(d.origin_scales(j) == j)
     # the table holds each fresh fit once: carried cells share their fit's row
     assert len(d.fit_dims) == len(d.fit_centers) == len(d.fit_bases) == sum(prov["fresh_per_scale"])
-    [(order, radii)] = orderings
+    [(order, radii, _)] = orderings
     finest = d.root_radius * 2.0**-max_scale
     assert len(order) == len(radii) == len(np.unique(order))
     assert radii[-1] <= finest and np.all(radii[:-1] > finest)
+
+
+def two_pass_cells(pts, max_scale, min_points):
+    """The reference for the FPS-read cells: the build's two full kernel scans per scale.
+
+    Per scale, one ``_nearest_rows`` scan of every row against every net point (the accepted seeds, then the
+    others in net order) gives the first populations that accept a new seed, and a second one against the
+    accepted seeds, in acceptance order, gives the cells.  Returns (cell of every row, cell count) per scale.
+    """
+    order, radii = geometry.farthest_point_ordering(pts, stop_fraction=2.0**-max_scale)[:2]
+    seeds, cells = np.empty(0, dtype=np.intp), []
+    for j in range(max_scale + 1):
+        net = order[: np.argmax(radii <= radii[0] * 2.0**-j) + 1]
+        new = net[~np.isin(net, seeds)]
+        if j > 0 and new.size:
+            pool = np.concatenate([seeds, new])
+            first_pops = np.bincount(gmra._nearest_rows(pts, pts[pool]), minlength=len(pool))
+            new = new[first_pops[len(seeds) :] >= min_points]
+        seeds = np.concatenate([seeds, new])
+        cells.append((gmra._nearest_rows(pts, pts[seeds]), len(seeds)))
+    return cells
+
+
+def stated_rule_cells(pts, max_scale, min_points):
+    """The stated cell rule read off a full table of difference-form distances from every row to every pick.
+
+    A row's cell is seeded by its nearest net point, ties to the earliest pick, when that point was accepted;
+    a row whose nearest net point was rejected goes to its nearest accepted seed by ``_nearest_rows`` over the
+    seeds in pick order.  Returns (cell of every row, cell count) per scale.
+    """
+    order, radii = geometry.farthest_point_ordering(pts, stop_fraction=2.0**-max_scale)[:2]
+    dists = np.stack([np.linalg.norm(pts - pts[p], axis=1) for p in order], axis=1)
+    cell_of, cells = np.full(len(order), -1, dtype=np.intp), []
+    for j in range(max_scale + 1):
+        size = int(np.argmax(radii <= radii[0] * 2.0**-j)) + 1
+        nearest = np.argmin(dists[:, :size], axis=1)  # the first of equal distances: the earliest pick
+        new = np.flatnonzero(cell_of[:size] < 0)
+        if j > 0:
+            new = new[np.bincount(nearest, minlength=size)[new] >= min_points]
+        cell_of[new] = cell_of.max() + 1 + np.arange(len(new))
+        assign, seeds = cell_of[nearest], np.flatnonzero(cell_of[:size] >= 0)
+        orphans = np.flatnonzero(assign < 0)
+        if orphans.size:
+            assign[orphans] = cell_of[seeds[gmra._nearest_rows(pts[orphans], pts[order[seeds]])]]
+        cells.append((assign, len(seeds)))
+    return cells
+
+
+def cell_table(pts, cells, min_points):
+    """(counts, cell_fit, fit_centers) of a build with the given cells.
+
+    A cell whose population did not change keeps its fit, and so does one left with fewer than min_points
+    points; every other cell, and every new one, gets a fresh fit centered on the mean of its rows.
+    """
+    pops, row, rows, centers = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), [], []
+    for assign, count in cells:
+        new_pops = np.bincount(assign, minlength=count)
+        old = len(pops)
+        refit = np.concatenate([(new_pops[:old] != pops) & (new_pops[:old] >= min_points), np.ones(count - old, bool)])
+        row = np.concatenate([row, np.empty(count - old, dtype=np.intp)])
+        for k in np.flatnonzero(refit):
+            row[k] = len(centers)
+            centers.append(pts[assign == k].mean(axis=0))
+        rows.append(row)
+        pops = new_pops
+    return [len(r) for r in rows], np.concatenate(rows), np.array(centers)
+
+
+def check_cells(d, pts, cells):
+    counts, cell_fit, centers = cell_table(pts, cells, d.provenance["min_points"])
+    assert d.counts() == counts
+    assert d.cell_fit.tolist() == cell_fit.tolist()
+    assert d.fit_centers.tobytes() == centers.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 250),
+    dim=st.sampled_from(list(range(1, 13)) + [200]),
+    curved=st.booleans(),
+    shift=st.sampled_from([0.0, 1e4, 1e8]),
+    max_scale=st.integers(0, 6),
+    local_dim=st.one_of(st.none(), st.integers(1, 3)),
+    min_points=st.one_of(st.none(), st.integers(2, 12)),
+)
+def test_fps_read_cells_equal_the_two_pass_kernel_scans_bit_for_bit(
+    seed, n, dim, curved, shift, max_scale, local_dim, min_points
+):
+    # A generic cloud has no two distances within rounding of each other, so the kernel's Gram values and the FPS
+    # difference-form distances rank every row's seeds alike: counts, cells and centers agree bit for bit.
+    if curved:
+        pts = curved_cloud(seed, n, dim, min(2, dim)).points + shift
+    else:
+        pts = np.random.default_rng(seed).standard_normal((n, dim)) * 10.0 ** np.linspace(0, -1, dim) + shift
+    options = {"local_dim": None, "max_local_dim": min(3, dim)} if local_dim is None else {"local_dim": local_dim}
+    d = gmra.build_dictionary(geometry.PointCloud(pts, dim), max_scale=max_scale, min_points=min_points, **options)
+    check_cells(d, pts, two_pass_cells(pts, max_scale, d.provenance["min_points"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 150),
+    dim=st.sampled_from([1, 2, 3, 4, 12]),
+    duplicates=st.booleans(),
+    shift=st.sampled_from([0.0, 1e8]),
+    max_scale=st.integers(0, 6),
+    local_dim=st.one_of(st.none(), st.integers(1, 2)),
+    min_points=st.one_of(st.none(), st.integers(2, 8)),
+)
+def test_lattice_and_duplicate_clouds_build_cells_by_the_stated_tie_rule(
+    seed, n, dim, duplicates, shift, max_scale, local_dim, min_points
+):
+    # A coarse lattice has exact distance ties, and repeated rows put several rows on one point: each row's
+    # cell is its nearest net point with ties to the earliest pick, or for an orphan the kernel's nearest seed
+    rng = np.random.default_rng(seed)
+    pts = np.round(rng.standard_normal((n, dim)) * 2.0) / 2.0
+    if duplicates:
+        pts = pts[rng.integers(0, n, n)]
+    pts = pts + shift
+    cloud = geometry.PointCloud(pts, dim)
+    options = {"local_dim": None, "max_local_dim": min(2, dim)} if local_dim is None else {"local_dim": local_dim}
+    try:
+        d = gmra.build_dictionary(cloud, max_scale=max_scale, min_points=min_points, **options)
+    except ValueError:
+        assert n < (local_dim or 1) + 1
+        return
+    report = gmra.validate_structure(d, cloud)
+    assert report.orthonormal_ok and report.idempotent_ok
+    if not report.separation_ok:
+        # a carried fit can share its center with a new cell's (rows stacked on lattice points): the recorded
+        # separation constant is then 0, and the check fails on a coincident pair
+        j, k1, k2 = report.separation_worst_pair
+        assert d.sep_constant == 0 and np.array_equal(d.centers(j)[k1], d.centers(j)[k2])
+    check_cells(d, pts, stated_rule_cells(pts, max_scale, d.provenance["min_points"]))
+
+
+def svd_cell_fit(points, mode):
+    """The thin-SVD plane fit: every cell's fit before the Gram-matrix path, and its k = D branch bit for bit."""
+    mean = points.mean(axis=0)
+    centered = points - mean
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    if mode[0] == "fixed":
+        d = mode[1]
+    else:
+        _, threshold, d_max = mode
+        if svals[0] == 0.0:
+            d = 1
+        else:
+            energy = (svals / svals[0]) ** 2
+            frac = np.cumsum(energy) / energy.sum()
+            d = int(np.searchsorted(frac, threshold - 1e-12) + 1)
+        d = min(d, d_max, points.shape[1])
+    return mean, vt[: min(d, vt.shape[0])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_k=st.integers(2, 80),
+    dim=st.sampled_from([3, 4, 5, 8, 12, 40, 200]),
+    rank=st.sampled_from([0, 1, 2, 3, 5, None]),
+    decay=st.floats(1e-3, 1.0),
+    noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+    scale=st.sampled_from([1.0, 1e-100, 1e100]),
+    shift=st.sampled_from([0.0, 1e4]),
+    mode=st.one_of(
+        st.integers(1, 3).map(lambda d: ("fixed", d)),
+        st.tuples(st.floats(0.5, 0.99), st.integers(1, 3)).map(lambda t: ("adaptive", t[0], t[1])),
+    ),
+)
+def test_gram_planes_lie_within_rounding_of_the_thin_svd_planes(seed, n_k, dim, rank, decay, noise, scale, shift,
+                                                                 mode):
+    # A cell of `rank` directions (all for None, none for 0: every row the same point) with singular values
+    # falling by `decay`, plus isotropic noise.  Below k = D the Gram path's top-i subspace, for each i up to the
+    # plane's dimension, lies within 1e-12 s_0^2 / (s_{i-1}^2 - s_i^2) of the thin SVD's: rounding of the Gram
+    # matrix is about u s_0^2, and its eigengap is s_{i-1}^2 - s_i^2.  Directions whose singular values lie under
+    # about sqrt(u) s_0 are set by that rounding, as is any direction of a zero or collinear cell past its rank.
+    rng = np.random.default_rng(seed)
+    rank = dim if rank is None else min(rank, dim)
+    frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rank]
+    cell = (rng.standard_normal((n_k, rank)) * decay ** np.arange(rank)) @ frame.T
+    cell = (cell + noise * rng.standard_normal((n_k, dim)) + shift) * scale
+    mean, basis = gmra._cell_fit(cell, mode)
+    want_mean, want = svd_cell_fit(cell, mode)
+    assert mean.tobytes() == want_mean.tobytes()
+    if min((mode[1] if mode[0] == "fixed" else mode[2]) + 2, n_k, dim) == dim:
+        assert basis.tobytes() == want.tobytes()
+        return
+    assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-13
+    _, svals, vt = np.linalg.svd(cell - mean, full_matrices=False)
+    svals = np.append(svals / svals[0], 0.0) if svals[0] > 0 else np.zeros(len(svals) + 1)
+    if mode[0] == "adaptive" and svals[0] > 0:
+        # away from the threshold, the Gram eigenvalues pick the SVD's dimension
+        frac = np.cumsum(svals**2) / np.sum(svals**2)
+        if np.abs(frac - mode[1]).min() > 1e-9:
+            assert len(basis) == len(want)
+    else:
+        assert len(basis) == len(want)
+    for i in range(1, len(basis) + 1):
+        gap = svals[i - 1] ** 2 - svals[i] ** 2
+        if gap > 0:
+            top = vt[:i]
+            assert np.linalg.norm(top - (top @ basis.T) @ basis, 2) <= 1e-12 / gap

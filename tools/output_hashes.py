@@ -8,13 +8,19 @@ bench/README.md), each set up and run once:
 
 * grid-roll3: the ``results.csv`` its run writes, then each
   ``relmse_sigma_*.svg`` figure, in name order;
-* roll200: the saved dictionary of its cloud, and ``recover_batch``'s
+* roll200: the saved dictionary of its cloud, then each of its arrays and
+  values on its own (``dict[<name>]``: the per-scale counts, ``cell_fit``,
+  ``fit_dims``, ``fit_centers``, ``fit_bases``, the separation constant,
+  the root radius and the provenance), so a diff shows whether the centers
+  and the cell table held while the bases moved, and ``recover_batch``'s
   outputs at every scale and at "auto" for each of its two matrices;
 * cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
   the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
   ``recon.csv``, ``recon_auto.csv`` and ``cert.csv`` its CLI chain writes,
-  then each column of ``cert.csv`` on its own (``cert.csv[<column>]``), so
-  a diff names the certificate quantities that moved,
+  then each array of ``roll.dict`` on its own (``roll.dict[<name>]``, as
+  for roll200) and each column of ``cert.csv`` on its own
+  (``cert.csv[<column>]``), so a diff names the certificate quantities that
+  moved,
   ``recover_batch``'s outputs at every scale for its matrix, and the
   ``gmra validate --json`` report, then each of its fields on its own
   (``validate --json[<field>]``), so a diff names the validation quantities
@@ -67,6 +73,22 @@ def column_shas(path):
         yield name, sha("".join(row[k] + "\n" for row in rows).encode())
 
 
+def array_sha(name, arr):
+    """sha256 of an array's name, dtype, shape and bytes."""
+    arr = np.ascontiguousarray(arr)
+    return sha(("%s %s %s;" % (name, arr.dtype.str, arr.shape)).encode() + arr.tobytes())
+
+
+def dictionary_shas(path):
+    """(name, sha256) for each array and value of a saved dictionary, one per line."""
+    dictionary = gmra.load_dictionary(path)
+    yield "counts", sha(json.dumps(dictionary.counts()).encode())
+    for name in ("cell_fit", "fit_dims", "fit_centers", "fit_bases"):
+        yield name, array_sha(name, getattr(dictionary, name))
+    for name in ("sep_constant", "root_radius", "provenance"):
+        yield name, sha(json.dumps(getattr(dictionary, name), sort_keys=True).encode())
+
+
 def batch_sha(batch):
     """One hash over every array of a BatchRecovery, with its dtype and shape."""
     h = hashlib.sha256()
@@ -100,6 +122,8 @@ def roll200(seed, tmp):
     path = os.path.join(tmp, "roll200.dict")
     gmra.save_dictionary(dictionary, path)
     yield "roll200 dictionary", file_sha(path)
+    for name, digest in dictionary_shas(path):
+        yield "roll200 dict[%s]" % name, digest
     for label, draw, m, matrix_seed in work.matrices:
         matrix = getattr(measurement, draw)(m, work.p["dim"], matrix_seed)
         yield from recover_every_scale("roll200 " + label, matrix, dictionary, work.cloud.points)
@@ -111,6 +135,8 @@ def cli_roll3(seed, tmp):
     work.iteration(workloads.OpLog())
     for name in ("train.csv", "query.csv", "meas.csv", "roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
         yield "cli-roll3 " + name, file_sha(work.path(name))
+    for name, digest in dictionary_shas(work.path("roll.dict")):
+        yield "cli-roll3 roll.dict[%s]" % name, digest
     for column, digest in column_shas(work.path("cert.csv")):
         yield "cli-roll3 cert.csv[%s]" % column, digest
     matrix = measurement.load_matrix(work.path("M.mtx"))
