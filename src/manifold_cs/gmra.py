@@ -500,8 +500,7 @@ def project_at_scale(dictionary, j, pts):
     if pts.ndim != 2 or pts.shape[1] != dictionary.ambient_dim:
         raise ValueError("points have shape %s, the dictionary lives in R^%d" % (pts.shape, dictionary.ambient_dim))
     fits = dictionary.cell_fits(j)[_nearest_rows(pts, dictionary.centers(j))]
-    centers = dictionary.fit_centers[fits]
-    return plane_rows(dictionary, fits, plane_coeffs(dictionary, fits, pts - centers)) + centers
+    return affine_rows(dictionary, fits, plane_coeffs(dictionary, fits, pts - dictionary.fit_centers[fits]))
 
 
 def plane_coeffs(dictionary, fits, rel):
@@ -516,11 +515,51 @@ def plane_coeffs(dictionary, fits, rel):
 def plane_rows(dictionary, fits, coeffs):
     """Row i is coeffs[i] @ B, for the basis B of fit-table row fits[i].
 
-    Products are summed one basis row at a time, so a row's result does not
-    depend on the other rows of the call. As in ``plane_coeffs``, fits may
-    broadcast against coeffs' leading axes.
+    Products are summed one basis row at a time, from the first, so a row's
+    result does not depend on the other rows of the call. As in
+    ``plane_coeffs``, fits may broadcast against coeffs' leading axes.
     """
-    return sum(coeffs[..., t, None] * dictionary.fit_bases[fits, t] for t in range(coeffs.shape[-1]))
+    bases = dictionary.fit_bases
+    rows = coeffs[..., 0, None] * bases[fits, 0]
+    for t in range(1, coeffs.shape[-1]):
+        rows += coeffs[..., t, None] * bases[fits, t]
+    return rows
+
+
+# ``affine_rows`` writes this many output entries per block: its two buffers then stay in cache.
+_AFFINE_BLOCK_ENTRIES = 1 << 15
+
+
+def affine_rows(dictionary, fits, coeffs):
+    """Row i is coeffs[i] @ B + c, for the fit (c, B) of fit-table row fits[i]; n x D.
+
+    The same sums as ``plane_rows(dictionary, fits, coeffs) +
+    dictionary.fit_centers[fits]``, bit for bit, written into the output a
+    block of rows at a time: each basis row and the centers are gathered
+    into one reused block buffer from the contiguous table, so a call makes
+    no n x D temporary beside its output, and its speed does not hang on how
+    the allocator serves such temporaries.  (``np.take`` from a strided
+    view, such as ``fit_bases[:, t]``, would copy the whole view first.)
+    """
+    bases, centers = dictionary.fit_bases, dictionary.fit_centers
+    table, dim = bases.reshape(-1, bases.shape[2]), bases.shape[2]
+    first = fits * bases.shape[1]  # row of each fit's first basis row in table
+    out = np.empty((len(fits), dim))
+    step = max(1, _AFFINE_BLOCK_ENTRIES // dim)
+    buf = np.empty((min(step, len(fits)), dim))
+    # every index is a table row, so mode="clip" only spares take the buffering of its bounds check
+    for lo in range(0, len(fits), step):
+        block, rows, c = out[lo : lo + step], first[lo : lo + step], coeffs[lo : lo + step]
+        tmp = buf[: len(rows)]
+        np.take(table, rows, axis=0, out=block, mode="clip")
+        block *= c[:, 0, None]
+        for t in range(1, c.shape[1]):
+            np.take(table, rows + t, axis=0, out=tmp, mode="clip")
+            tmp *= c[:, t, None]
+            block += tmp
+        np.take(centers, fits[lo : lo + step], axis=0, out=tmp, mode="clip")
+        block += tmp
+    return out
 
 
 @dataclass

@@ -32,14 +32,19 @@ ORTHO_ROW_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """m x D measurement matrix with its generating recipe."""
+    """m x D measurement matrix with its generating recipe.
+
+    The matrix holds its own read-only copy of the entries, so no later write
+    to the caller's array can move them past the checks below, or under
+    recovery's solves cached per matrix.
+    """
 
     entries: np.ndarray
     ensemble: str
     seed: int
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
+        entries = np.array(self.entries, dtype=np.float64, order="C")
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError("entries must be a nonempty m x D matrix")
         if not np.all(np.isfinite(entries)):

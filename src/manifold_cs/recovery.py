@@ -5,6 +5,10 @@ multiscale dictionary, recovery (i) picks each row's compressed-nearest
 center k' at scale j, (ii) solves the overdetermined least squares problem
 min_u || M B^T u - (Mx - Mc) || on that cell's plane with an SVD
 pseudoinverse truncated at 1e-10 relative, and (iii) assembles B^T u' + c.
+Only steps (i) and (ii) work in R^m, and D enters at step (iii) alone: the
+pseudoinverse of each fit's system is computed once per matrix, dictionary
+and width and then read from a cache that lives as long as the matrix and
+the dictionary do, and the answer is written out a block of rows at a time.
 One batched core runs all three steps: ``recover_batch`` is its n-row call
 and ``recover`` its 1-row call.  Only on a near-tie within the distance
 kernel's rounding can a row's answer depend on the rows recovered with it:
@@ -18,6 +22,8 @@ for every row at once; on the swiss roll, by one grid search and one
 bisection pass.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +37,7 @@ from .geometry import (
 )
 # nearest_center is not called here; it stays a module attribute because the
 # benchmark's tracer patches recovery.nearest_center.
-from .gmra import _nearest_rows, nearest_center, plane_coeffs, plane_rows  # noqa: F401
+from .gmra import _nearest_rows, affine_rows, nearest_center, plane_coeffs  # noqa: F401
 from .measurement import e_m_bound
 
 SVD_TRUNCATION = 1e-10
@@ -107,6 +113,36 @@ class BatchRecovery:
     ill_conditioned: np.ndarray
 
 
+# matrix -> dictionary -> width -> (M B^T, its truncated pseudoinverse, its rank, solved) per fit-table row
+_SOLVES = weakref.WeakKeyDictionary()
+_SOLVES_LOCK = threading.Lock()
+
+
+def _fit_solves(matrix, dictionary, fits, width):
+    """M B^T, its truncated pseudoinverse and its rank for every fit-table row, each m x width.
+
+    Only the rows of fits that no earlier call with this matrix, dictionary
+    and width solved are solved now, in one stacked SVD; the rest are read
+    back.  A fit's system is the same m x width product whatever else is in
+    the stack, so a read-back row equals a fresh solve bit for bit.  The
+    tables live as long as both the matrix and the dictionary do.
+    """
+    with _SOLVES_LOCK:
+        per_dict = _SOLVES.setdefault(matrix, weakref.WeakKeyDictionary()).setdefault(dictionary, {})
+        if width not in per_dict:
+            count, m = len(dictionary.fit_dims), matrix.m
+            per_dict[width] = (np.empty((count, m, width)), np.empty((count, width, m)),
+                               np.empty(count, dtype=np.intp), np.zeros(count, dtype=bool))
+        a_sub, pinv, rank, done = per_dict[width]
+        todo = np.nonzero(~done[fits])[0]
+        if todo.size:
+            fresh = np.unique(fits[todo])
+            a_sub[fresh] = matrix.entries @ dictionary.fit_bases[fresh, :width].swapaxes(1, 2)
+            pinv[fresh], rank[fresh] = _truncated_pinv(a_sub[fresh])
+            done[fresh] = True
+    return a_sub, pinv, rank
+
+
 def _truncated_pinv(a):
     """Pseudoinverses and numerical ranks of a stack of m x d systems.
 
@@ -146,14 +182,21 @@ def recover(measurements, matrix, dictionary, j):
 def recover_batch(measurements, matrix, dictionary, j):
     """Recover every row of an n x m measurement block at scale j or "auto".
 
-    The pseudoinverses of the fits the rows touch (one per fit, however many
-    cells share it) come from one stacked SVD of their zero-padded systems, and
-    each row is solved and assembled on its own, so a 1-row call gives the
-    same answer as the matching row of an n-row call.
+    Each touched fit's system M B^T, zero-padded to the searched scale's
+    widest fit, is solved once per matrix, dictionary and width: the fits no
+    earlier call solved go through one stacked SVD, and the rest are read
+    from a cache that lives as long as the matrix and the dictionary do, so
+    the scales of one matrix share their solves.  Each row is solved and
+    assembled on its own, the answer written out a block of rows at a time
+    (``gmra.affine_rows``), so a 1-row call gives the same answer as the
+    matching row of an n-row call.  Non-finite measurements are refused.
     """
     y = np.asarray(measurements, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != matrix.m:
         raise ValueError("measurements must be n x m")
+    bad = np.nonzero(~np.isfinite(y).all(axis=1))[0]
+    if bad.size:
+        raise ValueError("measurement row %d is not finite" % bad[0])
     if matrix.ambient_dim != dictionary.ambient_dim:
         raise ValueError("matrix and dictionary ambient dimensions differ")
     auto = j == "auto"
@@ -165,19 +208,17 @@ def recover_batch(measurements, matrix, dictionary, j):
     rhs = y - comp_centers[cells]
     fits = dictionary.cell_fits(scale)[cells]
     # one m x d_max system per touched fit, d_max the scale's widest; padding columns get zero coefficients
-    group, slot = np.unique(fits, return_inverse=True)
-    a_sub = matrix.entries @ dictionary.fit_bases[group, : dictionary.max_local_dim(scale)].swapaxes(1, 2)
-    pinv, rank = _truncated_pinv(a_sub)
-    coeffs = (pinv[slot] @ rhs[:, :, None])[:, :, 0]
-    residuals = np.linalg.norm((a_sub[slot] @ coeffs[:, :, None])[:, :, 0] - rhs, axis=1)
+    a_sub, pinv, rank = _fit_solves(matrix, dictionary, fits, dictionary.max_local_dim(scale))
+    coeffs = (pinv[fits] @ rhs[:, :, None])[:, :, 0]
+    residuals = np.linalg.norm((a_sub[fits] @ coeffs[:, :, None])[:, :, 0] - rhs, axis=1)
     return BatchRecovery(
-        reconstructions=plane_rows(dictionary, fits, coeffs) + dictionary.fit_centers[fits],
+        reconstructions=affine_rows(dictionary, fits, coeffs),
         searched_scale=scale,
         chosen_scales=dictionary.origin_scales(scale)[cells] if auto else np.full(len(y), scale),
         chosen_centers=cells,
         coefficients=coeffs,
         residuals=residuals,
-        ill_conditioned=rank[slot] < dictionary.fit_dims[fits],
+        ill_conditioned=rank[fits] < dictionary.fit_dims[fits],
     )
 
 
@@ -211,20 +252,22 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     in the layer the recovery searched (the finest one for "auto", whatever
     scale the chosen fit was made at).  The optimal-error, set-2 and tube
     columns are present only when x_opt, the nearest manifold point of each
-    query, is given.
+    query, is given.  points must have the batch's rows and width.
     """
     if not (0 < eps < 0.5):
         raise ValueError("eps must lie in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
     searched, cells = batch.searched_scale, batch.chosen_centers
+    if x.shape != batch.reconstructions.shape:
+        raise ValueError("points have shape %s, the batch recovered %d points in R^%d"
+                         % ((x.shape,) + batch.reconstructions.shape))
     layer = dictionary.centers(searched)
     if np.any((cells < 0) | (cells >= len(layer))):
         raise ValueError("a chosen center lies outside its scale")
     fits = dictionary.cell_fits(searched)[cells]
-    centers = dictionary.fit_centers[fits]
-    rel = x - centers
+    rel = x - dictionary.fit_centers[fits]
     coeffs = plane_coeffs(dictionary, fits, rel)
-    proj_x = plane_rows(dictionary, fits, coeffs) + centers
+    proj_x = affine_rows(dictionary, fits, coeffs)
     ratio = np.sqrt((1.0 + eps) / (1.0 - eps))
     best = np.linalg.norm(x - layer[_nearest_rows(x, layer)], axis=1)
     line3_rhs = ratio * best

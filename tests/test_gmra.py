@@ -297,6 +297,46 @@ def test_near_center_constants_match_the_per_scale_loop_on_any_fit_table(case, b
         d, cloud, budget, 0)
 
 
+def random_fit_table(rng, dims, dim):
+    """One scale of len(dims) fits in R^dim, fit f an orthonormal dims[f]-plane, some center entries -0.0."""
+    width = max(dims)
+    bases = np.zeros((len(dims), width, dim))
+    for f, d in enumerate(dims):
+        bases[f, :d] = np.linalg.qr(rng.standard_normal((dim, d)))[0].T
+    centers = rng.standard_normal((len(dims), dim))
+    centers[rng.random(centers.shape) < 0.2] = -0.0
+    return gmra.MultiscaleDictionary([len(dims)], centers, bases, dims, np.arange(len(dims)), 1.0, 1.0, {})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_affine_rows_equals_plane_rows_plus_centers_bit_for_bit(seed, data):
+    # D below the block's entries (a block holds several rows) and about it (a block holds one row), n not a
+    # multiple of a block's rows, fits of mixed widths; the bytes compare signed zeros too
+    block = gmra._AFFINE_BLOCK_ENTRIES
+    dim = data.draw(st.one_of(st.integers(1, 300), st.integers(block - 2, block + 2)))
+    step = max(1, block // dim)
+    n = data.draw(st.integers(0, 3)) * step + data.draw(st.integers(1, max(1, step - 1)))
+    rng = np.random.default_rng(seed)
+    dims = data.draw(st.lists(st.integers(1, min(3, dim)), min_size=1, max_size=6))
+    d = random_fit_table(rng, dims, dim)
+    fits = rng.integers(0, len(dims), n)
+    coeffs = rng.standard_normal((n, data.draw(st.integers(1, max(dims)))))
+    coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
+    got = gmra.affine_rows(d, fits, coeffs)
+    assert got.tobytes() == (gmra.plane_rows(d, fits, coeffs) + d.fit_centers[fits]).tobytes()
+
+
+def test_affine_rows_equals_plane_rows_plus_centers_on_mixed_local_dims(mixed_dict):
+    cloud, d = mixed_dict
+    rng = np.random.default_rng(8)
+    for j in range(d.max_scale + 1):
+        fits = d.cell_fits(j)[gmra._nearest_rows(cloud.points, d.centers(j))]
+        coeffs = rng.standard_normal((len(fits), d.max_local_dim(j)))
+        got = gmra.affine_rows(d, fits, coeffs)
+        assert got.tobytes() == (gmra.plane_rows(d, fits, coeffs) + d.fit_centers[fits]).tobytes()
+
+
 def test_load_refuses_a_version_3_container(tmp_path, circle_dict):
     # version 3 stored a parent per cell; a v3 file is refused, not read
     path = tmp_path / "v3.mcsdict"

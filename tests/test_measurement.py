@@ -14,6 +14,16 @@ def test_gaussian_deterministic():
     assert a.entries.tobytes() == b.entries.tobytes()
 
 
+def test_matrix_owns_its_entries():
+    # a later write to the caller's array must not reach the checked entries, nor may the matrix lock that array
+    entries = measurement.orthoprojection_matrix(3, 5, seed=2).entries
+    for base in (entries.copy(), np.asfortranarray(entries)):
+        M = measurement.MeasurementMatrix(base[:, :], "haar-orthoprojection", 2)
+        base[0, 0] = 123.0
+        assert np.array_equal(M.entries, entries)
+        assert base.flags.writeable and not M.entries.flags.writeable
+
+
 def test_gaussian_column_normalization():
     M = measurement.gaussian_matrix(200, 50, seed=3)
     col_sq = (M.entries**2).sum(axis=0)

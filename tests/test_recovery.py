@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +233,71 @@ def test_recover_centers_exactly_in_mixed_dictionary(mixed_dict):
     assert np.array_equal(batch.chosen_centers, np.arange(len(d.centers(j))))
     assert not batch.coefficients.any()
     assert np.array_equal(batch.reconstructions, d.centers(j))
+
+
+def assert_same_batch(got, want):
+    for name in ("reconstructions", "searched_scale", "chosen_scales", "chosen_centers", "coefficients", "residuals",
+                 "ill_conditioned"):
+        a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+def test_recover_batch_is_the_same_in_any_scale_order(mode, swiss_cloud, swiss_dict, mixed_dict):
+    # the solves cached per matrix must give each scale the answer of a cold cache, whichever scales ran before
+    cloud, d = (swiss_cloud, swiss_dict) if mode == "fixed" else mixed_dict
+    M = measurement.gaussian_matrix(2, d.ambient_dim, seed=71)
+    comp = M.apply(cloud.points[::3])
+    scales = list(range(d.max_scale + 1)) + ["auto"]
+
+    def fresh():
+        return measurement.MeasurementMatrix(M.entries, M.ensemble, M.seed)
+
+    want = {j: recovery.recover_batch(comp, fresh(), d, j) for j in scales}
+    for order in (scales, scales[::-1], ["auto"] + scales[:-1]):
+        shared = fresh()
+        for j in order:
+            assert_same_batch(recovery.recover_batch(comp, shared, d, j), want[j])
+    for j in scales:
+        assert_same_batch(recovery.recover_batch(comp, M, d, j), want[j])
+
+
+def test_the_solve_cache_releases_its_matrix_and_dictionary():
+    cloud = geometry.gen_swiss_roll(300, seed=2)
+    M = measurement.gaussian_matrix(4, 3, seed=3)
+    comp = M.apply(cloud.points)
+    kept, dropped = (gmra.build_dictionary(cloud, local_dim=2, max_scale=3) for _ in range(2))
+    recovery.recover_batch(comp, M, kept, 3)
+    recovery.recover_batch(comp, M, dropped, 3)
+    assert len(recovery._SOLVES[M]) == 2
+    refs = [weakref.ref(dropped)]
+    del dropped
+    gc.collect()
+    assert refs[0]() is None and len(recovery._SOLVES[M]) == 1
+    refs += [weakref.ref(M), weakref.ref(kept)]
+    del M, kept
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_recover_batch_refuses_non_finite_measurements(swiss_dict):
+    M = measurement.gaussian_matrix(4, 3, seed=11)
+    comp = M.apply(np.ones((6, 3)))
+    comp[4, 0] = np.inf
+    comp[3, 2] = np.nan
+    with pytest.raises(ValueError, match="measurement row 3 is not finite"):
+        recovery.recover_batch(comp, M, swiss_dict, 2)
+    with pytest.raises(ValueError, match="measurement row 0 is not finite"):
+        recovery.recover(comp[4], M, swiss_dict, "auto")
+
+
+def test_certify_batch_refuses_points_of_another_shape(swiss_cloud, swiss_dict):
+    M = measurement.gaussian_matrix(4, 3, seed=12)
+    pts = swiss_cloud.points[:10]
+    batch = recovery.recover_batch(M.apply(pts), M, swiss_dict, 3)
+    for bad in (pts[:9], np.vstack([pts, pts[:1]]), pts[:, :2], pts.ravel()):
+        with pytest.raises(ValueError, match=r"the batch recovered 10 points in R\^3"):
+            recovery.certify_batch(bad, M, swiss_dict, batch, 0.3)
 
 
 def test_recover_dimension_mismatch(circle_dict):

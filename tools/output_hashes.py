@@ -12,8 +12,11 @@ bench/README.md), each set up and run once:
   values on its own (``dict[<name>]``: the per-scale counts, ``cell_fit``,
   ``fit_dims``, ``fit_centers``, ``fit_bases``, the separation constant,
   the root radius and the provenance), so a diff shows whether the centers
-  and the cell table held while the bases moved, and ``recover_batch``'s
-  outputs at every scale and at "auto" for each of its two matrices;
+  and the cell table held while the bases moved, ``recover_batch``'s
+  outputs at every scale and at "auto" for each of its two matrices, and
+  each field of its ``validate_structure`` report on its own
+  (``validate_structure[<field>]``): in R^200 the projections behind the
+  per-scale mean errors span many of ``gmra.affine_rows``' row blocks;
 * cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
   the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
   ``recon.csv``, ``recon_auto.csv`` and ``cert.csv`` its CLI chain writes,
@@ -39,6 +42,7 @@ because a threaded product rounds differently.
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -127,6 +131,8 @@ def roll200(seed, tmp):
     for label, draw, m, matrix_seed in work.matrices:
         matrix = getattr(measurement, draw)(m, work.p["dim"], matrix_seed)
         yield from recover_every_scale("roll200 " + label, matrix, dictionary, work.cloud.points)
+    for field, value in dataclasses.asdict(gmra.validate_structure(dictionary, work.cloud)).items():
+        yield "roll200 validate_structure[%s]" % field, sha(json.dumps(value).encode())
 
 
 def cli_roll3(seed, tmp):
