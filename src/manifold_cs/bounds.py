@@ -9,6 +9,8 @@ dictionaries and covers, not as tight predictions.
 import math
 from dataclasses import dataclass
 
+from .errors import is_number, require, require_integer
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -25,24 +27,19 @@ class BoundParams:
     j0: int | None = None  # tube scale estimate, when known
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.V <= 0:
-            raise ValueError("V must be positive")
-        if not (0 < self.eps <= 0.5):
-            # closed at 1/2: the closed forms are well defined there and the
-            # half-distortion grid point is a common sizing input
-            raise ValueError("eps must lie in (0, 1/2]")
-        if self.reach is not None and self.reach <= 0:
-            raise ValueError("reach must be positive")
-        if self.D is not None and self.D < 1:
-            raise ValueError("D must be >= 1")
-        if self.C1 <= 0:
-            raise ValueError("C1 must be positive")
-        if self.big_o_constant <= 0:
-            raise ValueError("big_o_constant must be positive")
-        if self.J < 0:
-            raise ValueError("J must be >= 0")
+        require_integer("d", self.d, 1)
+        # eps is closed at 1/2: the closed forms are well defined there and the
+        # half-distortion grid point is a common sizing input
+        require(is_number(self.eps) and 0 < self.eps <= 0.5, "eps", self.eps, "in (0, 1/2]")
+        for name in ("V", "reach", "C1", "big_o_constant"):
+            value = getattr(self, name)
+            if value is not None or name != "reach":
+                require(is_number(value) and 0 < value < math.inf, name, value, "a finite number > 0")
+        if self.D is not None:
+            require_integer("D", self.D, 1)
+        require_integer("J", self.J, 0)
+        if self.j0 is not None:
+            require_integer("j0", self.j0, 0)
 
 
 def _cover_factor(d):
@@ -53,8 +50,7 @@ def cover_bound(params, delta):
     """Upper bound on the size of a minimal delta-cover of the manifold."""
     if params.reach is None:
         raise ValueError("cover_bound needs reach")
-    if not (0 < delta < params.reach):
-        raise ValueError("delta must lie in (0, reach); got delta=%g, reach=%g" % (delta, params.reach))
+    require(is_number(delta) and 0 < delta < params.reach, "delta", delta, "in (0, reach) = (0, %r)" % params.reach)
     return params.V * _cover_factor(params.d) / delta**params.d
 
 

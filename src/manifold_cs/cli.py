@@ -12,7 +12,17 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, gmra, harness, measurement, recovery
-from .errors import CsvParseError, FileFormatError, TooFewPointsError
+from .errors import CsvParseError, FileFormatError, ParameterError, TooFewPointsError
+
+# the flag that sets each library parameter a command passes on
+FLAGS = {"n": "--n", "d": "--d", "seed": "--seed", "sigma": "--sigma", "m": "--m", "dim": "--dim",
+         "max_scale": "--max-scale", "local_dim": "--local-dim", "max_local_dim": "--max-local-dim",
+         "energy_threshold": "--energy", "min_points": "--min-points", "eps": "--eps", "j": "--scale",
+         "V": "--v", "reach": "--reach", "D": "--ambient-dim", "J": "--scales", "C1": "--c1",
+         "big_o_constant": "--constant", "delta": "--deltas"}
+# the config key that sets each library parameter `experiment run` passes on, where it is not the name itself
+CONFIG_KEYS = {"n": "dataset n", "d": "dataset d", "seed": "dataset seed", "sigma": "noise_sigmas",
+               "max_scale": "scales", "j": "scales"}
 
 
 def main(argv=None):
@@ -21,7 +31,10 @@ def main(argv=None):
     if not hasattr(args, "func"):
         parser.print_help()
         return 2
-    return args.func(args) or 0
+    try:
+        return args.func(args) or 0
+    except ParameterError as exc:  # the library checks each value before it writes or a command prints
+        raise SystemExit(exc.renamed(FLAGS)) from None
 
 
 def build_parser():
@@ -117,7 +130,7 @@ def build_parser():
 
 
 def _require(ok, flag, value, need):
-    """End the command in one line naming the flag unless ok; commands check their flags before any output."""
+    """End the command in one line naming the flag unless ok: for flag combinations, lists and file widths."""
     if not ok:
         raise SystemExit("%s must be %s, got %s" % (flag, need, value))
 
@@ -128,11 +141,6 @@ def _require_space(flag, path, width, dim, like):
 
 
 def cmd_generate(args):
-    _require(args.n >= 1, "--n", args.n, ">= 1")
-    _require(args.kind != "sphere" or args.d >= 1, "--d", args.d, ">= 1")
-    _require(args.sigma >= 0, "--sigma", args.sigma, ">= 0")
-    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
-    _require(args.noise_seed is None or args.noise_seed >= 0, "--noise-seed", args.noise_seed, ">= 0")
     if args.kind == "swiss-roll":
         cloud = geometry.gen_swiss_roll(args.n, args.seed)
     else:
@@ -143,9 +151,10 @@ def cmd_generate(args):
         padded = np.zeros((cloud.n, args.ambient_dim))
         padded[:, : cloud.ambient_dim] = cloud.points
         cloud = geometry.PointCloud(padded, args.ambient_dim, cloud.label)
-    if args.sigma > 0:
-        noise_seed = args.seed if args.noise_seed is None else args.noise_seed
-        cloud = geometry.add_noise(cloud, args.sigma, noise_seed)
+    try:
+        cloud = geometry.add_noise(cloud, args.sigma, args.seed if args.noise_seed is None else args.noise_seed)
+    except ParameterError as exc:  # the generator has taken --seed, so a seed refused here is --noise-seed
+        raise SystemExit(exc.renamed(FLAGS | {"seed": "--noise-seed"})) from None
     geometry.save_csv(cloud, args.out)
     print("wrote %d x %d cloud to %s" % (cloud.n, cloud.ambient_dim, args.out))
 
@@ -162,12 +171,6 @@ def _read(load, path):
 
 def cmd_gmra_build(args):
     cloud = _read(geometry.load_csv, args.cloud)
-    _require(args.max_scale >= 0, "--max-scale", args.max_scale, ">= 0")
-    _require(args.local_dim is None or args.local_dim >= 1, "--local-dim", args.local_dim, ">= 1")
-    _require(args.max_local_dim is None or args.max_local_dim >= 1, "--max-local-dim", args.max_local_dim, ">= 1")
-    _require(0 < args.energy <= 1, "--energy", args.energy, "in (0, 1]")
-    if args.local_dim is None and args.max_local_dim is None:
-        raise SystemExit("gmra build needs --local-dim, or --max-local-dim for adaptive local dimensions")
     try:
         dictionary = gmra.build_dictionary(
             cloud,
@@ -225,11 +228,6 @@ def _finite_or_null(value):
 
 
 def cmd_measure_make(args):
-    _require(args.m >= 1, "--m", args.m, ">= 1")
-    _require(args.dim >= 1, "--dim", args.dim, ">= 1")
-    _require(args.seed >= 0, "--seed", args.seed, ">= 0")
-    if args.ensemble == "haar-orthoprojection":
-        _require(args.m <= args.dim, "--m", args.m, "<= --dim (%d) for %s" % (args.dim, args.ensemble))
     if args.ensemble == "gaussian":
         matrix = measurement.gaussian_matrix(args.m, args.dim, args.seed)
     else:
@@ -245,7 +243,6 @@ def cmd_measure_verify(args):
     # every input is read and checked before the first report line
     probes = _read(geometry.load_csv, args.probes).points if args.probes else None
     if args.assumption_set:
-        _require(0 <= args.eps < 0.5, "--eps", args.eps, "in [0, 1/2) for --assumption-set")
         if not args.dict_path:
             raise SystemExit("--assumption-set needs --dict")
         dictionary = _read(gmra.load_dictionary, args.dict_path)
@@ -265,45 +262,37 @@ def cmd_measure_verify(args):
                 raise SystemExit("assumption set 2 needs --cloud")
             cloud = _read(geometry.load_csv, args.cloud)
             _require_space("--cloud", args.cloud, cloud.ambient_dim, matrix.ambient_dim, "--matrix")
-    rc = 0
+    # both checks run before the first report line, so a value either refuses ends the command with no output
+    distortion = assumptions = None
     if probes is not None:
         try:
-            report = measurement.verify_distortion(matrix, probes, args.eps)
+            distortion = measurement.verify_distortion(matrix, probes, args.eps)
+        except ParameterError:
+            raise
         except ValueError as exc:
             raise SystemExit("--probes %s: %s" % (args.probes, exc))
-        print(
-            "distortion: max %.6g over %d pairs (worst pair %s) -> %s"
-            % (
-                report.max_distortion,
-                report.pairs_checked,
-                report.worst_pair,
-                "PASS" if report.passed else "FAIL",
-            )
-        )
-        rc = 0 if report.passed else 2
     if args.assumption_set:
-        report = measurement.verify_assumption_set(
+        assumptions = measurement.verify_assumption_set(
             matrix, dictionary, x=x, which=args.assumption_set, eps=args.eps, cloud=cloud
         )
-        for item in report.items:
-            print(
-                "set %d item %s: margin %.6g -> %s (%s)"
-                % (report.which, item.name, item.margin, "PASS" if item.passed else "FAIL", item.detail)
-            )
-        rc = rc or (0 if report.passed else 2)
-    return rc
+    if distortion is not None:
+        print("distortion: max %.6g over %d pairs (worst pair %s) -> %s" % (
+            distortion.max_distortion, distortion.pairs_checked, distortion.worst_pair,
+            "PASS" if distortion.passed else "FAIL"))
+    for item in assumptions.items if assumptions is not None else ():
+        print("set %d item %s: margin %.6g -> %s (%s)"
+              % (assumptions.which, item.name, item.margin, "PASS" if item.passed else "FAIL", item.detail))
+    return 0 if all(report.passed for report in (distortion, assumptions) if report is not None) else 2
 
 
-def _scale(text, max_scale):
-    """The --scale of recover as recover_batch takes it: "auto" or an integer in [0, max_scale]."""
+def _scale(text):
+    """The --scale of recover as recover_batch takes it: "auto" or an integer, which recover_batch checks."""
     if text == "auto":
         return text
     try:
-        j = int(text)
+        return int(text)
     except ValueError:
-        j = None
-    _require(j is not None and 0 <= j <= max_scale, "--scale", repr(text), "'auto' or an integer in [0, %d]" % max_scale)
-    return j
+        raise SystemExit("--scale must be 'auto' or an integer, got %r" % text) from None
 
 
 def cmd_recover(args):
@@ -312,12 +301,10 @@ def cmd_recover(args):
     if matrix.ambient_dim != dictionary.ambient_dim:
         raise SystemExit("--matrix %s acts on R^%d, --dict %s lives in R^%d"
                          % (args.matrix, matrix.ambient_dim, args.dict_path, dictionary.ambient_dim))
-    scale = _scale(args.scale, dictionary.max_scale)
+    scale = _scale(args.scale)
     certify = bool(args.points or args.certificates)
-    if certify:
-        if not (args.points and args.certificates):
-            raise SystemExit("certificates need both --points and --certificates")
-        _require(0 < args.eps < 0.5, "--eps", args.eps, "in (0, 1/2)")
+    if certify and not (args.points and args.certificates):
+        raise SystemExit("certificates need both --points and --certificates")
     meas = _read(geometry.load_csv, args.measurements).points
     if meas.shape[1] != matrix.m:
         raise SystemExit("measurement rows have %d entries, matrix m=%d" % (meas.shape[1], matrix.m))
@@ -338,12 +325,13 @@ def cmd_recover(args):
         except ValueError as exc:  # the sphere's nearest point at the origin
             raise SystemExit("--manifold %s: %s" % (args.manifold, exc))
     batch = recovery.recover_batch(meas, matrix, dictionary, scale)
+    # the certificates come before the first write, so a refused --eps leaves no file
+    columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt) if certify else None
     recon = batch.reconstructions
     geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
     print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
 
     if certify:
-        columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt)
         # every CertificateBundle quantity, in field order; absent ones are left empty
         n = recon.shape[0]
         table = dict(index=range(n), j=batch.chosen_scales, k_prime=batch.chosen_centers,
@@ -372,24 +360,21 @@ def cmd_bounds(args):
     shared = dict(d=args.d, V=args.v, reach=args.reach, C1=args.c1, big_o_constant=args.constant)
     # every row is built before the header is written, so a refused value ends the command with no output
     rows = []
-    try:
-        for eps in eps_grid:
-            for j_max in j_grid:
-                params = bounds_mod.BoundParams(eps=eps, D=args.ambient_dim, J=j_max, **shared)
-                grid = dict(given, eps=eps, J=j_max)
-                rows.append(dict(grid, quantity="m_nonuniform", value=bounds_mod.m_nonuniform(params)))
-                if args.ambient_dim is not None and args.reach is not None:
-                    rows.append(dict(grid, quantity="m_uniform", value=bounds_mod.m_uniform(params)))
-                for j in range(j_max + 1):
-                    value = "%.17g" % bounds_mod.center_count_bound(params, j)
-                    rows.append(dict(grid, quantity="center_count_bound", j=j, value=value))
-        if deltas:
-            params = bounds_mod.BoundParams(eps=eps_grid[0], **shared)
-            for delta in deltas:
-                value = "%.17g" % bounds_mod.cover_bound(params, delta)
-                rows.append(dict(given, quantity="cover_bound", delta=delta, value=value))
-    except ValueError as exc:
-        raise SystemExit("bounds: %s" % exc)
+    for eps in eps_grid:
+        for j_max in j_grid:
+            params = bounds_mod.BoundParams(eps=eps, D=args.ambient_dim, J=j_max, **shared)
+            grid = dict(given, eps=eps, J=j_max)
+            rows.append(dict(grid, quantity="m_nonuniform", value=bounds_mod.m_nonuniform(params)))
+            if args.ambient_dim is not None and args.reach is not None:
+                rows.append(dict(grid, quantity="m_uniform", value=bounds_mod.m_uniform(params)))
+            for j in range(j_max + 1):
+                value = "%.17g" % bounds_mod.center_count_bound(params, j)
+                rows.append(dict(grid, quantity="center_count_bound", j=j, value=value))
+    if deltas:
+        params = bounds_mod.BoundParams(eps=eps_grid[0], **shared)
+        for delta in deltas:
+            value = "%.17g" % bounds_mod.cover_bound(params, delta)
+            rows.append(dict(given, quantity="cover_bound", delta=delta, value=value))
     # a quantity's row leaves the columns it does not use empty (DictWriter's restval)
     writer = csv.DictWriter(
         sys.stdout,
@@ -407,11 +392,6 @@ def cmd_experiment_run(args):
         raise SystemExit("experiment run: %s: %s" % (exc.strerror, exc.filename))
     except ValueError as exc:
         raise SystemExit("experiment run: %s" % exc)
-    if config.local_dim is None and config.max_local_dim is None:
-        raise SystemExit("experiment run: %s: neither local_dim nor max_local_dim is set" % args.config)
-    seed = config.dataset.get("seed", 0) if isinstance(config.dataset, dict) else 0
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise SystemExit("experiment run: %s: dataset seed must be an integer >= 0, got %r" % (args.config, seed))
     if args.verbose:
         logging.basicConfig(level=logging.INFO, format="[%(name)s] %(message)s")  # stderr
     try:
@@ -422,6 +402,8 @@ def cmd_experiment_run(args):
         raise SystemExit("experiment run: %s" % exc)
     except TooFewPointsError as exc:  # raised by a build, which comes before any file is written
         raise SystemExit("experiment run: %s: %s" % (args.config, exc))
+    except ParameterError as exc:  # a config value a library call refused, also before any file is written
+        raise SystemExit("experiment run: %s: %s" % (args.config, exc.renamed(CONFIG_KEYS)))
     print("results: %s" % (config.output_dir,))
     for (sigma, j, f), (mean, std) in sorted(result.aggregates.items()):
         print("sigma=%g j=%d f=%d: relMSE %.4g +- %.4g" % (sigma, j, f, mean, std))

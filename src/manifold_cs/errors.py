@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the one check that refuses a parameter out of its range."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -19,3 +19,38 @@ class TooFewPointsError(ValueError):
 
 class FileFormatError(ValueError):
     """A dictionary/matrix container file is malformed or has an unknown version."""
+
+
+class ParameterError(ValueError):
+    """A parameter out of its range: "<name> must be <need>, got <value!r>", name the library parameter's."""
+
+    def __init__(self, name, need, value):
+        self.name, self.need, self.value = name, need, value
+        super().__init__(self.renamed({}))
+
+    def renamed(self, names):
+        """The message with the parameter named as names maps it (a flag, a config key), or as itself."""
+        return "%s must be %s, got %r" % (names.get(self.name, self.name), self.need, self.value)
+
+
+def is_number(value, integer=False):
+    """Whether value is a Python or numpy real number, not a bool; with integer, a Python or numpy integer."""
+    if isinstance(value, bool):
+        return False
+    if isinstance(value, int) or isinstance(value, float) and not integer:
+        return True
+    kind = getattr(getattr(value, "dtype", None), "kind", "?")
+    return getattr(value, "ndim", None) == 0 and kind in ("iu" if integer else "iuf")
+
+
+def require(ok, name, value, need):
+    """Raise ParameterError(name, need, value) unless ok."""
+    if not ok:
+        raise ParameterError(name, need, value)
+
+
+def require_integer(name, value, low, high=None):
+    """value as an int; ParameterError unless it is an integer (``is_number``) in [low, high] ([low, inf) for None)."""
+    need = "an integer >= %d" % low if high is None else "an integer in [%d, %d]" % (low, high)
+    require(is_number(value, integer=True) and low <= value and (high is None or value <= high), name, value, need)
+    return int(value)

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CsvParseError, ResourceLimitError
+from .errors import CsvParseError, ResourceLimitError, is_number, require, require_integer
 
 SWISS_ROLL_T_MIN = 3.0 * np.pi / 2.0
 SWISS_ROLL_T_MAX = 9.0 * np.pi / 2.0
@@ -84,8 +84,8 @@ class PointCloud:
 
 def gen_swiss_roll(n, seed):
     """Sample n points uniformly in parameter space of the swiss roll surface."""
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
+    require_integer("n", n, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     t = rng.uniform(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, size=n)
     h = rng.uniform(0.0, SWISS_ROLL_HEIGHT, size=n)
@@ -99,10 +99,8 @@ def swiss_roll_point(t, h):
 
 def gen_sphere(n, d, seed):
     """Sample n points uniformly on the unit d-sphere in R^(d+1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
-    if d < 1:
-        raise ValueError("intrinsic dimension d must be >= 1, got %d" % d)
+    n, d = require_integer("n", n, 1), require_integer("d", d, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(size=(n, d + 1))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
@@ -122,8 +120,8 @@ def add_noise(cloud, sigma, seed):
     can be regenerated independently (and in parallel) without drawing the
     rest.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0, got %g" % sigma)
+    require(is_number(sigma) and 0 <= sigma < math.inf, "sigma", sigma, "a finite number >= 0")
+    require_integer("seed", seed, 0)
     if sigma == 0:
         return PointCloud(cloud.points.copy(), cloud.ambient_dim, cloud.label)
     dim = cloud.ambient_dim
@@ -261,10 +259,8 @@ def epsilon_net_ball(dim, eps):
     covers up to sampling density.  Refuses inputs whose projected net size
     (12/eps)^dim exceeds 10^7.
     """
-    if not (0 < eps < 0.5):
-        raise ValueError("eps must lie in (0, 1/2), got %g" % eps)
-    if dim < 1:
-        raise ValueError("dim must be >= 1, got %d" % dim)
+    require(is_number(eps) and 0 < eps < 0.5, "eps", eps, "in (0, 1/2)")
+    require_integer("dim", dim, 1)
     projected = (12.0 / eps) ** dim
     if projected > 1e7:
         raise ResourceLimitError(

@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError, TooFewPointsError
+from .errors import FileFormatError, TooFewPointsError, is_number, require, require_integer
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
@@ -68,6 +68,8 @@ DICT_FORMAT_VERSION = 4
 
 ORTHONORMALITY_TOL = 1e-10
 IDEMPOTENCY_TOL = 1e-10
+# the deepest scale a build takes: the separation constant scales distances by 2.0**j, finite up to here
+MAX_BUILD_SCALE = 1023
 
 
 class MultiscaleDictionary:
@@ -79,7 +81,7 @@ class MultiscaleDictionary:
     is the scale of the first cell it serves.  A cell served by a fit from a
     coarser scale keeps the fit of the same cell one scale up, which the
     constructor checks.  The per-scale accessors gather the table through
-    cell_fit.
+    cell_fits, which refuses a scale j that is not an integer in [0, J].
     """
 
     def __init__(self, counts, fit_centers, fit_bases, fit_dims, cell_fit, sep_constant, root_radius, provenance):
@@ -153,6 +155,7 @@ class MultiscaleDictionary:
 
     def cell_fits(self, j):
         """The fit-table row serving each scale-j cell."""
+        j = require_integer("j", j, 0, self.max_scale)
         return self.cell_fit[self.offsets[j] : self.offsets[j + 1]]
 
     def first_cell(self, f):
@@ -368,25 +371,20 @@ def build_dictionary(
     smallest cell allowed to refine (defaults to local_dim + 1, the least
     count that determines a d-plane).
     """
-    if max_scale < 0:
-        raise ValueError("max_scale must be >= 0")
-    if max_local_dim is not None and max_local_dim < 1:
-        raise ValueError("max_local_dim must be >= 1")
-    if not 0 < energy_threshold <= 1:
-        raise ValueError("energy_threshold must lie in (0, 1]")
+    max_scale = require_integer("max_scale", max_scale, 0, MAX_BUILD_SCALE)
     if local_dim is not None:
-        if local_dim < 1:
-            raise ValueError("local_dim must be >= 1")
-        mode = ("fixed", int(local_dim))
-        min_required = local_dim + 1
-    else:
-        if max_local_dim is None:
-            raise ValueError("adaptive mode needs max_local_dim")
-        mode = ("adaptive", float(energy_threshold), int(max_local_dim))
-        min_required = 2
-    if min_points is None:
-        min_points = min_required
-    min_points = max(int(min_points), min_required)
+        local_dim = require_integer("local_dim", local_dim, 1)
+    require(max_local_dim is not None or local_dim is not None, "max_local_dim", max_local_dim,
+            "an integer >= 1 when local_dim is None")
+    if max_local_dim is not None:
+        max_local_dim = require_integer("max_local_dim", max_local_dim, 1)
+    require(is_number(energy_threshold) and 0 < energy_threshold <= 1, "energy_threshold", energy_threshold,
+            "in (0, 1]")
+    if min_points is not None:
+        min_points = require_integer("min_points", min_points, 1)
+    mode = ("fixed", local_dim) if local_dim is not None else ("adaptive", float(energy_threshold), max_local_dim)
+    min_required = local_dim + 1 if local_dim is not None else 2
+    min_points = max(min_points or 0, min_required)
     pts = cloud.points
     n = pts.shape[0]
     if n < min_required:
@@ -485,8 +483,6 @@ def _closest_pair(centers):
 
 def nearest_center(dictionary, j, x):
     """Index of the scale-j center nearest to x; ties break to the lowest index."""
-    if not (0 <= j <= dictionary.max_scale):
-        raise ValueError("scale %d outside [0, %d]" % (j, dictionary.max_scale))
     x = np.asarray(x, dtype=np.float64)
     centers = dictionary.centers(j)
     if x.shape != (centers.shape[1],):

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import geometry, gmra, measurement, recovery
-from .errors import CsvParseError
+from .errors import CsvParseError, is_number
 from .geometry import csv_number
 from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
@@ -97,26 +97,21 @@ class ExperimentConfig:
     ensemble: str = "haar-orthoprojection"
 
     def __post_init__(self):
-        integers, numbers = ("integers", (int, np.integer)), ("numbers", (int, np.integer, float))
-        for name, values, low, (kind, types) in (
-            ("noise_sigmas", self.noise_sigmas, 0, numbers),
-            ("num_draws", [self.num_draws], 1, integers),
-            ("seed", [self.seed], 0, integers),
-            ("scales", self.scales, 0, integers),
-            ("oversampling", self.oversampling, 1, integers),
+        # a run orders the scales and formats the noise levels, so those must be numbers; their
+        # ranges, and the dataset and dictionary settings, are checked by the library calls that take them
+        for name, values, low in (
+            ("noise_sigmas", self.noise_sigmas, None),
+            ("num_draws", [self.num_draws], 1),
+            ("seed", [self.seed], 0),
+            ("scales", self.scales, None),
+            ("oversampling", self.oversampling, 1),
         ):
             if not isinstance(values, list) or not values:
                 raise ValueError("%s must be a nonempty list, got %r" % (name, values))
             for v in values:
-                if isinstance(v, bool) or not isinstance(v, types) or not low <= v < np.inf:
-                    raise ValueError("%s must be finite %s >= %d, got %r" % (name, kind, low, v))
-        for name in ("local_dim", "max_local_dim"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, integers[1]) or v < 1):
-                raise ValueError("%s must be an integer >= 1 or null, got %r" % (name, v))
-        v = self.energy_threshold
-        if isinstance(v, bool) or not isinstance(v, numbers[1]) or not 0 < v <= 1:
-            raise ValueError("energy_threshold must be a number in (0, 1], got %r" % (v,))
+                if not is_number(v, integer=low is not None) or low is not None and v < low:
+                    need = "numbers" if low is None else "finite integers >= %d" % low
+                    raise ValueError("%s must be %s, got %r" % (name, need, v))
         if self.ensemble not in ("haar-orthoprojection", "gaussian"):
             raise ValueError("unknown ensemble %r" % self.ensemble)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ResourceLimitError
+from .errors import FileFormatError, ResourceLimitError, is_number, require, require_integer
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
@@ -74,8 +74,9 @@ class MeasurementMatrix:
 
 def gaussian_matrix(m, dim, seed):
     """i.i.d. N(0, 1/m) entries; E||Mv||^2 = ||v||^2."""
-    if m < 1 or dim < 1:
-        raise ValueError("matrix dimensions must be positive, got %d x %d" % (m, dim))
+    require_integer("m", m, 1)
+    require_integer("dim", dim, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     entries = rng.standard_normal(size=(m, dim)) / np.sqrt(m)
     return MeasurementMatrix(entries, "gaussian", int(seed))
@@ -83,10 +84,9 @@ def gaussian_matrix(m, dim, seed):
 
 def orthoprojection_matrix(m, dim, seed):
     """First m rows of a Haar-random orthogonal matrix, scaled by sqrt(D/m)."""
-    if m < 1 or dim < 1:
-        raise ValueError("matrix dimensions must be positive, got %d x %d" % (m, dim))
-    if m > dim:
-        raise ValueError("orthoprojection needs m <= D, got m=%d > D=%d" % (m, dim))
+    require_integer("dim", dim, 1)
+    require_integer("m", m, 1, dim)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
@@ -115,6 +115,7 @@ def verify_distortion(matrix, probes, eps):
     subtraction (not Gram expansion) so near-coincident pairs keep full
     relative accuracy.
     """
+    require(is_number(eps) and 0 <= eps < np.inf, "eps", eps, "a finite number >= 0")
     probes = np.asarray(probes, dtype=np.float64)
     if probes.ndim != 2 or probes.shape[0] < 2:
         raise ValueError("need at least two probe vectors")
@@ -175,8 +176,7 @@ def rip_check_bruteforce(matrix, sparsity, eps):
     counts above 10^6.
     """
     dim = matrix.ambient_dim
-    if not (1 <= sparsity <= dim):
-        raise ValueError("sparsity must lie in [1, D]")
+    require_integer("sparsity", sparsity, 1, dim)
     n_supports = math.comb(dim, sparsity)
     if n_supports > 10**6:
         raise ResourceLimitError(
@@ -213,10 +213,8 @@ def e_m_bound(y, eps, sparsity):
     sparsity d and level eps.  eps = 0 is accepted as the isometric limit.
     A block of row vectors gives one bound per row.
     """
-    if sparsity < 1:
-        raise ValueError("sparsity must be >= 1")
-    if not (0 <= eps < 0.5):
-        raise ValueError("eps must lie in [0, 1/2)")
+    require_integer("sparsity", sparsity, 1)
+    require(is_number(eps) and 0 <= eps < 0.5, "eps", eps, "in [0, 1/2)")
     y = np.asarray(y, dtype=np.float64)
     bound = np.sqrt(1.0 + eps) * (
         np.linalg.norm(y, axis=-1) + np.linalg.norm(y, ord=1, axis=-1) / np.sqrt(sparsity)
@@ -284,8 +282,8 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     proof: set-membership is checked on finitely many probes.
     An item-a detail counts the pairs of distinct probe vectors.
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
+    require(which in (1, 2), "which", which, "1 or 2")
+    require(is_number(eps) and 0 <= eps < 0.5, "eps", eps, "in [0, 1/2)")
     rng = np.random.default_rng(0)
     items = []
     if which == 1:

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_number, require
 from .geometry import (
     SWISS_ROLL_HEIGHT,
     SWISS_ROLL_T_MAX,
@@ -199,10 +200,8 @@ def recover_batch(measurements, matrix, dictionary, j):
         raise ValueError("measurement row %d is not finite" % bad[0])
     if matrix.ambient_dim != dictionary.ambient_dim:
         raise ValueError("matrix and dictionary ambient dimensions differ")
-    auto = j == "auto"
-    scale = dictionary.max_scale if auto else int(j)
-    if not (0 <= scale <= dictionary.max_scale):
-        raise ValueError("scale %s outside [0, %d]" % (j, dictionary.max_scale))
+    auto = isinstance(j, str) and j == "auto"
+    scale = dictionary.max_scale if auto else j
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
     cells = _nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
@@ -213,7 +212,7 @@ def recover_batch(measurements, matrix, dictionary, j):
     residuals = np.linalg.norm((a_sub[fits] @ coeffs[:, :, None])[:, :, 0] - rhs, axis=1)
     return BatchRecovery(
         reconstructions=affine_rows(dictionary, fits, coeffs),
-        searched_scale=scale,
+        searched_scale=int(scale),
         chosen_scales=dictionary.origin_scales(scale)[cells] if auto else np.full(len(y), scale),
         chosen_centers=cells,
         coefficients=coeffs,
@@ -254,8 +253,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     columns are present only when x_opt, the nearest manifold point of each
     query, is given.  points must have the batch's rows and width.
     """
-    if not (0 < eps < 0.5):
-        raise ValueError("eps must lie in (0, 1/2)")
+    require(is_number(eps) and 0 < eps < 0.5, "eps", eps, "in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
     searched, cells = batch.searched_scale, batch.chosen_centers
     if x.shape != batch.reconstructions.shape:

@@ -237,8 +237,8 @@ def test_bounds_refuses_a_bad_value_in_one_line_before_any_output(capsys, extra)
     with pytest.raises(SystemExit) as exc:
         run_cli("bounds", *[tok for pair in argv.items() for tok in pair])
     message = exc.value.code
-    assert isinstance(message, str) and "\n" not in message
-    assert message.startswith("bounds: ") or message == "--deltas needs --reach"
+    # the message names the last flag given, the one whose value is refused
+    assert isinstance(message, str) and "\n" not in message and extra[-2] in message
     assert capsys.readouterr().out == ""
 
 
@@ -338,8 +338,9 @@ def chain_dir(tmp_path_factory):
     """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv,
     the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx), origin.csv, as many
     points of R^3 as meas.csv has rows, all at the origin, one.csv, a single point of R^3, nodim.json, an experiment
-    config that sets neither local_dim nor max_local_dim, and four configs that set local_dim 2: two.json, of a
-    2-point swiss roll, negseed.json and fracseed.json, of seeds -1 and 1.5, and dataseed.json, of dataset seed -2."""
+    config that sets neither local_dim nor max_local_dim, and six configs that set local_dim 2: two.json, of a
+    2-point swiss roll, negseed.json and fracseed.json, of seeds -1 and 1.5, dataseed.json, of dataset seed -2,
+    fracn.json, of a 1.5-point roll, and negscale.json, of scales 0 and -1."""
     d = tmp_path_factory.mktemp("chain")
     for suffix, extra in (("", []), ("4", ["--ambient-dim", 4])):
         run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, *extra, "--out", d / f"train{suffix}.csv")
@@ -358,7 +359,8 @@ def chain_dir(tmp_path_factory):
     config["local_dim"] = 2
     for name, change in (("two", {"dataset": {"generator": "swiss-roll", "n": 2}}), ("negseed", {"seed": -1}),
                          ("fracseed", {"seed": 1.5}), ("dataseed", {"dataset": {"generator": "swiss-roll", "n": 200,
-                                                                               "seed": -2}})):
+                                                                               "seed": -2}}),
+                         ("fracn", {"dataset": {"generator": "swiss-roll", "n": 1.5}}), ("negscale", {"scales": [0, -1]})):
         (d / f"{name}.json").write_text(json.dumps(config | change))
     return d
 
@@ -407,7 +409,7 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "2", "--energy", "0"],
      "--energy"),
     (RECOVER + ["--points", "origin.csv", "--certificates", "cert.csv", "--manifold", "sphere"], "--manifold"),
-    (["experiment", "run", "--config", "nodim.json"], "nodim.json: neither local_dim nor max_local_dim"),
+    (["experiment", "run", "--config", "nodim.json"], "nodim.json: max_local_dim must be an integer >= 1 when local_dim"),
     (["gmra", "build", "--cloud", "one.csv", "--out", "out.dict", "--local-dim", "2"],
      "--cloud one.csv: cloud has 1 points, need at least 3"),
     (["experiment", "run", "--config", "two.json"], "two.json: cloud has 2 points, need at least 3"),
@@ -419,6 +421,20 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (["experiment", "run", "--config", "negseed.json"], "negseed.json: seed must be finite integers >= 0, got -1"),
     (["experiment", "run", "--config", "fracseed.json"], "fracseed.json: seed must be finite integers >= 0, got 1.5"),
     (["experiment", "run", "--config", "dataseed.json"], "dataseed.json: dataset seed must be an integer >= 0, got -2"),
+    # non-finite and fractional values, refused by the library call that takes them and reported by flag or key
+    (["generate", "--kind", "swiss-roll", "--n", "5", "--sigma", "inf", "--out", "out.csv"], "--sigma"),
+    (["bounds", "--d", "2", "--v", "1", "--constant", "inf"], "--constant"),
+    (["bounds", "--d", "2", "--v", "1", "--c1", "nan"], "--c1"),
+    (["bounds", "--d", "2", "--v", "nan"], "--v"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--local-dim", "2", "--max-scale", "1024"],
+     "--max-scale"),
+    (RECOVER + ["--scale", "1.5"], "--scale"),
+    (["experiment", "run", "--config", "fracn.json"], "fracn.json: dataset n must be an integer >= 1, got 1.5"),
+    (["experiment", "run", "--config", "negscale.json"], "negscale.json: scales must be an integer in [0, 0], got -1"),
+    # refused after every input is read but before the first write or report line
+    (RECOVER + ["--eps", "nan", "--points", "train.csv", "--certificates", "cert.csv"], "--eps"),
+    (["measure", "verify", "--matrix", "M.mtx", "--probes", "train.csv", "--dict", "roll.dict", "--assumption-set", "2",
+      "--cloud", "train.csv", "--eps", "0.7"], "--eps"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)
@@ -452,7 +468,7 @@ def test_experiment_run_refuses_a_local_dimension_below_1(tmp_path, key):
     config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "output_dir": str(tmp_path / "out"),
               key: 0}
     (tmp_path / "config.json").write_text(json.dumps(config))
-    cause = re.escape("%s: %s must be an integer >= 1 or null, got 0" % (tmp_path / "config.json", key))
+    cause = re.escape("%s: %s must be an integer >= 1, got 0" % (tmp_path / "config.json", key))
     with pytest.raises(SystemExit, match="^experiment run: " + cause + "$"):
         run_cli("experiment", "run", "--config", tmp_path / "config.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -103,11 +103,11 @@ def test_build_requires_enough_points():
 
 
 @pytest.mark.parametrize("setting, cause", [
-    (dict(max_local_dim=0), "max_local_dim must be >= 1"),
-    (dict(max_local_dim=-1), "max_local_dim must be >= 1"),
-    (dict(max_local_dim=2, energy_threshold=1.5), r"energy_threshold must lie in \(0, 1\]"),
-    (dict(max_local_dim=2, energy_threshold=0.0), r"energy_threshold must lie in \(0, 1\]"),
-    (dict(max_local_dim=2, energy_threshold=float("nan")), r"energy_threshold must lie in \(0, 1\]"),
+    (dict(max_local_dim=0), "max_local_dim must be an integer >= 1"),
+    (dict(max_local_dim=-1), "max_local_dim must be an integer >= 1"),
+    (dict(max_local_dim=2, energy_threshold=1.5), r"energy_threshold must be in \(0, 1\]"),
+    (dict(max_local_dim=2, energy_threshold=0.0), r"energy_threshold must be in \(0, 1\]"),
+    (dict(max_local_dim=2, energy_threshold=float("nan")), r"energy_threshold must be in \(0, 1\]"),
 ])
 def test_build_refuses_bad_local_dimension_settings_before_fps(swiss_cloud, monkeypatch, setting, cause):
     def no_fps(*args, **kwargs):

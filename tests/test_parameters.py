@@ -1,0 +1,171 @@
+"""Every public entry point refuses an out-of-range parameter with a ParameterError naming that parameter."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from manifold_cs import bounds, geometry, gmra, measurement, recovery
+from manifold_cs.errors import ParameterError
+
+# values no numeric parameter takes
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.complex_numbers(), st.lists(st.integers(), max_size=2))
+
+
+def bad_integers(low, high=None):
+    """What an integer parameter in [low, high] refuses: integers outside it, Python or numpy, any float, junk."""
+    outside = st.integers(max_value=low - 1)
+    if high is not None:
+        outside |= st.integers(min_value=high + 1)
+    as_numpy = outside.filter(lambda v: -2**63 <= v < 2**63).map(np.int64)
+    return outside | as_numpy | st.floats() | JUNK
+
+
+def bad_reals(inside):
+    """What a real parameter refuses: the floats (nan and the infinities among them) that inside rejects, junk."""
+    return st.floats().filter(lambda v: not inside(v)) | JUNK
+
+
+def positive(v):
+    return 0 < v < math.inf
+
+
+def make_world():
+    """A 200-point roll, its dictionary of scales 0..3, a 5 x 3 matrix, the roll measured by it, a recovery."""
+    cloud = geometry.gen_swiss_roll(200, 3)
+    dictionary = gmra.build_dictionary(cloud, local_dim=2, max_scale=3)
+    matrix = measurement.gaussian_matrix(5, 3, 1)
+    meas = matrix.apply(cloud.points)
+    return cloud, dictionary, matrix, meas, recovery.recover_batch(meas, matrix, dictionary, 2)
+
+
+def cases(world):
+    """{case: (call taking the bad value, the parameter's name, the values it refuses)}."""
+    cloud, dictionary, matrix, meas, batch = world
+    pts, x = cloud.points, cloud.points[0]
+    build = gmra.build_dictionary
+    params = dict(d=2, V=1.0, eps=0.3, reach=1.0, D=3, J=2, C1=1.0, big_o_constant=1.0, j0=1)
+    out = {
+        "gen_swiss_roll n": (lambda v: geometry.gen_swiss_roll(v, 0), "n", bad_integers(1)),
+        "gen_swiss_roll seed": (lambda v: geometry.gen_swiss_roll(5, v), "seed", bad_integers(0)),
+        "gen_sphere n": (lambda v: geometry.gen_sphere(v, 2, 0), "n", bad_integers(1)),
+        "gen_sphere d": (lambda v: geometry.gen_sphere(5, v, 0), "d", bad_integers(1)),
+        "gen_sphere seed": (lambda v: geometry.gen_sphere(5, 2, v), "seed", bad_integers(0)),
+        "add_noise sigma": (lambda v: geometry.add_noise(cloud, v, 0), "sigma", bad_reals(lambda v: 0 <= v < math.inf)),
+        "add_noise seed": (lambda v: geometry.add_noise(cloud, 0.1, v), "seed", bad_integers(0)),
+        "build max_scale": (lambda v: build(cloud, local_dim=2, max_scale=v), "max_scale", bad_integers(0, 1023)),
+        "build local_dim": (lambda v: build(cloud, local_dim=v), "local_dim",
+                            bad_integers(1).filter(lambda v: v is not None)),
+        "build max_local_dim": (lambda v: build(cloud, max_local_dim=v), "max_local_dim", bad_integers(1)),
+        "build energy_threshold": (lambda v: build(cloud, max_local_dim=2, energy_threshold=v), "energy_threshold",
+                                   bad_reals(lambda v: 0 < v <= 1)),
+        "build min_points": (lambda v: build(cloud, local_dim=2, min_points=v), "min_points",
+                             bad_integers(1).filter(lambda v: v is not None)),
+        "verify_distortion eps": (lambda v: measurement.verify_distortion(matrix, pts[:5], v), "eps",
+                                  bad_reals(lambda v: 0 <= v < math.inf)),
+        "verify_assumption_set eps": (lambda v: measurement.verify_assumption_set(matrix, dictionary, x=x, eps=v),
+                                      "eps", bad_reals(lambda v: 0 <= v < 0.5)),
+        "certify_batch eps": (lambda v: recovery.certify_batch(pts, matrix, dictionary, batch, v), "eps",
+                              bad_reals(lambda v: 0 < v < 0.5)),
+        "cover_bound delta": (lambda v: bounds.cover_bound(bounds.BoundParams(**params), v), "delta",
+                              bad_reals(lambda v: 0 < v < 1.0)),
+        "cell_fits j": (dictionary.cell_fits, "j", bad_integers(0, 3)),
+        "project_at_scale j": (lambda v: gmra.project_at_scale(dictionary, v, pts), "j", bad_integers(0, 3)),
+        "nearest_center j": (lambda v: gmra.nearest_center(dictionary, v, x), "j", bad_integers(0, 3)),
+        "recover_batch j": (lambda v: recovery.recover_batch(meas, matrix, dictionary, v), "j", bad_integers(0, 3)),
+        "recover j": (lambda v: recovery.recover(meas[0], matrix, dictionary, v), "j", bad_integers(0, 3)),
+    }
+    for ensemble, draw in (("gaussian", measurement.gaussian_matrix), ("haar", measurement.orthoprojection_matrix)):
+        out[ensemble + " m"] = (lambda v, draw=draw: draw(v, 3, 0), "m", bad_integers(1, 3 if ensemble == "haar" else None))
+        out[ensemble + " dim"] = (lambda v, draw=draw: draw(1, v, 0), "dim", bad_integers(1))
+        out[ensemble + " seed"] = (lambda v, draw=draw: draw(1, 3, v), "seed", bad_integers(0))
+    nullable = {"reach", "D", "j0"}
+    for name, values in (("d", bad_integers(1)), ("V", bad_reals(positive)), ("eps", bad_reals(lambda v: 0 < v <= 0.5)),
+                         ("reach", bad_reals(positive)), ("D", bad_integers(1)), ("J", bad_integers(0)),
+                         ("C1", bad_reals(positive)), ("big_o_constant", bad_reals(positive)), ("j0", bad_integers(0))):
+        values = values.filter(lambda v: v is not None) if name in nullable else values
+        out["BoundParams " + name] = (lambda v, name=name: bounds.BoundParams(**(params | {name: v})), name, values)
+    return out
+
+
+WORLD = make_world()
+CASES = cases(WORLD)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_each_entry_point_refuses_an_out_of_range_value_by_name(case, data):
+    call, name, values = CASES[case]
+    value = data.draw(values, label=name)
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert exc.value.name == name
+    assert str(exc.value).startswith(name + " must be ") and str(exc.value).endswith(", got %r" % (value,))
+
+
+def test_the_adaptive_mode_needs_max_local_dim():
+    with pytest.raises(ParameterError, match="^max_local_dim must be an integer >= 1 when local_dim is None, got None$"):
+        gmra.build_dictionary(WORLD[0], max_scale=2)
+
+
+@pytest.mark.parametrize("j", [-1, 4, 99, 1.5, True, np.float64(2.0), "2"])
+def test_a_scale_outside_the_dictionary_is_refused_by_every_accessor(j):
+    cloud, dictionary, matrix, meas, _ = WORLD
+    for call in (lambda: gmra.project_at_scale(dictionary, j, cloud.points), lambda: dictionary.centers(j),
+                 lambda: dictionary.max_local_dim(j), lambda: recovery.recover_batch(meas, matrix, dictionary, j)):
+        with pytest.raises(ParameterError, match=r"^j must be an integer in \[0, 3\], got "):
+            call()
+
+
+def test_numpy_integers_pass_wherever_python_integers_do():
+    cloud, dictionary, matrix, meas, _ = WORLD
+    assert np.array_equal(geometry.gen_swiss_roll(np.int64(50), np.uint64(3)).points,
+                          geometry.gen_swiss_roll(50, 3).points)
+    assert np.array_equal(geometry.add_noise(cloud, 0.1, np.int32(4)).points, geometry.add_noise(cloud, 0.1, 4).points)
+    assert np.array_equal(measurement.orthoprojection_matrix(np.int32(2), np.int64(3), np.uint64(9)).entries,
+                          measurement.orthoprojection_matrix(2, 3, 9).entries)
+    built = gmra.build_dictionary(cloud, local_dim=np.int64(2), max_scale=np.int64(3), min_points=np.int16(3))
+    assert built.counts() == dictionary.counts()
+    assert np.array_equal(built.fit_centers, dictionary.fit_centers)
+    for j in (np.int64(2), np.uint8(2)):
+        got = recovery.recover_batch(meas, matrix, dictionary, j)
+        assert got.searched_scale == 2 and type(got.searched_scale) is int
+        assert np.array_equal(got.reconstructions, recovery.recover_batch(meas, matrix, dictionary, 2).reconstructions)
+    assert recovery.recover_batch(meas, matrix, dictionary, "auto").searched_scale == 3
+
+
+@pytest.mark.parametrize("call, name", [
+    # a fractional or boolean dimension used to build 1-d planes, a deep scale to overflow 2.0**j
+    (lambda c: gmra.build_dictionary(c, local_dim=1.5, max_scale=2), "local_dim"),
+    (lambda c: gmra.build_dictionary(c, local_dim=True, max_scale=2), "local_dim"),
+    (lambda c: gmra.build_dictionary(c, local_dim=2, max_scale=1024), "max_scale"),
+    (lambda c: gmra.build_dictionary(c, local_dim=2, max_scale=3, min_points=2.5), "min_points"),
+    (lambda c: geometry.gen_swiss_roll(10, -1), "seed"),
+    (lambda c: geometry.gen_swiss_roll(10, 1.5), "seed"),
+    (lambda c: geometry.gen_swiss_roll(1.5, 0), "n"),
+    (lambda c: geometry.add_noise(c, 0.1, -1), "seed"),
+    (lambda c: geometry.add_noise(c, math.inf, 0), "sigma"),
+    (lambda c: measurement.gaussian_matrix(1.5, 3, 0), "m"),
+    (lambda c: measurement.gaussian_matrix(2, 3, -1), "seed"),
+    (lambda c: measurement.orthoprojection_matrix(2, 3, 1.5), "seed"),
+    (lambda c: bounds.BoundParams(d=2, V=1.0, big_o_constant=math.inf), "big_o_constant"),
+    (lambda c: bounds.BoundParams(d=2, V=1.0, C1=math.nan), "C1"),
+    (lambda c: bounds.BoundParams(d=2, V=math.nan), "V"),
+])
+def test_hostile_values_that_used_to_slip_through_are_refused(call, name):
+    with pytest.raises(ParameterError) as exc:
+        call(WORLD[0])
+    assert exc.value.name == name
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.7])
+def test_the_assumption_checks_refuse_eps_themselves(eps):
+    cloud, dictionary, matrix, _, _ = WORLD
+    with pytest.raises(ParameterError, match="^eps must be in"):
+        measurement.verify_assumption_set(matrix, dictionary, x=cloud.points[0], eps=eps)
+    if math.isnan(eps):
+        with pytest.raises(ParameterError, match="^eps must be a finite number >= 0, got nan$"):
+            measurement.verify_distortion(matrix, cloud.points[:5], eps)
