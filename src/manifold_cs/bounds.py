@@ -3,13 +3,15 @@
 Every bound carries an explicit leading constant (big_o_constant, default 1)
 because the asymptotic statements fix none; logs are natural.  These
 evaluators are meant for dominance and scaling checks against built
-dictionaries and covers, not as tight predictions.
+dictionaries and covers, not as tight predictions.  A bound that is not a
+finite float64 at its parameters, or whose formula leaves float64's range
+on the way, raises BoundOverflowError.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import is_number, require, require_integer
+from .errors import BoundOverflowError, is_number, require, require_integer
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,17 @@ class BoundParams:
             require_integer("j0", self.j0, 0)
 
 
+def _finite(quantity, formula):
+    """formula(), unless it or a step on the way (a power, a quotient) leaves float64's range."""
+    try:
+        value = formula()
+    except (OverflowError, ZeroDivisionError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise BoundOverflowError("%s is not a finite float64 at these parameters" % quantity)
+    return value
+
+
 def _cover_factor(d):
     return (d / 2.0 + 1.0) ** (d / 2.0 + 1.0) / 2.0 ** (d / 2.0)
 
@@ -51,7 +64,7 @@ def cover_bound(params, delta):
     if params.reach is None:
         raise ValueError("cover_bound needs reach")
     require(is_number(delta) and 0 < delta < params.reach, "delta", delta, "in (0, reach) = (0, %r)" % params.reach)
-    return params.V * _cover_factor(params.d) / delta**params.d
+    return _finite("cover_bound", lambda: params.V * _cover_factor(params.d) / delta**params.d)
 
 
 def center_count_bound(params, j):
@@ -63,12 +76,12 @@ def center_count_bound(params, j):
     """
     if params.j0 is not None and j <= params.j0:
         raise ValueError("scale j=%d not above the tube scale j0=%d" % (j, params.j0))
-    return (
+    return _finite("center_count_bound at j=%d" % j, lambda: (
         2.0 ** (params.d * (j + 1.5))
         / params.C1**params.d
         * params.V
         * (params.d / 2.0 + 1.0) ** (params.d / 2.0 + 1.0)
-    )
+    ))
 
 
 def m_nonuniform(params):
@@ -78,11 +91,10 @@ def m_nonuniform(params):
     ambient dimension.
     """
     c = params.big_o_constant
-    inv2 = params.eps**-2
-    value = c * (
-        params.d * inv2 * (params.J + math.log(params.d / params.eps))
-        + inv2 * math.log(params.V)
-    )
+    value = _finite("m_nonuniform", lambda: c * (
+        params.d * params.eps**-2 * (params.J + math.log(params.d / params.eps))
+        + params.eps**-2 * math.log(params.V)
+    ))
     return max(1, math.ceil(value))
 
 
@@ -95,12 +107,11 @@ def m_uniform(params):
     if params.D is None or params.reach is None:
         raise ValueError("m_uniform needs both D and reach")
     c = params.big_o_constant
-    inv2 = params.eps**-2
-    value = c * (
-        params.d * inv2 * math.log(params.D / (params.eps * params.reach))
-        + params.d * inv2 * params.J
-        + inv2 * math.log(params.V)
-    )
+    value = _finite("m_uniform", lambda: c * (
+        params.d * params.eps**-2 * math.log(params.D / (params.eps * params.reach))
+        + params.d * params.eps**-2 * params.J
+        + params.eps**-2 * math.log(params.V)
+    ))
     return max(1, math.ceil(value))
 
 

@@ -12,14 +12,16 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, gmra, harness, measurement, recovery
-from .errors import CsvParseError, FileFormatError, ParameterError, TooFewPointsError
+from .errors import BoundOverflowError, CsvParseError, FileFormatError, ParameterError, TooFewPointsError
 
-# the flag that sets each library parameter a command passes on
+# the flag that sets each library parameter, or names the file of each library array, a command passes on
 FLAGS = {"n": "--n", "d": "--d", "seed": "--seed", "sigma": "--sigma", "m": "--m", "dim": "--dim",
          "max_scale": "--max-scale", "local_dim": "--local-dim", "max_local_dim": "--max-local-dim",
          "energy_threshold": "--energy", "min_points": "--min-points", "eps": "--eps", "j": "--scale",
          "V": "--v", "reach": "--reach", "D": "--ambient-dim", "J": "--scales", "C1": "--c1",
-         "big_o_constant": "--constant", "delta": "--deltas"}
+         "big_o_constant": "--constant", "delta": "--deltas", "measurements": "--measurements",
+         "points": "--points", "manifold": "--manifold", "matrix": "--matrix", "dictionary": "--dict",
+         "cloud": "--cloud", "x": "--query", "probes": "--probes"}
 # the config key that sets each library parameter `experiment run` passes on, where it is not the name itself
 CONFIG_KEYS = {"n": "dataset n", "d": "dataset d", "seed": "dataset seed", "sigma": "noise_sigmas",
                "max_scale": "scales", "j": "scales"}
@@ -33,8 +35,10 @@ def main(argv=None):
         return 2
     try:
         return args.func(args) or 0
-    except ParameterError as exc:  # the library checks each value before it writes or a command prints
+    except ParameterError as exc:  # the library checks each value and shape before it writes or a command prints
         raise SystemExit(exc.renamed(FLAGS)) from None
+    except BoundOverflowError as exc:  # bounds computes every row before its header
+        raise SystemExit("bounds: %s" % exc) from None
 
 
 def build_parser():
@@ -130,14 +134,9 @@ def build_parser():
 
 
 def _require(ok, flag, value, need):
-    """End the command in one line naming the flag unless ok: for flag combinations, lists and file widths."""
+    """End the command in one line naming the flag unless ok: for flag combinations, lists and row counts."""
     if not ok:
         raise SystemExit("%s must be %s, got %s" % (flag, need, value))
-
-
-def _require_space(flag, path, width, dim, like):
-    """End the command in one line unless flag's file, of width width, lives in R^dim like the file of like."""
-    _require(width == dim, flag, "%s in R^%d" % (path, width), "in R^%d like %s" % (dim, like))
 
 
 def cmd_generate(args):
@@ -200,7 +199,6 @@ VALIDATE_JSON_FIELDS = (
 def cmd_gmra_validate(args):
     dictionary = _read(gmra.load_dictionary, args.dict_path)
     cloud = _read(geometry.load_csv, args.cloud)
-    _require_space("--cloud", args.cloud, cloud.ambient_dim, dictionary.ambient_dim, "--dict")
     report = gmra.validate_structure(dictionary, cloud)
     if args.json:
         payload = {name: _finite_or_null(getattr(report, name)) for name in VALIDATE_JSON_FIELDS}
@@ -246,31 +244,23 @@ def cmd_measure_verify(args):
         if not args.dict_path:
             raise SystemExit("--assumption-set needs --dict")
         dictionary = _read(gmra.load_dictionary, args.dict_path)
-        _require_space("--dict", args.dict_path, dictionary.ambient_dim, matrix.ambient_dim, "--matrix")
         x = None
         cloud = None
         if args.assumption_set == 1:
             if not args.query:
                 raise SystemExit("assumption set 1 needs --query")
             query = _read(geometry.load_csv, args.query).points
-            _require_space("--query", args.query, query.shape[1], matrix.ambient_dim, "--matrix")
-            if len(query) != 1:
-                raise SystemExit("assumption set 1 takes one query point, %s has %d rows" % (args.query, len(query)))
+            _require(len(query) == 1, "--query", "%s with %d rows" % (args.query, len(query)),
+                     "one query point for assumption set 1")
             x = query[0]
         else:
             if not args.cloud:
                 raise SystemExit("assumption set 2 needs --cloud")
             cloud = _read(geometry.load_csv, args.cloud)
-            _require_space("--cloud", args.cloud, cloud.ambient_dim, matrix.ambient_dim, "--matrix")
     # both checks run before the first report line, so a value either refuses ends the command with no output
     distortion = assumptions = None
     if probes is not None:
-        try:
-            distortion = measurement.verify_distortion(matrix, probes, args.eps)
-        except ParameterError:
-            raise
-        except ValueError as exc:
-            raise SystemExit("--probes %s: %s" % (args.probes, exc))
+        distortion = measurement.verify_distortion(matrix, probes, args.eps)
     if args.assumption_set:
         assumptions = measurement.verify_assumption_set(
             matrix, dictionary, x=x, which=args.assumption_set, eps=args.eps, cloud=cloud
@@ -298,32 +288,18 @@ def _scale(text):
 def cmd_recover(args):
     matrix = _read(measurement.load_matrix, args.matrix)
     dictionary = _read(gmra.load_dictionary, args.dict_path)
-    if matrix.ambient_dim != dictionary.ambient_dim:
-        raise SystemExit("--matrix %s acts on R^%d, --dict %s lives in R^%d"
-                         % (args.matrix, matrix.ambient_dim, args.dict_path, dictionary.ambient_dim))
     scale = _scale(args.scale)
     certify = bool(args.points or args.certificates)
     if certify and not (args.points and args.certificates):
         raise SystemExit("certificates need both --points and --certificates")
     meas = _read(geometry.load_csv, args.measurements).points
-    if meas.shape[1] != matrix.m:
-        raise SystemExit("measurement rows have %d entries, matrix m=%d" % (meas.shape[1], matrix.m))
     if certify:
         points = _read(geometry.load_csv, args.points).points
-        if points.shape[0] != meas.shape[0]:
-            raise SystemExit("points and measurements row counts differ")
         manifold = args.manifold
         if manifold and manifold not in ("sphere", "swiss-roll"):
             manifold = _read(geometry.load_csv, manifold)
-        dim = dictionary.ambient_dim
-        # the sphere oracle takes any width; the swiss roll lives in R^3, a sample cloud in its own
-        widths = (points.shape[1], 3 if manifold == "swiss-roll" else getattr(manifold, "ambient_dim", dim))
-        for flag, value, width in zip(("--points", "--manifold"), (args.points, args.manifold), widths):
-            _require_space(flag, value, width, dim, "--dict")
-        try:
-            x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
-        except ValueError as exc:  # the sphere's nearest point at the origin
-            raise SystemExit("--manifold %s: %s" % (args.manifold, exc))
+        x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
+    # the library refuses a matrix, measurements, points or manifold of another shape before the first write
     batch = recovery.recover_batch(meas, matrix, dictionary, scale)
     # the certificates come before the first write, so a refused --eps leaves no file
     columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt) if certify else None

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one check that refuses a parameter out of its range."""
+"""Shared exception types, and the one check that refuses a parameter out of its range or shape."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -19,6 +19,10 @@ class TooFewPointsError(ValueError):
 
 class FileFormatError(ValueError):
     """A dictionary/matrix container file is malformed or has an unknown version."""
+
+
+class BoundOverflowError(ArithmeticError):
+    """A closed-form bound, or a step on the way to it, is not a finite float64 at the given parameters."""
 
 
 class ParameterError(ValueError):
@@ -54,3 +58,10 @@ def require_integer(name, value, low, high=None):
     need = "an integer >= %d" % low if high is None else "an integer in [%d, %d]" % (low, high)
     require(is_number(value, integer=True) and low <= value and (high is None or value <= high), name, value, need)
     return int(value)
+
+
+def require_shape(name, array, *dims):
+    """ParameterError unless array's shape is dims: an int fixes that length, a str (its symbol) leaves it free."""
+    shape = tuple(array.shape)
+    ok = len(shape) == len(dims) and all(isinstance(want, str) or want == got for want, got in zip(dims, shape))
+    require(ok, name, shape, "shaped (%s%s)" % (", ".join(map(str, dims)), "," if len(dims) == 1 else ""))

@@ -16,7 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CsvParseError, ResourceLimitError, is_number, require, require_integer
+from .errors import CsvParseError, ParameterError, ResourceLimitError, is_number, require, require_integer
 
 SWISS_ROLL_T_MIN = 3.0 * np.pi / 2.0
 SWISS_ROLL_T_MAX = 9.0 * np.pi / 2.0
@@ -118,7 +118,7 @@ def add_noise(cloud, sigma, seed):
     Per-point streams are split off the master seed with the counter scheme
     SeedSequence(seed, spawn_key=(i,)) for point i, so any subset of points
     can be regenerated independently (and in parallel) without drawing the
-    rest.
+    rest.  A sigma whose noisy cloud ``PointCloud`` refuses is refused.
     """
     require(is_number(sigma) and 0 <= sigma < math.inf, "sigma", sigma, "a finite number >= 0")
     require_integer("seed", seed, 0)
@@ -130,7 +130,10 @@ def add_noise(cloud, sigma, seed):
     for i in range(cloud.n):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
         noise[i] = rng.standard_normal(dim)
-    return PointCloud(cloud.points + scale * noise, dim, cloud.label)
+    try:
+        return PointCloud(cloud.points + scale * noise, dim, cloud.label)
+    except ValueError:  # too large for float64 squared distances, or past float64 itself
+        raise ParameterError("sigma", "small enough for the noisy cloud's squared distances", sigma) from None
 
 
 def _screen_coordinates(rel):

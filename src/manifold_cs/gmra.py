@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError, TooFewPointsError, is_number, require, require_integer
+from .errors import FileFormatError, TooFewPointsError, is_number, require, require_integer, require_shape
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
@@ -485,16 +485,14 @@ def nearest_center(dictionary, j, x):
     """Index of the scale-j center nearest to x; ties break to the lowest index."""
     x = np.asarray(x, dtype=np.float64)
     centers = dictionary.centers(j)
-    if x.shape != (centers.shape[1],):
-        raise ValueError("point has shape %s, centers live in R^%d" % (x.shape, centers.shape[1]))
+    require_shape("x", x, dictionary.ambient_dim)
     return int(_nearest_rows(x[None], centers)[0])
 
 
 def project_at_scale(dictionary, j, pts):
     """Apply the nearest-center projector at scale j to every row of pts."""
     pts = np.asarray(pts, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != dictionary.ambient_dim:
-        raise ValueError("points have shape %s, the dictionary lives in R^%d" % (pts.shape, dictionary.ambient_dim))
+    require_shape("pts", pts, "n", dictionary.ambient_dim)
     fits = dictionary.cell_fits(j)[_nearest_rows(pts, dictionary.centers(j))]
     return affine_rows(dictionary, fits, plane_coeffs(dictionary, fits, pts - dictionary.fit_centers[fits]))
 
@@ -598,8 +596,10 @@ def validate_structure(dictionary, cloud):
     on at most 200 cloud points drawn with seed 0.  The decay exponent is
     the OLS slope of log2(mean error) against scale over scales j >= 1, and
     its interval is the OLS 95 percent t-interval on that slope (zero width
-    when the fit is exact; see ``_fit_decay``).
+    when the fit is exact; see ``_fit_decay``).  The cloud must lie in the
+    dictionary's R^D.
     """
+    require_shape("cloud", cloud.points, "n", dictionary.ambient_dim)
     failures = []
     sep_ok, sep_margin, sep_pair = _check_separation(dictionary)
     if not sep_ok:

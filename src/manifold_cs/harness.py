@@ -157,10 +157,9 @@ class ExperimentResult:
     mean_norms: dict  # sigma -> mean point norm of the evaluated cloud
     aggregates: dict = field(init=False)  # (sigma, j, f) -> (mean, std) of relMSE over the draws
     baselines: dict = field(init=False)  # sigma -> relMSE_J
-    d_by_scale: dict = field(init=False)  # (sigma, j) -> d_j
 
     def __post_init__(self):
-        draws, self.baselines, self.d_by_scale = {}, {}, {}
+        draws, self.baselines = {}, {}
         for line, row in enumerate(self.rows, start=2):
             if None in row or None in row.values():
                 message = "results row at line %d does not have %d fields" % (line, len(RESULTS_COLUMNS))
@@ -168,20 +167,12 @@ class ExperimentResult:
             try:
                 sigma, j, f = csv_number(row["sigma"]), csv_number(row["j"], int), csv_number(row["f"], int)
                 value, baseline = csv_number(row["relMSE"]), csv_number(row["relMSE_J"])
-                d_j = csv_number(row["d_j"], int)
+                csv_number(row["d_j"], int)  # not kept, but a damaged d_j is still refused
             except ValueError as exc:
                 raise CsvParseError("results row at line %d: %s" % (line, exc), row=line) from None
             draws.setdefault((sigma, j, f), []).append(value)
             self.baselines[sigma] = baseline
-            self.d_by_scale[(sigma, j)] = d_j
         self.aggregates = {key: (float(np.mean(vals)), float(np.std(vals))) for key, vals in draws.items()}
-
-    def curve(self, sigma, f):
-        """(scales, means, stds) for one noise level and oversampling factor."""
-        js = sorted({j for (s, j, ff) in self.aggregates if s == sigma and ff == f})
-        means = [self.aggregates[(sigma, j, f)][0] for j in js]
-        stds = [self.aggregates[(sigma, j, f)][1] for j in js]
-        return js, means, stds
 
 
 def derive_seed(master, *key):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ResourceLimitError, is_number, require, require_integer
+from .errors import FileFormatError, ResourceLimitError, is_number, require, require_integer, require_shape
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
@@ -110,26 +110,22 @@ class DistortionReport:
 def verify_distortion(matrix, probes, eps):
     """Exact max over probe pairs of | ||Mu-Mv||^2 / ||u-v||^2 - 1 |.
 
-    Coincident pairs are skipped; if every pair is coincident the check is
-    undefined and an error is raised.  Distances are computed by direct
-    subtraction (not Gram expansion) so near-coincident pairs keep full
-    relative accuracy.
+    probes must be at least two vectors of the matrix's R^D.  Coincident
+    pairs are skipped; if every pair is coincident the check is undefined and
+    the probes are refused.  Distances are computed by direct subtraction
+    (not Gram expansion) so near-coincident pairs keep full relative accuracy.
     """
     require(is_number(eps) and 0 <= eps < np.inf, "eps", eps, "a finite number >= 0")
     probes = np.asarray(probes, dtype=np.float64)
-    if probes.ndim != 2 or probes.shape[0] < 2:
-        raise ValueError("need at least two probe vectors")
-    if probes.shape[1] != matrix.ambient_dim:
-        raise ValueError(
-            "probe dimension %d does not match matrix D=%d" % (probes.shape[1], matrix.ambient_dim)
-        )
+    dim = matrix.ambient_dim
+    require(probes.ndim == 2 and len(probes) >= 2 and probes.shape[1] == dim, "probes", probes.shape,
+            "shaped (n, %d) with n >= 2" % dim)
     from scipy.spatial.distance import pdist
 
     d2 = pdist(probes, metric="sqeuclidean")
     md2 = pdist(matrix.apply(probes), metric="sqeuclidean")
     alive = d2 > 0.0
-    if not np.any(alive):
-        raise ValueError("all probes coincide; distortion is undefined")
+    require(np.any(alive), "probes", 1, "at least two distinct vectors")  # all coincide: 1 distinct vector
     ratios = np.where(alive, np.abs(md2 / np.where(alive, d2, 1.0) - 1.0), -np.inf)
     worst_flat = int(np.argmax(ratios))
     max_distortion = float(ratios[worst_flat])
@@ -175,6 +171,7 @@ def rip_check_bruteforce(matrix, sparsity, eps):
     lexicographic order, with the largest deviation.  Refuses supports
     counts above 10^6.
     """
+    require(is_number(eps) and 0 <= eps < np.inf, "eps", eps, "a finite number >= 0")
     dim = matrix.ambient_dim
     require_integer("sparsity", sparsity, 1, dim)
     n_supports = math.comb(dim, sparsity)
@@ -281,14 +278,21 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     are drawn with seed 0.  Items a, b and d are a sampled audit, not a
     proof: set-membership is checked on finitely many probes.
     An item-a detail counts the pairs of distinct probe vectors.
+    The dictionary, x (a D-vector) and the cloud must all lie in the
+    matrix's R^D.
     """
     require(which in (1, 2), "which", which, "1 or 2")
     require(is_number(eps) and 0 <= eps < 0.5, "eps", eps, "in [0, 1/2)")
+    budget = require_integer("budget", budget, 1)
+    dim = matrix.ambient_dim
+    require(dictionary.ambient_dim == dim, "dictionary", dictionary.ambient_dim,
+            "of ambient dimension %d, the matrix's" % dim)
     rng = np.random.default_rng(0)
     items = []
     if which == 1:
         if x is None:
             raise ValueError("assumption set 1 is query-dependent: x is required")
+        require_shape("x", np.asarray(x, dtype=np.float64), dim)
         vectors = assumption_set_vectors(dictionary, x)
         report = verify_distortion(matrix, vectors, eps)
         items.append(
@@ -305,6 +309,7 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     if cloud is None:
         raise ValueError("assumption set 2 needs manifold samples: pass cloud")
     pts = cloud.points
+    require_shape("cloud", pts, "n", dim)
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
     probes = np.vstack([pts, dictionary.fit_centers])
@@ -319,7 +324,7 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     )
 
     sparsity = int(dictionary.fit_dims.max())
-    rand = rng.standard_normal(size=(1000, dictionary.ambient_dim))
+    rand = rng.standard_normal(size=(1000, dim))
     norms_m = np.linalg.norm(matrix.apply(rand), axis=1)
     bounds = e_m_bound(rand, eps, sparsity)
     margin_b = float((bounds - norms_m).min())

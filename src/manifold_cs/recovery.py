@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_number, require
+from .errors import is_number, require, require_shape
 from .geometry import (
     SWISS_ROLL_HEIGHT,
     SWISS_ROLL_T_MAX,
@@ -164,10 +164,7 @@ def recover(measurements, matrix, dictionary, j):
     scale at which the chosen cell was last freshly refit (deeper scales for
     that cell are carried-forward copies).
     """
-    y = np.asarray(measurements, dtype=np.float64)
-    if y.shape != (matrix.m,):
-        raise ValueError("measurements have shape %s, matrix yields m=%d" % (y.shape, matrix.m))
-    batch = recover_batch(y[None], matrix, dictionary, j)
+    batch = recover_batch(np.asarray(measurements, dtype=np.float64)[None], matrix, dictionary, j)
     k = int(batch.chosen_centers[0])
     return RecoveryOutcome(
         reconstruction=batch.reconstructions[0],
@@ -190,16 +187,15 @@ def recover_batch(measurements, matrix, dictionary, j):
     the scales of one matrix share their solves.  Each row is solved and
     assembled on its own, the answer written out a block of rows at a time
     (``gmra.affine_rows``), so a 1-row call gives the same answer as the
-    matching row of an n-row call.  Non-finite measurements are refused.
+    matching row of an n-row call.  A matrix not in the dictionary's R^D,
+    measurements not n x m and non-finite measurements are refused.
     """
+    require_shape("matrix", matrix.entries, "m", dictionary.ambient_dim)
     y = np.asarray(measurements, dtype=np.float64)
-    if y.ndim != 2 or y.shape[1] != matrix.m:
-        raise ValueError("measurements must be n x m")
+    require_shape("measurements", y, "n", matrix.m)
     bad = np.nonzero(~np.isfinite(y).all(axis=1))[0]
     if bad.size:
         raise ValueError("measurement row %d is not finite" % bad[0])
-    if matrix.ambient_dim != dictionary.ambient_dim:
-        raise ValueError("matrix and dictionary ambient dimensions differ")
     auto = isinstance(j, str) and j == "auto"
     scale = dictionary.max_scale if auto else j
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
@@ -251,14 +247,16 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     in the layer the recovery searched (the finest one for "auto", whatever
     scale the chosen fit was made at).  The optimal-error, set-2 and tube
     columns are present only when x_opt, the nearest manifold point of each
-    query, is given.  points must have the batch's rows and width.
+    query, is given.  points, and x_opt when given, must have the batch's
+    rows and width.
     """
     require(is_number(eps) and 0 < eps < 0.5, "eps", eps, "in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
+    require_shape("points", x, *batch.reconstructions.shape)
+    if x_opt is not None:
+        x_opt = np.asarray(x_opt, dtype=np.float64)
+        require_shape("x_opt", x_opt, *x.shape)
     searched, cells = batch.searched_scale, batch.chosen_centers
-    if x.shape != batch.reconstructions.shape:
-        raise ValueError("points have shape %s, the batch recovered %d points in R^%d"
-                         % ((x.shape,) + batch.reconstructions.shape))
     layer = dictionary.centers(searched)
     if np.any((cells < 0) | (cells >= len(layer))):
         raise ValueError("a chosen center lies outside its scale")
@@ -279,7 +277,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
         "line4_rhs": 2.0 / (1.0 - eps) * np.linalg.norm(matrix.entries @ (x - proj_x)[:, :, None], axis=(1, 2)),
     }
     if x_opt is not None:
-        gap = x - np.asarray(x_opt, dtype=np.float64)
+        gap = x - x_opt
         opt_err = np.linalg.norm(gap, axis=1)
         bound = STABLE_RECOVERY_CONSTANT * opt_err
         sparsity = int(dictionary.fit_dims.max())
@@ -302,19 +300,21 @@ def nearest_point_oracle(x, manifold):
     """Nearest point on a known manifold: the benchmark recovery is judged by.
 
     x is a D-vector or an n x D block (one nearest point per row).  manifold
-    is "sphere" (the unit sphere of R^D), "swiss-roll", or a PointCloud
-    (exact nearest sample).
+    is "sphere" (the unit sphere of R^D), "swiss-roll" (which needs D = 3),
+    or a PointCloud in R^D (exact nearest sample).
     """
     x = np.asarray(x, dtype=np.float64)
     rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):
+        require_shape("manifold", manifold.points, "n", rows.shape[1])
         out = manifold.points[_nearest_rows(rows, manifold.points)]
     elif manifold == "sphere":
         norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms < 1e-300):
-            raise ValueError("nearest sphere point is not unique at the origin")
+        require(np.all(norms >= 1e-300), "manifold", manifold, "a manifold with one nearest point to each point "
+                "(every sphere point is nearest to the origin)")
         out = rows / norms[:, None]
     elif manifold == "swiss-roll":
+        require(rows.shape[1] == 3, "manifold", manifold, "a manifold in the points' R^%d" % rows.shape[1])
         out = _nearest_on_swiss_roll(rows)
     else:
         raise ValueError("unknown manifold descriptor %r" % (manifold,))
@@ -333,8 +333,6 @@ def _nearest_on_swiss_roll(x):
     squared distance's derivative, runs until no bracket shrinks; a row keeps
     the nearest of its bisection ends, seed bracket ends and the spiral ends.
     """
-    if x.shape[1] != 3:
-        raise ValueError("swiss roll lives in R^3")
     n, a, b = len(x), x[:, 0], x[:, 2]
     ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, 4096)
     seeds = _nearest_rows(x[:, [0, 2]], np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1))

@@ -247,7 +247,7 @@ def test_criterion_07_relmse_replication(tmp_path):
     # (a) each curve decreases from coarse to fine until its floor
     for sigma in cfg.noise_sigmas:
         for f in cfg.oversampling:
-            _, means, _ = res.curve(sigma, f)
+            means = [res.aggregates[(sigma, j, f)][0] for j in cfg.scales]
             jmin = int(np.argmin(means))
             assert jmin > 0
             for i in range(jmin):

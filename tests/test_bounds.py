@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from manifold_cs import bounds, geometry
+from manifold_cs.errors import BoundOverflowError
 
 
 CIRCLE = bounds.BoundParams(d=1, V=2 * np.pi, eps=0.3, reach=1.0, C1=1.0)
@@ -153,3 +154,15 @@ def test_bound_params_validation():
         bounds.BoundParams(d=1, V=-1.0)
     with pytest.raises(ValueError):
         bounds.BoundParams(d=1, V=1.0, eps=0.6)
+
+
+@pytest.mark.parametrize("bound, params", [
+    (bounds.m_nonuniform, dict(big_o_constant=1e308)),  # was OverflowError at ceil(inf)
+    (bounds.m_nonuniform, dict(eps=1e-200)),  # was OverflowError at eps^-2
+    (bounds.m_uniform, dict(reach=5e-324, D=3)),  # was ZeroDivisionError: eps * reach rounds to 0
+    (lambda p: bounds.center_count_bound(p, 600), {}),  # was OverflowError at 2^(d (j + 1.5))
+    (lambda p: bounds.cover_bound(p, 1e-200), dict(reach=1.0)),  # was ZeroDivisionError: delta^d rounds to 0
+])
+def test_a_bound_past_float64_is_refused_with_a_typed_error(bound, params):
+    with pytest.raises(BoundOverflowError, match="is not a finite float64 at these parameters$"):
+        bound(bounds.BoundParams(**dict(dict(d=2, V=1.0), **params)))

@@ -100,10 +100,10 @@ def test_measure_make_and_verify(tmp_path, capsys):
     assert "PASS" in out
     # a probe file the check cannot use is refused with a message, not a traceback
     geometry.save_csv(geometry.PointCloud(np.array([[0.4, 0.8]]), 2), probes)
-    with pytest.raises(SystemExit, match="at least two probe vectors"):
+    with pytest.raises(SystemExit, match=r"^--probes must be shaped \(n, 2\) with n >= 2, got \(1, 2\)$"):
         run_cli("measure", "verify", "--matrix", m_path, "--probes", probes)
     geometry.save_csv(geometry.gen_sphere(5, 2, seed=6), probes)
-    with pytest.raises(SystemExit, match="probe dimension 3 does not match matrix D=2"):
+    with pytest.raises(SystemExit, match=r"^--probes must be shaped \(n, 2\) with n >= 2, got \(5, 3\)$"):
         run_cli("measure", "verify", "--matrix", m_path, "--probes", probes)
 
     cloud_path = tmp_path / "circle.csv"
@@ -242,6 +242,18 @@ def test_bounds_refuses_a_bad_value_in_one_line_before_any_output(capsys, extra)
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("extra, quantity", [
+    (["--constant", "1e308"], "m_nonuniform"),
+    (["--scales", "600"], "center_count_bound at j=510"),  # 2^(2 (j + 1.5)) times 4 is 2^1025 there
+    (["--reach", "5e-324", "--ambient-dim", "3"], "m_uniform"),  # eps * reach rounds to 0
+])
+def test_bounds_past_float64_end_in_one_line_before_any_output(capsys, extra, quantity):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bounds", "--d", "2", "--v", "1", *extra)
+    assert exc.value.code == "bounds: %s is not a finite float64 at these parameters" % quantity
+    assert capsys.readouterr().out == ""
+
+
 def test_experiment_run_and_plot(tmp_path, capsys):
     config = {
         "dataset": {"generator": "swiss-roll", "n": 300, "seed": 2},
@@ -338,9 +350,9 @@ def chain_dir(tmp_path_factory):
     """A directory holding the CLI chain's inputs: train.csv, roll.dict, M.mtx (8 x 3), M4.mtx (2 x 4), meas.csv,
     the same roll padded into R^4: train4.csv, roll4.dict, meas4.csv (through M4.mtx), origin.csv, as many
     points of R^3 as meas.csv has rows, all at the origin, one.csv, a single point of R^3, nodim.json, an experiment
-    config that sets neither local_dim nor max_local_dim, and six configs that set local_dim 2: two.json, of a
+    config that sets neither local_dim nor max_local_dim, and seven configs that set local_dim 2: two.json, of a
     2-point swiss roll, negseed.json and fracseed.json, of seeds -1 and 1.5, dataseed.json, of dataset seed -2,
-    fracn.json, of a 1.5-point roll, and negscale.json, of scales 0 and -1."""
+    fracn.json, of a 1.5-point roll, negscale.json, of scales 0 and -1, and bigsigma.json, of noise level 1e300."""
     d = tmp_path_factory.mktemp("chain")
     for suffix, extra in (("", []), ("4", ["--ambient-dim", 4])):
         run_cli("generate", "--kind", "swiss-roll", "--n", 200, "--seed", 1, *extra, "--out", d / f"train{suffix}.csv")
@@ -360,7 +372,8 @@ def chain_dir(tmp_path_factory):
     for name, change in (("two", {"dataset": {"generator": "swiss-roll", "n": 2}}), ("negseed", {"seed": -1}),
                          ("fracseed", {"seed": 1.5}), ("dataseed", {"dataset": {"generator": "swiss-roll", "n": 200,
                                                                                "seed": -2}}),
-                         ("fracn", {"dataset": {"generator": "swiss-roll", "n": 1.5}}), ("negscale", {"scales": [0, -1]})):
+                         ("fracn", {"dataset": {"generator": "swiss-roll", "n": 1.5}}), ("negscale", {"scales": [0, -1]}),
+                         ("bigsigma", {"noise_sigmas": [1e300]})):
         (d / f"{name}.json").write_text(json.dumps(config | change))
     return d
 
@@ -435,6 +448,14 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     (RECOVER + ["--eps", "nan", "--points", "train.csv", "--certificates", "cert.csv"], "--eps"),
     (["measure", "verify", "--matrix", "M.mtx", "--probes", "train.csv", "--dict", "roll.dict", "--assumption-set", "2",
       "--cloud", "train.csv", "--eps", "0.7"], "--eps"),
+    # arrays of the wrong shape, refused by the library call that takes them and reported by flag
+    (["recover", "--measurements", "train.csv", "--matrix", "M.mtx", "--dict", "roll.dict", "--out", "out.csv"],
+     "--measurements must be shaped (n, 8), got (200, 3)"),
+    (RECOVER + ["--points", "one.csv", "--certificates", "cert.csv"], "--points must be shaped (200, 3), got (1, 3)"),
+    (["measure", "verify", "--matrix", "M.mtx", "--probes", "one.csv"], "--probes"),
+    # a noise level whose noisy cloud is past float64's squared distances
+    (["generate", "--kind", "swiss-roll", "--n", "5", "--sigma", "1e300", "--out", "out.csv"], "--sigma"),
+    (["experiment", "run", "--config", "bigsigma.json"], "bigsigma.json: noise_sigmas must be small enough"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)

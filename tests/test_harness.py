@@ -117,7 +117,7 @@ def test_monotone_oversampling_on_compressible_data(tmp_path):
         assert mean16 <= mean2 + 2.0 * (std2 + std16)
         # the uncompressed baseline is never beaten by a compressed run
         assert res.baselines[0.0] <= mean16 + 2.0 * std16 + 1e-12
-        assert res.d_by_scale[(0.0, j)] == 2
+        assert {row["d_j"] for row in res.rows if row["j"] == j} == {2}
     assert {r["m"] for r in res.rows} == {4, 20}
 
 
@@ -329,8 +329,7 @@ def test_load_results_csv_round_trip(tmp_path):
     loaded = harness.load_results_csv(str(tmp_path / "out" / "results.csv"))
     assert loaded.aggregates == res.aggregates
     assert loaded.baselines == res.baselines
-    assert loaded.d_by_scale == res.d_by_scale
-    assert loaded.curve(0.1, 2) == res.curve(0.1, 2)
+    assert [int(row["d_j"]) for row in loaded.rows] == [row["d_j"] for row in res.rows]
     assert loaded.config == cfg
 
 

@@ -1,4 +1,4 @@
-"""Every public entry point refuses an out-of-range parameter with a ParameterError naming that parameter."""
+"""Every public entry point refuses an out-of-range parameter, or a misshapen array, with a ParameterError naming it."""
 
 import math
 
@@ -67,6 +67,10 @@ def cases(world):
                                   bad_reals(lambda v: 0 <= v < math.inf)),
         "verify_assumption_set eps": (lambda v: measurement.verify_assumption_set(matrix, dictionary, x=x, eps=v),
                                       "eps", bad_reals(lambda v: 0 <= v < 0.5)),
+        "verify_assumption_set budget": (lambda v: measurement.verify_assumption_set(
+            matrix, dictionary, which=2, cloud=cloud, budget=v), "budget", bad_integers(1)),
+        "rip_check_bruteforce eps": (lambda v: measurement.rip_check_bruteforce(matrix, 2, v), "eps",
+                                     bad_reals(lambda v: 0 <= v < math.inf)),
         "certify_batch eps": (lambda v: recovery.certify_batch(pts, matrix, dictionary, batch, v), "eps",
                               bad_reals(lambda v: 0 < v < 0.5)),
         "cover_bound delta": (lambda v: bounds.cover_bound(bounds.BoundParams(**params), v), "delta",
@@ -154,6 +158,11 @@ def test_numpy_integers_pass_wherever_python_integers_do():
     (lambda c: bounds.BoundParams(d=2, V=1.0, big_o_constant=math.inf), "big_o_constant"),
     (lambda c: bounds.BoundParams(d=2, V=1.0, C1=math.nan), "C1"),
     (lambda c: bounds.BoundParams(d=2, V=math.nan), "V"),
+    # a budget of 0 divided by zero, -3 asked numpy for negative dimensions, 1.5 and True raised TypeError
+    *((lambda c, b=b: measurement.verify_assumption_set(WORLD[2], WORLD[1], which=2, cloud=c, budget=b), "budget")
+      for b in (0, -3, 1.5, True)),
+    # a nan eps passed every matrix
+    (lambda c: measurement.rip_check_bruteforce(WORLD[2], 2, math.nan), "eps"),
 ])
 def test_hostile_values_that_used_to_slip_through_are_refused(call, name):
     with pytest.raises(ParameterError) as exc:
@@ -169,3 +178,122 @@ def test_the_assumption_checks_refuse_eps_themselves(eps):
     if math.isnan(eps):
         with pytest.raises(ParameterError, match="^eps must be a finite number >= 0, got nan$"):
             measurement.verify_distortion(matrix, cloud.points[:5], eps)
+
+
+def test_the_rip_audit_still_judges_a_large_eps():
+    # eps = 5 is a finite level >= 0 like any other: it passes a matrix whose squared singular values stay below 6
+    matrix = WORLD[2]
+    assert measurement.rip_check_bruteforce(matrix, 2, 5.0).passed
+    assert not measurement.rip_check_bruteforce(measurement.MeasurementMatrix(3.0 * matrix.entries, "gaussian", 0),
+                                                2, 5.0).passed
+
+
+def dictionary_in(dim):
+    """A dictionary of a 60-point line segment, or of the roll padded with zeros, in R^dim."""
+    if dim == 1:
+        cloud = geometry.PointCloud(np.linspace(0.0, 1.0, 60)[:, None], 1)
+    else:
+        cloud = geometry.PointCloud(np.pad(geometry.gen_swiss_roll(60, 2).points, ((0, 0), (0, dim - 3))), dim)
+    return gmra.build_dictionary(cloud, local_dim=1, max_scale=2)
+
+
+OTHER_DICTIONARIES = {1: dictionary_in(1), 4: dictionary_in(4), 5: dictionary_in(5)}
+
+
+@st.composite
+def misshapen(draw, good, variants):
+    """A finite float array whose shape differs from good as a drawn variant says.
+
+    "width": another last length (2 to 7); "width 1": a last length of 1;
+    "ndim": 0 to 3 axes, other than good's; "rows": a first length of 0 to
+    12 other than good's (0 or 1 for a shape whose rows are free but must be
+    at least two, given as good[0] = 2).
+    """
+    variant = draw(st.sampled_from(variants))
+    *rows, width = good
+    if variant == "width":
+        shape = (*rows, draw(st.integers(2, 7).filter(lambda w: w != width)))
+    elif variant == "width 1":
+        shape = (*rows, 1)
+    elif variant == "ndim":
+        ndim = draw(st.integers(0, 3).filter(lambda k: k != len(good)))
+        shape = good[len(good) - ndim:] if ndim < len(good) else (1,) * (ndim - len(good)) + good
+    else:
+        shape = (draw(st.integers(0, 12 if good[0] > 2 else 1).filter(lambda r: r != good[0])), width)
+    return np.random.default_rng(draw(st.integers(0, 99))).standard_normal(shape)
+
+
+def as_cloud(points):
+    return geometry.PointCloud(points, points.shape[1])
+
+
+def shape_cases(world):
+    """{case: (call taking the misshapen argument, the argument's name, its misshapen values)}."""
+    cloud, dictionary, matrix, meas, batch = world
+    pts, x = cloud.points, cloud.points[0]
+    every = ("width", "ndim", "width 1")
+    return {
+        "recover_batch matrix": (lambda v: recovery.recover_batch(meas, v, dictionary, 2), "matrix",
+                                 misshapen((5, 3), ("width", "width 1")).map(
+                                     lambda a: measurement.MeasurementMatrix(a, "gaussian", 0))),
+        "recover_batch measurements": (lambda v: recovery.recover_batch(v, matrix, dictionary, 2), "measurements",
+                                       misshapen(meas.shape, every)),
+        "recover measurements": (lambda v: recovery.recover(v, matrix, dictionary, 2), "measurements",
+                                 misshapen(meas[0].shape, every)),
+        "certify_batch points": (lambda v: recovery.certify_batch(v, matrix, dictionary, batch, 0.3), "points",
+                                 misshapen(pts.shape, every + ("rows",))),
+        "certify_batch x_opt": (lambda v: recovery.certify_batch(pts, matrix, dictionary, batch, 0.3, x_opt=v),
+                                "x_opt", misshapen(pts.shape, every + ("rows",))),
+        "verify_assumption_set dictionary": (lambda v: measurement.verify_assumption_set(matrix, v, x=x),
+                                             "dictionary", st.sampled_from(sorted(OTHER_DICTIONARIES)).map(
+                                                 OTHER_DICTIONARIES.get)),
+        "verify_assumption_set x": (lambda v: measurement.verify_assumption_set(matrix, dictionary, x=v), "x",
+                                    misshapen(x.shape, every)),
+        "verify_assumption_set cloud": (lambda v: measurement.verify_assumption_set(
+            matrix, dictionary, which=2, cloud=v), "cloud", misshapen((20, 3), ("width", "width 1")).map(as_cloud)),
+        "validate_structure cloud": (lambda v: gmra.validate_structure(dictionary, v), "cloud",
+                                     misshapen((20, 3), ("width", "width 1")).map(as_cloud)),
+        "nearest_point_oracle manifold": (lambda v: recovery.nearest_point_oracle(pts, v), "manifold",
+                                          misshapen((20, 3), ("width", "width 1")).map(as_cloud)),
+        # the swiss roll lives in R^3: points of another width are refused as a mismatch of the manifold
+        "nearest_point_oracle swiss-roll": (lambda v: recovery.nearest_point_oracle(v, "swiss-roll"), "manifold",
+                                            misshapen((20, 3), ("width", "width 1"))),
+        "verify_distortion probes": (lambda v: measurement.verify_distortion(matrix, v, 0.3), "probes",
+                                     misshapen((2, 3), every + ("rows",))),
+        "project_at_scale pts": (lambda v: gmra.project_at_scale(dictionary, 2, v), "pts",
+                                 misshapen(pts.shape, every)),
+        "nearest_center x": (lambda v: gmra.nearest_center(dictionary, 2, v), "x", misshapen(x.shape, every)),
+    }
+
+
+SHAPE_CASES = shape_cases(WORLD)
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_each_entry_point_refuses_a_misshapen_array_by_name(case, data):
+    call, name, values = SHAPE_CASES[case]
+    value = data.draw(values, label=name)
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert exc.value.name == name
+    assert str(exc.value).startswith(name + " must be ")
+
+
+def test_a_query_of_width_1_no_longer_broadcasts_against_every_center():
+    cloud, dictionary, matrix, _, _ = WORLD
+    with pytest.raises(ParameterError, match=r"^x must be shaped \(3,\), got \(1,\)$"):
+        measurement.verify_assumption_set(matrix, dictionary, x=np.array([1.0]), which=1)
+
+
+def test_an_n_by_1_x_opt_no_longer_broadcasts_into_the_tube_and_set_2_columns():
+    cloud, dictionary, matrix, _, batch = WORLD
+    with pytest.raises(ParameterError, match=r"^x_opt must be shaped \(200, 3\), got \(200, 1\)$"):
+        recovery.certify_batch(cloud.points, matrix, dictionary, batch, 0.3, x_opt=cloud.points[:, :1])
+
+
+def test_a_noisy_cloud_past_float64_is_refused_as_sigma():
+    with pytest.raises(ParameterError, match="^sigma must be small enough for the noisy cloud's squared distances, "
+                                             "got 1e[+]300$"):
+        geometry.add_noise(WORLD[0], 1e300, 0)

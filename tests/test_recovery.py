@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from conftest import fit_tables
 from manifold_cs import geometry, gmra, measurement, recovery
+from manifold_cs.errors import ParameterError
 
 
 def test_least_squares_overdetermined():
@@ -296,7 +298,7 @@ def test_certify_batch_refuses_points_of_another_shape(swiss_cloud, swiss_dict):
     pts = swiss_cloud.points[:10]
     batch = recovery.recover_batch(M.apply(pts), M, swiss_dict, 3)
     for bad in (pts[:9], np.vstack([pts, pts[:1]]), pts[:, :2], pts.ravel()):
-        with pytest.raises(ValueError, match=r"the batch recovered 10 points in R\^3"):
+        with pytest.raises(ParameterError, match=r"^points must be shaped \(10, 3\), got %s$" % re.escape(str(bad.shape))):
             recovery.certify_batch(bad, M, swiss_dict, batch, 0.3)
 
 

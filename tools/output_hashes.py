@@ -12,11 +12,15 @@ bench/README.md), each set up and run once:
   values on its own (``dict[<name>]``: the per-scale counts, ``cell_fit``,
   ``fit_dims``, ``fit_centers``, ``fit_bases``, the separation constant,
   the root radius and the provenance), so a diff shows whether the centers
-  and the cell table held while the bases moved, ``recover_batch``'s
-  outputs at every scale and at "auto" for each of its two matrices, and
-  each field of its ``validate_structure`` report on its own
-  (``validate_structure[<field>]``): in R^200 the projections behind the
-  per-scale mean errors span many of ``gmra.affine_rows``' row blocks;
+  and the cell table held while the bases moved; then for each of its two
+  matrices ``recover_batch``'s outputs at every scale and at "auto", and
+  each field of the four verification reports the workload makes
+  (``verify_distortion[<field>]``, ``rip_check_bruteforce[<field>]``, and
+  ``assumption set 1[<field or item>]`` and ``assumption set 2[...]``, one
+  line per checked item); and each field of its ``validate_structure``
+  report on its own (``validate_structure[<field>]``): in R^200 the
+  projections behind the per-scale mean errors span many of
+  ``gmra.affine_rows``' row blocks;
 * cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
   the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
   ``recon.csv``, ``recon_auto.csv`` and ``cert.csv`` its CLI chain writes,
@@ -24,10 +28,10 @@ bench/README.md), each set up and run once:
   for roll200) and each column of ``cert.csv`` on its own
   (``cert.csv[<column>]``), so a diff names the certificate quantities that
   moved,
-  ``recover_batch``'s outputs at every scale for its matrix, and the
+  ``recover_batch``'s outputs at every scale for its matrix, the
   ``gmra validate --json`` report, then each of its fields on its own
   (``validate --json[<field>]``), so a diff names the validation quantities
-  that moved.
+  that moved, and the ``measure verify --probes`` report.
 
 To check that a change moves no output, run the script against each
 commit's ``src`` and compare::
@@ -103,6 +107,13 @@ def batch_sha(batch):
     return h.hexdigest()
 
 
+def report_shas(label, report):
+    """(name, sha256) for each field of a report dataclass, and for each item of its items list, one per line."""
+    for field, value in dataclasses.asdict(report).items():
+        for key, part in ([(item["name"], item) for item in value] if field == "items" else [(field, value)]):
+            yield "%s[%s]" % (label, key), sha(json.dumps(part).encode())
+
+
 def recover_every_scale(label, matrix, dictionary, points):
     comp = matrix.apply(points)
     for j in list(range(dictionary.max_scale + 1)) + ["auto"]:
@@ -128,11 +139,19 @@ def roll200(seed, tmp):
     yield "roll200 dictionary", file_sha(path)
     for name, digest in dictionary_shas(path):
         yield "roll200 dict[%s]" % name, digest
+    eps, cloud = workloads.EPS, work.cloud
     for label, draw, m, matrix_seed in work.matrices:
         matrix = getattr(measurement, draw)(m, work.p["dim"], matrix_seed)
-        yield from recover_every_scale("roll200 " + label, matrix, dictionary, work.cloud.points)
-    for field, value in dataclasses.asdict(gmra.validate_structure(dictionary, work.cloud)).items():
-        yield "roll200 validate_structure[%s]" % field, sha(json.dumps(value).encode())
+        yield from recover_every_scale("roll200 " + label, matrix, dictionary, cloud.points)
+        for name, report in (
+            ("verify_distortion", measurement.verify_distortion(matrix, work.probes, eps)),
+            ("rip_check_bruteforce", measurement.rip_check_bruteforce(matrix, 2, eps)),
+            ("assumption set 1", measurement.verify_assumption_set(matrix, dictionary, x=cloud.points[0], eps=eps)),
+            ("assumption set 2", measurement.verify_assumption_set(
+                matrix, dictionary, which=2, eps=eps, cloud=cloud, budget=work.p["budget"])),
+        ):
+            yield from report_shas("roll200 %s %s" % (label, name), report)
+    yield from report_shas("roll200 validate_structure", gmra.validate_structure(dictionary, cloud))
 
 
 def cli_roll3(seed, tmp):
@@ -155,6 +174,11 @@ def cli_roll3(seed, tmp):
     yield "cli-roll3 validate --json", sha(report.getvalue().encode())
     for field, value in sorted(json.loads(report.getvalue()).items()):
         yield "cli-roll3 validate --json[%s]" % field, sha(json.dumps(value).encode())
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        cli.main(["measure", "verify", "--matrix", work.path("M.mtx"), "--probes", work.path("query.csv"),
+                  "--eps", str(workloads.EPS)])
+    yield "cli-roll3 measure verify --probes", sha(report.getvalue().encode())
 
 
 def main():
