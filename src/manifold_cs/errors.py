@@ -1,4 +1,4 @@
-"""Shared exception types, and the one check that refuses a parameter out of its range or shape."""
+"""Shared exception types, and the one check that refuses a parameter out of its range, shape or finiteness."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -65,3 +65,12 @@ def require_shape(name, array, *dims):
     shape = tuple(array.shape)
     ok = len(shape) == len(dims) and all(isinstance(want, str) or want == got for want, got in zip(dims, shape))
     require(ok, name, shape, "shaped (%s%s)" % (", ".join(map(str, dims)), "," if len(dims) == 1 else ""))
+
+
+def require_finite(name, array):
+    """ParameterError unless a numpy array is finite, naming its first row (a vector's first entry) that is not."""
+    finite = abs(array) < float("inf")  # False at NaN and at either infinity
+    if not finite.all():
+        k = int(finite.argmin())  # the first entry that is not, in row-major order
+        at = "at entry %d" % k if array.ndim < 2 else "in row %d" % (k // (array.size // len(array)))
+        raise ParameterError(name, "finite " + at, float(array.flat[k]))

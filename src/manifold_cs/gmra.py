@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FileFormatError, TooFewPointsError, is_number, require, require_integer, require_shape
+from .errors import FileFormatError, TooFewPointsError, is_number, require, require_finite, require_integer, require_shape
 from .geometry import farthest_point_ordering
 from .storage import DICT_MAGIC, read_container, write_container
 
@@ -486,6 +486,7 @@ def nearest_center(dictionary, j, x):
     x = np.asarray(x, dtype=np.float64)
     centers = dictionary.centers(j)
     require_shape("x", x, dictionary.ambient_dim)
+    require_finite("x", x)
     return int(_nearest_rows(x[None], centers)[0])
 
 
@@ -493,6 +494,7 @@ def project_at_scale(dictionary, j, pts):
     """Apply the nearest-center projector at scale j to every row of pts."""
     pts = np.asarray(pts, dtype=np.float64)
     require_shape("pts", pts, "n", dictionary.ambient_dim)
+    require_finite("pts", pts)
     fits = dictionary.cell_fits(j)[_nearest_rows(pts, dictionary.centers(j))]
     return affine_rows(dictionary, fits, plane_coeffs(dictionary, fits, pts - dictionary.fit_centers[fits]))
 

@@ -8,6 +8,11 @@ it is handed: pairwise distortion, restricted isometry by support
 enumeration, and the item-by-item assumption checks used by the recovery
 guarantees.
 
+Every fit's M B^T is formed and solved in one stacked SVD per matrix,
+dictionary and width (``_fit_solves``), which recovery reads at the searched
+scale's widest fit and the subspace item at the table's width: on a fixed-d
+dictionary both assumption sets and every recovery of a matrix share it.
+
 A saved matrix (format version 2) is a manifest of m, D, ensemble and seed,
 then exactly m x D little-endian float64 entries, row-major; the ensemble
 and seed regenerate it.
@@ -15,11 +20,14 @@ and seed regenerate it.
 
 import itertools
 import math
+import threading
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ResourceLimitError, is_number, require, require_integer, require_shape
+from .errors import FileFormatError, ResourceLimitError, is_number, require, require_finite, require_integer, require_shape
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
@@ -28,6 +36,7 @@ from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 2
 ORTHO_ROW_TOL = 1e-10
+SVD_TRUNCATION = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +45,7 @@ class MeasurementMatrix:
 
     The matrix holds its own read-only copy of the entries, so no later write
     to the caller's array can move them past the checks below, or under
-    recovery's solves cached per matrix.
+    the fit solves cached per matrix (``_fit_solves``).
     """
 
     entries: np.ndarray
@@ -110,34 +119,42 @@ class DistortionReport:
 def verify_distortion(matrix, probes, eps):
     """Exact max over probe pairs of | ||Mu-Mv||^2 / ||u-v||^2 - 1 |.
 
-    probes must be at least two vectors of the matrix's R^D.  Coincident
-    pairs are skipped; if every pair is coincident the check is undefined and
-    the probes are refused.  Distances are computed by direct subtraction
-    (not Gram expansion) so near-coincident pairs keep full relative accuracy.
+    probes must be at least two finite vectors of the matrix's R^D.
+    Coincident pairs are skipped; if every pair is coincident the check is
+    undefined and the probes are refused.  Distances are computed by direct
+    subtraction (not Gram expansion) so near-coincident pairs keep full
+    relative accuracy.
     """
     require(is_number(eps) and 0 <= eps < np.inf, "eps", eps, "a finite number >= 0")
     probes = np.asarray(probes, dtype=np.float64)
     dim = matrix.ambient_dim
     require(probes.ndim == 2 and len(probes) >= 2 and probes.shape[1] == dim, "probes", probes.shape,
             "shaped (n, %d) with n >= 2" % dim)
+    require_finite("probes", probes)
+    max_distortion, worst_pair, checked, skipped = _pair_distortion(matrix, probes)
+    require(checked > 0, "probes", 1, "at least two distinct vectors")  # all coincide: 1 distinct vector
+    return DistortionReport(max_distortion, worst_pair, float(eps), bool(max_distortion <= eps), checked, skipped)
+
+
+def _pair_distortion(matrix, vectors):
+    """(max distortion, worst pair, distinct pairs, coincident pairs) over the row pairs; (0.0, None, 0, n) if none."""
     from scipy.spatial.distance import pdist
 
-    d2 = pdist(probes, metric="sqeuclidean")
-    md2 = pdist(matrix.apply(probes), metric="sqeuclidean")
+    d2 = pdist(vectors, metric="sqeuclidean")
+    md2 = pdist(matrix.apply(vectors), metric="sqeuclidean")
     alive = d2 > 0.0
-    require(np.any(alive), "probes", 1, "at least two distinct vectors")  # all coincide: 1 distinct vector
+    checked = int(alive.sum())
+    if not checked:
+        return 0.0, None, 0, len(d2)
     ratios = np.where(alive, np.abs(md2 / np.where(alive, d2, 1.0) - 1.0), -np.inf)
-    worst_flat = int(np.argmax(ratios))
-    max_distortion = float(ratios[worst_flat])
-    worst_pair = _condensed_to_pair(worst_flat, probes.shape[0])
-    return DistortionReport(
-        max_distortion=max_distortion,
-        worst_pair=worst_pair,
-        epsilon=float(eps),
-        passed=bool(max_distortion <= eps),
-        pairs_checked=int(alive.sum()),
-        pairs_skipped=int((~alive).sum()),
-    )
+    worst = int(np.argmax(ratios))
+    return float(ratios[worst]), _condensed_to_pair(worst, len(vectors)), checked, len(d2) - checked
+
+
+def _distortion_item(name, matrix, vectors, eps, note=""):
+    """Item a on a vector set; it holds over 0 pairs when the vectors all coincide."""
+    distortion, _, pairs, _ = _pair_distortion(matrix, vectors)
+    return _item(name, eps - distortion, "max pairwise distortion %.4g over %d pairs%s" % (distortion, pairs, note))
 
 
 def _condensed_to_pair(k, n):
@@ -227,6 +244,11 @@ class ItemCheck:
     detail: str
 
 
+def _item(name, margin, detail):
+    """An assumption item, which holds when its margin is at least 0."""
+    return ItemCheck(name, bool(margin >= 0.0), float(margin), detail)
+
+
 @dataclass
 class AssumptionReport:
     which: int
@@ -292,17 +314,10 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     if which == 1:
         if x is None:
             raise ValueError("assumption set 1 is query-dependent: x is required")
-        require_shape("x", np.asarray(x, dtype=np.float64), dim)
-        vectors = assumption_set_vectors(dictionary, x)
-        report = verify_distortion(matrix, vectors, eps)
-        items.append(
-            ItemCheck(
-                "a-distortion-query-set",
-                report.passed,
-                eps - report.max_distortion,
-                "max pairwise distortion %.4g over %d pairs" % (report.max_distortion, report.pairs_checked),
-            )
-        )
+        x = np.asarray(x, dtype=np.float64)
+        require_shape("x", x, dim)
+        require_finite("x", x)
+        items.append(_distortion_item("a-distortion-query-set", matrix, assumption_set_vectors(dictionary, x), eps))
         items.append(_subspace_item(matrix, dictionary, eps))
         return AssumptionReport(1, float(eps), items)
 
@@ -313,29 +328,15 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
     probes = np.vstack([pts, dictionary.fit_centers])
-    report = verify_distortion(matrix, probes, eps)
-    items.append(
-        ItemCheck(
-            "a-distortion-manifold-and-centers",
-            report.passed,
-            eps - report.max_distortion,
-            "max pairwise distortion %.4g over %d pairs (sampled)" % (report.max_distortion, report.pairs_checked),
-        )
-    )
+    items.append(_distortion_item("a-distortion-manifold-and-centers", matrix, probes, eps, " (sampled)"))
 
     sparsity = int(dictionary.fit_dims.max())
     rand = rng.standard_normal(size=(1000, dim))
     norms_m = np.linalg.norm(matrix.apply(rand), axis=1)
     bounds = e_m_bound(rand, eps, sparsity)
     margin_b = float((bounds - norms_m).min())
-    items.append(
-        ItemCheck(
-            "b-compression-bound-domination",
-            margin_b >= 0.0,
-            margin_b,
-            "min slack of the closed-form bound over 1000 random probes",
-        )
-    )
+    items.append(_item("b-compression-bound-domination", margin_b,
+                       "min slack of the closed-form bound over 1000 random probes"))
 
     items.append(_subspace_item(matrix, dictionary, eps))
 
@@ -349,31 +350,62 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
         upper = (1.0 + eps) * resid + slack
         lower = (1.0 - eps) * resid - slack
         margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))
-    items.append(
-        ItemCheck(
-            "d-residual-embedding",
-            margin_d >= 0.0,
-            margin_d,
-            "min slack of the residual inequality with additive 2^-J, sampled points",
-        )
-    )
+    items.append(_item("d-residual-embedding", margin_d,
+                       "min slack of the residual inequality with additive 2^-J, sampled points"))
     return AssumptionReport(2, float(eps), items)
 
 
 def _subspace_item(matrix, dictionary, eps):
-    """Exact isometry slack of M on each fitted plane: min(s_min - (1 - eps), (1 + eps) - s_max) of M B^T."""
+    """Exact isometry slack of M on each fitted plane: min(s_min - (1 - eps), (1 + eps) - s_max) of M B^T.
+
+    The singular values are the compressed fit table's at the table's width
+    (``_fit_solves``), each fit's system zero-padded to the widest fit.
+    """
     dims = dictionary.fit_dims
-    svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases.swapaxes(1, 2), compute_uv=False)
+    svals = _fit_solves(matrix, dictionary, dictionary.fit_bases.shape[1]).svals
     # s_min is a fit's d-th singular value, the padding's zeros coming after it, and 0 when m < d
     low = np.where(dims <= matrix.m, svals[np.arange(len(dims)), np.minimum(dims, matrix.m) - 1], 0.0)
     margins = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
     worst = int(np.argmin(margins))
-    return ItemCheck(
-        "c-subspace-isometry",
-        bool(margins[worst] >= 0.0),
-        float(margins[worst]),
-        "min two-sided slack of the singular values of M B^T, worst at cell %s" % (dictionary.first_cell(worst),),
-    )
+    return _item("c-subspace-isometry", margins[worst],
+                 "min two-sided slack of the singular values of M B^T, worst at cell %s" % (dictionary.first_cell(worst),))
+
+
+# the compressed fit table: every fit's M B^T (F x m x width, zero past its local dimension), its truncated
+# pseudoinverse (F x width x m), numerical rank (F) and singular values (F x min(m, width), descending)
+FitSolves = namedtuple("FitSolves", "systems pinv rank svals")
+# matrix -> dictionary -> width -> FitSolves; each level lives as long as its key
+_SOLVES = weakref.WeakKeyDictionary()
+_SOLVES_LOCK = threading.Lock()
+
+
+def _fit_solves(matrix, dictionary, width):
+    """The FitSolves of every fit's first width basis rows, from one stacked SVD on first use.
+
+    It lives as long as the matrix and the dictionary both do.  A fit's
+    system and SVD do not depend on the rest of the stack, so a row equals
+    a solve of that fit alone bit for bit.
+    """
+    with _SOLVES_LOCK:
+        per_dict = _SOLVES.setdefault(matrix, weakref.WeakKeyDictionary()).setdefault(dictionary, {})
+        if width not in per_dict:
+            systems = matrix.entries @ dictionary.fit_bases[:, :width].swapaxes(1, 2)
+            per_dict[width] = FitSolves(systems, *_truncated_pinv(systems))
+        return per_dict[width]
+
+
+def _truncated_pinv(a):
+    """Pseudoinverses, numerical ranks and singular values of a stack of m x d systems.
+
+    Singular values at or below 1e-10 times the largest of their system are
+    dropped from the pseudoinverse; a zero system gets a zero pseudoinverse
+    and rank 0.
+    """
+    u_mat, svals, vt = np.linalg.svd(a, full_matrices=False)
+    keep = svals > SVD_TRUNCATION * svals[..., :1]
+    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
+    pinv = (vt.swapaxes(-1, -2) * inv[..., None, :]) @ u_mat.swapaxes(-1, -2)
+    return pinv, keep.sum(axis=-1), svals
 
 
 def save_matrix(matrix, path):

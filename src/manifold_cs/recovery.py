@@ -6,9 +6,9 @@ center k' at scale j, (ii) solves the overdetermined least squares problem
 min_u || M B^T u - (Mx - Mc) || on that cell's plane with an SVD
 pseudoinverse truncated at 1e-10 relative, and (iii) assembles B^T u' + c.
 Only steps (i) and (ii) work in R^m, and D enters at step (iii) alone: the
-pseudoinverse of each fit's system is computed once per matrix, dictionary
-and width and then read from a cache that lives as long as the matrix and
-the dictionary do, and the answer is written out a block of rows at a time.
+pseudoinverses are read from the matrix's compressed fit table
+(``measurement._fit_solves``), and the answer is written out a block of
+rows at a time.
 One batched core runs all three steps: ``recover_batch`` is its n-row call
 and ``recover`` its 1-row call.  Only on a near-tie within the distance
 kernel's rounding can a row's answer depend on the rows recovered with it:
@@ -22,26 +22,17 @@ for every row at once; on the swiss roll, by one grid search and one
 bisection pass.
 """
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_number, require, require_shape
-from .geometry import (
-    SWISS_ROLL_HEIGHT,
-    SWISS_ROLL_T_MAX,
-    SWISS_ROLL_T_MIN,
-    PointCloud,
-    swiss_roll_point,
-)
+from .errors import is_number, require, require_finite, require_shape
+from .geometry import SWISS_ROLL_HEIGHT, SWISS_ROLL_T_MAX, SWISS_ROLL_T_MIN, PointCloud, swiss_roll_point
 # nearest_center is not called here; it stays a module attribute because the
 # benchmark's tracer patches recovery.nearest_center.
 from .gmra import _nearest_rows, affine_rows, nearest_center, plane_coeffs  # noqa: F401
-from .measurement import e_m_bound
+from .measurement import _fit_solves, e_m_bound
 
-SVD_TRUNCATION = 1e-10
 STABLE_RECOVERY_CONSTANT = 100.3
 
 
@@ -114,49 +105,6 @@ class BatchRecovery:
     ill_conditioned: np.ndarray
 
 
-# matrix -> dictionary -> width -> (M B^T, its truncated pseudoinverse, its rank, solved) per fit-table row
-_SOLVES = weakref.WeakKeyDictionary()
-_SOLVES_LOCK = threading.Lock()
-
-
-def _fit_solves(matrix, dictionary, fits, width):
-    """M B^T, its truncated pseudoinverse and its rank for every fit-table row, each m x width.
-
-    Only the rows of fits that no earlier call with this matrix, dictionary
-    and width solved are solved now, in one stacked SVD; the rest are read
-    back.  A fit's system is the same m x width product whatever else is in
-    the stack, so a read-back row equals a fresh solve bit for bit.  The
-    tables live as long as both the matrix and the dictionary do.
-    """
-    with _SOLVES_LOCK:
-        per_dict = _SOLVES.setdefault(matrix, weakref.WeakKeyDictionary()).setdefault(dictionary, {})
-        if width not in per_dict:
-            count, m = len(dictionary.fit_dims), matrix.m
-            per_dict[width] = (np.empty((count, m, width)), np.empty((count, width, m)),
-                               np.empty(count, dtype=np.intp), np.zeros(count, dtype=bool))
-        a_sub, pinv, rank, done = per_dict[width]
-        todo = np.nonzero(~done[fits])[0]
-        if todo.size:
-            fresh = np.unique(fits[todo])
-            a_sub[fresh] = matrix.entries @ dictionary.fit_bases[fresh, :width].swapaxes(1, 2)
-            pinv[fresh], rank[fresh] = _truncated_pinv(a_sub[fresh])
-            done[fresh] = True
-    return a_sub, pinv, rank
-
-
-def _truncated_pinv(a):
-    """Pseudoinverses and numerical ranks of a stack of m x d systems.
-
-    Singular values at or below 1e-10 times the largest of their system are
-    dropped; a zero system gets a zero pseudoinverse and rank 0.
-    """
-    u_mat, svals, vt = np.linalg.svd(a, full_matrices=False)
-    keep = svals > SVD_TRUNCATION * svals[..., :1]
-    inv = np.divide(1.0, svals, out=np.zeros_like(svals), where=keep)
-    pinv = (vt.swapaxes(-1, -2) * inv[..., None, :]) @ u_mat.swapaxes(-1, -2)
-    return pinv, keep.sum(axis=-1)
-
-
 def recover(measurements, matrix, dictionary, j):
     """Approximate the scale-j projection of x from measurements Mx.
 
@@ -180,10 +128,9 @@ def recover(measurements, matrix, dictionary, j):
 def recover_batch(measurements, matrix, dictionary, j):
     """Recover every row of an n x m measurement block at scale j or "auto".
 
-    Each touched fit's system M B^T, zero-padded to the searched scale's
-    widest fit, is solved once per matrix, dictionary and width: the fits no
-    earlier call solved go through one stacked SVD, and the rest are read
-    from a cache that lives as long as the matrix and the dictionary do, so
+    Each row's least squares reads its fit's pseudoinverse from the matrix's
+    compressed fit table at the searched scale's widest fit
+    (``measurement._fit_solves``), each system zero-padded to that width, so
     the scales of one matrix share their solves.  Each row is solved and
     assembled on its own, the answer written out a block of rows at a time
     (``gmra.affine_rows``), so a 1-row call gives the same answer as the
@@ -202,8 +149,8 @@ def recover_batch(measurements, matrix, dictionary, j):
     cells = _nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
     fits = dictionary.cell_fits(scale)[cells]
-    # one m x d_max system per touched fit, d_max the scale's widest; padding columns get zero coefficients
-    a_sub, pinv, rank = _fit_solves(matrix, dictionary, fits, dictionary.max_local_dim(scale))
+    # one m x d_max system per fit, d_max the scale's widest; padding columns get zero coefficients
+    a_sub, pinv, rank, _ = _fit_solves(matrix, dictionary, dictionary.max_local_dim(scale))
     coeffs = (pinv[fits] @ rhs[:, :, None])[:, :, 0]
     residuals = np.linalg.norm((a_sub[fits] @ coeffs[:, :, None])[:, :, 0] - rhs, axis=1)
     return BatchRecovery(
@@ -247,15 +194,17 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     in the layer the recovery searched (the finest one for "auto", whatever
     scale the chosen fit was made at).  The optimal-error, set-2 and tube
     columns are present only when x_opt, the nearest manifold point of each
-    query, is given.  points, and x_opt when given, must have the batch's
-    rows and width.
+    query, is given.  points, and x_opt when given, must be finite and have
+    the batch's rows and width.
     """
     require(is_number(eps) and 0 < eps < 0.5, "eps", eps, "in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
     require_shape("points", x, *batch.reconstructions.shape)
+    require_finite("points", x)
     if x_opt is not None:
         x_opt = np.asarray(x_opt, dtype=np.float64)
         require_shape("x_opt", x_opt, *x.shape)
+        require_finite("x_opt", x_opt)
     searched, cells = batch.searched_scale, batch.chosen_centers
     layer = dictionary.centers(searched)
     if np.any((cells < 0) | (cells >= len(layer))):
@@ -304,6 +253,7 @@ def nearest_point_oracle(x, manifold):
     or a PointCloud in R^D (exact nearest sample).
     """
     x = np.asarray(x, dtype=np.float64)
+    require_finite("x", x)
     rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):
         require_shape("manifold", manifold.points, "n", rows.shape[1])

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fit_tables
-from manifold_cs import geometry, gmra, measurement, storage
-from manifold_cs.errors import FileFormatError, ResourceLimitError
+from manifold_cs import cli, geometry, gmra, measurement, recovery, storage
+from manifold_cs.errors import FileFormatError, ParameterError, ResourceLimitError
 
 
 def test_gaussian_deterministic():
@@ -279,6 +279,58 @@ def test_item_a_over_fits_matches_the_per_cell_probe_lists(swiss_cloud, swiss_di
             assert item.passed == want.passed
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+def test_the_compressed_fit_table_is_built_once_per_width(monkeypatch, swiss_cloud, swiss_dict, adaptive):
+    cloud, d = adaptive_roll_dict() if adaptive else (swiss_cloud, swiss_dict)
+    scales = list(range(d.max_scale + 1))
+    widths = {d.max_local_dim(j) for j in scales}
+    assert widths == ({3, 2} if adaptive else {2}) and d.fit_bases.shape[1] == max(widths)
+    M, eps = measurement.gaussian_matrix(3, d.ambient_dim, seed=8), 0.3
+    calls = []
+    solve = measurement._truncated_pinv
+    monkeypatch.setattr(measurement, "_truncated_pinv", lambda a: calls.append(a.shape) or solve(a))
+    set1 = measurement.verify_assumption_set(M, d, x=cloud.points[0], which=1, eps=eps)
+    set2 = measurement.verify_assumption_set(M, d, which=2, eps=eps, cloud=cloud, budget=200)
+    comp = M.apply(cloud.points[:100])
+    for j in scales + ["auto"]:
+        recovery.recover_batch(comp, M, d, j)
+    # one stacked solve of every fit per width in use
+    assert sorted(calls) == sorted((len(d.fit_dims), M.m, width) for width in widths)
+    # the subspace item's margin is the one the cached singular values give
+    svals = measurement._SOLVES[M][d][d.fit_bases.shape[1]].svals
+    dims = d.fit_dims
+    low = np.where(dims <= M.m, svals[np.arange(len(dims)), np.minimum(dims, M.m) - 1], 0.0)
+    want = float(np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0]).min())
+    assert set1.item("c-subspace-isometry").margin == set2.item("c-subspace-isometry").margin == want
+
+
+def test_item_a_holds_over_no_pairs_on_a_vector_set_that_coincides(swiss_cloud, tmp_path, capsys):
+    # a scale-0 dictionary has one fit: its center as the query, or as the one cloud point, makes every vector equal
+    d0 = gmra.build_dictionary(swiss_cloud, local_dim=2, max_scale=0)
+    center = d0.fit_centers[0]
+    M = measurement.gaussian_matrix(4, 3, seed=9)
+    item1 = measurement.verify_assumption_set(M, d0, x=center, which=1, eps=0.3).item("a-distortion-query-set")
+    assert (item1.passed, item1.margin, item1.detail) == (True, 0.3, "max pairwise distortion 0 over 0 pairs")
+    one = geometry.PointCloud(center[None], 3)
+    item2 = measurement.verify_assumption_set(M, d0, which=2, eps=0.3, cloud=one).item(
+        "a-distortion-manifold-and-centers")
+    assert (item2.passed, item2.margin, item2.detail) == (True, 0.3, "max pairwise distortion 0 over 0 pairs (sampled)")
+    # probes a caller hands in must still hold two distinct vectors
+    with pytest.raises(ParameterError, match="^probes must be at least two distinct vectors, got 1$"):
+        measurement.verify_distortion(M, [center, center], 0.3)
+    # the CLI no longer names a --probes that was never given
+    paths = {name: str(tmp_path / name) for name in ("M.mtx", "d0.dict", "q.csv")}
+    measurement.save_matrix(measurement.orthoprojection_matrix(3, 3, seed=9), paths["M.mtx"])
+    gmra.save_dictionary(d0, paths["d0.dict"])
+    geometry.save_csv(geometry.PointCloud(center[None], 3), paths["q.csv"])
+    assert np.array_equal(geometry.load_csv(paths["q.csv"]).points[0], center)
+    capsys.readouterr()
+    assert cli.main(["measure", "verify", "--matrix", paths["M.mtx"], "--dict", paths["d0.dict"],
+                     "--assumption-set", "1", "--query", paths["q.csv"], "--eps", "0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "set 1 item a-distortion-query-set: margin 0.3 -> PASS (max pairwise distortion 0 over 0 pairs)"
+
+
 def test_rank_deficient_compression_fails_subspace_item(swiss_cloud, swiss_dict):
     # duplicate measurement rows collapse every 2-plane image to a line
     row = measurement.gaussian_matrix(1, 3, seed=2).entries
@@ -313,7 +365,7 @@ def reference_subspace_item(matrix, dictionary, eps):
     margins = np.empty(len(dims))
     for d in np.unique(dims):
         idx = np.nonzero(dims == d)[0]
-        svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases[idx, :d].swapaxes(1, 2), compute_uv=False)
+        svals = np.linalg.svd(matrix.entries @ dictionary.fit_bases[idx, :d].swapaxes(1, 2), full_matrices=False)[1]
         low = svals[:, -1] if matrix.m >= d else 0.0
         margins[idx] = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
     worst = int(np.argmin(margins))

@@ -1,6 +1,7 @@
 """Every public entry point refuses an out-of-range parameter, or a misshapen array, with a ParameterError naming it."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,3 +298,60 @@ def test_a_noisy_cloud_past_float64_is_refused_as_sigma():
     with pytest.raises(ParameterError, match="^sigma must be small enough for the noisy cloud's squared distances, "
                                              "got 1e[+]300$"):
         geometry.add_noise(WORLD[0], 1e300, 0)
+
+
+def finite_cases(world):
+    """{case: (call taking the query array, the argument's name, a finite value of it)}."""
+    cloud, dictionary, matrix, meas, batch = world
+    pts, x = cloud.points, cloud.points[0]
+    return {
+        "nearest_center x": (lambda v: gmra.nearest_center(dictionary, 2, v), "x", x),
+        "project_at_scale pts": (lambda v: gmra.project_at_scale(dictionary, 2, v), "pts", pts),
+        "certify_batch points": (lambda v: recovery.certify_batch(v, matrix, dictionary, batch, 0.3), "points", pts),
+        "certify_batch x_opt": (lambda v: recovery.certify_batch(pts, matrix, dictionary, batch, 0.3, x_opt=v),
+                                "x_opt", pts),
+        "nearest_point_oracle swiss-roll": (lambda v: recovery.nearest_point_oracle(v, "swiss-roll"), "x", pts),
+        "nearest_point_oracle sphere": (lambda v: recovery.nearest_point_oracle(v, "sphere"), "x", x),
+        "nearest_point_oracle cloud": (lambda v: recovery.nearest_point_oracle(v, cloud), "x", pts[:20]),
+        "verify_assumption_set x": (lambda v: measurement.verify_assumption_set(matrix, dictionary, x=v), "x", x),
+        "verify_distortion probes": (lambda v: measurement.verify_distortion(matrix, v, 0.3), "probes", pts[:20]),
+    }
+
+
+FINITE_CASES = finite_cases(WORLD)
+
+
+@pytest.mark.parametrize("case", sorted(FINITE_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_each_query_array_refuses_a_nan_or_infinity_by_name_and_row(case, data):
+    call, name, good = FINITE_CASES[case]
+    value = np.array(good)
+    rows = value.reshape(len(value), -1)
+    row = data.draw(st.integers(0, len(rows) - 1), label="row")
+    cells = data.draw(st.sets(st.integers(0, rows.shape[1] - 1), min_size=1), label="entries")
+    for k in cells:
+        rows[row, k] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]), label="bad")
+    rows[row + 1 :, 0] = math.nan  # a later bad row is not the one named
+    with pytest.raises(ParameterError) as exc:
+        call(value)
+    assert exc.value.name == name
+    where = "at entry" if value.ndim == 1 else "in row"
+    assert re.fullmatch(r"%s must be finite %s %d, got (nan|inf|-inf)" % (name, where, row), str(exc.value))
+
+
+def test_non_finite_queries_that_used_to_pass_are_refused_by_name():
+    cloud, dictionary, matrix, _, _ = WORLD
+    with pytest.raises(ParameterError, match=r"^x must be finite at entry 0, got nan$"):
+        gmra.nearest_center(dictionary, 2, [math.nan, 0.0, 1.0])
+    with pytest.raises(ParameterError, match=r"^x must be finite in row 1, got inf$"):
+        recovery.nearest_point_oracle([[1.0, 2.0, 3.0], [0.0, math.inf, 1.0]], "swiss-roll")
+    # the sphere oracle used to blame the origin for a NaN row
+    with pytest.raises(ParameterError, match=r"^x must be finite at entry 2, got nan$"):
+        recovery.nearest_point_oracle([1.0, 0.0, math.nan], "sphere")
+    # an empty block has nothing to refuse
+    assert gmra.project_at_scale(dictionary, 2, np.zeros((0, 3))).shape == (0, 3)
+    assert recovery.nearest_point_oracle(np.zeros((0, 3)), "swiss-roll").shape == (0, 3)
+    # assumption set 1 used to blame its own vector set, as probes
+    with pytest.raises(ParameterError, match=r"^x must be finite at entry 1, got nan$"):
+        measurement.verify_assumption_set(matrix, dictionary, x=[0.0, math.nan, 0.0], which=1)

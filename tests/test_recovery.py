@@ -18,18 +18,18 @@ from manifold_cs.errors import ParameterError
 def test_least_squares_overdetermined():
     a = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     b = np.array([3.0, 4.0, 9.0])
-    assert np.allclose(recovery._truncated_pinv(a)[0] @ b, [3.0, 4.0])
+    assert np.allclose(measurement._truncated_pinv(a)[0] @ b, [3.0, 4.0])
 
 
 def test_least_squares_zero_rhs():
     a = np.random.default_rng(0).standard_normal((5, 3))
-    assert np.array_equal(recovery._truncated_pinv(a)[0] @ np.zeros(5), np.zeros(3))
+    assert np.array_equal(measurement._truncated_pinv(a)[0] @ np.zeros(5), np.zeros(3))
 
 
 def test_least_squares_duplicate_columns_min_norm():
     a = np.array([[1.0, 1.0], [1.0, 1.0]])
     b = np.array([2.0, 2.0])
-    u = recovery._truncated_pinv(a)[0] @ b
+    u = measurement._truncated_pinv(a)[0] @ b
     assert np.allclose(u, [1.0, 1.0])
     # grid oracle: no grid point achieves a smaller residual, and among the
     # near-minimal ones none has smaller norm than the returned solution
@@ -126,7 +126,7 @@ def grouped_recover_batch(measurements, matrix, dictionary, j):
         rows = np.nonzero(dims == d)[0]
         group, slot = np.unique(fits[rows], return_inverse=True)
         a_sub = matrix.entries @ dictionary.fit_bases[group, :d].swapaxes(1, 2)
-        pinv, rank = recovery._truncated_pinv(a_sub)
+        pinv, rank, _ = measurement._truncated_pinv(a_sub)
         c = (pinv[slot] @ rhs[rows, :, None])[:, :, 0]
         coeffs[rows, :d] = c
         residuals[rows] = np.linalg.norm((a_sub[slot] @ c[:, :, None])[:, :, 0] - rhs[rows], axis=1)
@@ -271,11 +271,11 @@ def test_the_solve_cache_releases_its_matrix_and_dictionary():
     kept, dropped = (gmra.build_dictionary(cloud, local_dim=2, max_scale=3) for _ in range(2))
     recovery.recover_batch(comp, M, kept, 3)
     recovery.recover_batch(comp, M, dropped, 3)
-    assert len(recovery._SOLVES[M]) == 2
+    assert len(measurement._SOLVES[M]) == 2
     refs = [weakref.ref(dropped)]
     del dropped
     gc.collect()
-    assert refs[0]() is None and len(recovery._SOLVES[M]) == 1
+    assert refs[0]() is None and len(measurement._SOLVES[M]) == 1
     refs += [weakref.ref(M), weakref.ref(kept)]
     del M, kept
     gc.collect()

@@ -28,7 +28,13 @@ bench/README.md), each set up and run once:
   for roll200) and each column of ``cert.csv`` on its own
   (``cert.csv[<column>]``), so a diff names the certificate quantities that
   moved,
-  ``recover_batch``'s outputs at every scale for its matrix, the
+  ``recover_batch``'s outputs at every scale for its matrix, an adaptive
+  dictionary of its ``train.csv`` (``local_dim=None``, ``max_local_dim=3``,
+  ``max_scale=8``, ``min_points=6``; local dimensions 1-3, its scales'
+  widest fits 3 and 2) saved whole and array by array
+  (``adaptive.dict[<name>]``) with ``recover_batch``'s outputs at every
+  scale and at "auto" for the same matrix, so a compressed fit table
+  narrower than the fit table is hashed too, the
   ``gmra validate --json`` report, then each of its fields on its own
   (``validate --json[<field>]``), so a diff names the validation quantities
   that moved, and the ``measure verify --probes`` report.
@@ -168,6 +174,14 @@ def cli_roll3(seed, tmp):
     dictionary = gmra.load_dictionary(work.path("roll.dict"))
     query = geometry.load_csv(work.path("query.csv"))
     yield from recover_every_scale("cli-roll3 gaussian m=8", matrix, dictionary, query.points)
+    adaptive = gmra.build_dictionary(geometry.load_csv(work.path("train.csv")), local_dim=None, max_local_dim=3,
+                                     max_scale=8, min_points=6)
+    path = os.path.join(tmp, "adaptive.dict")
+    gmra.save_dictionary(adaptive, path)
+    yield "cli-roll3 adaptive.dict", file_sha(path)
+    for name, digest in dictionary_shas(path):
+        yield "cli-roll3 adaptive.dict[%s]" % name, digest
+    yield from recover_every_scale("cli-roll3 adaptive gaussian m=8", matrix, adaptive, query.points)
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         cli.main(["gmra", "validate", "--dict", work.path("roll.dict"), "--cloud", work.path("train.csv"), "--json"])
