@@ -12,7 +12,7 @@ Synthetic manifolds used throughout:
 import codecs
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -33,6 +33,19 @@ _NET_SAMPLING_SEED = 0x5EED
 _SCREEN_RANK = 8
 _SCREEN_SAMPLE_ROWS = 128
 _SCREEN_MAX_TAIL = 0.1
+# FPS settles up to _FPS_ROUND_ROWS picks per pass over the cloud (see farthest_point_ordering).  Measured
+# once (2 cores, BLAS on 1 thread, medians of interleaved runs): at 12/16/24/32/48 round rows a 2,000-point
+# roll in R^3 took 1.29/1.13/1/0.92/0.85 of the 24-row time, a 1,500-point roll padded into R^200 with noise
+# 1.09/1.07/1/1/1.09, and a full-rank Gaussian of 1,500 rows in R^200 1.34/1.16/1/1.09/1.06.
+_FPS_ROUND_ROWS = 24
+# FPS finds a round's row-pick pairs with a k-d tree when its screen has at most this many coordinates, and
+# otherwise with one Gram product per round (see farthest_point_ordering).  Measured as above, the tree took
+# 0.51 of the Gram product's time on a 2,000-point roll in R^3, 0.88 on the padded roll (its 9-coordinate
+# low-rank screen), and 3.0 and 11 times it on full-rank Gaussians in R^17 (2,000 rows) and R^200 (1,500 rows).
+_FPS_TREE_MAX_COLS = _SCREEN_RANK + 1
+# FPS takes its difference-form norms this many gathered entries at a time, so a round of many row-pick
+# pairs in high D makes no (pairs x D) temporary.
+_PAIR_BLOCK_ENTRIES = 1 << 15
 # load_csv and save_csv convert this many lines per bulk step, so a file is never held as one string.
 _CSV_BLOCK_LINES = 4096
 
@@ -112,6 +125,11 @@ def gen_sphere(n, d, seed):
     return PointCloud(g / norms, d + 1, label="sphere-%d" % d)
 
 
+def require_sigma(sigma):
+    """ParameterError unless sigma is a noise level ``add_noise`` takes: a finite number >= 0."""
+    require(is_number(sigma) and 0 <= sigma < math.inf, "sigma", sigma, "a finite number >= 0")
+
+
 def add_noise(cloud, sigma, seed):
     """Perturb each point independently by N(0, sigma^2/D * I_D) noise.
 
@@ -120,7 +138,7 @@ def add_noise(cloud, sigma, seed):
     can be regenerated independently (and in parallel) without drawing the
     rest.  A sigma whose noisy cloud ``PointCloud`` refuses is refused.
     """
-    require(is_number(sigma) and 0 <= sigma < math.inf, "sigma", sigma, "a finite number >= 0")
+    require_sigma(sigma)
     require_integer("seed", seed, 0)
     if sigma == 0:
         return PointCloud(cloud.points.copy(), cloud.ambient_dim, cloud.label)
@@ -176,7 +194,7 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     Each pick p updates dist, every row's distance to the picked prefix, to
     min(dist, ||x - p||) with ||x - p|| computed in difference form,
     np.linalg.norm(x - p).  Only the rows whose dist can shrink are
-    recomputed; one matrix-vector product finds them.  Let r = x - c for the
+    recomputed; a Gram screen finds them.  Let r = x - c for the
     rows' mean c, u the float64 machine epsilon and t the smallest subnormal.
     The product runs on screen coordinates z, with s = ||z||^2, and a row is
     skipped when its computed Gram value
@@ -191,8 +209,8 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     Low rank: when D > _SCREEN_RANK = k and a strided sample of at most
     _SCREEN_SAMPLE_ROWS rows of r has under _SCREEN_MAX_TAIL of its energy
     (sum of squared singular values) outside its top k right singular
-    vectors V (k x D), z = (V r, ||r - V^T V r||), k + 1 coordinates, so each
-    pick costs O(n k), not O(n D).  Elsewhere the screen would prune little
+    vectors V (k x D), z = (V r, ||r - V^T V r||), k + 1 coordinates, so the
+    screen costs O(k) per row-pick pair, not O(D).  Elsewhere it would prune little
     and the full-width one is faster.  Let d = ||V V^T - I||_F as computed,
     and write l = V r, w = r - V^T l and a = ||r_x||, b = ||r_p||.  Exactly,
     ||r_x - r_p||^2 >= (1 - 3 e) ||l_x - l_p||^2 + ||w_x - w_p||^2 where
@@ -218,12 +236,53 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     indices, radii and moves are therefore bit for bit those of the loop
     that recomputes every row's difference-form norm at every pick: a
     skipped row is not strictly nearer the pick, so it has no move there.
+
+    Rounds.  The picks are settled in rounds of one pass over the rows each.
+    A round's first pick is the argmax of dist (np.argmax, ties to the
+    lowest index).  Its candidates are the _FPS_ROUND_ROWS rows of largest
+    dist, taken by argpartition.  Let cut be the largest dist outside the
+    candidates, raised to the stop radius.  The candidates' screened
+    pairwise norms replay the loop among them: the next pick is the
+    candidate of largest dist, ties to the lowest row, and it is accepted
+    while that dist is strictly above cut.  Every other row's dist is at
+    most cut and only falls, so an accepted pick is the loop's argmax and
+    its dist the radius after the pick before it.  (A first pick outside
+    the candidates has dist = cut and makes the round alone.)  Then every
+    row is updated through the round's picks in pick order: it moves at a
+    pick where its norm is strictly below its running dist, as in the loop,
+    and the radius after the last pick is the largest updated dist.  The
+    row-pick pairs whose norms are taken pass the Gram screen at the round's
+    starting dist, which is at least the running one, so a screened pair has
+    no move.  They come from one of two sources:
+
+    * With at most _FPS_TREE_MAX_COLS = k + 1 screen coordinates (D <= 9 at
+      full width, or the low-rank screen), a k-d tree over z returns each
+      pick's rows within
+
+          sqrt(R^2 (1 + 1e-9) + G (u (s_max + s_p) + t)) (1 + 1e-9),
+
+      R the round's starting radius and s_max the largest s.  A row moves at
+      p only if its computed norm is below dist <= R, so ||x - p||^2 <
+      R^2 (1 + 2 (D + 3) u) <= R^2 (1 + 1e-9); the bounds above put the
+      exact ||z_x - z_p||^2 within half of G (u (s_x + s_p) + t) of
+      ||x - p||^2, so under the radius before its last factor.  The tree's
+      squared distances and pruning bounds round by under 1e-9 relative (as
+      for the tree of ``gmra._nearest_rows``), which that factor covers.
+    * Otherwise one Gram product of every row against the round's picks.
+
+    The tree's pruning pays in few coordinates and the Gram product's
+    blocked arithmetic in many (see _FPS_TREE_MAX_COLS).  The pairs' norms
+    are taken _PAIR_BLOCK_ENTRIES gathered entries at a time, so a round
+    whose picks pass many rows in high D makes no pairs x D temporary.  So
+    a round costs a few dozen numpy calls for up to _FPS_ROUND_ROWS picks,
+    where the loop paid them per pick.
     """
     if pts.shape[0] == 0:
         raise ValueError("empty cloud")
     if not stop_radius >= 0:
         raise ValueError("stop_radius must be >= 0, got %g" % stop_radius)
     pts = np.ascontiguousarray(pts, dtype=np.float64)
+    n = len(pts)
     coords, grow = _screen_coordinates(pts - pts.mean(axis=0))
     sq = np.einsum("ij,ij->i", coords, coords)
     eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
@@ -233,23 +292,79 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     order = [0]
     nxt = int(np.argmax(dist))
     radii = [float(dist[nxt])]
-    moved = []  # per pick, the rows it is the strictly nearest pick of
+    moved, moved_picks = [], []  # the rows each round's picks are the strictly nearest pick of, and those picks
     if stop_fraction is not None:
         stop_radius = max(stop_radius, radii[0] * stop_fraction)
+    tree, sq_max = None, sq.max()
+    if coords.shape[1] <= _FPS_TREE_MAX_COLS and np.isfinite(sq_max):
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(coords)
+    width = min(n, _FPS_ROUND_ROWS)
     while radii[-1] > stop_radius:
-        order.append(nxt)
-        gram = sq - 2.0 * (coords @ coords[nxt]) + sq[nxt]
-        cand = np.flatnonzero(~(gram > limit + grow * eps * sq[nxt]))
-        near = np.linalg.norm(pts[cand] - pts[nxt], axis=1)
-        closer = near < dist[cand]
-        rows, near = cand[closer], near[closer]
-        dist[rows] = near
-        limit[rows] = near * near * (1.0 + 1e-9) + slack[rows]
-        moved.append(rows)
+        start = radii[-1]
+        # the round's candidates: the `width` farthest rows; every other row is at most `cut` away
+        if n > width:
+            part = dist.argpartition(n - width - 1)
+            top, cut = np.sort(part[-width:]), max(dist[part[-width - 1]], stop_radius)
+        else:
+            top, cut = np.arange(n), stop_radius
+        round_picks = [nxt]
+        if start > cut:  # so nxt is a candidate; replay the picks whose radius stays above cut
+            top_sq, top_coords = sq[top], coords[top]
+            gram = top_sq[:, None] - 2.0 * (top_coords @ top_coords.T) + top_sq
+            a, b = np.nonzero(~(gram > limit[top, None] + grow * eps * top_sq))
+            near = np.full((width, width), np.inf)  # near[p, x]: candidate x's distance to candidate p
+            near[b, a] = _pair_norms(pts, top[a], top[b])
+            top_dist = dist[top]
+            k = int(np.searchsorted(top, nxt))
+            while True:
+                np.minimum(top_dist, near[k], out=top_dist)
+                k = top_dist.argmax()
+                if not top_dist[k] > cut:
+                    break
+                radii.append(float(top_dist[k]))
+                round_picks.append(int(top[k]))
+        picks = np.array(round_picks, dtype=np.intp)
+        pick_sq, pick_coords = sq[picks], coords[picks]
+        # the row-pick pairs whose distance can beat the row's: from the tree, or one Gram product
+        if tree is not None:
+            reach = np.sqrt(start * start * (1.0 + 1e-9) + grow * (eps * (sq_max + pick_sq) + tiny)) * (1.0 + 1e-9)
+            found = tree.query_ball_point(pick_coords, reach, return_sorted=False)
+            counts = np.fromiter(map(len, found), np.intp, len(found))
+            rows = np.fromiter(chain.from_iterable(found), np.intp, counts.sum())
+            at = np.repeat(np.arange(len(picks)), counts)
+            gram = sq[rows] - 2.0 * np.einsum("ij,ij->i", coords[rows], pick_coords[at]) + pick_sq[at]
+            keep = ~(gram > limit[rows] + grow * eps * pick_sq[at])
+            rows, at = rows[keep], at[keep]
+        else:
+            gram = sq[:, None] - 2.0 * (coords @ pick_coords.T) + pick_sq
+            rows, at = np.nonzero(~(gram > limit[:, None] + grow * eps * pick_sq))
+        # each touched row's running distance through the round's picks; it moves where it strictly drops
+        touched, slot = np.unique(rows, return_inverse=True)
+        table = np.full((len(touched), len(picks) + 1), np.inf)
+        table[:, 0] = dist[touched]
+        table[slot, at + 1] = _pair_norms(pts, rows, picks[at])
+        best = np.minimum.accumulate(table, axis=1)
+        pick_at, row_at = np.nonzero((table[:, 1:] < best[:, :-1]).T)
+        moved.append(touched[row_at])
+        moved_picks.append(len(order) + pick_at)
+        order.extend(round_picks)
+        dist[touched] = new = best[:, -1]
+        limit[touched] = new * new * (1.0 + 1e-9) + slack[touched]
         nxt = int(np.argmax(dist))
         radii.append(float(dist[nxt]))
-    picks = np.repeat(np.arange(1, len(order), dtype=np.intp), [len(rows) for rows in moved])
-    return np.array(order, dtype=np.intp), np.array(radii), (np.concatenate([np.empty(0, np.intp)] + moved), picks)
+    moves = np.concatenate([np.empty(0, np.intp)] + moved), np.concatenate([np.empty(0, np.intp)] + moved_picks)
+    return np.array(order, dtype=np.intp), np.array(radii), moves
+
+
+def _pair_norms(pts, rows, cols):
+    """np.linalg.norm(pts[rows] - pts[cols], axis=1), bit for bit, taken _PAIR_BLOCK_ENTRIES entries at a time."""
+    out = np.empty(len(rows))
+    step = max(1, _PAIR_BLOCK_ENTRIES // max(1, pts.shape[1]))
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = np.linalg.norm(pts[rows[lo : lo + step]] - pts[cols[lo : lo + step]], axis=1)
+    return out
 
 
 def epsilon_net_ball(dim, eps):

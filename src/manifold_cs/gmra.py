@@ -35,6 +35,9 @@ Construction details that matter for the invariants:
   searched, by the kernel below, against the accepted seeds in pick order,
   so that ties go to the earliest pick there too.  A build thus costs one
   FPS pass plus the orphans' search, not two scans of every row per scale.
+  The FPS pass settles up to 24 picks per numpy pass over the rows (see
+  ``geometry.farthest_point_ordering``), with the same order, radii and
+  moves as one pick per pass.
 * Each fresh fit's plane comes from the thin SVD of its centered cell, or,
   when d + 2 is below both the cell's size and D, from the smaller Gram
   matrix refined by one subspace-iteration step (see ``_cell_fit``), so a

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import geometry, gmra, measurement, recovery
-from .errors import CsvParseError, is_number
+from .errors import CsvParseError, is_number, require_integer
 from .geometry import csv_number
 from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
@@ -197,7 +197,16 @@ def load_dataset(descriptor):
 
 
 def run_experiment(config):
-    """Run the full relMSE grid and write config.json, results.csv, timing.csv, and SVG plots."""
+    """Run the full relMSE grid and write config.json, results.csv, timing.csv, and SVG plots.
+
+    Every noise level and scale is checked before the first build, by the
+    checks of the calls that take them.
+    """
+    for sigma in config.noise_sigmas:
+        geometry.require_sigma(sigma)
+    max_scale = require_integer("max_scale", max(config.scales), 0, gmra.MAX_BUILD_SCALE)
+    for j in config.scales:
+        require_integer("j", j, 0, max_scale)
     base = load_dataset(config.dataset)
     dataset_label = base.label or "dataset"
     rows = []
@@ -210,7 +219,7 @@ def run_experiment(config):
         dictionary = gmra.build_dictionary(
             cloud,
             local_dim=config.local_dim,
-            max_scale=max(config.scales),
+            max_scale=max_scale,
             energy_threshold=config.energy_threshold,
             max_local_dim=config.max_local_dim,
             min_points=config.min_points,

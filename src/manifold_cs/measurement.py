@@ -312,8 +312,7 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     rng = np.random.default_rng(0)
     items = []
     if which == 1:
-        if x is None:
-            raise ValueError("assumption set 1 is query-dependent: x is required")
+        require(x is not None, "x", x, "a query point: assumption set 1 is query-dependent")
         x = np.asarray(x, dtype=np.float64)
         require_shape("x", x, dim)
         require_finite("x", x)
@@ -321,8 +320,7 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
         items.append(_subspace_item(matrix, dictionary, eps))
         return AssumptionReport(1, float(eps), items)
 
-    if cloud is None:
-        raise ValueError("assumption set 2 needs manifold samples: pass cloud")
+    require(cloud is not None, "cloud", cloud, "a PointCloud of manifold samples for assumption set 2")
     pts = cloud.points
     require_shape("cloud", pts, "n", dim)
     if pts.shape[0] > budget:

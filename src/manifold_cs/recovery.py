@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import is_number, require, require_finite, require_shape
+from .errors import ParameterError, is_number, require, require_finite, require_shape
 from .geometry import SWISS_ROLL_HEIGHT, SWISS_ROLL_T_MAX, SWISS_ROLL_T_MIN, PointCloud, swiss_roll_point
 # nearest_center is not called here; it stays a module attribute because the
 # benchmark's tracer patches recovery.nearest_center.
@@ -267,7 +267,7 @@ def nearest_point_oracle(x, manifold):
         require(rows.shape[1] == 3, "manifold", manifold, "a manifold in the points' R^%d" % rows.shape[1])
         out = _nearest_on_swiss_roll(rows)
     else:
-        raise ValueError("unknown manifold descriptor %r" % (manifold,))
+        raise ParameterError("manifold", '"sphere", "swiss-roll" or a PointCloud', manifold)
     return out if x.ndim == 2 else out[0]
 
 

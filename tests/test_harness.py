@@ -434,14 +434,23 @@ def test_config_validation():
     ("energy_threshold", 0, "0"),
     ("energy_threshold", "0.9", "'0.9'"),
 ])
-def test_config_refuses_values_out_of_range_before_any_work(tmp_path, field, values, bad):
+def test_config_refuses_values_out_of_range_before_any_work(tmp_path, monkeypatch, field, values, bad):
     # the config refuses what it does not pass on, and the library call that takes a value refuses it by its
-    # parameter's name (a ParameterError), before the run writes anything
+    # parameter's name (a ParameterError), before the run writes anything or finishes a build
+    built, build = [], gmra.build_dictionary
+
+    def counted_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(gmra, "build_dictionary", counted_build)
     with pytest.raises(ValueError, match="must .*got %s$" % bad) as exc:
         harness.run_experiment(small_config(tmp_path, **{field: values}))
     names = {"scales": {"scales", "max_scale", "j"}, "noise_sigmas": {"noise_sigmas", "sigma"}}.get(field, {field})
     assert getattr(exc.value, "name", field) in names
     assert list(tmp_path.iterdir()) == []
+    assert built == []
 
 
 @pytest.mark.parametrize("text, cause", [

@@ -233,14 +233,16 @@ def test_assumption_set_one_passes_at_sized_m(circle_dict):
 
 def test_assumption_set_one_needs_query(circle_dict):
     M = measurement.orthoprojection_matrix(2, 2, seed=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError) as refused:
         measurement.verify_assumption_set(M, circle_dict, which=1, eps=0.1)
+    assert refused.value.name == "x"
 
 
 def test_assumption_set_two_needs_cloud(circle_dict):
     M = measurement.orthoprojection_matrix(2, 2, seed=6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError) as refused:
         measurement.verify_assumption_set(M, circle_dict, which=2, eps=0.1)
+    assert refused.value.name == "cloud"
 
 
 def adaptive_roll_dict():

@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -311,6 +312,122 @@ def test_fps_on_rotated_low_rank_clouds_equals_the_difference_form_loop_bit_for_
     assert order.tolist() == want_order.tolist()
     assert radii.tobytes() == want_radii.tobytes()
     check_fps_moves(order, moves, want_moved)
+
+
+def fps_with_pair_passes(pts, round_rows=None, block_entries=None, **stop):
+    """farthest_point_ordering's output and how many passes of difference-form norms it made, at other sizes if given."""
+    pair_norms, passes = geometry._pair_norms, []
+
+    def counted(*args):
+        passes.append(1)
+        return pair_norms(*args)
+
+    sizes = {"_FPS_ROUND_ROWS": round_rows or geometry._FPS_ROUND_ROWS,
+             "_PAIR_BLOCK_ENTRIES": block_entries or geometry._PAIR_BLOCK_ENTRIES}
+    with mock.patch.multiple(geometry, _pair_norms=counted, **sizes):
+        out = geometry.farthest_point_ordering(pts, **stop)
+    return out, len(passes)
+
+
+def check_fps_against_the_loop(pts, out, **stop):
+    order, radii, moves = out
+    want_order, want_radii, want_moved = difference_form_fps(pts, **stop)
+    assert order.tolist() == want_order.tolist()
+    assert radii.tobytes() == want_radii.tobytes()
+    check_fps_moves(order, moves, want_moved)
+
+
+class TreeSourceOnly:
+    """Stands in for scipy's cKDTree where a test requires the dense pair source."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("the k-d tree pair source ran")
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 500),
+    dim=st.sampled_from([1, 2, 3]),
+    side=st.sampled_from([None, 2, 3, 5]),
+    round_rows=st.sampled_from([None, 1, 3, 5, 8]),
+    shift=st.sampled_from([0.0, 1e8]),
+    stop=st.one_of(st.just({}), st.floats(0.0, 1.0).map(lambda f: {"stop_fraction": f})),
+)
+def test_fps_rounds_on_the_tree_source_equal_the_difference_form_loop_bit_for_bit(
+    seed, n, dim, side, round_rows, shift, stop
+):
+    # Integer lattices of `side` values per axis hold far more rows tied at the largest distance than a round
+    # has candidates, so a round's first pick can lie outside them.
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, dim)) if side is None else rng.integers(0, side, (n, dim)).astype(float)
+    out, _ = fps_with_pair_passes(pts + shift, round_rows, **stop)
+    check_fps_against_the_loop(pts + shift, out, **stop)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(100, 300),
+    lattice=st.booleans(),
+    shift=st.sampled_from([0.0, 1e8]),
+)
+def test_fps_rounds_on_the_dense_source_equal_the_difference_form_loop_bit_for_bit(seed, n, lattice, shift):
+    # A full-rank cloud in R^17 keeps the full-width screen, whose pairs come from one Gram product per round.
+    # Blocks of 7 gathered rows split most rounds' norms into many blocks.
+    pts = np.random.default_rng(seed).standard_normal((n, 17))
+    if lattice:
+        pts = np.round(pts * 2.0) / 2.0
+    with mock.patch("scipy.spatial.cKDTree", TreeSourceOnly):
+        out, passes = fps_with_pair_passes(pts + shift)
+        blocked, _ = fps_with_pair_passes(pts + shift, block_entries=7 * 17)
+    check_fps_against_the_loop(pts + shift, out)
+    check_fps_against_the_loop(pts + shift, blocked)
+    assert 2 * passes < len(out[0])  # at most two passes of norms per round, so rounds settle several picks
+
+
+def test_fps_memory_does_not_grow_with_the_round_pairs():
+    # Row 0 and 24 rows far out on axes of their own, the rest a blob about the origin: the first round accepts
+    # the 24 far rows, and about half the blob's rows pass the screen at each of them.  Taking those pairs'
+    # norms at once would gather about 12 n x D entries; in blocks the peak stays that of the set-up.
+    pts = np.random.default_rng(5).standard_normal((1000, 256))
+    pts[0] = 0.0
+    pts[0, 24] = -100.0
+    pts[1:25] = 100.0 * np.eye(256)[:24]
+    tracemalloc.start()
+    try:
+        order, _, _ = geometry.farthest_point_ordering(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order[1:25].tolist() == list(range(1, 25))
+    assert peak < 5 * pts.nbytes
+
+
+def test_fps_tree_reach_keeps_a_move_that_ties_the_radius_within_the_centering_rounding():
+    # Row 3 is 60 degrees from row 2 about row 0, turned until its distance to row 2 rounds just below its distance
+    # to row 0: row 2's pick moves it.  Far from the rows' mean the tree's coordinates round by more than that gap,
+    # so a tree radius of the bare round radius misses the move.  One pick per round makes that radius row 2's.
+    pts = np.array([[0.0, 0.0], [28756220908.444614, 0.0], [1.1999049779393502, 0.0],
+                    [0.5999524889696752, 1.0391481930228836]])
+    out, _ = fps_with_pair_passes(pts, round_rows=1)
+    check_fps_against_the_loop(pts, out)
+    assert out[2][0].tolist() == [1, 2, 3, 3] and out[2][1].tolist() == [1, 2, 2, 3]
+
+
+def test_fps_rounds_on_a_grid_roll3_sized_roll_equal_the_difference_form_loop_bit_for_bit():
+    pts = geometry.gen_swiss_roll(2000, seed=1).points
+    queries = []
+
+    class CountingTree(cKDTree):
+        def query_ball_point(self, *args, **kwargs):
+            queries.append(1)
+            return super().query_ball_point(*args, **kwargs)
+
+    with mock.patch("scipy.spatial.cKDTree", CountingTree):
+        out, passes = fps_with_pair_passes(pts, stop_fraction=2.0**-8)
+    check_fps_against_the_loop(pts, out, stop_fraction=2.0**-8)
+    assert len(out[0]) > 1900 and 10 * len(queries) < len(out[0]) and 2 * passes < len(out[0])
 
 
 @settings(max_examples=300, deadline=None)

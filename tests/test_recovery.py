@@ -473,8 +473,9 @@ def test_swiss_roll_oracle_beats_grid():
 
 
 def test_unknown_manifold_descriptor():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError) as refused:
         recovery.nearest_point_oracle(np.zeros(3), "torus")
+    assert refused.value.name == "manifold"
 
 
 def test_line4_lhs_exact_far_from_origin():

@@ -7,8 +7,11 @@ are the benchmark's three workloads at full size (bench/workloads.py, see
 bench/README.md), each set up and run once:
 
 * grid-roll3: the ``results.csv`` its run writes, then each
-  ``relmse_sigma_*.svg`` figure, in name order;
-* roll200: the saved dictionary of its cloud, then each of its arrays and
+  ``relmse_sigma_*.svg`` figure, in name order, then the order, radii and
+  moves of ``farthest_point_ordering`` (``fps[order]``, ``fps[radii]``,
+  ``fps[moves]``) on the clean and the noisy cloud, as its builds run it;
+* roll200: the saved dictionary of its cloud, the FPS order, radii and
+  moves of its cloud (as above), then each of its arrays and
   values on its own (``dict[<name>]``: the per-scale counts, ``cell_fit``,
   ``fit_dims``, ``fit_centers``, ``fit_bases``, the separation constant,
   the root radius and the provenance), so a diff shows whether the centers
@@ -37,7 +40,12 @@ bench/README.md), each set up and run once:
   narrower than the fit table is hashed too, the
   ``gmra validate --json`` report, then each of its fields on its own
   (``validate --json[<field>]``), so a diff names the validation quantities
-  that moved, and the ``measure verify --probes`` report.
+  that moved, and the ``measure verify --probes`` report;
+* two clouds that only ``farthest_point_ordering`` sees, each hashed as
+  above: a full-rank Gaussian of 1,500 rows in R^200, whose screen keeps
+  full width and so takes the dense pair source that no workload reaches,
+  and 400 rows of a 5 x 5 integer lattice, whose exact ties outnumber a
+  round's candidates.
 
 To check that a change moves no output, run the script against each
 commit's ``src`` and compare::
@@ -62,7 +70,7 @@ import tempfile
 
 import numpy as np
 
-from manifold_cs import cli, geometry, gmra, measurement, recovery
+from manifold_cs import cli, geometry, gmra, harness, measurement, recovery
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench"))
 import workloads  # noqa: E402
@@ -120,6 +128,14 @@ def report_shas(label, report):
             yield "%s[%s]" % (label, key), sha(json.dumps(part).encode())
 
 
+def fps_shas(label, pts, **stop):
+    """(name, sha256) for the order, the radii and the moves of ``farthest_point_ordering``, one per line."""
+    order, radii, (rows, picks) = geometry.farthest_point_ordering(pts, **stop)
+    yield "%s fps[order]" % label, array_sha("order", order)
+    yield "%s fps[radii]" % label, array_sha("radii", radii)
+    yield "%s fps[moves]" % label, array_sha("moves", np.stack([rows, picks]))
+
+
 def recover_every_scale(label, matrix, dictionary, points):
     comp = matrix.apply(points)
     for j in list(range(dictionary.max_scale + 1)) + ["auto"]:
@@ -134,6 +150,11 @@ def grid_roll3(seed, tmp):
     yield "grid-roll3 results.csv", file_sha(os.path.join(out, "results.csv"))
     for name in sorted(n for n in os.listdir(out) if n.startswith("relmse_sigma_") and n.endswith(".svg")):
         yield "grid-roll3 " + name, file_sha(os.path.join(out, name))
+    config = work.config
+    base = harness.load_dataset(config.dataset)
+    for s_idx, sigma in enumerate(config.noise_sigmas):
+        cloud = geometry.add_noise(base, sigma, harness.derive_seed(config.seed, 1, s_idx))
+        yield from fps_shas("grid-roll3 sigma=%g" % sigma, cloud.points, stop_fraction=2.0 ** -max(config.scales))
 
 
 def roll200(seed, tmp):
@@ -143,6 +164,7 @@ def roll200(seed, tmp):
     path = os.path.join(tmp, "roll200.dict")
     gmra.save_dictionary(dictionary, path)
     yield "roll200 dictionary", file_sha(path)
+    yield from fps_shas("roll200", work.cloud.points, stop_fraction=2.0 ** -work.p["max_scale"])
     for name, digest in dictionary_shas(path):
         yield "roll200 dict[%s]" % name, digest
     eps, cloud = workloads.EPS, work.cloud
@@ -195,9 +217,15 @@ def cli_roll3(seed, tmp):
     yield "cli-roll3 measure verify --probes", sha(report.getvalue().encode())
 
 
+def fps_clouds(seed, tmp):
+    rng = np.random.default_rng(seed)
+    yield from fps_shas("fps gaussian n=1500 R^200", rng.standard_normal((1500, 200)), stop_fraction=2.0**-6)
+    yield from fps_shas("fps lattice 5x5", rng.integers(0, 5, (400, 2)).astype(float))
+
+
 def main():
     for seed in SEEDS:
-        for workload in (grid_roll3, roll200, cli_roll3):
+        for workload in (grid_roll3, roll200, cli_roll3, fps_clouds):
             with tempfile.TemporaryDirectory() as tmp:
                 for name, digest in workload(seed, tmp):
                     print("%d %s %s" % (seed, name, digest), flush=True)
