@@ -45,10 +45,10 @@ class BoundParams:
 
 
 def _finite(quantity, formula):
-    """formula(), unless it or a step on the way (a power, a quotient) leaves float64's range."""
+    """formula(), unless it or a step on the way (a power, a quotient, a log) leaves float64's range."""
     try:
         value = formula()
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: the log of a product rounded to 0
         value = math.nan
     if not math.isfinite(value):
         raise BoundOverflowError("%s is not a finite float64 at these parameters" % quantity)
@@ -61,8 +61,7 @@ def _cover_factor(d):
 
 def cover_bound(params, delta):
     """Upper bound on the size of a minimal delta-cover of the manifold."""
-    if params.reach is None:
-        raise ValueError("cover_bound needs reach")
+    require(params.reach is not None, "reach", None, "a finite number > 0 for cover_bound")
     require(is_number(delta) and 0 < delta < params.reach, "delta", delta, "in (0, reach) = (0, %r)" % params.reach)
     return _finite("cover_bound", lambda: params.V * _cover_factor(params.d) / delta**params.d)
 
@@ -72,10 +71,10 @@ def center_count_bound(params, j):
 
     Valid for j above both the tube scale j0 and log2(C1/reach) - 2; the
     caller is responsible for that range (j0 is checked when params carry
-    it).
+    it).  j must be an integer >= 0.
     """
-    if params.j0 is not None and j <= params.j0:
-        raise ValueError("scale j=%d not above the tube scale j0=%d" % (j, params.j0))
+    require_integer("j", j, 0)
+    require(params.j0 is None or j > params.j0, "j", j, "above the tube scale j0 = %s" % params.j0)
     return _finite("center_count_bound at j=%d" % j, lambda: (
         2.0 ** (params.d * (j + 1.5))
         / params.C1**params.d
@@ -104,8 +103,8 @@ def m_uniform(params):
     ceil(c * (d eps^-2 ln(D/(eps reach)) + d eps^-2 J + eps^-2 ln V)); grows
     logarithmically with the ambient dimension.
     """
-    if params.D is None or params.reach is None:
-        raise ValueError("m_uniform needs both D and reach")
+    require(params.D is not None, "D", None, "an integer >= 1 for m_uniform")
+    require(params.reach is not None, "reach", None, "a finite number > 0 for m_uniform")
     c = params.big_o_constant
     value = _finite("m_uniform", lambda: c * (
         params.d * params.eps**-2 * math.log(params.D / (params.eps * params.reach))
@@ -120,8 +119,8 @@ def scales_for_precision(delta, reach, constant=1.0):
 
     Substituting this J into m_nonuniform yields the alternative
     d log(d/(delta reach)) sizing; both forms are exposed rather than picking
-    one as canonical.
+    one as canonical.  delta, reach and constant must be finite numbers > 0.
     """
-    if delta <= 0 or reach <= 0:
-        raise ValueError("delta and reach must be positive")
-    return max(0, math.ceil(constant * math.log2(1.0 / (delta * reach))))
+    for name, value in (("delta", delta), ("reach", reach), ("constant", constant)):
+        require(is_number(value) and 0 < value < math.inf, name, value, "a finite number > 0")
+    return max(0, math.ceil(_finite("scales_for_precision", lambda: constant * math.log2(1.0 / (delta * reach)))))

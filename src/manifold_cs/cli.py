@@ -23,8 +23,8 @@ FLAGS = {"n": "--n", "d": "--d", "seed": "--seed", "sigma": "--sigma", "m": "--m
          "points": "--points", "manifold": "--manifold", "matrix": "--matrix", "dictionary": "--dict",
          "cloud": "--cloud", "x": "--query", "probes": "--probes"}
 # the config key that sets each library parameter `experiment run` passes on, where it is not the name itself
-CONFIG_KEYS = {"n": "dataset n", "d": "dataset d", "seed": "dataset seed", "sigma": "noise_sigmas",
-               "max_scale": "scales", "j": "scales"}
+CONFIG_KEYS = {"n": "dataset n", "d": "dataset d", "seed": "dataset seed", "generator": "dataset generator",
+               "csv": "dataset csv", "sigma": "noise_sigmas", "max_scale": "scales", "j": "scales"}
 
 
 def main(argv=None):
@@ -49,9 +49,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("generate", help="generate a synthetic point cloud as CSV")
-    p.add_argument("--kind", choices=["swiss-roll", "sphere"], required=True)
+    p.add_argument("--kind", choices=harness._GENERATORS, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2, help="intrinsic dimension (sphere only)")
+    p.add_argument("--d", type=int, default=2, help="intrinsic dimension, for a generator that takes one")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=0.0, help="noise level (0 for clean)")
     p.add_argument("--noise-seed", type=int, default=None)
@@ -79,7 +79,7 @@ def build_parser():
     me = sub.add_parser("measure", help="make or verify measurement matrices")
     msub = me.add_subparsers(dest="measure_command")
     mk = msub.add_parser("make")
-    mk.add_argument("--ensemble", choices=["gaussian", "haar-orthoprojection"], required=True)
+    mk.add_argument("--ensemble", choices=measurement.ENSEMBLES, required=True)
     mk.add_argument("--m", type=int, required=True)
     mk.add_argument("--dim", type=int, required=True)
     mk.add_argument("--seed", type=int, default=0)
@@ -104,7 +104,7 @@ def build_parser():
     r.add_argument("--points", help="CSV of the original points (enables certificates)")
     r.add_argument("--certificates", help="CSV path for per-point certificates")
     r.add_argument("--eps", type=float, default=0.3)
-    r.add_argument("--manifold", help="sphere | swiss-roll | path to a dense-cloud CSV")
+    r.add_argument("--manifold", help=" | ".join(recovery.MANIFOLDS + ("path to a dense-cloud CSV",)))
     r.set_defaults(func=cmd_recover)
 
     bo = sub.add_parser("bounds", help="print a CSV table of the closed-form bounds")
@@ -140,10 +140,7 @@ def _require(ok, flag, value, need):
 
 
 def cmd_generate(args):
-    if args.kind == "swiss-roll":
-        cloud = geometry.gen_swiss_roll(args.n, args.seed)
-    else:
-        cloud = geometry.gen_sphere(args.n, args.d, args.seed)
+    cloud = harness.load_dataset({"generator": args.kind, "n": args.n, "d": args.d, "seed": args.seed})
     if args.ambient_dim is not None:
         if args.ambient_dim < cloud.ambient_dim:
             raise SystemExit("--ambient-dim must be >= the generator's dimension")
@@ -226,10 +223,7 @@ def _finite_or_null(value):
 
 
 def cmd_measure_make(args):
-    if args.ensemble == "gaussian":
-        matrix = measurement.gaussian_matrix(args.m, args.dim, args.seed)
-    else:
-        matrix = measurement.orthoprojection_matrix(args.m, args.dim, args.seed)
+    matrix = measurement.draw_matrix(args.ensemble, args.m, args.dim, args.seed)
     measurement.save_matrix(matrix, args.out)
     print("wrote %d x %d %s matrix to %s" % (matrix.m, matrix.ambient_dim, matrix.ensemble, args.out))
 
@@ -244,18 +238,14 @@ def cmd_measure_verify(args):
         if not args.dict_path:
             raise SystemExit("--assumption-set needs --dict")
         dictionary = _read(gmra.load_dictionary, args.dict_path)
-        x = None
-        cloud = None
-        if args.assumption_set == 1:
-            if not args.query:
-                raise SystemExit("assumption set 1 needs --query")
+        # a set's missing input is refused by verify_assumption_set, by the name FLAGS maps to its flag
+        x = cloud = None
+        if args.assumption_set == 1 and args.query:
             query = _read(geometry.load_csv, args.query).points
             _require(len(query) == 1, "--query", "%s with %d rows" % (args.query, len(query)),
                      "one query point for assumption set 1")
             x = query[0]
-        else:
-            if not args.cloud:
-                raise SystemExit("assumption set 2 needs --cloud")
+        if args.assumption_set == 2 and args.cloud:
             cloud = _read(geometry.load_csv, args.cloud)
     # both checks run before the first report line, so a value either refuses ends the command with no output
     distortion = assumptions = None
@@ -275,20 +265,13 @@ def cmd_measure_verify(args):
     return 0 if all(report.passed for report in (distortion, assumptions) if report is not None) else 2
 
 
-def _scale(text):
-    """The --scale of recover as recover_batch takes it: "auto" or an integer, which recover_batch checks."""
-    if text == "auto":
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise SystemExit("--scale must be 'auto' or an integer, got %r" % text) from None
-
-
 def cmd_recover(args):
     matrix = _read(measurement.load_matrix, args.matrix)
     dictionary = _read(gmra.load_dictionary, args.dict_path)
-    scale = _scale(args.scale)
+    try:
+        scale = int(args.scale)
+    except ValueError:  # "auto", or a scale recover_batch refuses
+        scale = args.scale
     certify = bool(args.points or args.certificates)
     if certify and not (args.points and args.certificates):
         raise SystemExit("certificates need both --points and --certificates")
@@ -296,7 +279,7 @@ def cmd_recover(args):
     if certify:
         points = _read(geometry.load_csv, args.points).points
         manifold = args.manifold
-        if manifold and manifold not in ("sphere", "swiss-roll"):
+        if manifold and manifold not in recovery.MANIFOLDS:
             manifold = _read(geometry.load_csv, manifold)
         x_opt = recovery.nearest_point_oracle(points, manifold) if manifold else None
     # the library refuses a matrix, measurements, points or manifold of another shape before the first write
@@ -330,8 +313,6 @@ def cmd_bounds(args):
     deltas = _parse_grid("--deltas", args.deltas)
     _require(eps_grid, "--eps", repr(args.eps), "a nonempty list")
     _require(j_grid, "--scales", repr(args.scales), "a nonempty list")
-    if deltas and args.reach is None:
-        raise SystemExit("--deltas needs --reach")
     given = dict(d=args.d, D=args.ambient_dim, V=args.v, reach=args.reach, C1=args.c1, constant=args.constant)
     shared = dict(d=args.d, V=args.v, reach=args.reach, C1=args.c1, big_o_constant=args.constant)
     # every row is built before the header is written, so a refused value ends the command with no output

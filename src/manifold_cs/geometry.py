@@ -176,13 +176,13 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
 
     Stops at the first pick after which every point is within stop_radius of
     the selected prefix, so no pick lies past the net at that radius.
-    stop_fraction, when given, raises stop_radius to that fraction of the
-    first covering radius (the max distance from row 0).  Returns (indices,
-    covered_radius, (rows, picks)) where covered_radius[k] is the max
-    distance of any point to the first k+1 selections; every prefix of the
-    ordering is a net at its covered radius.  stop_radius must be >= 0: the
-    radius reaches 0 once every distinct point is picked, which bounds the
-    loop.
+    stop_fraction, when given, is in [0, 1] and raises stop_radius to that
+    fraction of the first covering radius (the max distance from row 0).
+    Returns (indices, covered_radius, (rows, picks)) where covered_radius[k]
+    is the max distance of any point to the first k+1 selections; every
+    prefix of the ordering is a net at its covered radius.  stop_radius must
+    be >= 0: the radius reaches 0 once every distinct point is picked, which
+    bounds the loop.
 
     (rows[e], picks[e]) says that pick picks[e] (a position in indices)
     became the strictly nearest pick of row rows[e], by the difference-form
@@ -279,8 +279,9 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     """
     if pts.shape[0] == 0:
         raise ValueError("empty cloud")
-    if not stop_radius >= 0:
-        raise ValueError("stop_radius must be >= 0, got %g" % stop_radius)
+    require(is_number(stop_radius) and stop_radius >= 0, "stop_radius", stop_radius, "a number >= 0")
+    require(stop_fraction is None or is_number(stop_fraction) and 0 <= stop_fraction <= 1, "stop_fraction",
+            stop_fraction, "None or a number in [0, 1]")
     pts = np.ascontiguousarray(pts, dtype=np.float64)
     n = len(pts)
     coords, grow = _screen_coordinates(pts - pts.mean(axis=0))

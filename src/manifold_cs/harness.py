@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import geometry, gmra, measurement, recovery
-from .errors import CsvParseError, is_number, require_integer
+from .errors import CsvParseError, is_number, require, require_integer
 from .geometry import csv_number
 from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
@@ -83,7 +83,7 @@ def rel_mse_baseline(points, dictionary):
 class ExperimentConfig:
     """Everything run_experiment needs; JSON-roundtrippable."""
 
-    dataset: dict  # {"generator": "swiss-roll"|"sphere", "n": int, "d": int} or {"csv": path}
+    dataset: dict  # the descriptor load_dataset reads
     noise_sigmas: list = field(default_factory=lambda: [0.0])
     oversampling: list = field(default_factory=lambda: [2, 4, 16])
     num_draws: int = 10
@@ -99,21 +99,17 @@ class ExperimentConfig:
     def __post_init__(self):
         # a run orders the scales and formats the noise levels, so those must be numbers; their
         # ranges, and the dataset and dictionary settings, are checked by the library calls that take them
-        for name, values, low in (
-            ("noise_sigmas", self.noise_sigmas, None),
-            ("num_draws", [self.num_draws], 1),
-            ("seed", [self.seed], 0),
-            ("scales", self.scales, None),
-            ("oversampling", self.oversampling, 1),
-        ):
-            if not isinstance(values, list) or not values:
-                raise ValueError("%s must be a nonempty list, got %r" % (name, values))
+        for name in ("noise_sigmas", "scales", "oversampling"):
+            values = getattr(self, name)
+            require(isinstance(values, list) and values, name, values, "a nonempty list")
             for v in values:
-                if not is_number(v, integer=low is not None) or low is not None and v < low:
-                    need = "numbers" if low is None else "finite integers >= %d" % low
-                    raise ValueError("%s must be %s, got %r" % (name, need, v))
-        if self.ensemble not in ("haar-orthoprojection", "gaussian"):
-            raise ValueError("unknown ensemble %r" % self.ensemble)
+                if name == "oversampling":
+                    require_integer(name, v, 1)
+                else:
+                    require(is_number(v), name, v, "numbers")
+        require_integer("num_draws", self.num_draws, 1)
+        require_integer("seed", self.seed, 0)
+        measurement._require_ensemble(self.ensemble)
 
     @classmethod
     def from_json(cls, path):
@@ -180,20 +176,32 @@ def derive_seed(master, *key):
     return int(np.random.SeedSequence(master, spawn_key=tuple(int(k) for k in key)).generate_state(1, dtype=np.uint64)[0])
 
 
+# the generators a dataset descriptor names; load_dataset is the one dispatch on them
+_GENERATORS = ("swiss-roll", "sphere")
+
+
 def load_dataset(descriptor):
-    """Materialize the configured base cloud (generator or CSV)."""
+    """The base cloud a dataset descriptor names, generated or read from CSV.
+
+    The descriptor is {"generator": "swiss-roll", "n": n} or {"generator": "sphere", "n": n, "d": d}, each
+    with an optional "seed" (default 0), or {"csv": path} with an optional "label".  A descriptor that is not
+    an object ("dataset"), a missing or unknown generator, a csv that is not a path string and a missing or
+    refused n, d or seed each raise a ParameterError naming the key.
+    """
+    require(isinstance(descriptor, dict), "dataset", descriptor, 'an object: {"generator": ...} or {"csv": path}')
     if "csv" in descriptor:
         path = descriptor["csv"]
+        require(isinstance(path, str), "csv", path, "a file path string")
         try:
             return geometry.load_csv(path, label=descriptor.get("label", "csv"))
         except CsvParseError as exc:
             raise CsvParseError("%s: %s" % (path, exc), row=exc.row) from None
     gen = descriptor.get("generator")
+    require(gen in _GENERATORS, "generator", gen, "one of %s" % ", ".join(map(repr, _GENERATORS)))
+    n, seed = descriptor.get("n"), descriptor.get("seed", 0)
     if gen == "swiss-roll":
-        return geometry.gen_swiss_roll(descriptor["n"], descriptor.get("seed", 0))
-    if gen == "sphere":
-        return geometry.gen_sphere(descriptor["n"], descriptor["d"], descriptor.get("seed", 0))
-    raise ValueError("dataset needs a csv path or a known generator, got %r" % (descriptor,))
+        return geometry.gen_swiss_roll(n, seed)
+    return geometry.gen_sphere(n, descriptor.get("d"), seed)
 
 
 def run_experiment(config):
@@ -237,10 +245,7 @@ def run_experiment(config):
                     # within a draw see the same projection
                     seed = derive_seed(config.seed, 2, s_idx, f, draw, m)
                     if seed not in drawn:
-                        if config.ensemble == "haar-orthoprojection":
-                            matrix = measurement.orthoprojection_matrix(m, dim, seed)
-                        else:
-                            matrix = measurement.gaussian_matrix(m, dim, seed)
+                        matrix = measurement.draw_matrix(config.ensemble, m, dim, seed)
                         drawn[seed] = matrix, matrix.apply(cloud.points)
                     matrix, comp = drawn[seed]
                     t0 = time.perf_counter()

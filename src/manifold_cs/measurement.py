@@ -1,12 +1,13 @@
 """Random measurement matrices and empirical near-isometry certification.
 
-Two ensembles are provided.  Gaussian matrices carry i.i.d. N(0, 1/m)
-entries so that E||Mv||^2 = ||v||^2; Haar orthoprojections are the first m
-rows of a Haar-random orthogonal matrix scaled by sqrt(D/m), which share the
-same normalization.  Verification is empirical and exact on the probe sets
-it is handed: pairwise distortion, restricted isometry by support
-enumeration, and the item-by-item assumption checks used by the recovery
-guarantees.
+Two ensembles are provided, named in ``ENSEMBLES`` and drawn by name by
+``draw_matrix``, the one dispatch on the names.  Gaussian matrices carry
+i.i.d. N(0, 1/m) entries so that E||Mv||^2 = ||v||^2; Haar orthoprojections
+are the first m rows of a Haar-random orthogonal matrix scaled by
+sqrt(D/m), which share the same normalization.  Verification is empirical
+and exact on the probe sets it is handed: pairwise distortion, restricted
+isometry by support enumeration, and the item-by-item assumption checks
+used by the recovery guarantees.
 
 Every fit's M B^T is formed and solved in one stacked SVD per matrix,
 dictionary and width (``_fit_solves``), which recovery reads at the searched
@@ -35,6 +36,8 @@ from .gmra import _BLOCK_ENTRIES, _off_plane_blocks, plane_coeffs, plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 2
+# the measurement ensembles, by the name a matrix carries; draw_matrix draws each
+ENSEMBLES = ("gaussian", "haar-orthoprojection")
 ORTHO_ROW_TOL = 1e-10
 SVD_TRUNCATION = 1e-10
 
@@ -58,8 +61,7 @@ class MeasurementMatrix:
             raise ValueError("entries must be a nonempty m x D matrix")
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix contains non-finite entries")
-        if self.ensemble not in ("gaussian", "haar-orthoprojection"):
-            raise ValueError("unknown ensemble %r" % self.ensemble)
+        _require_ensemble(self.ensemble)
         if self.ensemble == "haar-orthoprojection":
             m, dim = entries.shape
             gram = entries @ entries.T
@@ -79,6 +81,17 @@ class MeasurementMatrix:
     def apply(self, vectors):
         """Compress one D-vector or a block of row vectors."""
         return np.asarray(vectors, dtype=np.float64) @ self.entries.T
+
+
+def _require_ensemble(ensemble):
+    """ParameterError unless ensemble is one of ENSEMBLES."""
+    require(ensemble in ENSEMBLES, "ensemble", ensemble, "one of %s" % ", ".join(map(repr, ENSEMBLES)))
+
+
+def draw_matrix(ensemble, m, dim, seed):
+    """The named ensemble's m x dim matrix drawn from seed, by the module's draw function looked up at call time."""
+    _require_ensemble(ensemble)
+    return (gaussian_matrix if ensemble == "gaussian" else orthoprojection_matrix)(m, dim, seed)
 
 
 def gaussian_matrix(m, dim, seed):

@@ -34,6 +34,8 @@ from .gmra import _nearest_rows, affine_rows, nearest_center, plane_coeffs  # no
 from .measurement import _fit_solves, e_m_bound
 
 STABLE_RECOVERY_CONSTANT = 100.3
+# the manifolds nearest_point_oracle knows by name; any other is given as a PointCloud
+MANIFOLDS = ("sphere", "swiss-roll")
 
 
 @dataclass
@@ -140,9 +142,7 @@ def recover_batch(measurements, matrix, dictionary, j):
     require_shape("matrix", matrix.entries, "m", dictionary.ambient_dim)
     y = np.asarray(measurements, dtype=np.float64)
     require_shape("measurements", y, "n", matrix.m)
-    bad = np.nonzero(~np.isfinite(y).all(axis=1))[0]
-    if bad.size:
-        raise ValueError("measurement row %d is not finite" % bad[0])
+    require_finite("measurements", y)
     auto = isinstance(j, str) and j == "auto"
     scale = dictionary.max_scale if auto else j
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
@@ -207,8 +207,8 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
         require_finite("x_opt", x_opt)
     searched, cells = batch.searched_scale, batch.chosen_centers
     layer = dictionary.centers(searched)
-    if np.any((cells < 0) | (cells >= len(layer))):
-        raise ValueError("a chosen center lies outside its scale")
+    outside = cells[(cells < 0) | (cells >= len(layer))].tolist()
+    require(not outside, "batch", outside, "a recovery with no chosen center outside its scale (0 to %d)" % (len(layer) - 1))
     fits = dictionary.cell_fits(searched)[cells]
     rel = x - dictionary.fit_centers[fits]
     coeffs = plane_coeffs(dictionary, fits, rel)
@@ -249,8 +249,8 @@ def nearest_point_oracle(x, manifold):
     """Nearest point on a known manifold: the benchmark recovery is judged by.
 
     x is a D-vector or an n x D block (one nearest point per row).  manifold
-    is "sphere" (the unit sphere of R^D), "swiss-roll" (which needs D = 3),
-    or a PointCloud in R^D (exact nearest sample).
+    is one of MANIFOLDS, "sphere" (the unit sphere of R^D) or "swiss-roll"
+    (which needs D = 3), or a PointCloud in R^D (exact nearest sample).
     """
     x = np.asarray(x, dtype=np.float64)
     require_finite("x", x)
@@ -267,7 +267,7 @@ def nearest_point_oracle(x, manifold):
         require(rows.shape[1] == 3, "manifold", manifold, "a manifold in the points' R^%d" % rows.shape[1])
         out = _nearest_on_swiss_roll(rows)
     else:
-        raise ParameterError("manifold", '"sphere", "swiss-roll" or a PointCloud', manifold)
+        raise ParameterError("manifold", "%s or a PointCloud" % ", ".join('"%s"' % name for name in MANIFOLDS), manifold)
     return out if x.ndim == 2 else out[0]
 
 

@@ -237,8 +237,9 @@ def test_bounds_refuses_a_bad_value_in_one_line_before_any_output(capsys, extra)
     with pytest.raises(SystemExit) as exc:
         run_cli("bounds", *[tok for pair in argv.items() for tok in pair])
     message = exc.value.code
-    # the message names the last flag given, the one whose value is refused
-    assert isinstance(message, str) and "\n" not in message and extra[-2] in message
+    # the message names the flag whose value is refused: the last one given, or --reach, which a cover row needs
+    flag = "--reach" if extra[-2] == "--deltas" and "--reach" not in extra else extra[-2]
+    assert isinstance(message, str) and "\n" not in message and message.startswith(flag + " must be ")
     assert capsys.readouterr().out == ""
 
 
@@ -431,8 +432,8 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
      "--noise-seed"),
     (["measure", "make", "--ensemble", "gaussian", "--m", "2", "--dim", "3", "--seed", "-1", "--out", "out.mtx"],
      "--seed"),
-    (["experiment", "run", "--config", "negseed.json"], "negseed.json: seed must be finite integers >= 0, got -1"),
-    (["experiment", "run", "--config", "fracseed.json"], "fracseed.json: seed must be finite integers >= 0, got 1.5"),
+    (["experiment", "run", "--config", "negseed.json"], "negseed.json: seed must be an integer >= 0, got -1"),
+    (["experiment", "run", "--config", "fracseed.json"], "fracseed.json: seed must be an integer >= 0, got 1.5"),
     (["experiment", "run", "--config", "dataseed.json"], "dataseed.json: dataset seed must be an integer >= 0, got -2"),
     # non-finite and fractional values, refused by the library call that takes them and reported by flag or key
     (["generate", "--kind", "swiss-roll", "--n", "5", "--sigma", "inf", "--out", "out.csv"], "--sigma"),
@@ -456,6 +457,11 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
     # a noise level whose noisy cloud is past float64's squared distances
     (["generate", "--kind", "swiss-roll", "--n", "5", "--sigma", "1e300", "--out", "out.csv"], "--sigma"),
     (["experiment", "run", "--config", "bigsigma.json"], "bigsigma.json: noise_sigmas must be small enough"),
+    # an input an assumption set needs, refused by the library by the name of the flag that gives it
+    (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "1"],
+     "--query must be a query point"),
+    (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "2"],
+     "--cloud must be a PointCloud"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)
@@ -482,6 +488,28 @@ def test_removed_options_are_refused(tmp_path, capsys):
         with pytest.raises(SystemExit):
             run_cli(*argv)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, cause", [
+    ({"dataset": {"generator": "sphere", "n": 50}}, "dataset d must be an integer >= 1, got None"),
+    ({"dataset": {"generator": "swiss-roll"}}, "dataset n must be an integer >= 1, got None"),
+    ({"dataset": "roll.csv"}, "dataset must be an object: {\"generator\": ...} or {\"csv\": path}, got 'roll.csv'"),
+    ({"dataset": {"generator": "torus", "n": 50}},
+     "dataset generator must be one of 'swiss-roll', 'sphere', got 'torus'"),
+    ({"dataset": {"n": 50}}, "dataset generator must be one of 'swiss-roll', 'sphere', got None"),
+    # 7 would be opened as a file descriptor (and 0 would read standard input)
+    ({"dataset": {"csv": 7}}, "dataset csv must be a file path string, got 7"),
+    ({"ensemble": "fourier"}, "ensemble must be one of 'gaussian', 'haar-orthoprojection', got 'fourier'"),
+])
+def test_experiment_run_refuses_a_hostile_config_in_one_line_before_any_output(tmp_path, capsys, change, cause):
+    config = {"dataset": {"generator": "swiss-roll", "n": 200}, "scales": [0], "output_dir": str(tmp_path / "out"),
+              "local_dim": 2, "num_draws": 1} | change
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("experiment", "run", "--config", tmp_path / "config.json")
+    assert exc.value.code == "experiment run: %s: %s" % (tmp_path / "config.json", cause)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("key", ["local_dim", "max_local_dim"])

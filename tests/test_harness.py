@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from manifold_cs import geometry, gmra, harness
-from manifold_cs.errors import CsvParseError
+from manifold_cs.errors import CsvParseError, ParameterError
 from manifold_cs.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, _FLOOR, render_curves
 
 
@@ -476,8 +476,12 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_load_dataset_validates_descriptor():
-    with pytest.raises(ValueError):
-        harness.load_dataset({"generator": "torus", "n": 5})
+    for descriptor, name in (({"generator": "torus", "n": 5}, "generator"), ({"n": 5}, "generator"),
+                             ({"generator": "sphere", "n": 5}, "d"), ({"generator": "swiss-roll"}, "n"),
+                             ({"csv": 7}, "csv"), ({"csv": None}, "csv"), ("roll.csv", "dataset"), ([], "dataset")):
+        with pytest.raises(ParameterError) as exc:
+            harness.load_dataset(descriptor)
+        assert exc.value.name == name
 
 
 def reference_write_table(path, columns, rows):

@@ -76,6 +76,17 @@ def cases(world):
                               bad_reals(lambda v: 0 < v < 0.5)),
         "cover_bound delta": (lambda v: bounds.cover_bound(bounds.BoundParams(**params), v), "delta",
                               bad_reals(lambda v: 0 < v < 1.0)),
+        "center_count_bound j": (lambda v: bounds.center_count_bound(bounds.BoundParams(**params), v), "j",
+                                 bad_integers(2)),  # j0 = 1
+        "scales_for_precision delta": (lambda v: bounds.scales_for_precision(v, 1.0), "delta", bad_reals(positive)),
+        "scales_for_precision reach": (lambda v: bounds.scales_for_precision(0.1, v), "reach", bad_reals(positive)),
+        "scales_for_precision constant": (lambda v: bounds.scales_for_precision(0.1, 1.0, v), "constant",
+                                          bad_reals(positive)),
+        "farthest_point_ordering stop_radius": (lambda v: geometry.farthest_point_ordering(pts[:3], stop_radius=v),
+                                                "stop_radius", bad_reals(lambda v: v >= 0)),
+        "farthest_point_ordering stop_fraction": (lambda v: geometry.farthest_point_ordering(pts[:3], stop_fraction=v),
+                                                  "stop_fraction",
+                                                  bad_reals(lambda v: 0 <= v <= 1).filter(lambda v: v is not None)),
         "cell_fits j": (dictionary.cell_fits, "j", bad_integers(0, 3)),
         "project_at_scale j": (lambda v: gmra.project_at_scale(dictionary, v, pts), "j", bad_integers(0, 3)),
         "nearest_center j": (lambda v: gmra.nearest_center(dictionary, v, x), "j", bad_integers(0, 3)),
@@ -164,6 +175,20 @@ def test_numpy_integers_pass_wherever_python_integers_do():
       for b in (0, -3, 1.5, True)),
     # a nan eps passed every matrix
     (lambda c: measurement.rip_check_bruteforce(WORLD[2], 2, math.nan), "eps"),
+    # a NaN stop radius raised a ValueError with no name; -0.5 and NaN fractions ran to radius 0
+    (lambda c: geometry.farthest_point_ordering(c.points[:3], stop_radius=math.nan), "stop_radius"),
+    (lambda c: geometry.farthest_point_ordering(c.points[:3], stop_fraction=-0.5), "stop_fraction"),
+    (lambda c: geometry.farthest_point_ordering(c.points[:3], stop_fraction=math.nan), "stop_fraction"),
+    # a NaN or infinite input crashed in math.ceil or math.log2; a negative or fractional scale got a bound
+    (lambda c: bounds.scales_for_precision(math.nan, 1.0), "delta"),
+    (lambda c: bounds.scales_for_precision(0.1, math.inf), "reach"),
+    (lambda c: bounds.scales_for_precision(0.1, 1.0, math.nan), "constant"),
+    (lambda c: bounds.center_count_bound(bounds.BoundParams(d=2, V=1.0), -3), "j"),
+    (lambda c: bounds.center_count_bound(bounds.BoundParams(d=2, V=1.0), 1.5), "j"),
+    # a bound that needs a parameter left out names it
+    (lambda c: bounds.cover_bound(bounds.BoundParams(d=2, V=1.0), 0.1), "reach"),
+    (lambda c: bounds.m_uniform(bounds.BoundParams(d=2, V=1.0, reach=1.0)), "D"),
+    (lambda c: bounds.m_uniform(bounds.BoundParams(d=2, V=1.0, D=3)), "reach"),
 ])
 def test_hostile_values_that_used_to_slip_through_are_refused(call, name):
     with pytest.raises(ParameterError) as exc:
@@ -315,6 +340,8 @@ def finite_cases(world):
         "nearest_point_oracle cloud": (lambda v: recovery.nearest_point_oracle(v, cloud), "x", pts[:20]),
         "verify_assumption_set x": (lambda v: measurement.verify_assumption_set(matrix, dictionary, x=v), "x", x),
         "verify_distortion probes": (lambda v: measurement.verify_distortion(matrix, v, 0.3), "probes", pts[:20]),
+        "recover_batch measurements": (lambda v: recovery.recover_batch(v, matrix, dictionary, 2), "measurements",
+                                       meas[:20]),
     }
 
 

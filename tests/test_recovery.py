@@ -287,9 +287,9 @@ def test_recover_batch_refuses_non_finite_measurements(swiss_dict):
     comp = M.apply(np.ones((6, 3)))
     comp[4, 0] = np.inf
     comp[3, 2] = np.nan
-    with pytest.raises(ValueError, match="measurement row 3 is not finite"):
+    with pytest.raises(ValueError, match="^measurements must be finite in row 3, got nan$"):
         recovery.recover_batch(comp, M, swiss_dict, 2)
-    with pytest.raises(ValueError, match="measurement row 0 is not finite"):
+    with pytest.raises(ValueError, match="^measurements must be finite in row 0, got inf$"):
         recovery.recover(comp[4], M, swiss_dict, "auto")
 
 
@@ -431,7 +431,7 @@ def test_certify_rejects_a_center_outside_its_scale(circle_dict):
     out = recovery.recover(M.apply(x), M, circle_dict, 2)
     for k in (-1, len(circle_dict.centers(2))):
         out.chosen_center = k
-        with pytest.raises(ValueError, match="outside its scale"):
+        with pytest.raises(ParameterError, match=r"^batch must be .*outside its scale .*, got \[%d\]$" % k):
             recovery.certify(x, M, circle_dict, out, eps=0.3)
 
 

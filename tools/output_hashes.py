@@ -25,7 +25,7 @@ bench/README.md), each set up and run once:
   projections behind the per-scale mean errors span many of
   ``gmra.affine_rows``' row blocks;
 * cli-roll3: the ``train.csv`` and ``query.csv`` that ``generate`` writes,
-  the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
+  the ``M.mtx`` that ``measure make`` writes, the ``meas.csv`` staged through ``geometry.save_csv``, the ``roll.dict``,
   ``recon.csv``, ``recon_auto.csv`` and ``cert.csv`` its CLI chain writes,
   then each array of ``roll.dict`` on its own (``roll.dict[<name>]``, as
   for roll200) and each column of ``cert.csv`` on its own
@@ -186,7 +186,7 @@ def cli_roll3(seed, tmp):
     work = workloads.CliRoll3(seed, "full", tmp, {})
     work.setup()
     work.iteration(workloads.OpLog())
-    for name in ("train.csv", "query.csv", "meas.csv", "roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
+    for name in ("train.csv", "query.csv", "M.mtx", "meas.csv", "roll.dict", "recon.csv", "recon_auto.csv", "cert.csv"):
         yield "cli-roll3 " + name, file_sha(work.path(name))
     for name, digest in dictionary_shas(work.path("roll.dict")):
         yield "cli-roll3 roll.dict[%s]" % name, digest
