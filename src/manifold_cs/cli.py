@@ -12,14 +12,14 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import geometry, gmra, harness, measurement, recovery
-from .errors import BoundOverflowError, CsvParseError, FileFormatError, ParameterError, TooFewPointsError
+from .errors import BoundOverflowError, CsvParseError, FileFormatError, ParameterError, TooFewPointsError, require_integer
 
 # the flag that sets each library parameter, or names the file of each library array, a command passes on
 FLAGS = {"n": "--n", "d": "--d", "seed": "--seed", "sigma": "--sigma", "m": "--m", "dim": "--dim",
          "max_scale": "--max-scale", "local_dim": "--local-dim", "max_local_dim": "--max-local-dim",
          "energy_threshold": "--energy", "min_points": "--min-points", "eps": "--eps", "j": "--scale",
-         "V": "--v", "reach": "--reach", "D": "--ambient-dim", "J": "--scales", "C1": "--c1",
-         "big_o_constant": "--constant", "delta": "--deltas", "measurements": "--measurements",
+         "V": "--v", "reach": "--reach", "D": "--ambient-dim", "ambient_dim": "--ambient-dim", "J": "--scales",
+         "C1": "--c1", "big_o_constant": "--constant", "delta": "--deltas", "measurements": "--measurements",
          "points": "--points", "manifold": "--manifold", "matrix": "--matrix", "dictionary": "--dict",
          "cloud": "--cloud", "x": "--query", "probes": "--probes"}
 # the config key that sets each library parameter `experiment run` passes on, where it is not the name itself
@@ -147,11 +147,10 @@ def _require(ok, flag, value, need):
 def cmd_generate(args):
     cloud = harness.load_dataset({"generator": args.kind, "n": args.n, "d": args.d, "seed": args.seed})
     if args.ambient_dim is not None:
-        if args.ambient_dim < cloud.ambient_dim:
-            raise SystemExit("--ambient-dim must be >= the generator's dimension")
-        padded = np.zeros((cloud.n, args.ambient_dim))
+        dim = require_integer("ambient_dim", args.ambient_dim, cloud.ambient_dim)
+        padded = np.zeros((cloud.n, dim))
         padded[:, : cloud.ambient_dim] = cloud.points
-        cloud = geometry.PointCloud(padded, args.ambient_dim, cloud.label)
+        cloud = geometry.PointCloud(padded, dim, cloud.label)
     try:
         cloud = geometry.add_noise(cloud, args.sigma, args.seed if args.noise_seed is None else args.noise_seed)
     except ParameterError as exc:  # the generator has taken --seed, so a seed refused here is --noise-seed

@@ -43,9 +43,9 @@ _FPS_ROUND_ROWS = 24
 # 0.51 of the Gram product's time on a 2,000-point roll in R^3, 0.88 on the padded roll (its 9-coordinate
 # low-rank screen), and 3.0 and 11 times it on full-rank Gaussians in R^17 (2,000 rows) and R^200 (1,500 rows).
 _FPS_TREE_MAX_COLS = _SCREEN_RANK + 1
-# FPS takes its difference-form norms this many gathered entries at a time, so a round of many row-pick
-# pairs in high D makes no (pairs x D) temporary.
-_PAIR_BLOCK_ENTRIES = 1 << 15
+# Every blocked pass (FPS's pair norms, the nearest-row scan, the fit-table passes of gmra and measurement)
+# keeps each temporary near this many float64 entries (256 KB), so it stays in cache.
+_BLOCK_ENTRIES = 1 << 15
 # load_csv and save_csv convert this many lines per bulk step, so a file is never held as one string.
 _CSV_BLOCK_LINES = 4096
 
@@ -197,7 +197,7 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     recomputed; a Gram screen finds them.  Let r = x - c for the
     rows' mean c, u the float64 machine epsilon and t the smallest subnormal.
     The product runs on screen coordinates z, with s = ||z||^2, and a row is
-    skipped when its computed Gram value
+    skipped when its Gram value from ``gram_sq_dists``
 
         g = s_x + s_p - 2 <z_x, z_p>  >  dist^2 (1 + 1e-9) + G (u (s_x + s_p) + t).
 
@@ -230,11 +230,11 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
 
     Either way a skipped row's computed sum of squares is above
     dist^2 (1 + 1e-9) (1 - (D + 2) u) >= dist^2 for D below 10^6, so its
-    computed norm is >= dist and np.minimum would have kept dist.  A NaN g
-    (on overflow) is never skipped.  The rows are C-contiguous, so a gathered
-    row's norm sums its squares in the same order as a full-width one.  The
-    indices, radii and moves are therefore bit for bit those of the loop
-    that recomputes every row's difference-form norm at every pick: a
+    computed norm is >= dist and np.minimum would have kept dist.  A NaN (on
+    overflow) or clipped g is never skipped.  The rows are C-contiguous, so a
+    gathered row's norm sums its squares in the same order as a full-width
+    one.  The indices, radii and moves are therefore bit for bit those of the
+    loop that recomputes every row's difference-form norm at every pick: a
     skipped row is not strictly nearer the pick, so it has no move there.
 
     Rounds.  The picks are settled in rounds of one pass over the rows each.
@@ -272,7 +272,7 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
 
     The tree's pruning pays in few coordinates and the Gram product's
     blocked arithmetic in many (see _FPS_TREE_MAX_COLS).  The pairs' norms
-    are taken _PAIR_BLOCK_ENTRIES gathered entries at a time, so a round
+    are taken _BLOCK_ENTRIES gathered entries at a time, so a round
     whose picks pass many rows in high D makes no pairs x D temporary.  So
     a round costs a few dozen numpy calls for up to _FPS_ROUND_ROWS picks,
     where the loop paid them per pick.
@@ -313,7 +313,7 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
         round_picks = [nxt]
         if start > cut:  # so nxt is a candidate; replay the picks whose radius stays above cut
             top_sq, top_coords = sq[top], coords[top]
-            gram = top_sq[:, None] - 2.0 * (top_coords @ top_coords.T) + top_sq
+            gram = gram_sq_dists(top_coords, top_sq, top_coords, top_sq)
             a, b = np.nonzero(~(gram > limit[top, None] + grow * eps * top_sq))
             near = np.full((width, width), np.inf)  # near[p, x]: candidate x's distance to candidate p
             near[b, a] = _pair_norms(pts, top[a], top[b])
@@ -339,7 +339,7 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
             keep = ~(gram > limit[rows] + grow * eps * pick_sq[at])
             rows, at = rows[keep], at[keep]
         else:
-            gram = sq[:, None] - 2.0 * (coords @ pick_coords.T) + pick_sq
+            gram = gram_sq_dists(coords, sq, pick_coords, pick_sq)
             rows, at = np.nonzero(~(gram > limit[:, None] + grow * eps * pick_sq))
         # each touched row's running distance through the round's picks; it moves where it strictly drops
         touched, slot = np.unique(rows, return_inverse=True)
@@ -359,10 +359,16 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     return np.array(order, dtype=np.intp), np.array(radii), moves
 
 
+def gram_sq_dists(a, a_sq, b, b_sq):
+    """Squared distances between the rows of a and b, of squared norms a_sq and b_sq, by Gram expansion clipped at 0."""
+    d2 = a_sq[:, None] + b_sq - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _pair_norms(pts, rows, cols):
-    """np.linalg.norm(pts[rows] - pts[cols], axis=1), bit for bit, taken _PAIR_BLOCK_ENTRIES entries at a time."""
+    """np.linalg.norm(pts[rows] - pts[cols], axis=1), bit for bit, taken _BLOCK_ENTRIES entries at a time."""
     out = np.empty(len(rows))
-    step = max(1, _PAIR_BLOCK_ENTRIES // max(1, pts.shape[1]))
+    step = max(1, _BLOCK_ENTRIES // max(1, pts.shape[1]))
     for lo in range(0, len(rows), step):
         out[lo : lo + step] = np.linalg.norm(pts[rows[lo : lo + step]] - pts[cols[lo : lo + step]], axis=1)
     return out

@@ -46,8 +46,9 @@ Construction details that matter for the invariants:
   blocked argmin ``_nearest_rows``: the orphans' above, the separation and
   parent checks on centers, ``nearest_center``, ``project_at_scale``,
   recovery's compressed-center search and nearest-point oracles, the
-  tube-scale estimate and the near-center constants.  The kernel is a Gram
-  expansion in coordinates centered on the mean of the searched rows, so
+  tube-scale estimate and the near-center constants.  The kernel is the
+  Gram expansion ``geometry.gram_sq_dists``, which FPS's screens call too,
+  here in coordinates centered on the mean of the searched rows, so
   rounding scales with the cloud's spread, not its offset (a cloud shifted
   by 1e8 builds the same cells).  For many queries over many rows of few
   coordinates a k-d tree prunes the search: it settles each query whose
@@ -56,6 +57,9 @@ Construction details that matter for the invariants:
   on a near-tie within the kernel's rounding can a query's answer depend on
   the other queries of the call: BLAS may round a 1-row product differently
   from a block's.
+* Every blocked pass, the scan above and the passes over the fit table
+  here and in ``measurement``, sizes its blocks from one budget,
+  ``geometry._BLOCK_ENTRIES``: 2^15 float64 entries per temporary.
 """
 
 import hashlib
@@ -64,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FileFormatError, TooFewPointsError, is_number, require, require_finite, require_integer, require_shape
-from .geometry import farthest_point_ordering
+from .geometry import _BLOCK_ENTRIES, farthest_point_ordering, gram_sq_dists
 from .storage import DICT_MAGIC, read_container, write_container
 
 DICT_FORMAT_VERSION = 4
@@ -246,12 +250,10 @@ def _cell_fit(points, mode):
     return mean, vt[: min(d, vt.shape[0])]
 
 
-# Blocked scans keep each temporary near this many float64 entries (2 MB).
-_BLOCK_ENTRIES = 1 << 18
 # A search of at least this many query-row pairs, over at least this many rows of at most
 # this many coordinates, asks a k-d tree first; ``_nearest_rows`` gives the measured crossover.
 _TREE_MIN_PAIRS = 1 << 17
-_TREE_MIN_ROWS = 64
+_TREE_MIN_ROWS = 192
 _TREE_MAX_DIM = 8
 
 
@@ -264,8 +266,7 @@ def _centered(b):
 
 def _sq_dists_centered(a, ref, b_rel, b_sq):
     a_rel = a - ref
-    d2 = np.einsum("ij,ij->i", a_rel, a_rel)[:, None] + b_sq[None, :] - 2.0 * (a_rel @ b_rel.T)
-    return np.maximum(d2, 0.0, out=d2)
+    return gram_sq_dists(a_rel, np.einsum("ij,ij->i", a_rel, a_rel), b_rel, b_sq)
 
 
 def sq_dists(a, b):
@@ -312,28 +313,30 @@ def _nearest_rows(a, b):
     cloud shifted by 1e8.  A row whose slack is not finite is left open.
 
     Where the tree pays (2 cores, OpenBLAS on 1 thread; milliseconds per
-    call, scan / tree; swiss-roll queries against well-spread roll points,
-    D = 3 unless said).  The tree's cost has a floor per call: one query
-    against K = 64-2,000 rows costs 0.03-0.12 by the scan and 0.11-0.84 by
-    the tree.  The scan's cost follows its len(a) * K kernel entries: below
-    about 2^17 of them it is fast (2,000 queries, K = 32: 0.49 / 1.21; 64
-    queries, K = 1,000: 0.38 / 0.54), past about 2^18 its temporaries leave
-    the cache and it slows 2-3 times (2,000 queries, K = 128: 3.1-3.3 / 1.6,
-    K = 400: 10.0 / 1.8-2.2; 256 queries, K = 1,000: 3.0 / 0.7; 20,000
-    queries, K = 64: 15.4-16.0 / 13.4-13.5, K = 128: 31.6 / 13.5-15.4;
-    D = 8, 20,000 queries, K = 64: 14.2 / 12.9), and between the two it
-    varies from process to process with the allocator's state (2,000
-    queries, K = 96: 0.96-1.00 / 1.47-1.51 in two, 2.5 / 1.6 in a third;
-    1,000 queries, K = 192: 0.86-0.95 / 0.92-0.98).  There the tree is at
-    worst 1.6 times slower and the scan 2.6 times, so the tree starts at
-    2^17.  Below 64 rows the tree loses at any size (20,000 queries,
-    K = 32: 8.2 / 9.6).
-    Wide rows favour the scan: the roll in R^200 measured by a Haar m = 8
-    matrix (1,500 queries, K = 87-169) comes out about even, by a Gaussian
-    m = 32 one 0.75-1.39 / 1.44-1.88.  So the tree takes calls of at least
-    2^17 query-row pairs over K >= 64 rows of D <= 8 coordinates, and the
-    scan stays the exact evaluator for near-ties, for few queries, for few
-    rows and for wide ones.
+    call, scan / tree, over up to five runs that interleave the two;
+    swiss-roll queries against well-spread roll points, D = 3 unless said).
+    The tree's cost has a floor per call: one query against K = 64-2,000
+    rows costs 0.02-0.14 by the scan and 0.08-0.88 by the tree.  The scan's
+    blocks of _BLOCK_ENTRIES kernel entries stay in cache, so its cost
+    follows its len(a) * K entries, while the tree's grows with K only as
+    its depth.  Below about K = 192 the scan wins at any query count
+    (2,000 queries, K = 32: 0.41-0.47 / 0.95-1.39, K = 64: 0.62-0.86 /
+    1.04-1.93, K = 105: 0.97-1.42 / 1.21-2.16, K = 128: 1.01-1.39 /
+    1.22-2.17; 20,000 queries, K = 64: 5.9-8.5 / 11.1-17.1, K = 128:
+    12.9-14.4 / 18.8; D = 8, 20,000 queries, K = 64: 7.0-8.8 / 14.8-22.8);
+    about there the two meet (1,000 queries, K = 192: 0.77-1.09 /
+    0.70-1.32; 2,000 queries, K = 225: 1.72-2.55 / 1.40-2.48; 20,000
+    queries, K = 256: 23.7 / 21.2), and past it the tree wins (2,000
+    queries, K = 400: 3.1-3.9 / 1.5-2.2; 256 queries, K = 1,000: 1.3-1.4 /
+    0.8; the roll in R^200 measured by a Haar m = 8 matrix, 1,500 queries,
+    K = 259: 1.7-2.7 / 1.4-2.5, K = 349: 2.3-3.7 / 1.5-2.6) unless the
+    queries are few (64 queries, K = 1,000: 0.31-0.39 / 0.41-0.57).  Wider
+    rows favour the scan, which already won at D = 32 when its blocks were
+    eight times larger and it ran two to four times slower (2,000
+    queries, K = 128: 3.8, K = 400: 11.6).  So the tree takes calls of at
+    least 2^17 query-row pairs over K >= 192 rows of D <= 8 coordinates,
+    and the scan stays the exact evaluator for near-ties, for few queries,
+    for few rows and for wide ones.
     """
     terms = ref, b_rel, b_sq = _centered(b)
     dim = b.shape[1]
@@ -525,10 +528,6 @@ def plane_rows(dictionary, fits, coeffs):
     return rows
 
 
-# ``affine_rows`` writes this many output entries per block: its two buffers then stay in cache.
-_AFFINE_BLOCK_ENTRIES = 1 << 15
-
-
 def affine_rows(dictionary, fits, coeffs):
     """Row i is coeffs[i] @ B + c, for the fit (c, B) of fit-table row fits[i]; n x D.
 
@@ -544,7 +543,7 @@ def affine_rows(dictionary, fits, coeffs):
     table, dim = bases.reshape(-1, bases.shape[2]), bases.shape[2]
     first = fits * bases.shape[1]  # row of each fit's first basis row in table
     out = np.empty((len(fits), dim))
-    step = max(1, _AFFINE_BLOCK_ENTRIES // dim)
+    step = max(1, _BLOCK_ENTRIES // dim)
     buf = np.empty((min(step, len(fits)), dim))
     # every index is a table row, so mode="clip" only spares take the buffering of its bounds check
     for lo in range(0, len(fits), step):
@@ -799,8 +798,7 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
     every = np.arange(len(dictionary.fit_centers))
-    # the helpers hold a few temporaries of a block's size: a quarter block keeps them in cache
-    block = max(1, _BLOCK_ENTRIES // (4 * pts.size))
+    block = max(1, _BLOCK_ENTRIES // pts.size)
     resid = []
     for fits in (every[lo : lo + block] for lo in range(0, len(every), block)):
         rel = pts - dictionary.fit_centers[fits, None]
@@ -811,7 +809,7 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)
         floor = dictionary.sep_constant * 2.0 ** (-j - 1)
-        block = max(1, _BLOCK_ENTRIES // centers.size)
+        block = max(1, _BLOCK_ENTRIES // len(centers))
         for lo in range(0, len(pts), block):
             dists = np.sqrt(sq_dists(pts[lo : lo + block], centers))
             base = np.maximum(dists.min(axis=1), floor)

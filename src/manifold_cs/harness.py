@@ -27,7 +27,6 @@ import numpy as np
 from . import geometry, gmra, measurement, recovery
 from .errors import CsvParseError, is_number, require, require_integer, require_shape
 from .geometry import csv_number
-from .gmra import project_at_scale  # re-exported: callers and tests use harness.project_at_scale
 from .svgplot import render_curves
 
 RESULTS_COLUMNS = [
@@ -73,7 +72,7 @@ def rel_mse_with_max(points, reconstructions):
 def rel_mse_baseline(points, dictionary):
     """Uncompressed finest-scale relMSE: project each point on its nearest cell."""
     pts = points.points if isinstance(points, geometry.PointCloud) else np.asarray(points, dtype=np.float64)
-    recon = project_at_scale(dictionary, dictionary.max_scale, pts)
+    recon = gmra.project_at_scale(dictionary, dictionary.max_scale, pts)
     return rel_mse(points, recon)
 
 

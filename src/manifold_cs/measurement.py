@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, ResourceLimitError, is_number, require, require_finite, require_integer, require_shape
+from .geometry import _BLOCK_ENTRIES
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
-from .gmra import _BLOCK_ENTRIES, _off_plane_blocks, plane_coeffs, plane_rows
+from .gmra import _off_plane_blocks, plane_coeffs, plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 2

@@ -82,7 +82,7 @@ def test_criterion_02_full_rank_oracle_equivalence():
     worst = 0.0
     for j in range(7):
         batch = recovery.recover_batch(comp, M, d, j)
-        reference = harness.project_at_scale(d, j, cloud.points)
+        reference = gmra.project_at_scale(d, j, cloud.points)
         worst = max(worst, float(np.linalg.norm(batch.reconstructions - reference, axis=1).max()))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10

@@ -463,6 +463,9 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
      "--query must be a query point"),
     (["measure", "verify", "--matrix", "M.mtx", "--dict", "roll.dict", "--assumption-set", "2"],
      "--cloud must be a PointCloud"),
+    # padding below the generator's dimension, refused by require_integer with that dimension as its floor
+    (["generate", "--kind", "swiss-roll", "--n", "5", "--ambient-dim", "2", "--out", "out.csv"],
+     "--ambient-dim must be an integer >= 3, got 2"),
 ])
 def test_bad_flags_end_the_command_in_one_line_before_any_output(chain_dir, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(chain_dir)

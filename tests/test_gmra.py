@@ -313,7 +313,7 @@ def random_fit_table(rng, dims, dim):
 def test_affine_rows_equals_plane_rows_plus_centers_bit_for_bit(seed, data):
     # D below the block's entries (a block holds several rows) and about it (a block holds one row), n not a
     # multiple of a block's rows, fits of mixed widths; the bytes compare signed zeros too
-    block = gmra._AFFINE_BLOCK_ENTRIES
+    block = gmra._BLOCK_ENTRIES
     dim = data.draw(st.one_of(st.integers(1, 300), st.integers(block - 2, block + 2)))
     step = max(1, block // dim)
     n = data.draw(st.integers(0, 3)) * step + data.draw(st.integers(1, max(1, step - 1)))

@@ -42,7 +42,7 @@ def test_rel_mse_baseline_zero_on_planar_data(plane_cloud):
 
 
 def test_rel_mse_baseline_matches_projector_outputs(swiss_cloud, swiss_dict):
-    recon = harness.project_at_scale(swiss_dict, swiss_dict.max_scale, swiss_cloud.points)
+    recon = gmra.project_at_scale(swiss_dict, swiss_dict.max_scale, swiss_cloud.points)
     assert harness.rel_mse_baseline(swiss_cloud, swiss_dict) == pytest.approx(
         harness.rel_mse(swiss_cloud, recon)
     )
@@ -87,7 +87,7 @@ def test_run_experiment_full_rank_matches_uncompressed(tmp_path):
     noisy = geometry.add_noise(cloud, 0.0, harness.derive_seed(cfg.seed, 1, 0))
     d = gmra.build_dictionary(noisy, local_dim=2, max_scale=2)
     for j in (0, 1, 2):
-        recon = harness.project_at_scale(d, j, noisy.points)
+        recon = gmra.project_at_scale(d, j, noisy.points)
         want = harness.rel_mse(noisy, recon)
         got = res.aggregates[(0.0, j, 2)][0]
         assert abs(got - want) <= 1e-10

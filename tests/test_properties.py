@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.spatial import cKDTree
@@ -218,6 +218,36 @@ def test_nearest_rows_equals_the_flat_scan_bit_for_bit(seed, k, n, bulk, nudge, 
         assert gmra._nearest_rows(row[None], b).tolist() == flat_nearest_rows(row[None], b).tolist()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.one_of(st.integers(1, gmra._TREE_MIN_ROWS - 1), st.integers(gmra._TREE_MIN_ROWS, 300)),
+    n=st.integers(1, 60),
+    bulk=st.booleans(),
+    dim=st.sampled_from([1, 2, 3, 8, 9, 32]),
+    shift=st.sampled_from([0.0, 1e8]),
+)
+def test_nearest_rows_does_not_depend_on_the_block_budget(seed, k, n, bulk, dim, shift):
+    # Gaussian rows plant no near-tie, and a draw whose two nearest rows of b lie within twice the kernel's rounding
+    # bound of each other is discarded; then the scan gives the nearest row whatever its blocks, from 2 MB down to
+    # one query row each, and so does the tree, which `bulk` reaches when b has enough rows of few coordinates.
+    rng = np.random.default_rng(seed)
+    if bulk and k >= gmra._TREE_MIN_ROWS:
+        n += -(-gmra._TREE_MIN_PAIRS // k)
+    a, b = rng.standard_normal((n, dim)) + shift, rng.standard_normal((k, dim)) + shift
+    d2 = sum((a[:, t, None] - b[None, :, t]) ** 2 for t in range(dim))
+    if k > 1:
+        ref = b.mean(axis=0)
+        spread = ((a - ref) ** 2).sum(axis=1) + ((b - ref) ** 2).sum(axis=1).max()
+        first, second = np.partition(d2, 1, axis=1)[:, :2].T
+        assume(np.all(second - first > 32 * (dim + 2) * np.finfo(np.float64).eps * spread))
+    answers = []
+    for entries in (1 << 18, 1 << 15, 5):
+        with mock.patch.object(gmra, "_BLOCK_ENTRIES", entries):
+            answers.append(gmra._nearest_rows(a, b).tolist())
+    assert answers == [d2.argmin(axis=1).tolist()] * 3
+
+
 def difference_form_fps(pts, stop_radius=0.0, stop_fraction=None):
     """Reference ordering: every row's distance recomputed as np.linalg.norm(x - p) at every pick.
 
@@ -323,7 +353,7 @@ def fps_with_pair_passes(pts, round_rows=None, block_entries=None, **stop):
         return pair_norms(*args)
 
     sizes = {"_FPS_ROUND_ROWS": round_rows or geometry._FPS_ROUND_ROWS,
-             "_PAIR_BLOCK_ENTRIES": block_entries or geometry._PAIR_BLOCK_ENTRIES}
+             "_BLOCK_ENTRIES": block_entries or geometry._BLOCK_ENTRIES}
     with mock.patch.multiple(geometry, _pair_norms=counted, **sizes):
         out = geometry.farthest_point_ordering(pts, **stop)
     return out, len(passes)
