@@ -1,6 +1,7 @@
 """Command-line interface: generate, gmra, measure, recover, bounds, experiment."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -281,17 +282,18 @@ def cmd_recover(args):
     # the certificates come before the first write, so a refused --eps leaves no file
     columns = recovery.certify_batch(points, matrix, dictionary, batch, args.eps, x_opt=x_opt) if certify else None
     recon = batch.reconstructions
-    geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
-    print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
-
-    if certify:
-        # every CertificateBundle quantity, in field order; absent ones are left empty
-        n = recon.shape[0]
-        table = dict(index=range(n), j=batch.chosen_scales, k_prime=batch.chosen_centers,
-                     compressed_residual=batch.residuals, ill_conditioned=batch.ill_conditioned.astype(int))
-        names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
-        harness._write_table(args.certificates, table | {name: columns.get(name, [None] * n) for name in names})
-        print("wrote certificates to %s" % args.certificates)
+    # --certificates is opened before --out is written, so one that cannot be written leaves no --out behind
+    with harness._open_table(args.certificates) if certify else contextlib.nullcontext() as cert_file:
+        geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
+        print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
+        if certify:
+            # every CertificateBundle quantity, in field order; absent ones are left empty
+            n = recon.shape[0]
+            table = dict(index=range(n), j=batch.chosen_scales, k_prime=batch.chosen_centers,
+                         compressed_residual=batch.residuals, ill_conditioned=batch.ill_conditioned.astype(int))
+            names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
+            harness._write_rows(cert_file, table | {name: columns.get(name, [None] * n) for name in names})
+            print("wrote certificates to %s" % args.certificates)
 
 
 def _parse_grid(flag, text, cast=float):

@@ -772,16 +772,18 @@ def _fit_decay(errors):
     return slope, (slope - half, slope + half)
 
 
-def _off_plane_blocks(dictionary, pts):
-    """Off-plane parts of pts against every fit, in blocks of consecutive fits of about _BLOCK_ENTRIES offsets.
+def _off_plane_blocks(dictionary, pts, fits):
+    """Off-plane parts of pts against the fits, in blocks of consecutive fits of about _BLOCK_ENTRIES offsets.
 
-    Row f of a block holds (x - c) - B^T B (x - c) for each x in pts and the block's f-th fit (c, B).
+    The fit table is cut into the same blocks whatever fits holds; each block holding one of fits (fit-table
+    rows) is yielded, in table order.  Row f of a block holds (x - c) - B^T B (x - c) for each x in pts and the
+    block's f-th fit (c, B).
     """
     centers, bases = dictionary.fit_centers, dictionary.fit_bases
     block = max(1, _BLOCK_ENTRIES // pts.size)
-    for fits in (slice(lo, lo + block) for lo in range(0, len(centers), block)):
-        rel = pts - centers[fits, None]
-        yield rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits]
+    for lo in np.unique(np.asarray(fits, dtype=np.intp) // block) * block:
+        rel = pts - centers[lo : lo + block, None]
+        yield rel - (rel @ bases[lo : lo + block].swapaxes(1, 2)) @ bases[lo : lo + block]
 
 
 def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):

@@ -203,7 +203,10 @@ def run_experiment(config):
     """Run the full relMSE grid and write config.json, results.csv, timing.csv, and SVG plots.
 
     Every noise level and scale is checked before the first build, by the
-    checks of the calls that take them.
+    checks of the calls that take them, and the output directory is made
+    then, so an output_dir that cannot be made ends the run before any
+    build.  A run that fails before its first file leaves no directory it
+    made.
     """
     for sigma in config.noise_sigmas:
         geometry.require_sigma(sigma)
@@ -211,6 +214,26 @@ def run_experiment(config):
     for j in config.scales:
         require_integer("j", j, 0, max_scale)
     base = load_dataset(config.dataset)
+    # the output directory is made before the first build, so one that cannot be made costs no work; a run
+    # that fails before its first file removes the directories it made
+    made = _missing_dirs(config.output_dir)
+    os.makedirs(config.output_dir, exist_ok=True)
+    try:
+        rows, timing_rows, mean_norms = _run_grid(config, base, max_scale)
+    except BaseException:
+        for path in made:
+            os.rmdir(path)
+        raise
+    result = ExperimentResult(config=config, rows=rows, timing_rows=timing_rows, mean_norms=mean_norms)
+    config.to_json(os.path.join(config.output_dir, "config.json"))
+    write_results_csv(result, os.path.join(config.output_dir, "results.csv"))
+    write_timing_csv(result, os.path.join(config.output_dir, "timing.csv"))
+    emit_plot(result, config.output_dir)
+    return result
+
+
+def _run_grid(config, base, max_scale):
+    """(rows, timing rows, mean norms) of the relMSE grid: per noise level one build, then every scale, f and draw."""
     dataset_label = base.label or "dataset"
     rows = []
     timing_rows = []
@@ -251,23 +274,35 @@ def run_experiment(config):
                     rows.append(dict(key, relMSE=value, relMSE_J=baseline, d_j=d_j, m=m, max_sq_rel_err=max_sq))
                     timing_rows.append(dict(key, ms_per_point=elapsed * 1000.0 / cloud.n))
             logger.info("sigma=%g scale=%d done", sigma, j)
+    return rows, timing_rows, mean_norms
 
-    result = ExperimentResult(config=config, rows=rows, timing_rows=timing_rows, mean_norms=mean_norms)
-    os.makedirs(config.output_dir, exist_ok=True)
-    config.to_json(os.path.join(config.output_dir, "config.json"))
-    write_results_csv(result, os.path.join(config.output_dir, "results.csv"))
-    write_timing_csv(result, os.path.join(config.output_dir, "timing.csv"))
-    emit_plot(result, config.output_dir)
-    return result
+
+def _missing_dirs(path):
+    """The directories os.makedirs(path) would make, deepest first."""
+    missing, path = [], os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def _open_table(path):
+    """path opened for ``_write_rows``: UTF-8 text with Unix line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
 def _write_table(path, columns):
-    """One CSV table from {name: column}: the header, then a line per row; a float as "%.17g", None as empty."""
+    """One CSV table from {name: column} written to path by ``_write_rows``."""
+    with _open_table(path) as fh:
+        _write_rows(fh, columns)
+
+
+def _write_rows(fh, columns):
+    """The header, then a line per row, to a file from ``_open_table``; a float as "%.17g", None as empty."""
     cells = [["%.17g" % v if isinstance(v, float) else v for v in column] for column in columns.values()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cells, strict=True))
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(zip(*cells, strict=True))
 
 
 def write_results_csv(result, path):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, ResourceLimitError, is_number, require, require_finite, require_integer, require_shape
-from .geometry import _BLOCK_ENTRIES
+from .geometry import _BLOCK_ENTRIES, gram_sq_dists
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
@@ -41,6 +41,14 @@ MATRIX_FORMAT_VERSION = 2
 ENSEMBLES = ("gaussian", "haar-orthoprojection")
 ORTHO_ROW_TOL = 1e-10
 SVD_TRUNCATION = 1e-10
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+# the pair screen trusts its Gram values while every squared norm is at most this, so none overflows
+_SCREEN_MAX_SQ = np.finfo(np.float64).max / 8
+# The pair screen runs when D + m is above this; below, its ~30 passes over each pair cost more than summing
+# every pair.  On 2,000 Gaussian rows and a Gaussian m=8 matrix (2 cores, BLAS on 1 thread; medians of 7
+# interleaved runs, in two separate processes), the sums took 28-29 ms at D=3, 34-49 ms at D=17, 52-68 ms at
+# D=32, 57-79 ms at D=40 and 77-111 ms at D=64, and the screen 75, 47-93, 61-85, 61-94 and 54-72 ms.
+_PAIR_SCREEN_MIN_DIMS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +143,11 @@ def verify_distortion(matrix, probes, eps):
 
     probes must be at least two finite vectors of the matrix's R^D.
     Coincident pairs are skipped; if every pair is coincident the check is
-    undefined and the probes are refused.  Distances are computed by direct
-    subtraction (not Gram expansion) so near-coincident pairs keep full
-    relative accuracy.
+    undefined and the probes are refused.  The value, the worst pair and
+    both counts are those of pdist's difference-form distances, bit for
+    bit, so near-coincident pairs keep full relative accuracy; a Gram
+    screen with a proven rounding bound clears the rows that cannot hold
+    the worst pair (see ``_pair_distortion``).
     """
     require(is_number(eps) and 0 <= eps < np.inf, "eps", eps, "a finite number >= 0")
     probes = np.asarray(probes, dtype=np.float64)
@@ -151,32 +161,108 @@ def verify_distortion(matrix, probes, eps):
 
 
 def _pair_distortion(matrix, vectors):
-    """(max distortion, worst pair, distinct pairs, coincident pairs) over the row pairs; (0.0, None, 0, n) if none."""
-    from scipy.spatial.distance import pdist
+    """(max distortion, worst pair, distinct pairs, coincident pairs) over the row pairs; (0.0, None, 0, n) if none.
 
-    d2 = pdist(vectors, metric="sqeuclidean")
-    md2 = pdist(matrix.apply(vectors), metric="sqeuclidean")
-    alive = d2 > 0.0
-    checked = int(alive.sum())
+    The answer is pdist's bit for bit: a pair's squared distances are the
+    sequential sums of squared differences that ``scipy.spatial.distance``
+    computes, its distortion is |md2 / d2 - 1|, the worst pair is the first
+    maximum in pdist's (condensed) order, a NaN first of all, and a pair
+    whose d2 is 0 is coincident.  Only the rows that could hold the worst
+    pair, or a coincident one, are computed that way (``cdist`` of the row
+    against the rows after it); a Gram screen clears the others.
+
+    The screen takes the row pairs (i, j > i) in blocks of about
+    _BLOCK_ENTRIES.  In each space (the vectors, and their images under M,
+    computed once), let z be the rows less their mean, s = ||z||^2, u the
+    float64 machine epsilon, t the smallest subnormal and D the space's
+    dimension.  The Gram value g of ``gram_sq_dists`` is within
+    (2 D + 8) u (s_i + s_j) + 2 D t of the exact squared distance (the
+    bound of ``farthest_point_ordering``, centering included), and pdist's
+    sum within 2 (D + 2) u (s_i + s_j) + D t / 2 of it, to first order in
+    u.  So pdist's value lies in [g - e, g + e] with
+    e = 8 (D + 4) (u (s_i + s_j) + t), which leaves half the slack to
+    spare, also for the rounding of the interval itself.  Division and
+    subtraction round monotonically, so with d2 in [dl, dh], dl > 0, and
+    md2 in [ml, mh], ml >= 0, pdist's distortion lies in
+    [max(fl(ql - 1), fl(1 - qh), 0), max(fl(qh - 1), fl(1 - ql))] for
+    ql = fl(ml / dh) and qh = fl(mh / dl).  A row is computed exactly when
+    one of its pairs has dl <= 0 (it may coincide) or an upper bound not
+    below the floor, the largest lower bound or exact distortion met so
+    far, which is at most the maximum; so every pair at the maximum is
+    computed, and a pair whose row is not has d2 > 0.  A block whose screen
+    keeps more than half its rows, as every block of an exact isometry
+    does, ends the screen: every row after it is computed exactly, so such
+    a check costs the sums plus one block's screen.  Every row is computed
+    exactly when D + m is at most _PAIR_SCREEN_MIN_DIMS, where the screen
+    costs more than the sums, or past a squared norm of float64's
+    largest / 8, where a Gram value could overflow.
+    """
+    from scipy.spatial.distance import cdist
+
+    n = len(vectors)
+    images = matrix.apply(vectors)
+    screened = vectors.shape[1] + matrix.m > _PAIR_SCREEN_MIN_DIMS
+    if screened:
+        spaces = [_pair_screen(vectors), _pair_screen(images)]
+        screened = all(space[1].max() <= _SCREEN_MAX_SQ for space in spaces)
+    best, worst_pair, checked, floor = -np.inf, None, 0, 0.0
+    lo = 0
+    while lo < n - 1:
+        stop = min(n - 1, lo + max(1, _BLOCK_ENTRIES // (n - lo - 1)))
+        later = np.arange(lo + 1, n) > np.arange(lo, stop)[:, None]  # the pairs (i, j > i) of rows lo..stop-1
+        exact, floor = _screen_rows(spaces, lo, stop, later, floor) if screened else (later.any(axis=1), floor)
+        rows = lo + np.flatnonzero(exact)
+        screened = screened and 2 * len(rows) <= stop - lo
+        if len(rows):
+            d2 = cdist(vectors[rows], vectors[lo + 1 :], "sqeuclidean")
+            md2 = cdist(images[rows], images[lo + 1 :], "sqeuclidean")
+            alive = later[exact] & (d2 > 0.0)
+            checked += int(np.count_nonzero(alive))
+            ratios = np.where(alive, np.abs(md2 / np.where(alive, d2, 1.0) - 1.0), -np.inf)
+            k = int(np.argmax(ratios))
+            value = ratios.flat[k]
+            if not np.isnan(best) and (np.isnan(value) or value > best):
+                best, worst_pair = value, (int(rows[k // d2.shape[1]]), lo + 1 + k % d2.shape[1])
+            floor = max(floor, value)  # a NaN leaves the floor
+        checked += int(np.count_nonzero(later[~exact]))
+        lo = stop
     if not checked:
-        return 0.0, None, 0, len(d2)
-    ratios = np.where(alive, np.abs(md2 / np.where(alive, d2, 1.0) - 1.0), -np.inf)
-    worst = int(np.argmax(ratios))
-    return float(ratios[worst]), _condensed_to_pair(worst, len(vectors)), checked, len(d2) - checked
+        return 0.0, None, 0, n * (n - 1) // 2
+    return float(best), worst_pair, checked, n * (n - 1) // 2 - checked
+
+
+def _screen_rows(spaces, lo, stop, later, floor):
+    """(the rows of lo..stop-1 to compute exactly, the floor raised by their pairs' lower bounds)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        (d_lo, d_hi), (m_lo, m_hi) = (_gram_interval(*space, lo, stop) for space in spaces)
+        clean = later & (d_lo > 0.0)
+        up = np.divide(m_hi, d_lo, out=m_hi)
+        up -= 1.0  # fl(qh) - 1
+        down = np.divide(np.maximum(m_lo, 0.0, out=m_lo), d_hi, out=m_lo)
+        np.subtract(1.0, down, out=down)  # 1 - fl(ql)
+        floor = max(floor, -float(np.min(np.minimum(up, down), where=clean, initial=0.0)))
+        return (later & ~(clean & (np.maximum(up, down, out=up) < floor))).any(axis=1), floor
+
+
+def _pair_screen(vectors):
+    """(z, s, h) for ``_pair_distortion``'s screen: the rows less their mean, their squared norms, and
+    h = 8 (D + 4) (u s + t / 2), so that h_i + h_j is a pair's slack e."""
+    z = vectors - vectors.mean(axis=0)
+    s = np.einsum("ij,ij->i", z, z)
+    return z, s, 8.0 * (z.shape[1] + 4) * (_EPS * s + _TINY / 2)
+
+
+def _gram_interval(z, s, h, lo, stop):
+    """[g - e, g + e] for the Gram values g of rows lo..stop-1 against rows lo+1.. and their slack e."""
+    g = gram_sq_dists(z[lo:stop], s[lo:stop], z[lo + 1 :], s[lo + 1 :])
+    e = h[lo:stop, None] + h[lo + 1 :]
+    return np.subtract(g, e), np.add(g, e, out=g)
 
 
 def _distortion_item(name, matrix, vectors, eps, note=""):
     """Item a on a vector set; it holds over 0 pairs when the vectors all coincide."""
     distortion, _, pairs, _ = _pair_distortion(matrix, vectors)
     return _item(name, eps - distortion, "max pairwise distortion %.4g over %d pairs%s" % (distortion, pairs, note))
-
-
-def _condensed_to_pair(k, n):
-    """Map a condensed pdist index back to its (i, j) pair, i < j."""
-    # t = N - 1 - k counts back from the last pair; row i = n - 2 - r holds t in [r(r+1)/2, (r+1)(r+2)/2)
-    r = (math.isqrt(8 * (n * (n - 1) // 2 - 1 - k) + 1) - 1) // 2
-    i = n - 2 - r
-    return (i, k - i * (2 * n - i - 1) // 2 + i + 1)
 
 
 @dataclass
@@ -308,8 +394,10 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
     (d) the projector-residual embedding inequality with additive 2^-J slack
     on sampled manifold points, (1 - eps) r - 2^-J <= r_M <= (1 + eps) r +
     2^-J with r = ||(x - c) - B^T B (x - c)|| and r_M = ||(M x - M c) -
-    (M B^T) B (x - c)|| for every point x and fit (c, B), in one pass over
-    blocks of fits.  Requires cloud samples from the manifold; samples past
+    (M B^T) B (x - c)|| for every point x and fit (c, B); a screen with a
+    proven rounding bound picks the blocks of fits that could hold the
+    least margin, and only those are computed (``_residual_item``).
+    Requires cloud samples from the manifold; samples past
     the budget are subsampled, and both the subsample and item b's probes
     are drawn with seed 0.  Items a, b and d are a sampled audit, not a
     proof: set-membership is checked on finitely many probes.
@@ -352,19 +440,86 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
 
     items.append(_subspace_item(matrix, dictionary, eps))
 
-    # item d over the blocks of _off_plane_blocks; M acts on the off-plane
-    # part itself, as M x - M c - (M B^T) B (x - c) would cancel digits of |M x|
+    items.append(_residual_item(matrix, dictionary, pts, eps))
+    return AssumptionReport(2, float(eps), items)
+
+
+def _residual_item(matrix, dictionary, pts, eps):
+    """Set-2 item d: the least margin of (1 - eps) r - 2^-J <= r_M <= (1 + eps) r + 2^-J over points and fits.
+
+    The margin is the one-pass loop's over every block of
+    ``gmra._off_plane_blocks`` bit for bit, but only the blocks holding a
+    fit ``_residual_screen`` keeps are computed, with that loop's
+    arithmetic: M acts on the off-plane part itself, as
+    M x - M c - (M B^T) B (x - c) would cancel digits of |M x|.
+    """
     slack = 2.0 ** -dictionary.max_scale
     margin_d = np.inf
-    for off in _off_plane_blocks(dictionary, pts):
+    for off in _off_plane_blocks(dictionary, pts, _residual_screen(matrix, dictionary, pts, eps, slack)):
         resid = np.linalg.norm(off, axis=2)
         m_resid = np.linalg.norm(matrix.apply(off), axis=2)
         upper = (1.0 + eps) * resid + slack
         lower = (1.0 - eps) * resid - slack
         margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))
-    items.append(_item("d-residual-embedding", margin_d,
-                       "min slack of the residual inequality with additive 2^-J, sampled points"))
-    return AssumptionReport(2, float(eps), items)
+    return _item("d-residual-embedding", margin_d,
+                 "min slack of the residual inequality with additive 2^-J, sampled points")
+
+
+def _residual_screen(matrix, dictionary, pts, eps, slack):
+    """The fits whose item-d margins could hold the least one: every fit whose least lower bound reaches the
+    least upper bound over all (point, fit) pairs.
+
+    For a point x and a fit (c, B), of width w (its zero-padded rows), let
+    u be the float64 machine epsilon, t the smallest subnormal,
+    N = ||x|| + ||c||, mu = ||M||_F and k = 8 (sqrt(w) + 1) (D + w + m + 8).
+    The screen takes r^2 = ||x - c||^2 - ||B (x - c)||^2 from the Gram
+    kernel on the points and centers and from B x - B c, one product with
+    the stacked bases; and M (x - c) - M B^T B (x - c) as
+    (M x - M c) - (M B^T) (B x - B c) with the compressed fit table's
+    M B^T, whose norm is r_M.  Let e = ||B B^T - I_d||_F as computed, plus
+    2 w (D + 1) u for its rounding.  To first order in u, the estimate of
+    r^2 is within k u N^2 / 4 + e (1 + e) N^2 + k t / 4, so within half of
+    E = (k u + 2 e (1 + e)) N^2 + k t, of the exact
+    ||(x - c) - B^T B (x - c)||^2 (its B^T B term is within e ||B (x - c)||^2
+    of ||B (x - c)||^2); the exact residual is within k u N / 8 of
+    the loop's r; the estimate of r_M and the loop's r_M are within
+    3 k u N mu / 8 of the exact ||M (x - c) - M B^T B (x - c)||; and the
+    margin's own rounding, in the loop and here, is below
+    k u (N (1 + mu) + slack) / 8.  So the loop's margin lies within the
+    interval that r in [sqrt(r^2 - E), sqrt(r^2 + E)] and r_M give, widened by
+    2 k (u (N (1 + mu) + slack) + sqrt(t)): half the slack is to spare.  The
+    bounds assume orthonormal bases and no overflow, so when e > 1e-6 or
+    4 (N (1 + mu))^2 overflows every fit is kept.
+    """
+    centers, bases = dictionary.fit_centers, dictionary.fit_bases
+    n_fits, width, dim = bases.shape
+    n_pts, m = len(pts), matrix.m
+    xx, cc = np.einsum("ij,ij->i", pts, pts), np.einsum("ij,ij->i", centers, centers)
+    nx, nc, mu = np.sqrt(xx), np.sqrt(cc), np.linalg.norm(matrix.entries)
+    gram = bases @ bases.swapaxes(1, 2)
+    gram[:, range(width), range(width)] -= np.arange(width) < dictionary.fit_dims[:, None]
+    defect = np.linalg.norm(gram, axis=(1, 2)).max() + 2 * width * (dim + 1) * _EPS
+    if not (defect <= 1e-6 and np.isfinite(4.0 * ((nx.max() + nc.max()) * (1.0 + mu)) ** 2)):
+        return np.arange(n_fits)
+    k = 8.0 * (np.sqrt(width) + 1.0) * (dim + width + m + 8)
+    systems = _fit_solves(matrix, dictionary, width).systems
+    m_pts, m_centers = matrix.apply(pts).T, matrix.apply(centers)
+    step = max(1, _BLOCK_ENTRIES // (n_pts * max(m, width)))
+    grow, shrink = 1.0 + eps, 1.0 - eps
+    low, top = np.empty(n_fits), np.inf
+    for lo in range(0, n_fits, step):
+        f = slice(lo, lo + step)
+        coef = (bases[f].reshape(-1, dim) @ pts.T).reshape(-1, width, n_pts) - bases[f] @ centers[f, :, None]
+        r2 = gram_sq_dists(centers[f], cc[f], pts, xx) - np.einsum("fwn,fwn->fn", coef, coef)
+        v = (m_pts - m_centers[f, :, None]) - systems[f] @ coef
+        r_m = np.sqrt(np.einsum("fmn,fmn->fn", v, v))
+        size = nc[f, None] + nx
+        err = (k * _EPS + 2.0 * defect * (1.0 + defect)) * size * size + k * _TINY
+        r_lo, r_hi = np.sqrt(np.maximum(r2 - err, 0.0)), np.sqrt(r2 + err)
+        width_m = 2.0 * k * (_EPS * (size * (1.0 + mu) + slack) + np.sqrt(_TINY))
+        low[f] = (np.minimum(grow * r_lo + slack - r_m, r_m - shrink * r_hi + slack) - width_m).min(axis=1)
+        top = min(top, float((np.minimum(grow * r_hi + slack - r_m, r_m - shrink * r_lo + slack) + width_m).min()))
+    return np.flatnonzero(low <= top)
 
 
 def _subspace_item(matrix, dictionary, eps):

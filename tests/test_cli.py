@@ -544,7 +544,8 @@ NOT_A_DIR, IS_A_DIR = os.strerror(errno.ENOTDIR), os.strerror(errno.EISDIR)
      NOT_A_DIR),
     (["measure", "make", "--ensemble", "gaussian", "--m", "2", "--dim", "3", "--out", BLOCKED], BLOCKED, NOT_A_DIR),
     (RECOVER[:-1] + [BLOCKED], BLOCKED, NOT_A_DIR),
-    (RECOVER[:-1] + ["{tmp}/out.csv", "--points", "train.csv", "--certificates", BLOCKED], BLOCKED, NOT_A_DIR),
+    # its --out, in the chain's directory, is not written either
+    (RECOVER[:-1] + ["rec.csv", "--points", "train.csv", "--certificates", BLOCKED], BLOCKED, NOT_A_DIR),
     (["experiment", "plot", "--results", "{tmp}/exp/results.csv", "--out", BLOCKED], BLOCKED, NOT_A_DIR),
     (["experiment", "run", "--config", "{tmp}/blocked.json"], BLOCKED, NOT_A_DIR),  # its output_dir
     # an input that is a directory

@@ -530,3 +530,20 @@ def test_write_table_matches_the_row_dict_writer(tmp_path_factory, columns):
     harness._write_table(tmp / "got.csv", columns)
     reference_write_table(tmp / "want.csv", list(columns), [{c: col[i] for c, col in columns.items()} for i in range(n)])
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+def test_an_output_dir_that_cannot_be_made_ends_the_run_before_any_build(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(gmra, "build_dictionary", lambda *args, **kwargs: built.append(args))
+    (tmp_path / "file").write_text("")
+    with pytest.raises(NotADirectoryError):
+        harness.run_experiment(small_config(tmp_path, output_dir=str(tmp_path / "file" / "out")))
+    assert built == []
+
+
+def test_a_run_refused_by_a_build_removes_the_directories_it_made(tmp_path):
+    # the directory is made before the first build; the build's refusal of local_dim=0 leaves none behind
+    (tmp_path / "kept").mkdir()
+    with pytest.raises(ValueError, match="^local_dim must be an integer >= 1, got 0$"):
+        harness.run_experiment(small_config(tmp_path, local_dim=0, output_dir=str(tmp_path / "kept" / "a" / "b")))
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["kept"]

@@ -1,5 +1,10 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.spatial.distance
+from scipy.spatial.distance import pdist
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,6 +426,23 @@ def reference_item_d_margin(matrix, dictionary, pts, eps):
     return margin_d
 
 
+def block_loop_item_d_margin(matrix, dictionary, pts, eps):
+    """Set-2 item d as one pass over every block of fits, each about 2^15 offsets, with no screen."""
+    centers, bases = dictionary.fit_centers, dictionary.fit_bases
+    block = max(1, geometry._BLOCK_ENTRIES // pts.size)
+    slack = 2.0 ** -dictionary.max_scale
+    margin_d = np.inf
+    for fits in (slice(lo, lo + block) for lo in range(0, len(centers), block)):
+        rel = pts - centers[fits, None]
+        off = rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits]
+        resid = np.linalg.norm(off, axis=2)
+        m_resid = np.linalg.norm(matrix.apply(off), axis=2)
+        upper = (1.0 + eps) * resid + slack
+        lower = (1.0 - eps) * resid - slack
+        margin_d = min(margin_d, float((upper - m_resid).min()), float((m_resid - lower).min()))
+    return margin_d
+
+
 @settings(max_examples=40, deadline=None)
 @given(fit_tables(), st.booleans(), st.integers(0, 2**32 - 1), st.floats(0.05, 0.45), st.data())
 def test_item_d_matches_the_per_fit_loop(case, haar, seed, eps, data):
@@ -429,6 +451,7 @@ def test_item_d_matches_the_per_fit_loop(case, haar, seed, eps, data):
     draw = measurement.orthoprojection_matrix if haar else measurement.gaussian_matrix
     M = draw(m, d.ambient_dim, seed)
     item = measurement.verify_assumption_set(M, d, which=2, eps=eps, cloud=cloud).item("d-residual-embedding")
+    assert item.margin == block_loop_item_d_margin(M, d, cloud.points, eps)
     want = reference_item_d_margin(M, d, cloud.points, eps)
     assert abs(item.margin - want) <= 1e-12 * (1.0 + abs(want))
     assert item.passed == (want >= 0.0)
@@ -496,8 +519,85 @@ def test_matrix_load_rejects_hostile_manifests(tmp_path):
         measurement.load_matrix(path)
 
 
-def test_condensed_to_pair_inverts_the_condensed_index():
-    for n in range(2, 65):
-        rows, cols = np.triu_indices(n, 1)
-        pairs = [measurement._condensed_to_pair(k, n) for k in range(rows.size)]
-        assert pairs == list(zip(rows.tolist(), cols.tolist()))
+def pdist_pair_distortion(matrix, vectors):
+    """_pair_distortion's answer from two full pdist arrays: the first maximum in condensed order."""
+    d2 = pdist(vectors, metric="sqeuclidean")
+    md2 = pdist(matrix.apply(vectors), metric="sqeuclidean")
+    alive = d2 > 0.0
+    checked = int(alive.sum())
+    if not checked:
+        return 0.0, None, 0, len(d2)
+    ratios = np.where(alive, np.abs(md2 / np.where(alive, d2, 1.0) - 1.0), -np.inf)
+    worst = int(np.argmax(ratios))
+    rows, cols = np.triu_indices(len(vectors), 1)
+    return float(ratios[worst]), (int(rows[worst]), int(cols[worst])), checked, len(d2) - checked
+
+
+@st.composite
+def probe_sets(draw):
+    """(matrix, probes): Gaussian, near-duplicate, duplicated, underflowing or 1e150-sized rows in R^D."""
+    dim = draw(st.sampled_from([1, 3, 17, 200]))
+    n = draw(st.integers(2, 120 if dim == 200 else 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "duplicates", "near-duplicates", "underflow", "huge"]))
+    probes = rng.standard_normal((n, dim)) * {"underflow": 1e-170, "huge": 1e150}.get(kind, 1.0)
+    if kind in ("duplicates", "near-duplicates"):
+        probes = probes[rng.integers(0, max(1, n // 3), n)]
+    if kind == "near-duplicates":
+        probes = probes + rng.standard_normal((n, dim)) * 1e-12
+    if kind == "underflow":
+        probes[rng.random(n) < 0.5] = 0.0  # differences whose squares underflow to 0, which pdist skips
+    isometry = draw(st.booleans())
+    m = dim if isometry else draw(st.integers(1, dim))
+    seed = draw(st.integers(0, 2**32 - 1))
+    haar = isometry or draw(st.booleans())
+    return (measurement.orthoprojection_matrix if haar else measurement.gaussian_matrix)(m, dim, seed), probes
+
+
+@settings(max_examples=80, deadline=None)
+@given(probe_sets(), st.booleans())
+def test_pair_distortion_is_pdists_bit_for_bit(case, screen_every_width):
+    # with the dimension floor lowered, the screen also runs in R^1, R^3 and R^17
+    M, probes = case
+    floor = -1 if screen_every_width else measurement._PAIR_SCREEN_MIN_DIMS
+    with mock.patch.object(measurement, "_PAIR_SCREEN_MIN_DIMS", floor):
+        got = measurement._pair_distortion(M, probes)
+    with np.errstate(all="ignore"):
+        want = pdist_pair_distortion(M, probes)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1:] == want[1:]
+
+
+def test_pair_distortion_screens_above_the_dimension_floor_and_computes_every_row_of_an_isometry(monkeypatch):
+    # in R^200 the screen runs: a Gaussian matrix leaves few rows to compute; an exact isometry keeps every row of
+    # its first block, which ends the screen
+    rows, screens = [], []
+    cdist, screen_rows = scipy.spatial.distance.cdist, measurement._screen_rows
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", lambda a, b, metric: rows.append(len(a)) or cdist(a, b, metric))
+    monkeypatch.setattr(measurement, "_screen_rows", lambda *args: screens.append(args[1]) or screen_rows(*args))
+    probes = np.random.default_rng(2).standard_normal((300, 200))
+    for M, at_most in ((measurement.gaussian_matrix(8, 200, seed=3), 30), (measurement.orthoprojection_matrix(200, 200, 4), 299)):
+        rows.clear()
+        screens.clear()
+        assert measurement._pair_distortion(M, probes) == pdist_pair_distortion(M, probes)
+        assert sum(rows) // 2 <= at_most
+    assert sum(rows) // 2 == 299
+    assert screens == [0]
+
+
+def test_distortion_and_item_d_peak_below_one_condensed_distance_array():
+    # one condensed float64 array at n = 1,000 is 4 MB; pdist's check held three
+    cloud = geometry.gen_swiss_roll(1500, seed=1)
+    padded = np.zeros((1500, 200))
+    padded[:, :3] = cloud.points
+    cloud = geometry.add_noise(geometry.PointCloud(padded, 200), 0.05, seed=2)
+    d = gmra.build_dictionary(cloud, local_dim=2, max_scale=6, min_points=6)
+    for M in (measurement.orthoprojection_matrix(8, 200, seed=3), measurement.gaussian_matrix(32, 200, seed=4)):
+        measurement._fit_solves(M, d, d.fit_bases.shape[1])  # the table item c builds first
+        for run in (lambda: measurement.verify_distortion(M, cloud.points[:1000], 0.3),
+                    lambda: measurement._residual_item(M, d, cloud.points[:200], 0.3)):
+            tracemalloc.start()
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 4 * 10**6

@@ -20,7 +20,10 @@ bench/README.md), each set up and run once:
   each field of the four verification reports the workload makes
   (``verify_distortion[<field>]``, ``rip_check_bruteforce[<field>]``, and
   ``assumption set 1[<field or item>]`` and ``assumption set 2[...]``, one
-  line per checked item); and each field of its ``validate_structure``
+  line per checked item); ``verify_distortion`` on its probes under an
+  m = D Haar matrix (an exact isometry, whose screen computes every row)
+  and, under its Haar m=8 matrix, on its first 500 probes each given twice
+  (coincident pairs); and each field of its ``validate_structure``
   report on its own (``validate_structure[<field>]``): in R^200 the
   projections behind the per-scale mean errors span many of
   ``gmra.affine_rows``' row blocks;
@@ -40,7 +43,9 @@ bench/README.md), each set up and run once:
   narrower than the fit table is hashed too, the
   ``gmra validate --json`` report, then each of its fields on its own
   (``validate --json[<field>]``), so a diff names the validation quantities
-  that moved, and the ``measure verify --probes`` report;
+  that moved, the ``measure verify --probes`` report, and each field of
+  ``verify_distortion`` on ``query.csv`` under a 3 x 3 Haar matrix, an
+  exact isometry;
 * two clouds that only ``farthest_point_ordering`` sees, each hashed as
   above: a full-rank Gaussian of 1,500 rows in R^200, whose screen keeps
   full width and so takes the dense pair source that no workload reaches,
@@ -179,6 +184,13 @@ def roll200(seed, tmp):
                 matrix, dictionary, which=2, eps=eps, cloud=cloud, budget=work.p["budget"])),
         ):
             yield from report_shas("roll200 %s %s" % (label, name), report)
+    # the distortion screen's two other paths in R^200: an exact isometry computes every row, and duplicated
+    # rows are coincident pairs
+    isometry = measurement.orthoprojection_matrix(work.p["dim"], work.p["dim"], 7)
+    yield from report_shas("roll200 isometry verify_distortion", measurement.verify_distortion(isometry, work.probes, eps))
+    doubled = np.repeat(work.probes[:500], 2, axis=0)
+    yield from report_shas("roll200 haar m=8 duplicated-rows verify_distortion", measurement.verify_distortion(
+        getattr(measurement, work.matrices[0][1])(8, work.p["dim"], work.matrices[0][3]), doubled, eps))
     yield from report_shas("roll200 validate_structure", gmra.validate_structure(dictionary, cloud))
 
 
@@ -215,6 +227,10 @@ def cli_roll3(seed, tmp):
         cli.main(["measure", "verify", "--matrix", work.path("M.mtx"), "--probes", work.path("query.csv"),
                   "--eps", str(workloads.EPS)])
     yield "cli-roll3 measure verify --probes", sha(report.getvalue().encode())
+    # an m = D Haar matrix is an exact isometry, so no pair of query.csv is cleared without its sums
+    isometry = measurement.orthoprojection_matrix(3, 3, 7)
+    yield from report_shas("cli-roll3 isometry verify_distortion",
+                           measurement.verify_distortion(isometry, query.points, workloads.EPS))
 
 
 def fps_clouds(seed, tmp):
