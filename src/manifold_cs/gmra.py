@@ -192,20 +192,21 @@ class MultiscaleDictionary:
 _OVERSAMPLE = 2
 
 
-def _cell_fit(points, mode):
+def _cell_fit(points, d_max, threshold):
     """Mean of a cell's points and the rows of its top right-singular-vector basis.
 
-    mode is either ("fixed", d) or ("adaptive", energy_threshold, d_max).
-    With C the centered n_k x D cell and k = min(d + _OVERSAMPLE, n_k, D)
-    (d_max for d in adaptive mode), k = D takes the thin SVD of C.  Below
+    threshold None fixes the plane's dimension at d_max; else it is the least
+    holding threshold of the cell's spectral energy, at most d_max.  With C
+    the centered n_k x D cell and k = min(d_max + _OVERSAMPLE, n_k, D),
+    k = D takes the thin SVD of C.  Below
     that the top-k subspace comes from the smaller Gram matrix of C scaled
     to max |entry| 1, so that squaring cannot overflow: the top-k
     eigenvectors V of C^T C (n_k >= D), or C^T U for those U of C C^T.  One
     subspace-iteration step C^T (C V) and its QR basis Q, then the thin SVD
     of C Q, give the basis (Halko, Martinsson and Tropp, SIAM Review 2011,
     Algorithms 4.4 and 5.1): O(n_k D min(n_k, D)) for the Gram matrix, at a
-    far smaller constant than the thin SVD's.  Adaptive mode reads the
-    energy fractions from the singular values squared, or from the Gram
+    far smaller constant than the thin SVD's.  A threshold is read against
+    the energy fractions of the singular values squared, or of the Gram
     eigenvalues.
 
     Accuracy.  With singular values s_0 >= s_1 >= ... of C and u the float64
@@ -221,7 +222,7 @@ def _cell_fit(points, mode):
     mean = points.mean(axis=0)
     centered = points - mean
     n_k, dim = centered.shape
-    k = min((mode[1] if mode[0] == "fixed" else mode[2]) + _OVERSAMPLE, n_k, dim)
+    k = min(d_max + _OVERSAMPLE, n_k, dim)
     if k == dim:
         _, svals, vt = np.linalg.svd(centered, full_matrices=False)
         energy = (svals / svals[0]) ** 2 if svals[0] > 0 else svals  # normalised first: raw squares can overflow
@@ -237,16 +238,13 @@ def _cell_fit(points, mode):
         energy = np.maximum(energy[::-1], 0.0)
         q = np.linalg.qr(cell.T @ (cell @ start))[0]
         vt = np.linalg.svd(cell @ q, full_matrices=False)[2] @ q.T
-    if mode[0] == "fixed":
-        d = mode[1]
+    if threshold is None:
+        d = d_max
+    elif energy[0] == 0.0:
+        d = 1
     else:
-        _, threshold, d_max = mode
-        if energy[0] == 0.0:
-            d = 1
-        else:
-            frac = np.cumsum(energy) / energy.sum()
-            d = int(np.searchsorted(frac, threshold - 1e-12) + 1)
-        d = min(d, d_max, dim)
+        frac = np.cumsum(energy) / energy.sum()
+        d = min(int(np.searchsorted(frac, threshold - 1e-12) + 1), d_max, dim)
     return mean, vt[: min(d, vt.shape[0])]
 
 
@@ -388,7 +386,7 @@ def build_dictionary(
             "in (0, 1]")
     if min_points is not None:
         min_points = require_integer("min_points", min_points, 1)
-    mode = ("fixed", local_dim) if local_dim is not None else ("adaptive", float(energy_threshold), max_local_dim)
+    d_max, threshold = (local_dim, None) if local_dim is not None else (max_local_dim, float(energy_threshold))
     min_required = local_dim + 1 if local_dim is not None else 2
     min_points = max(min_points or 0, min_required)
     pts = cloud.points
@@ -436,7 +434,7 @@ def build_dictionary(
         # one stable sort groups the points by cell, each cell in increasing row order
         by_cell, ends = np.argsort(assign, kind="stable"), np.cumsum(new_pops)
         for k in fresh:
-            center, basis = _cell_fit(pts[by_cell[ends[k] - new_pops[k] : ends[k]]], mode)
+            center, basis = _cell_fit(pts[by_cell[ends[k] - new_pops[k] : ends[k]]], d_max, threshold)
             fit_centers.append(center)
             fit_bases.append(basis)
         rows.append(row)
@@ -460,7 +458,7 @@ def build_dictionary(
         "cloud_sha256": hashlib.sha256(pts.tobytes()).hexdigest(),
         "cloud_label": cloud.label,
         "local_dim": None if local_dim is None else int(local_dim),
-        "energy_threshold": float(energy_threshold) if local_dim is None else None,
+        "energy_threshold": threshold,
         "max_local_dim": None if max_local_dim is None else int(max_local_dim),
         "min_points": int(min_points),
         "fresh_per_scale": fresh_per_scale,
@@ -693,12 +691,17 @@ def _check_parents(dictionary):
     return float(worst_margin), worst
 
 
+def _basis_defects(dictionary):
+    """B B^T - I of every fit (F x w x w), I the identity on the fit's local dimension and zero on its padding."""
+    gram = dictionary.fit_bases @ dictionary.fit_bases.swapaxes(1, 2)
+    width = gram.shape[1]
+    gram[:, range(width), range(width)] -= np.arange(width) < dictionary.fit_dims[:, None]
+    return gram
+
+
 def _check_orthonormal(dictionary):
-    """Largest |B B^T - I| entry over all fits; zero padding rows are held to 0."""
-    bases = dictionary.fit_bases
-    width = bases.shape[1]
-    eye = np.eye(width) * (np.arange(width) < dictionary.fit_dims[:, None])[:, :, None]
-    worst = float(np.abs(bases @ bases.swapaxes(1, 2) - eye).max())
+    """Largest |B B^T - I| entry over all fits (``_basis_defects``); zero padding rows are held to 0."""
+    worst = float(np.abs(_basis_defects(dictionary)).max())
     return worst < ORTHONORMALITY_TOL, worst
 
 
@@ -777,36 +780,32 @@ def _off_plane_blocks(dictionary, pts, fits):
 
     The fit table is cut into the same blocks whatever fits holds; each block holding one of fits (fit-table
     rows) is yielded, in table order.  Row f of a block holds (x - c) - B^T B (x - c) for each x in pts and the
-    block's f-th fit (c, B).
+    block's f-th fit (c, B), summed by ``plane_coeffs`` and ``plane_rows``, so that a residual does not depend
+    on the other points or fits of its block.  This is the one off-plane pass: set-2 item d and the
+    near-center constants both read it.
     """
-    centers, bases = dictionary.fit_centers, dictionary.fit_bases
     block = max(1, _BLOCK_ENTRIES // pts.size)
     for lo in np.unique(np.asarray(fits, dtype=np.intp) // block) * block:
-        rel = pts - centers[lo : lo + block, None]
-        yield rel - (rel @ bases[lo : lo + block].swapaxes(1, 2)) @ bases[lo : lo + block]
+        rows = np.arange(lo, min(lo + block, len(dictionary.fit_centers)))[:, None]
+        rel = pts - dictionary.fit_centers[rows]
+        yield rel - plane_rows(dictionary, rows, plane_coeffs(dictionary, rows, rel))
 
 
 def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     """Largest error-to-scale ratio over near-qualifying centers, at factors 16 and 8.
 
     A probe's off-plane residual depends only on the fit, so each (fit,
-    probe) residual is computed once, over blocks of fits, and every scale
-    reads its cells' rows. The residuals go through ``plane_coeffs`` and
-    ``plane_rows``, whose sums do not depend on the other rows of the call,
-    so each equals the one a per-scale pass over only the near pairs gets.
+    probe) residual is computed once, by ``_off_plane_blocks``, and every
+    scale reads its cells' rows.  Those residuals do not depend on the other
+    rows of their block, so each equals the one a per-scale pass over only
+    the near pairs gets.
     """
     rng = np.random.default_rng(rng_seed)
     pts = cloud.points
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
     every = np.arange(len(dictionary.fit_centers))
-    block = max(1, _BLOCK_ENTRIES // pts.size)
-    resid = []
-    for fits in (every[lo : lo + block] for lo in range(0, len(every), block)):
-        rel = pts - dictionary.fit_centers[fits, None]
-        off = rel - plane_rows(dictionary, fits[:, None], plane_coeffs(dictionary, fits[:, None], rel))
-        resid.append(np.linalg.norm(off, axis=2))
-    resid = np.concatenate(resid)
+    resid = np.concatenate([np.linalg.norm(off, axis=2) for off in _off_plane_blocks(dictionary, pts, every)])
     c16 = c8 = 0.0
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)

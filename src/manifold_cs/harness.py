@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import geometry, gmra, measurement, recovery
-from .errors import CsvParseError, is_number, require, require_integer, require_shape
+from .errors import CsvParseError, is_number, require, require_finite, require_integer, require_shape
 from .geometry import csv_number
 from .svgplot import render_curves
 
@@ -54,19 +54,35 @@ def rel_mse(points, reconstructions):
 
 
 def rel_mse_with_max(points, reconstructions):
-    """relMSE together with the largest per-point squared relative error."""
+    """relMSE together with the largest per-point squared relative error.
+
+    Both arrays are n x D blocks of finite values, n >= 1.  A point at the
+    origin, or whose squared norm or squared relative error is past
+    float64's range, is refused.
+    """
     pts = points.points if isinstance(points, geometry.PointCloud) else np.asarray(points, dtype=np.float64)
     rec = (
         reconstructions.points
         if isinstance(reconstructions, geometry.PointCloud)
         else np.asarray(reconstructions, dtype=np.float64)
     )
+    require_shape("points", pts, "n", "D")
+    require(len(pts) > 0, "points", pts.shape, "at least one point")
     require_shape("reconstructions", rec, *pts.shape)
+    require_finite("points", pts)
+    require_finite("reconstructions", rec)
     norms_sq = np.einsum("ij,ij->i", pts, pts)
     k = int((norms_sq == 0.0).argmax())  # the first point at the origin, or 0 when there is none
     require(norms_sq[k] != 0.0, "points", 0.0, "of nonzero norm (relative error divides by it) at point %d" % k)
+    k = int(norms_sq.argmax())
+    require(norms_sq[k] < np.inf, "points", float(np.abs(pts[k]).max()), "of squared norm below float64's largest "
+            "at point %d" % k)
     err_sq = np.einsum("ij,ij->i", pts - rec, pts - rec) / norms_sq
-    return float(np.sqrt(err_sq.mean())), float(err_sq.max())
+    k = int(err_sq.argmax())
+    mean = err_sq.mean()
+    require(mean < np.inf, "reconstructions", float(np.abs(rec[k]).max()), "near enough the points for a relMSE "
+            "below float64's largest (worst at point %d)" % k)
+    return float(np.sqrt(mean)), float(err_sq[k])
 
 
 def rel_mse_baseline(points, dictionary):
@@ -104,6 +120,8 @@ class ExperimentConfig:
                     require_integer(name, v, 1)
                 else:
                     require(is_number(v), name, v, "numbers")
+            # a repeated value would run its cells twice and mix the two runs in one aggregate
+            require(len(set(values)) == len(values), name, values, "a list without repeated values")
         require_integer("num_draws", self.num_draws, 1)
         require_integer("seed", self.seed, 0)
         require(isinstance(self.output_dir, str), "output_dir", self.output_dir, "a directory path string")

@@ -9,10 +9,10 @@ and exact on the probe sets it is handed: pairwise distortion, restricted
 isometry by support enumeration, and the item-by-item assumption checks
 used by the recovery guarantees.
 
-Every fit's M B^T is formed and solved in one stacked SVD per matrix,
-dictionary and width (``_fit_solves``), which recovery reads at the searched
-scale's widest fit and the subspace item at the table's width: on a fixed-d
-dictionary both assumption sets and every recovery of a matrix share it.
+Every fit's M B^T is formed and solved in one stacked SVD per matrix and
+dictionary, at the fit table's width (``_fit_solves``): every recovery of a
+matrix, at any scale, and the subspace and residual items of both
+assumption sets read that one compressed fit table.
 
 A saved matrix (format version 2) is a manifest of m, D, ensemble and seed,
 then exactly m x D little-endian float64 entries, row-major; the ensemble
@@ -33,7 +33,7 @@ from .geometry import _BLOCK_ENTRIES, gram_sq_dists
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
-from .gmra import _off_plane_blocks, plane_coeffs, plane_rows
+from .gmra import _basis_defects, _off_plane_blocks, plane_coeffs, plane_rows
 from .storage import MATRIX_MAGIC, read_container, write_container
 
 MATRIX_FORMAT_VERSION = 2
@@ -325,11 +325,14 @@ def e_m_bound(y, eps, sparsity):
 
     Dominates ||My|| whenever M satisfies the restricted isometry property at
     sparsity d and level eps.  eps = 0 is accepted as the isometric limit.
-    A block of row vectors gives one bound per row.
+    y is a finite vector, or a block of row vectors, which gives one bound
+    per row.
     """
     require_integer("sparsity", sparsity, 1)
     require(is_number(eps) and 0 <= eps < 0.5, "eps", eps, "in [0, 1/2)")
     y = np.asarray(y, dtype=np.float64)
+    require(y.ndim in (1, 2), "y", y.shape, "a vector or a block of row vectors")
+    require_finite("y", y)
     bound = np.sqrt(1.0 + eps) * (
         np.linalg.norm(y, axis=-1) + np.linalg.norm(y, ord=1, axis=-1) / np.sqrt(sparsity)
     )
@@ -449,9 +452,9 @@ def _residual_item(matrix, dictionary, pts, eps):
 
     The margin is the one-pass loop's over every block of
     ``gmra._off_plane_blocks`` bit for bit, but only the blocks holding a
-    fit ``_residual_screen`` keeps are computed, with that loop's
-    arithmetic: M acts on the off-plane part itself, as
-    M x - M c - (M B^T) B (x - c) would cancel digits of |M x|.
+    fit ``_residual_screen`` keeps are computed.  M acts on the off-plane
+    part itself, as M x - M c - (M B^T) B (x - c) would cancel digits of
+    |M x|.
     """
     slack = 2.0 ** -dictionary.max_scale
     margin_d = np.inf
@@ -476,13 +479,16 @@ def _residual_screen(matrix, dictionary, pts, eps, slack):
     kernel on the points and centers and from B x - B c, one product with
     the stacked bases; and M (x - c) - M B^T B (x - c) as
     (M x - M c) - (M B^T) (B x - B c) with the compressed fit table's
-    M B^T, whose norm is r_M.  Let e = ||B B^T - I_d||_F as computed, plus
-    2 w (D + 1) u for its rounding.  To first order in u, the estimate of
-    r^2 is within k u N^2 / 4 + e (1 + e) N^2 + k t / 4, so within half of
+    M B^T, whose norm is r_M.  Let e = ||B B^T - I_d||_F as computed
+    (``gmra._basis_defects``), plus 2 w (D + 1) u for its rounding.  To
+    first order in u, the estimate of r^2 is within
+    k u N^2 / 4 + e (1 + e) N^2 + k t / 4, so within half of
     E = (k u + 2 e (1 + e)) N^2 + k t, of the exact
     ||(x - c) - B^T B (x - c)||^2 (its B^T B term is within e ||B (x - c)||^2
-    of ||B (x - c)||^2); the exact residual is within k u N / 8 of
-    the loop's r; the estimate of r_M and the loop's r_M are within
+    of ||B (x - c)||^2).  The loop (``gmra._off_plane_blocks``) sums each
+    coefficient of B (x - c) over D and B^T B (x - c) over the w basis rows,
+    so its r is within (sqrt(w) (D + w + 1 + e (D + 1)) + D + 3) u N, under
+    k u N / 8, of the exact residual; the estimate of r_M and the loop's r_M are within
     3 k u N mu / 8 of the exact ||M (x - c) - M B^T B (x - c)||; and the
     margin's own rounding, in the loop and here, is below
     k u (N (1 + mu) + slack) / 8.  So the loop's margin lies within the
@@ -496,13 +502,11 @@ def _residual_screen(matrix, dictionary, pts, eps, slack):
     n_pts, m = len(pts), matrix.m
     xx, cc = np.einsum("ij,ij->i", pts, pts), np.einsum("ij,ij->i", centers, centers)
     nx, nc, mu = np.sqrt(xx), np.sqrt(cc), np.linalg.norm(matrix.entries)
-    gram = bases @ bases.swapaxes(1, 2)
-    gram[:, range(width), range(width)] -= np.arange(width) < dictionary.fit_dims[:, None]
-    defect = np.linalg.norm(gram, axis=(1, 2)).max() + 2 * width * (dim + 1) * _EPS
+    defect = np.linalg.norm(_basis_defects(dictionary), axis=(1, 2)).max() + 2 * width * (dim + 1) * _EPS
     if not (defect <= 1e-6 and np.isfinite(4.0 * ((nx.max() + nc.max()) * (1.0 + mu)) ** 2)):
         return np.arange(n_fits)
     k = 8.0 * (np.sqrt(width) + 1.0) * (dim + width + m + 8)
-    systems = _fit_solves(matrix, dictionary, width).systems
+    systems = _fit_solves(matrix, dictionary).systems
     m_pts, m_centers = matrix.apply(pts).T, matrix.apply(centers)
     step = max(1, _BLOCK_ENTRIES // (n_pts * max(m, width)))
     grow, shrink = 1.0 + eps, 1.0 - eps
@@ -525,11 +529,10 @@ def _residual_screen(matrix, dictionary, pts, eps, slack):
 def _subspace_item(matrix, dictionary, eps):
     """Exact isometry slack of M on each fitted plane: min(s_min - (1 - eps), (1 + eps) - s_max) of M B^T.
 
-    The singular values are the compressed fit table's at the table's width
-    (``_fit_solves``), each fit's system zero-padded to the widest fit.
+    The singular values are the compressed fit table's (``_fit_solves``), zero-padded to the widest fit.
     """
     dims = dictionary.fit_dims
-    svals = _fit_solves(matrix, dictionary, dictionary.fit_bases.shape[1]).svals
+    svals = _fit_solves(matrix, dictionary).svals
     # s_min is a fit's d-th singular value, the padding's zeros coming after it, and 0 when m < d
     low = np.where(dims <= matrix.m, svals[np.arange(len(dims)), np.minimum(dims, matrix.m) - 1], 0.0)
     margins = np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0])
@@ -541,24 +544,24 @@ def _subspace_item(matrix, dictionary, eps):
 # the compressed fit table: every fit's M B^T (F x m x width, zero past its local dimension), its truncated
 # pseudoinverse (F x width x m), numerical rank (F) and singular values (F x min(m, width), descending)
 FitSolves = namedtuple("FitSolves", "systems pinv rank svals")
-# matrix -> dictionary -> width -> FitSolves; each level lives as long as its key
+# matrix -> dictionary -> FitSolves; each level lives as long as its key
 _SOLVES = weakref.WeakKeyDictionary()
 _SOLVES_LOCK = threading.Lock()
 
 
-def _fit_solves(matrix, dictionary, width):
-    """The FitSolves of every fit's first width basis rows, from one stacked SVD on first use.
+def _fit_solves(matrix, dictionary):
+    """The FitSolves of every fit, at the fit table's width, from one stacked SVD on first use.
 
     It lives as long as the matrix and the dictionary both do.  A fit's
     system and SVD do not depend on the rest of the stack, so a row equals
     a solve of that fit alone bit for bit.
     """
     with _SOLVES_LOCK:
-        per_dict = _SOLVES.setdefault(matrix, weakref.WeakKeyDictionary()).setdefault(dictionary, {})
-        if width not in per_dict:
-            systems = matrix.entries @ dictionary.fit_bases[:, :width].swapaxes(1, 2)
-            per_dict[width] = FitSolves(systems, *_truncated_pinv(systems))
-        return per_dict[width]
+        per_matrix = _SOLVES.setdefault(matrix, weakref.WeakKeyDictionary())
+        if dictionary not in per_matrix:
+            systems = matrix.entries @ dictionary.fit_bases.swapaxes(1, 2)
+            per_matrix[dictionary] = FitSolves(systems, *_truncated_pinv(systems))
+        return per_matrix[dictionary]
 
 
 def _truncated_pinv(a):

@@ -6,9 +6,9 @@ center k' at scale j, (ii) solves the overdetermined least squares problem
 min_u || M B^T u - (Mx - Mc) || on that cell's plane with an SVD
 pseudoinverse truncated at 1e-10 relative, and (iii) assembles B^T u' + c.
 Only steps (i) and (ii) work in R^m, and D enters at step (iii) alone: the
-pseudoinverses are read from the matrix's compressed fit table
-(``measurement._fit_solves``), and the answer is written out a block of
-rows at a time.
+pseudoinverses are read from the matrix's compressed fit table, one SVD
+per matrix and dictionary (``measurement._fit_solves``), and the answer is
+written out a block of rows at a time.
 One batched core runs all three steps: ``recover_batch`` is its n-row call
 and ``recover`` its 1-row call.  Only on a near-tie within the distance
 kernel's rounding can a row's answer depend on the rows recovered with it:
@@ -94,8 +94,8 @@ class BatchRecovery:
     for "auto"), and chosen_centers index it.  chosen_scales give the scale
     whose fit served each row: the requested scale, or for "auto" the scale
     at which the chosen cell was last refit.
-    coefficients has one column per basis row of the widest cell, zero past
-    each row's local dimension.
+    coefficients has one column per basis row of the fit table's widest fit,
+    zero past each row's local dimension.
     """
 
     reconstructions: np.ndarray
@@ -131,13 +131,13 @@ def recover_batch(measurements, matrix, dictionary, j):
     """Recover every row of an n x m measurement block at scale j or "auto".
 
     Each row's least squares reads its fit's pseudoinverse from the matrix's
-    compressed fit table at the searched scale's widest fit
-    (``measurement._fit_solves``), each system zero-padded to that width, so
-    the scales of one matrix share their solves.  Each row is solved and
-    assembled on its own, the answer written out a block of rows at a time
-    (``gmra.affine_rows``), so a 1-row call gives the same answer as the
-    matching row of an n-row call.  A matrix not in the dictionary's R^D,
-    measurements not n x m and non-finite measurements are refused.
+    compressed fit table (``measurement._fit_solves``), each system
+    zero-padded to the fit table's width, so every scale of one matrix reads
+    the same solves and padding columns get zero coefficients.  Each row is
+    solved and assembled on its own, the answer written out a block of rows
+    at a time (``gmra.affine_rows``), so a 1-row call gives the same answer
+    as the matching row of an n-row call.  A matrix not in the dictionary's
+    R^D, measurements not n x m and non-finite measurements are refused.
     """
     require_shape("matrix", matrix.entries, "m", dictionary.ambient_dim)
     y = np.asarray(measurements, dtype=np.float64)
@@ -149,8 +149,7 @@ def recover_batch(measurements, matrix, dictionary, j):
     cells = _nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
     fits = dictionary.cell_fits(scale)[cells]
-    # one m x d_max system per fit, d_max the scale's widest; padding columns get zero coefficients
-    a_sub, pinv, rank, _ = _fit_solves(matrix, dictionary, dictionary.max_local_dim(scale))
+    a_sub, pinv, rank, _ = _fit_solves(matrix, dictionary)
     coeffs = (pinv[fits] @ rhs[:, :, None])[:, :, 0]
     residuals = np.linalg.norm((a_sub[fits] @ coeffs[:, :, None])[:, :, 0] - rhs, axis=1)
     return BatchRecovery(

@@ -423,6 +423,10 @@ def test_config_validation():
     ("scales", [0, True], "True"),
     ("scales", [], r"\[\]"),
     ("oversampling", [2, 2.0], "2.0"),
+    # a repeated value ran its cells twice, and one aggregate mixed two differently noised clouds
+    ("noise_sigmas", [0.05, 0.05], r"\[0.05, 0.05\]"),
+    ("scales", [2, 2], r"\[2, 2\]"),
+    ("oversampling", [2, 4, 2], r"\[2, 4, 2\]"),
     ("noise_sigmas", [0.0, -0.1], "-0.1"),
     ("noise_sigmas", [0.0, float("nan")], "nan"),
     ("noise_sigmas", 0.1, "0.1"),

@@ -287,9 +287,11 @@ def test_item_a_over_fits_matches_the_per_cell_probe_lists(swiss_cloud, swiss_di
 
 
 @pytest.mark.parametrize("adaptive", [False, True])
-def test_the_compressed_fit_table_is_built_once_per_width(monkeypatch, swiss_cloud, swiss_dict, adaptive):
+def test_the_compressed_fit_table_is_built_once_per_matrix_and_dictionary(monkeypatch, swiss_cloud, swiss_dict,
+                                                                          adaptive):
     cloud, d = adaptive_roll_dict() if adaptive else (swiss_cloud, swiss_dict)
     scales = list(range(d.max_scale + 1))
+    # the adaptive dictionary's scales have fits of two widest widths, which read the one table all the same
     widths = {d.max_local_dim(j) for j in scales}
     assert widths == ({3, 2} if adaptive else {2}) and d.fit_bases.shape[1] == max(widths)
     M, eps = measurement.gaussian_matrix(3, d.ambient_dim, seed=8), 0.3
@@ -301,10 +303,10 @@ def test_the_compressed_fit_table_is_built_once_per_width(monkeypatch, swiss_clo
     comp = M.apply(cloud.points[:100])
     for j in scales + ["auto"]:
         recovery.recover_batch(comp, M, d, j)
-    # one stacked solve of every fit per width in use
-    assert sorted(calls) == sorted((len(d.fit_dims), M.m, width) for width in widths)
+    # one stacked solve of every fit, at the fit table's width
+    assert calls == [(len(d.fit_dims), M.m, d.fit_bases.shape[1])]
     # the subspace item's margin is the one the cached singular values give
-    svals = measurement._SOLVES[M][d][d.fit_bases.shape[1]].svals
+    svals = measurement._SOLVES[M][d].svals
     dims = d.fit_dims
     low = np.where(dims <= M.m, svals[np.arange(len(dims)), np.minimum(dims, M.m) - 1], 0.0)
     want = float(np.minimum(low - (1.0 - eps), (1.0 + eps) - svals[:, 0]).min())
@@ -427,14 +429,23 @@ def reference_item_d_margin(matrix, dictionary, pts, eps):
 
 
 def block_loop_item_d_margin(matrix, dictionary, pts, eps):
-    """Set-2 item d as one pass over every block of fits, each about 2^15 offsets, with no screen."""
+    """Set-2 item d as one pass over every block of fits, each about 2^15 offsets, with no screen.
+
+    Each off-plane part is summed as ``gmra.plane_coeffs`` and ``gmra.plane_rows`` sum it: the coefficients
+    over the D coordinates, then the rows over the basis rows in turn.
+    """
     centers, bases = dictionary.fit_centers, dictionary.fit_bases
     block = max(1, geometry._BLOCK_ENTRIES // pts.size)
     slack = 2.0 ** -dictionary.max_scale
     margin_d = np.inf
-    for fits in (slice(lo, lo + block) for lo in range(0, len(centers), block)):
-        rel = pts - centers[fits, None]
-        off = rel - (rel @ bases[fits].swapaxes(1, 2)) @ bases[fits]
+    for lo in range(0, len(centers), block):
+        fits = np.arange(lo, min(lo + block, len(centers)))[:, None]
+        rel = pts - centers[fits]
+        coeffs = [(rel * bases[fits, t]).sum(axis=-1) for t in range(bases.shape[1])]
+        planes = coeffs[0][..., None] * bases[fits, 0]
+        for t in range(1, len(coeffs)):
+            planes += coeffs[t][..., None] * bases[fits, t]
+        off = rel - planes
         resid = np.linalg.norm(off, axis=2)
         m_resid = np.linalg.norm(matrix.apply(off), axis=2)
         upper = (1.0 + eps) * resid + slack
@@ -593,7 +604,7 @@ def test_distortion_and_item_d_peak_below_one_condensed_distance_array():
     cloud = geometry.add_noise(geometry.PointCloud(padded, 200), 0.05, seed=2)
     d = gmra.build_dictionary(cloud, local_dim=2, max_scale=6, min_points=6)
     for M in (measurement.orthoprojection_matrix(8, 200, seed=3), measurement.gaussian_matrix(32, 200, seed=4)):
-        measurement._fit_solves(M, d, d.fit_bases.shape[1])  # the table item c builds first
+        measurement._fit_solves(M, d)  # the table item c builds first
         for run in (lambda: measurement.verify_distortion(M, cloud.points[:1000], 0.3),
                     lambda: measurement._residual_item(M, d, cloud.points[:200], 0.3)):
             tracemalloc.start()

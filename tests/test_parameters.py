@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manifold_cs import bounds, geometry, gmra, measurement, recovery
+from manifold_cs import bounds, geometry, gmra, harness, measurement, recovery
 from manifold_cs.errors import ParameterError
 
 # values no numeric parameter takes
@@ -189,6 +189,15 @@ def test_numpy_integers_pass_wherever_python_integers_do():
     (lambda c: bounds.cover_bound(bounds.BoundParams(d=2, V=1.0), 0.1), "reach"),
     (lambda c: bounds.m_uniform(bounds.BoundParams(d=2, V=1.0, reach=1.0)), "D"),
     (lambda c: bounds.m_uniform(bounds.BoundParams(d=2, V=1.0, D=3)), "reach"),
+    # an empty block raised "attempt to get argmax of an empty sequence"; 1-D arrays a numpy einsum error
+    (lambda c: harness.rel_mse(np.zeros((0, 3)), np.zeros((0, 3))), "points"),
+    (lambda c: harness.rel_mse(c.points[0], c.points[0]), "points"),
+    # points past float64's range gave nan, and reconstructions far enough from them inf
+    (lambda c: harness.rel_mse(np.full((2, 3), 1e200), np.zeros((2, 3))), "points"),
+    (lambda c: harness.rel_mse(c.points[:2], np.full((2, 3), 1e200)), "reconstructions"),
+    # a 0-d y raised numpy's AxisError
+    (lambda c: measurement.e_m_bound(np.float64(1.0), 0.3, 2), "y"),
+    (lambda c: measurement.e_m_bound(np.zeros((2, 2, 3)), 0.3, 2), "y"),
 ])
 def test_hostile_values_that_used_to_slip_through_are_refused(call, name):
     with pytest.raises(ParameterError) as exc:
@@ -289,6 +298,9 @@ def shape_cases(world):
         "project_at_scale pts": (lambda v: gmra.project_at_scale(dictionary, 2, v), "pts",
                                  misshapen(pts.shape, every)),
         "nearest_center x": (lambda v: gmra.nearest_center(dictionary, 2, v), "x", misshapen(x.shape, every)),
+        "rel_mse points": (lambda v: harness.rel_mse(v, v), "points", misshapen(pts.shape, ("ndim",))),
+        "rel_mse reconstructions": (lambda v: harness.rel_mse(pts, v), "reconstructions",
+                                    misshapen(pts.shape, every + ("rows",))),
     }
 
 
@@ -342,6 +354,11 @@ def finite_cases(world):
         "verify_distortion probes": (lambda v: measurement.verify_distortion(matrix, v, 0.3), "probes", pts[:20]),
         "recover_batch measurements": (lambda v: recovery.recover_batch(v, matrix, dictionary, 2), "measurements",
                                        meas[:20]),
+        # rel_mse returned nan or inf, and e_m_bound nan or inf, for these
+        "rel_mse points": (lambda v: harness.rel_mse(v, pts[:20]), "points", pts[:20]),
+        "rel_mse reconstructions": (lambda v: harness.rel_mse(pts[:20], v), "reconstructions", pts[:20]),
+        "e_m_bound y": (lambda v: measurement.e_m_bound(v, 0.3, 2), "y", pts[:20]),
+        "e_m_bound y vector": (lambda v: measurement.e_m_bound(v, 0.3, 2), "y", x),
     }
 
 

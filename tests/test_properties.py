@@ -800,15 +800,14 @@ def test_lattice_and_duplicate_clouds_build_cells_by_the_stated_tie_rule(
     check_cells(d, pts, stated_rule_cells(pts, max_scale, d.provenance["min_points"]))
 
 
-def svd_cell_fit(points, mode):
+def svd_cell_fit(points, d_max, threshold):
     """The thin-SVD plane fit: every cell's fit before the Gram-matrix path, and its k = D branch bit for bit."""
     mean = points.mean(axis=0)
     centered = points - mean
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    if mode[0] == "fixed":
-        d = mode[1]
+    if threshold is None:
+        d = d_max
     else:
-        _, threshold, d_max = mode
         if svals[0] == 0.0:
             d = 1
         else:
@@ -829,13 +828,11 @@ def svd_cell_fit(points, mode):
     noise=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
     scale=st.sampled_from([1.0, 1e-100, 1e100]),
     shift=st.sampled_from([0.0, 1e4]),
-    mode=st.one_of(
-        st.integers(1, 3).map(lambda d: ("fixed", d)),
-        st.tuples(st.floats(0.5, 0.99), st.integers(1, 3)).map(lambda t: ("adaptive", t[0], t[1])),
-    ),
+    d_max=st.integers(1, 3),
+    threshold=st.none() | st.floats(0.5, 0.99),
 )
 def test_gram_planes_lie_within_rounding_of_the_thin_svd_planes(seed, n_k, dim, rank, decay, noise, scale, shift,
-                                                                 mode):
+                                                                 d_max, threshold):
     # A cell of `rank` directions (all for None, none for 0: every row the same point) with singular values
     # falling by `decay`, plus isotropic noise.  Below k = D the Gram path's top-i subspace, for each i up to the
     # plane's dimension, lies within 1e-12 s_0^2 / (s_{i-1}^2 - s_i^2) of the thin SVD's: rounding of the Gram
@@ -846,19 +843,19 @@ def test_gram_planes_lie_within_rounding_of_the_thin_svd_planes(seed, n_k, dim, 
     frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :rank]
     cell = (rng.standard_normal((n_k, rank)) * decay ** np.arange(rank)) @ frame.T
     cell = (cell + noise * rng.standard_normal((n_k, dim)) + shift) * scale
-    mean, basis = gmra._cell_fit(cell, mode)
-    want_mean, want = svd_cell_fit(cell, mode)
+    mean, basis = gmra._cell_fit(cell, d_max, threshold)
+    want_mean, want = svd_cell_fit(cell, d_max, threshold)
     assert mean.tobytes() == want_mean.tobytes()
-    if min((mode[1] if mode[0] == "fixed" else mode[2]) + 2, n_k, dim) == dim:
+    if min(d_max + 2, n_k, dim) == dim:
         assert basis.tobytes() == want.tobytes()
         return
     assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-13
     _, svals, vt = np.linalg.svd(cell - mean, full_matrices=False)
     svals = np.append(svals / svals[0], 0.0) if svals[0] > 0 else np.zeros(len(svals) + 1)
-    if mode[0] == "adaptive" and svals[0] > 0:
+    if threshold is not None and svals[0] > 0:
         # away from the threshold, the Gram eigenvalues pick the SVD's dimension
         frac = np.cumsum(svals**2) / np.sum(svals**2)
-        if np.abs(frac - mode[1]).min() > 1e-9:
+        if np.abs(frac - threshold).min() > 1e-9:
             assert len(basis) == len(want)
     else:
         assert len(basis) == len(want)

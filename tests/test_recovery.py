@@ -109,7 +109,10 @@ def test_recover_batch_matches_single(swiss_cloud, swiss_dict):
 
 
 def grouped_recover_batch(measurements, matrix, dictionary, j):
-    """The per-local-dimension recovery: for each d, one stacked SVD of the m x d systems of the fits touched."""
+    """The per-local-dimension recovery: for each d, one stacked SVD of the m x d systems of the fits touched.
+
+    Its coefficients are zero-padded to the fit table's width, as recover_batch's are.
+    """
     y = np.asarray(measurements, dtype=np.float64)
     auto = j == "auto"
     scale = dictionary.max_scale if auto else int(j)
@@ -119,7 +122,7 @@ def grouped_recover_batch(measurements, matrix, dictionary, j):
     fits = dictionary.cell_fits(scale)[cells]
     dims = dictionary.fit_dims[fits]
     n = y.shape[0]
-    coeffs = np.zeros((n, dictionary.max_local_dim(scale)))
+    coeffs = np.zeros((n, dictionary.fit_bases.shape[1]))
     residuals = np.empty(n)
     ill = np.empty(n, dtype=bool)
     for d in np.unique(dims):
@@ -145,8 +148,8 @@ def grouped_recover_batch(measurements, matrix, dictionary, j):
 def assert_matches_grouped_reference(cloud, d, M):
     """recover_batch against grouped_recover_batch at every scale and "auto".
 
-    Where every fit of the searched scale has the scale's widest local dimension the two are the same bit for
-    bit. Elsewhere they agree within 1e-12 of the cloud's scale, or of the values' own where a nearly singular
+    Where every fit of the searched scale has the fit table's width, as on a fixed-d dictionary, the two are the
+    same bit for bit. Elsewhere they agree within 1e-12 of the cloud's scale, or of the values' own where a nearly singular
     system makes them larger: a 1 x 2 system [a, b] gives coefficients near 1/|(a, b)|.
     """
     comp = M.apply(cloud.points)
@@ -157,7 +160,7 @@ def assert_matches_grouped_reference(cloud, d, M):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         dims = d.fit_dims[d.cell_fits(got.searched_scale)[got.chosen_centers]]
         assert not got.coefficients[np.arange(got.coefficients.shape[1]) >= dims[:, None]].any()
-        exact = np.all(d.local_dims(got.searched_scale) == d.max_local_dim(got.searched_scale))
+        exact = np.all(d.local_dims(got.searched_scale) == d.fit_bases.shape[1])
         for name in ("reconstructions", "coefficients", "residuals"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape, name

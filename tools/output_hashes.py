@@ -39,8 +39,10 @@ bench/README.md), each set up and run once:
   ``max_scale=8``, ``min_points=6``; local dimensions 1-3, its scales'
   widest fits 3 and 2) saved whole and array by array
   (``adaptive.dict[<name>]``) with ``recover_batch``'s outputs at every
-  scale and at "auto" for the same matrix, so a compressed fit table
-  narrower than the fit table is hashed too, the
+  scale and at "auto" for the same matrix, so scales narrower than the
+  compressed fit table are hashed too, and each field of assumption sets 1
+  (at the first query) and 2 (on ``train.csv``) for that dictionary and
+  matrix, so items c and d are hashed on fits of mixed widths, the
   ``gmra validate --json`` report, then each of its fields on its own
   (``validate --json[<field>]``), so a diff names the validation quantities
   that moved, the ``measure verify --probes`` report, and each field of
@@ -208,14 +210,18 @@ def cli_roll3(seed, tmp):
     dictionary = gmra.load_dictionary(work.path("roll.dict"))
     query = geometry.load_csv(work.path("query.csv"))
     yield from recover_every_scale("cli-roll3 gaussian m=8", matrix, dictionary, query.points)
-    adaptive = gmra.build_dictionary(geometry.load_csv(work.path("train.csv")), local_dim=None, max_local_dim=3,
-                                     max_scale=8, min_points=6)
+    train = geometry.load_csv(work.path("train.csv"))
+    adaptive = gmra.build_dictionary(train, local_dim=None, max_local_dim=3, max_scale=8, min_points=6)
     path = os.path.join(tmp, "adaptive.dict")
     gmra.save_dictionary(adaptive, path)
     yield "cli-roll3 adaptive.dict", file_sha(path)
     for name, digest in dictionary_shas(path):
         yield "cli-roll3 adaptive.dict[%s]" % name, digest
     yield from recover_every_scale("cli-roll3 adaptive gaussian m=8", matrix, adaptive, query.points)
+    check = measurement.verify_assumption_set
+    for name, report in (("assumption set 1", check(matrix, adaptive, x=query.points[0], eps=workloads.EPS)),
+                         ("assumption set 2", check(matrix, adaptive, which=2, eps=workloads.EPS, cloud=train))):
+        yield from report_shas("cli-roll3 adaptive gaussian m=8 %s" % name, report)
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
         cli.main(["gmra", "validate", "--dict", work.path("roll.dict"), "--cloud", work.path("train.csv"), "--json"])
