@@ -1,4 +1,4 @@
-"""Point-cloud generation, noise injection, covering nets, and CSV ingestion.
+"""Point-cloud generation, noise injection, covering nets, the distance layer, and CSV ingestion.
 
 Synthetic manifolds used throughout:
 
@@ -46,6 +46,13 @@ _FPS_TREE_MAX_COLS = _SCREEN_RANK + 1
 # Every blocked pass (FPS's pair norms, the nearest-row scan, the fit-table passes of gmra and measurement)
 # keeps each temporary near this many float64 entries (256 KB), so it stays in cache.
 _BLOCK_ENTRIES = 1 << 15
+# A search of at least this many query-row pairs, over at least this many rows of at most
+# this many coordinates, asks a k-d tree first; ``nearest_rows`` gives the reason.
+_TREE_MIN_PAIRS = 1 << 17
+_TREE_MIN_ROWS = 192
+_TREE_MAX_DIM = 8
+# the float64 machine epsilon u and smallest normal t of ``gram_slack``'s bound
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 # load_csv and save_csv convert this many lines per bulk step, so a file is never held as one string.
 _CSV_BLOCK_LINES = 4096
 
@@ -57,7 +64,7 @@ class PointCloud:
     The points must be finite and small enough for the squared distances
     built from them.  Let S be the diagonal of the cloud's bounding box and
     f_max the largest float64.  Every point and every mean of points (a cell
-    center, the reference of FPS or ``gmra.sq_dists``) lies in the box, so
+    center, the default reference of ``gram_frame``) lies in the box, so
     every difference those form has norm at most S, and every squared norm
     and Gram term |<r_x, r_y>| is at most S^2.  A Gram expansion
     s_x + s_y - 2 <r_x, r_y> is then at most 4 S^2, which stays finite, with
@@ -154,8 +161,9 @@ def add_noise(cloud, sigma, seed):
         raise ParameterError("sigma", "small enough for the noisy cloud's squared distances", sigma) from None
 
 
-def _screen_coordinates(rel):
-    """The coordinates z that screen FPS picks and the slack factor G of their Gram form (see below)."""
+def _screen_coordinates(pts):
+    """The coordinates z that screen FPS picks, their squared norms and each row's slack h (see below)."""
+    _, rel, sq = gram_frame(pts)
     n, dim = rel.shape
     if dim > _SCREEN_RANK:
         _, svals, vt = np.linalg.svd(rel[:: -(-n // _SCREEN_SAMPLE_ROWS)], full_matrices=False)
@@ -166,9 +174,10 @@ def _screen_coordinates(rel):
             resid = low @ basis
             np.subtract(rel, resid, out=resid)
             skew = np.linalg.norm(basis @ basis.T - np.eye(len(basis)))
-            grow = 160.0 * (dim + 4) + 16.0 * skew / np.finfo(np.float64).eps
-            return np.column_stack([low, np.linalg.norm(resid, axis=1)]), grow
-    return rel, 4.0 * (dim + 4)
+            coords = np.column_stack([low, np.linalg.norm(resid, axis=1)])
+            sq = np.einsum("ij,ij->i", coords, coords)
+            return coords, sq, (20.0 + 2.0 * skew / ((dim + 4) * _EPS)) * gram_slack(sq, dim)
+    return rel, sq, gram_slack(sq, dim)
 
 
 def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
@@ -194,25 +203,26 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     Each pick p updates dist, every row's distance to the picked prefix, to
     min(dist, ||x - p||) with ||x - p|| computed in difference form,
     np.linalg.norm(x - p).  Only the rows whose dist can shrink are
-    recomputed; a Gram screen finds them.  Let r = x - c for the
-    rows' mean c, u the float64 machine epsilon and t the smallest subnormal.
-    The product runs on screen coordinates z, with s = ||z||^2, and a row is
-    skipped when its Gram value from ``gram_sq_dists``
+    recomputed; a Gram screen finds them.  The product runs on screen
+    coordinates z of the rows, with s = ||z||^2, and with a slack h per row a
+    row is skipped when its Gram value from ``gram_sq_dists``
 
-        g = s_x + s_p - 2 <z_x, z_p>  >  dist^2 (1 + 1e-9) + G (u (s_x + s_p) + t).
+        g = s_x + s_p - 2 <z_x, z_p>  >  dist^2 (1 + 1e-9) + h_x + h_p.
 
-    Full width: z = r and G = 4 (D + 4).  The Gram rounding is below
-    2 (D + 2) u (s_x + s_p) (plus about D t on underflow) and the centering
-    rounding below 4 u (s_x + s_p), to first order in u, so a skipped row has
+    Full width: z = r = x - c in the frame of the rows' mean c
+    (``gram_frame``) and h = ``gram_slack``(s, D), so g is within
+    (h_x + h_p) / 2 of ||x - p||^2 and a skipped row has
     ||x - p||^2 > dist^2 (1 + 1e-9) with half the slack to spare.
 
     Low rank: when D > _SCREEN_RANK = k and a strided sample of at most
     _SCREEN_SAMPLE_ROWS rows of r has under _SCREEN_MAX_TAIL of its energy
     (sum of squared singular values) outside its top k right singular
     vectors V (k x D), z = (V r, ||r - V^T V r||), k + 1 coordinates, so the
-    screen costs O(k) per row-pick pair, not O(D).  Elsewhere it would prune little
-    and the full-width one is faster.  Let d = ||V V^T - I||_F as computed,
-    and write l = V r, w = r - V^T l and a = ||r_x||, b = ||r_p||.  Exactly,
+    screen costs O(k) per row-pick pair, not O(D).  Elsewhere it would prune
+    little and the full-width one is faster.  The slack is F gram_slack(s, D)
+    with the projection factor F = 20 + 2 d / ((D + 4) u), u the float64
+    machine epsilon and d = ||V V^T - I||_F as computed.  Write l = V r,
+    w = r - V^T l and a = ||r_x||, b = ||r_p||.  Exactly,
     ||r_x - r_p||^2 >= (1 - 3 e) ||l_x - l_p||^2 + ||w_x - w_p||^2 where
     e = ||V V^T - I||_2 <= d + k D u (the rounding of V V^T), and
     ||w_x - w_p|| >= | ||w_x|| - ||w_p|| |, so the exact g is at most
@@ -220,13 +230,12 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     by at most sqrt(k) D u a, and the residual norm by at most
     (sqrt(k) (D + k) + D / 2 + 2) u a, so z_x by at most 6.2 (D + 4) u a for
     k = 8; that moves g by at most 4 * 6.2 (D + 4) u (s_x + s_p).  The Gram
-    rounding over k + 1 coordinates adds 2 (k + 3) u (s_x + s_p) and the
-    centering 4 u (s_x + s_p).  With (a + b)^2 <= 2 (a^2 + b^2), a^2 within
+    and centering rounding over k + 1 <= D coordinates is gram_slack's
+    4 (D + 4) u (s_x + s_p).  With (a + b)^2 <= 2 (a^2 + b^2), a^2 within
     a factor 1 + 3 e of s_x to first order, and D >= 9, the sum is below
-    76 (D + 4) u + 6.1 d per unit of s_x + s_p, and
-    G = 160 (D + 4) + 16 d / u again leaves half the slack to spare.  On
-    underflow each term gains at most about D t more, which the t term of
-    the slack covers.
+    (77 (D + 4) u + 6.1 d) (s_x + s_p), under half of the slack's
+    (160 (D + 4) u + 16 d) (s_x + s_p), so again half the slack is to spare;
+    its t terms cover each term's few subnormal spacings on underflow.
 
     Either way a skipped row's computed sum of squares is above
     dist^2 (1 + 1e-9) (1 - (D + 2) u) >= dist^2 for D below 10^6, so its
@@ -259,15 +268,15 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
       full width, or the low-rank screen), a k-d tree over z returns each
       pick's rows within
 
-          sqrt(R^2 (1 + 1e-9) + G (u (s_max + s_p) + t)) (1 + 1e-9),
+          sqrt(R^2 (1 + 1e-9) + h_max + h_p) (1 + 1e-9),
 
-      R the round's starting radius and s_max the largest s.  A row moves at
-      p only if its computed norm is below dist <= R, so ||x - p||^2 <
-      R^2 (1 + 2 (D + 3) u) <= R^2 (1 + 1e-9); the bounds above put the
-      exact ||z_x - z_p||^2 within half of G (u (s_x + s_p) + t) of
-      ||x - p||^2, so under the radius before its last factor.  The tree's
-      squared distances and pruning bounds round by under 1e-9 relative (as
-      for the tree of ``gmra._nearest_rows``), which that factor covers.
+      R the round's starting radius and h_max the largest slack.  A row
+      moves at p only if its computed norm is below dist <= R, so
+      ||x - p||^2 < R^2 (1 + 2 (D + 3) u) <= R^2 (1 + 1e-9); the bounds above
+      put the exact ||z_x - z_p||^2 within (h_x + h_p) / 2 of ||x - p||^2, so
+      under the radius before its last factor.  The tree's squared distances
+      and pruning bounds round by under 1e-9 relative (as for the tree of
+      ``nearest_rows``), which that factor covers.
     * Otherwise one Gram product of every row against the round's picks.
 
     The tree's pruning pays in few coordinates and the Gram product's
@@ -284,20 +293,18 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
             stop_fraction, "None or a number in [0, 1]")
     pts = np.ascontiguousarray(pts, dtype=np.float64)
     n = len(pts)
-    coords, grow = _screen_coordinates(pts - pts.mean(axis=0))
-    sq = np.einsum("ij,ij->i", coords, coords)
-    eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
-    slack = grow * (eps * sq + tiny)
+    coords, sq, slack = _screen_coordinates(pts)
     dist = np.linalg.norm(pts - pts[0], axis=1)
-    limit = dist * dist * (1.0 + 1e-9) + slack  # pick p skips row x when g > limit_x + grow * eps * s_p
+    limit = dist * dist * (1.0 + 1e-9) + slack  # pick p skips row x when g > limit_x + slack_p
+    slack_max = slack.max()
     order = [0]
     nxt = int(np.argmax(dist))
     radii = [float(dist[nxt])]
     moved, moved_picks = [], []  # the rows each round's picks are the strictly nearest pick of, and those picks
     if stop_fraction is not None:
         stop_radius = max(stop_radius, radii[0] * stop_fraction)
-    tree, sq_max = None, sq.max()
-    if coords.shape[1] <= _FPS_TREE_MAX_COLS and np.isfinite(sq_max):
+    tree = None
+    if coords.shape[1] <= _FPS_TREE_MAX_COLS and np.isfinite(sq.max()):
         from scipy.spatial import cKDTree
 
         tree = cKDTree(coords)
@@ -314,7 +321,7 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
         if start > cut:  # so nxt is a candidate; replay the picks whose radius stays above cut
             top_sq, top_coords = sq[top], coords[top]
             gram = gram_sq_dists(top_coords, top_sq, top_coords, top_sq)
-            a, b = np.nonzero(~(gram > limit[top, None] + grow * eps * top_sq))
+            a, b = np.nonzero(~(gram > limit[top, None] + slack[top]))
             near = np.full((width, width), np.inf)  # near[p, x]: candidate x's distance to candidate p
             near[b, a] = _pair_norms(pts, top[a], top[b])
             top_dist = dist[top]
@@ -327,20 +334,20 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
                 radii.append(float(top_dist[k]))
                 round_picks.append(int(top[k]))
         picks = np.array(round_picks, dtype=np.intp)
-        pick_sq, pick_coords = sq[picks], coords[picks]
+        pick_sq, pick_coords, pick_slack = sq[picks], coords[picks], slack[picks]
         # the row-pick pairs whose distance can beat the row's: from the tree, or one Gram product
         if tree is not None:
-            reach = np.sqrt(start * start * (1.0 + 1e-9) + grow * (eps * (sq_max + pick_sq) + tiny)) * (1.0 + 1e-9)
+            reach = np.sqrt(start * start * (1.0 + 1e-9) + slack_max + pick_slack) * (1.0 + 1e-9)
             found = tree.query_ball_point(pick_coords, reach, return_sorted=False)
             counts = np.fromiter(map(len, found), np.intp, len(found))
             rows = np.fromiter(chain.from_iterable(found), np.intp, counts.sum())
             at = np.repeat(np.arange(len(picks)), counts)
             gram = sq[rows] - 2.0 * np.einsum("ij,ij->i", coords[rows], pick_coords[at]) + pick_sq[at]
-            keep = ~(gram > limit[rows] + grow * eps * pick_sq[at])
+            keep = ~(gram > limit[rows] + pick_slack[at])
             rows, at = rows[keep], at[keep]
         else:
             gram = gram_sq_dists(coords, sq, pick_coords, pick_sq)
-            rows, at = np.nonzero(~(gram > limit[:, None] + grow * eps * pick_sq))
+            rows, at = np.nonzero(~(gram > limit[:, None] + pick_slack))
         # each touched row's running distance through the round's picks; it moves where it strictly drops
         touched, slot = np.unique(rows, return_inverse=True)
         table = np.full((len(touched), len(picks) + 1), np.inf)
@@ -363,6 +370,121 @@ def gram_sq_dists(a, a_sq, b, b_sq):
     """Squared distances between the rows of a and b, of squared norms a_sq and b_sq, by Gram expansion clipped at 0."""
     d2 = a_sq[:, None] + b_sq - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def gram_frame(rows, ref=None):
+    """(ref, rows - ref, their squared norms): the frame ``gram_sq_dists`` works in; ref is the rows' mean unless given.
+
+    The kernel's rounding scales with the squared norms in its frame
+    (``gram_slack``), so about the mean of the searched rows it follows
+    their spread, not their offset: a cloud shifted by 1e8 builds the same
+    cells.
+    """
+    if ref is None:
+        ref = rows.mean(axis=0)
+    rel = rows - ref
+    return ref, rel, np.einsum("ij,ij->i", rel, rel)
+
+
+def gram_slack(sq, dim):
+    """The kernel's rounding slack h = 8 (D + 4) (u sq + t / 2) of each row of squared norm sq in R^dim.
+
+    u is the float64 machine epsilon and t the smallest normal float64.
+    Take rows x and y of R^D into one frame (``gram_frame``, about any
+    reference), with squared norms s_x and s_y there.  Then the value g of
+    ``gram_sq_dists`` is within (h_x + h_y) / 2 = 4 (D + 4) (u (s_x + s_y) + t)
+    of the exact ||x - y||^2.  A screen that widens g by h_x + h_y so keeps
+    the other half for the rounding of its own exact evaluator.
+
+    The proof gives half that to first order in u; the rest covers the
+    higher-order terms.  Let a = x - ref and b = y - ref exactly.  Centering
+    rounds each coordinate by at most u of it, so r_x - r_y is within
+    u (||a|| + ||b||) of x - y, and its squared norm within
+    2 u (||a|| + ||b||)^2 <= 4 u (s_x + s_y) of ||x - y||^2.  A
+    squared norm s, a sum of D products, is within D u s of ||r||^2, and the
+    inner product within D u ||r_x|| ||r_y|| <= D u (s_x + s_y) / 2 of its
+    value, in any summation order; the two additions of
+    s_x + s_y - 2 <r_x, r_y> add 3 u (s_x + s_y), and the clip at 0 only
+    moves g towards the exact value, which is >= 0.  So the Gram form is
+    within (2 D + 3) u (s_x + s_y) of ||r_x - r_y||^2, and with the centering
+    within 2 (D + 4) u (s_x + s_y) of ||x - y||^2.  On underflow each
+    rounded product errs by at most half the smallest subnormal more, 2 D of
+    them in all, far below the t term.  The bound assumes no overflow, which
+    ``PointCloud`` keeps for the differences of its points and their means;
+    a row whose sq or slack is not finite gets no bound.
+    """
+    return 8.0 * (dim + 4) * (_EPS * sq + _TINY / 2)
+
+
+def sq_dists(a, b):
+    """Squared distances between the rows of a and b, clipped at 0: ``gram_sq_dists`` in the frame of b's mean."""
+    ref, b_rel, b_sq = gram_frame(b)
+    _, a_rel, a_sq = gram_frame(a, ref)
+    return gram_sq_dists(a_rel, a_sq, b_rel, b_sq)
+
+
+def nearest_rows(a, b):
+    """Index of the row of b nearest to each row of a (ties to the lowest): blocked argmin of ``sq_dists``.
+
+    The answer is that of the scan that evaluates the kernel, in the frame
+    of b's mean, on blocks of max(_BLOCK_ENTRIES // len(b), D // 8) rows of a
+    against every row of b.  The budget keeps a block's len(b) kernel
+    entries in cache; but each block also reads all len(b) D entries of b,
+    so wide rows take at least D / 8 per block, or the product of a few rows
+    spends its time reading b.
+
+    When b has at least _TREE_MIN_ROWS rows of at most _TREE_MAX_DIM
+    coordinates and len(a) * len(b) is at least _TREE_MIN_PAIRS, a k-d tree
+    over b's rows, in the same frame, first gives each row of a its two
+    nearest rows of b in difference form.  Where the rounding bound below
+    certifies the tree's nearest as the kernel's unique argmin, it is the
+    answer.  Each block of the scan that holds a row the bound leaves open
+    (a near-tie) is evaluated as the scan would: BLAS may round a 1-row
+    product differently from a block's, so the whole block, not the open
+    rows alone, gives those rows the scan's answer bit for bit.  The tree's
+    cost has a floor per call, while the scan's follows its len(a) len(b)
+    kernel entries; the scan wins below about 192 rows of b at any query
+    count, for few queries and for wide rows, and the tree past that
+    (the timings are in CHANGES.md).
+
+    The bound.  With h = ``gram_slack`` of each row's squared norm s in the
+    frame, the kernel's value g_k is within (h_x + h_k) / 2 of
+    δ_k^2 = ||x - b_k||^2.  The tree's squared distances are within
+    (D + 2) u of δ^2 relative, its pruning bounds within 2 u per tree level
+    more, and squaring the distances it returns adds 2 u; for D plus twice
+    the depth below 10^6 that is under 1e-9 relative, and underflow adds far
+    less than the slack's t terms.  So with t1 <= t2 the squared distances
+    of the two rows it returns, every row but the nearest, k1, has
+    δ^2 >= t2 (1 - 1e-9), and δ_k1^2 <= t1 (1 + 1e-9), to within that
+    underflow.  The tree's nearest is taken when
+
+        t2 (1 - 1e-9) > t1 (1 + 1e-9) + h_x + h_max,
+
+    h_max the slack of b's largest s, for then every other row's δ^2
+    exceeds δ_k1^2 by more than both kernel roundings, and its g by more
+    than g_k1.  A row whose slack is not finite is left open.
+    """
+    ref, b_rel, b_sq = gram_frame(b)
+    _, a_rel, a_sq = gram_frame(a, ref)
+    dim = b.shape[1]
+    block = max(1, _BLOCK_ENTRIES // len(b), dim // 8)
+    starts = range(0, len(a), block)
+    out = np.empty(len(a), dtype=np.intp)
+    tree_pays = len(b) >= _TREE_MIN_ROWS and dim <= _TREE_MAX_DIM and len(a) * len(b) >= _TREE_MIN_PAIRS
+    if tree_pays and np.isfinite(b_sq.max()):
+        from scipy.spatial import cKDTree
+
+        slack = gram_slack(a_sq, dim) + gram_slack(b_sq.max(), dim)
+        # the tree takes finite queries only; a row whose slack is not finite is left open anyway
+        dist, near = cKDTree(b_rel).query(np.where(np.isfinite(slack)[:, None], a_rel, 0.0), k=2)
+        first, second = (dist * dist).T
+        out[:] = near[:, 0]
+        open_rows = np.flatnonzero(~(second * (1.0 - 1e-9) > first * (1.0 + 1e-9) + slack))
+        starts = np.unique(open_rows // block) * block
+    for lo in starts:
+        rows = slice(lo, lo + block)
+        out[rows] = np.argmin(gram_sq_dists(a_rel[rows], a_sq[rows], b_rel, b_sq), axis=1)
+    return out
 
 
 def _pair_norms(pts, rows, cols):

@@ -42,21 +42,9 @@ Construction details that matter for the invariants:
   when d + 2 is below both the cell's size and D, from the smaller Gram
   matrix refined by one subspace-iteration step (see ``_cell_fit``), so a
   fit costs O(n_k D min(n_k, D)) with a small constant.
-* Every other distance search goes through one kernel, ``sq_dists``, or its
-  blocked argmin ``_nearest_rows``: the orphans' above, the separation and
-  parent checks on centers, ``nearest_center``, ``project_at_scale``,
-  recovery's compressed-center search and nearest-point oracles, the
-  tube-scale estimate and the near-center constants.  The kernel is the
-  Gram expansion ``geometry.gram_sq_dists``, which FPS's screens call too,
-  here in coordinates centered on the mean of the searched rows, so
-  rounding scales with the cloud's spread, not its offset (a cloud shifted
-  by 1e8 builds the same cells).  For many queries over many rows of few
-  coordinates a k-d tree prunes the search: it settles each query whose
-  nearest row a rounding bound certifies as the kernel's unique argmin, and
-  the kernel decides the rest, so every answer is the blocked scan's.  Only
-  on a near-tie within the kernel's rounding can a query's answer depend on
-  the other queries of the call: BLAS may round a 1-row product differently
-  from a block's.
+* Every other distance search, from the orphans' above to the separation,
+  parent and tube checks, goes through ``geometry``'s distance layer:
+  ``sq_dists`` and its blocked argmin ``nearest_rows``.
 * Every blocked pass, the scan above and the passes over the fit table
   here and in ``measurement``, sizes its blocks from one budget,
   ``geometry._BLOCK_ENTRIES``: 2^15 float64 entries per temporary.
@@ -68,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FileFormatError, TooFewPointsError, is_number, require, require_finite, require_integer, require_shape
-from .geometry import _BLOCK_ENTRIES, farthest_point_ordering, gram_sq_dists
+from .geometry import _BLOCK_ENTRIES, farthest_point_ordering, gram_frame, gram_sq_dists, nearest_rows, sq_dists
 from .storage import DICT_MAGIC, read_container, write_container
 
 DICT_FORMAT_VERSION = 4
@@ -248,117 +236,6 @@ def _cell_fit(points, d_max, threshold):
     return mean, vt[: min(d, vt.shape[0])]
 
 
-# A search of at least this many query-row pairs, over at least this many rows of at most
-# this many coordinates, asks a k-d tree first; ``_nearest_rows`` gives the measured crossover.
-_TREE_MIN_PAIRS = 1 << 17
-_TREE_MIN_ROWS = 192
-_TREE_MAX_DIM = 8
-
-
-def _centered(b):
-    """The mean of the rows of b, b relative to it, and those rows' squared norms."""
-    ref = b.mean(axis=0)
-    rel = b - ref
-    return ref, rel, np.einsum("ij,ij->i", rel, rel)
-
-
-def _sq_dists_centered(a, ref, b_rel, b_sq):
-    a_rel = a - ref
-    return gram_sq_dists(a_rel, np.einsum("ij,ij->i", a_rel, a_rel), b_rel, b_sq)
-
-
-def sq_dists(a, b):
-    """Squared distances between the rows of a and b, clipped at 0: a Gram expansion about b's mean.
-
-    An entry's rounding error is a few ulps of the squared distances of its
-    two rows from that mean, wherever the mean sits.
-    """
-    return _sq_dists_centered(a, *_centered(b))
-
-
-def _nearest_rows(a, b):
-    """Index of the row of b nearest to each row of a (ties to the lowest): blocked argmin of ``sq_dists``.
-
-    The answer is that of the scan that evaluates the kernel on blocks of
-    _BLOCK_ENTRIES // len(b) rows of a against every row of b.  When b has at
-    least _TREE_MIN_ROWS rows of at most _TREE_MAX_DIM coordinates and
-    len(a) * len(b) is at least _TREE_MIN_PAIRS, a k-d tree over b's rows, in
-    the kernel's frame, first gives each row of a its two nearest rows of b
-    in difference form.  Where the rounding bound below certifies the tree's
-    nearest as the kernel's unique argmin, it is the answer.  Each block of
-    the scan that holds a row the bound leaves open (a near-tie) is evaluated
-    as the scan would: BLAS may round a 1-row product differently from a
-    block's, so the whole block, not the open rows alone, gives those rows
-    the scan's answer bit for bit.
-
-    The bound.  With r = x - m for each row x of a and b (m the mean of b's
-    rows), s = ||r||^2, u the float64 machine epsilon and t the smallest
-    normal float64, let δ_k = ||r_x - r_k|| exactly.  The kernel's value g_k
-    is within 2 (D + 2) u (s_x + s_k) of δ_k^2, plus a few subnormal spacings
-    on underflow.  The tree's squared distances are within (D + 2) u of δ^2
-    relative, its pruning bounds within 2 u per tree level more, and
-    squaring the distances it returns adds 2 u; for D plus twice the depth
-    below 10^6 that is under 1e-9 relative, and underflow adds far less than
-    t.  So with t1 <= t2 the squared distances of the two rows it returns,
-    every row but the nearest, k1, has δ^2 >= t2 (1 - 1e-9) - t, and
-    δ_k1^2 <= t1 (1 + 1e-9) + t.  The tree's nearest is taken when
-
-        t2 (1 - 1e-9) > t1 (1 + 1e-9) + 8 (D + 4) (u (s_x + max_k s_k) + t),
-
-    for then every other row's δ^2 exceeds δ_k1^2 by more than both kernel
-    roundings, and its g by more than g_k1.  Like the kernel's rounding, the
-    slack scales with the squared distances from b's mean, so it holds for a
-    cloud shifted by 1e8.  A row whose slack is not finite is left open.
-
-    Where the tree pays (2 cores, OpenBLAS on 1 thread; milliseconds per
-    call, scan / tree, over up to five runs that interleave the two;
-    swiss-roll queries against well-spread roll points, D = 3 unless said).
-    The tree's cost has a floor per call: one query against K = 64-2,000
-    rows costs 0.02-0.14 by the scan and 0.08-0.88 by the tree.  The scan's
-    blocks of _BLOCK_ENTRIES kernel entries stay in cache, so its cost
-    follows its len(a) * K entries, while the tree's grows with K only as
-    its depth.  Below about K = 192 the scan wins at any query count
-    (2,000 queries, K = 32: 0.41-0.47 / 0.95-1.39, K = 64: 0.62-0.86 /
-    1.04-1.93, K = 105: 0.97-1.42 / 1.21-2.16, K = 128: 1.01-1.39 /
-    1.22-2.17; 20,000 queries, K = 64: 5.9-8.5 / 11.1-17.1, K = 128:
-    12.9-14.4 / 18.8; D = 8, 20,000 queries, K = 64: 7.0-8.8 / 14.8-22.8);
-    about there the two meet (1,000 queries, K = 192: 0.77-1.09 /
-    0.70-1.32; 2,000 queries, K = 225: 1.72-2.55 / 1.40-2.48; 20,000
-    queries, K = 256: 23.7 / 21.2), and past it the tree wins (2,000
-    queries, K = 400: 3.1-3.9 / 1.5-2.2; 256 queries, K = 1,000: 1.3-1.4 /
-    0.8; the roll in R^200 measured by a Haar m = 8 matrix, 1,500 queries,
-    K = 259: 1.7-2.7 / 1.4-2.5, K = 349: 2.3-3.7 / 1.5-2.6) unless the
-    queries are few (64 queries, K = 1,000: 0.31-0.39 / 0.41-0.57).  Wider
-    rows favour the scan, which already won at D = 32 when its blocks were
-    eight times larger and it ran two to four times slower (2,000
-    queries, K = 128: 3.8, K = 400: 11.6).  So the tree takes calls of at
-    least 2^17 query-row pairs over K >= 192 rows of D <= 8 coordinates,
-    and the scan stays the exact evaluator for near-ties, for few queries,
-    for few rows and for wide ones.
-    """
-    terms = ref, b_rel, b_sq = _centered(b)
-    dim = b.shape[1]
-    block = max(1, _BLOCK_ENTRIES // len(b))
-    starts = range(0, len(a), block)
-    out = np.empty(len(a), dtype=np.intp)
-    tree_pays = len(b) >= _TREE_MIN_ROWS and dim <= _TREE_MAX_DIM and len(a) * len(b) >= _TREE_MIN_PAIRS
-    if tree_pays and np.isfinite(b_sq.max()):
-        from scipy.spatial import cKDTree
-
-        a_rel = a - ref
-        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
-        slack = 8.0 * (dim + 4) * (eps * (np.einsum("ij,ij->i", a_rel, a_rel) + b_sq.max()) + tiny)
-        # the tree takes finite queries only; a row whose slack is not finite is left open anyway
-        dist, near = cKDTree(b_rel).query(np.where(np.isfinite(slack)[:, None], a_rel, 0.0), k=2)
-        first, second = (dist * dist).T
-        out[:] = near[:, 0]
-        open_rows = np.flatnonzero(~(second * (1.0 - 1e-9) > first * (1.0 + 1e-9) + slack))
-        starts = np.unique(open_rows // block) * block
-    for lo in starts:
-        out[lo : lo + block] = np.argmin(_sq_dists_centered(a[lo : lo + block], *terms), axis=1)
-    return out
-
-
 def build_dictionary(
     cloud,
     local_dim=None,
@@ -369,15 +246,16 @@ def build_dictionary(
 ):
     """Build a multiscale dictionary over the cloud.
 
-    local_dim fixes the plane dimension everywhere; pass None to pick it per
-    cell as the smallest dimension holding at least energy_threshold of the
-    cell's spectral energy, capped at max_local_dim.  min_points is the
-    smallest cell allowed to refine (defaults to local_dim + 1, the least
-    count that determines a d-plane).
+    local_dim fixes the plane dimension everywhere, and then max_local_dim
+    must be None; pass None to pick it per cell as the smallest dimension
+    holding at least energy_threshold of the cell's spectral energy, capped
+    at max_local_dim.  min_points is the smallest cell allowed to refine
+    (defaults to local_dim + 1, the least count that determines a d-plane).
     """
     max_scale = require_integer("max_scale", max_scale, 0, MAX_BUILD_SCALE)
     if local_dim is not None:
         local_dim = require_integer("local_dim", local_dim, 1)
+    require(local_dim is None or max_local_dim is None, "max_local_dim", max_local_dim, "unset when local_dim is given")
     require(max_local_dim is not None or local_dim is not None, "max_local_dim", max_local_dim,
             "an integer >= 1 when local_dim is None")
     if max_local_dim is not None:
@@ -421,7 +299,7 @@ def build_dictionary(
         orphans = np.flatnonzero(assign < 0)
         if orphans.size:
             seeds = np.flatnonzero(cell_of[:size] >= 0)
-            assign[orphans] = cell_of[seeds[_nearest_rows(pts[orphans], pts[order[seeds]])]]
+            assign[orphans] = cell_of[seeds[nearest_rows(pts[orphans], pts[order[seeds]])]]
         new_pops = np.bincount(assign, minlength=old + len(new))
         # cells only ever lose points to newly accepted seeds, so an unchanged
         # population means an unchanged cell, which keeps its fit; a cell left
@@ -491,7 +369,7 @@ def nearest_center(dictionary, j, x):
     centers = dictionary.centers(j)
     require_shape("x", x, dictionary.ambient_dim)
     require_finite("x", x)
-    return int(_nearest_rows(x[None], centers)[0])
+    return int(nearest_rows(x[None], centers)[0])
 
 
 def project_at_scale(dictionary, j, pts):
@@ -499,7 +377,7 @@ def project_at_scale(dictionary, j, pts):
     pts = np.asarray(pts, dtype=np.float64)
     require_shape("pts", pts, "n", dictionary.ambient_dim)
     require_finite("pts", pts)
-    fits = dictionary.cell_fits(j)[_nearest_rows(pts, dictionary.centers(j))]
+    fits = dictionary.cell_fits(j)[nearest_rows(pts, dictionary.centers(j))]
     return affine_rows(dictionary, fits, plane_coeffs(dictionary, fits, pts - dictionary.fit_centers[fits]))
 
 
@@ -728,7 +606,7 @@ def _check_idempotent(dictionary):
 def _estimate_tube_scale(dictionary, cloud):
     """Smallest j0 such that all deeper scales keep centers inside the shrinking tube."""
     centers, pts = dictionary.fit_centers, cloud.points
-    dists = np.linalg.norm(centers - pts[_nearest_rows(centers, pts)], axis=1)[dictionary.cell_fit]
+    dists = np.linalg.norm(centers - pts[nearest_rows(centers, pts)], axis=1)[dictionary.cell_fit]
     worst = np.maximum.reduceat(dists, dictionary.offsets[:-1])
     allowed = dictionary.sep_constant * 2.0 ** (-2.0 - np.arange(len(worst)))
     hold = worst < allowed
@@ -810,9 +688,11 @@ def _estimate_near_center_constants(dictionary, cloud, budget, rng_seed):
     for j in range(dictionary.max_scale + 1):
         centers, fits = dictionary.centers(j), dictionary.cell_fits(j)
         floor = dictionary.sep_constant * 2.0 ** (-j - 1)
+        ref, c_rel, c_sq = gram_frame(centers)
+        _, p_rel, p_sq = gram_frame(pts, ref)
         block = max(1, _BLOCK_ENTRIES // len(centers))
         for lo in range(0, len(pts), block):
-            dists = np.sqrt(sq_dists(pts[lo : lo + block], centers))
+            dists = np.sqrt(gram_sq_dists(p_rel[lo : lo + block], p_sq[lo : lo + block], c_rel, c_sq))
             base = np.maximum(dists.min(axis=1), floor)
             rows, near = np.nonzero(dists <= 16.0 * base[:, None])
             ratio = resid[fits[near], lo + rows] * 2.0**j

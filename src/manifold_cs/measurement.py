@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, ResourceLimitError, is_number, require, require_finite, require_integer, require_shape
-from .geometry import _BLOCK_ENTRIES, gram_sq_dists
+from .errors import (BoundOverflowError, FileFormatError, ResourceLimitError, is_number, require, require_finite,
+                     require_integer, require_shape)
+from .geometry import _BLOCK_ENTRIES, gram_frame, gram_slack, gram_sq_dists
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
@@ -173,15 +174,16 @@ def _pair_distortion(matrix, vectors):
 
     The screen takes the row pairs (i, j > i) in blocks of about
     _BLOCK_ENTRIES.  In each space (the vectors, and their images under M,
-    computed once), let z be the rows less their mean, s = ||z||^2, u the
-    float64 machine epsilon, t the smallest subnormal and D the space's
-    dimension.  The Gram value g of ``gram_sq_dists`` is within
-    (2 D + 8) u (s_i + s_j) + 2 D t of the exact squared distance (the
-    bound of ``farthest_point_ordering``, centering included), and pdist's
-    sum within 2 (D + 2) u (s_i + s_j) + D t / 2 of it, to first order in
-    u.  So pdist's value lies in [g - e, g + e] with
-    e = 8 (D + 4) (u (s_i + s_j) + t), which leaves half the slack to
-    spare, also for the rounding of the interval itself.  Division and
+    computed once), take the rows into the frame of their mean
+    (``gram_frame``), with squared norms s there, and let
+    h = ``gram_slack``(s, D) for the space's dimension D.  The Gram value g
+    of ``gram_sq_dists`` is within (h_i + h_j) / 2 of the exact squared
+    distance, and pdist's sum of squared differences within (D + 2) u of it
+    relative (u the float64 machine epsilon), so within
+    2 (D + 2) u (s_i + s_j) plus D half subnormal spacings: under the other
+    half of h_i + h_j, with 2 (D + 6) u (s_i + s_j) to spare for the
+    rounding of the interval itself, to first order in u.  So pdist's value
+    lies in [g - e, g + e] with e = h_i + h_j.  Division and
     subtraction round monotonically, so with d2 in [dl, dh], dl > 0, and
     md2 in [ml, mh], ml >= 0, pdist's distortion lies in
     [max(fl(ql - 1), fl(1 - qh), 0), max(fl(qh - 1), fl(1 - ql))] for
@@ -203,8 +205,8 @@ def _pair_distortion(matrix, vectors):
     images = matrix.apply(vectors)
     screened = vectors.shape[1] + matrix.m > _PAIR_SCREEN_MIN_DIMS
     if screened:
-        spaces = [_pair_screen(vectors), _pair_screen(images)]
-        screened = all(space[1].max() <= _SCREEN_MAX_SQ for space in spaces)
+        spaces = [(z, s, gram_slack(s, z.shape[1])) for _, z, s in map(gram_frame, (vectors, images))]
+        screened = all(s.max() <= _SCREEN_MAX_SQ for _, s, _ in spaces)
     best, worst_pair, checked, floor = -np.inf, None, 0, 0.0
     lo = 0
     while lo < n - 1:
@@ -242,14 +244,6 @@ def _screen_rows(spaces, lo, stop, later, floor):
         np.subtract(1.0, down, out=down)  # 1 - fl(ql)
         floor = max(floor, -float(np.min(np.minimum(up, down), where=clean, initial=0.0)))
         return (later & ~(clean & (np.maximum(up, down, out=up) < floor))).any(axis=1), floor
-
-
-def _pair_screen(vectors):
-    """(z, s, h) for ``_pair_distortion``'s screen: the rows less their mean, their squared norms, and
-    h = 8 (D + 4) (u s + t / 2), so that h_i + h_j is a pair's slack e."""
-    z = vectors - vectors.mean(axis=0)
-    s = np.einsum("ij,ij->i", z, z)
-    return z, s, 8.0 * (z.shape[1] + 4) * (_EPS * s + _TINY / 2)
 
 
 def _gram_interval(z, s, h, lo, stop):
@@ -326,16 +320,22 @@ def e_m_bound(y, eps, sparsity):
     Dominates ||My|| whenever M satisfies the restricted isometry property at
     sparsity d and level eps.  eps = 0 is accepted as the isometric limit.
     y is a finite vector, or a block of row vectors, which gives one bound
-    per row.
+    per row.  A bound past float64's range raises BoundOverflowError, naming
+    its row of a block.
     """
     require_integer("sparsity", sparsity, 1)
     require(is_number(eps) and 0 <= eps < 0.5, "eps", eps, "in [0, 1/2)")
     y = np.asarray(y, dtype=np.float64)
     require(y.ndim in (1, 2), "y", y.shape, "a vector or a block of row vectors")
     require_finite("y", y)
-    bound = np.sqrt(1.0 + eps) * (
-        np.linalg.norm(y, axis=-1) + np.linalg.norm(y, ord=1, axis=-1) / np.sqrt(sparsity)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = np.sqrt(1.0 + eps) * (
+            np.linalg.norm(y, axis=-1) + np.linalg.norm(y, ord=1, axis=-1) / np.sqrt(sparsity)
+        )
+    finite = np.isfinite(bound)
+    if not finite.all():
+        at = "" if y.ndim == 1 else " of row %d" % int(finite.argmin())
+        raise BoundOverflowError("the compression bound%s is not a finite float64" % at)
     return float(bound) if y.ndim == 1 else bound
 
 

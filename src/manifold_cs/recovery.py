@@ -12,7 +12,8 @@ written out a block of rows at a time.
 One batched core runs all three steps: ``recover_batch`` is its n-row call
 and ``recover`` its 1-row call.  Only on a near-tie within the distance
 kernel's rounding can a row's answer depend on the rows recovered with it:
-BLAS may round a 1-row product differently from a block's (see ``gmra``).
+BLAS may round a 1-row product differently from a block's
+(see ``geometry.nearest_rows``).
 ``certify_batch`` evaluates, for known queries x, both sides of the
 center-quality (line 3, against the best center of the layer the recovery
 searched) and least-squares-quality (line 4) inequalities, plus the
@@ -27,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, is_number, require, require_finite, require_shape
-from .geometry import SWISS_ROLL_HEIGHT, SWISS_ROLL_T_MAX, SWISS_ROLL_T_MIN, PointCloud, swiss_roll_point
+from .geometry import SWISS_ROLL_HEIGHT, SWISS_ROLL_T_MAX, SWISS_ROLL_T_MIN, PointCloud, nearest_rows, swiss_roll_point
 # nearest_center is not called here; it stays a module attribute because the
 # benchmark's tracer patches recovery.nearest_center.
-from .gmra import _nearest_rows, affine_rows, nearest_center, plane_coeffs  # noqa: F401
+from .gmra import affine_rows, nearest_center, plane_coeffs  # noqa: F401
 from .measurement import _fit_solves, e_m_bound
 
 STABLE_RECOVERY_CONSTANT = 100.3
@@ -146,7 +147,7 @@ def recover_batch(measurements, matrix, dictionary, j):
     auto = isinstance(j, str) and j == "auto"
     scale = dictionary.max_scale if auto else j
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
-    cells = _nearest_rows(y, comp_centers)
+    cells = nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
     fits = dictionary.cell_fits(scale)[cells]
     a_sub, pinv, rank, _ = _fit_solves(matrix, dictionary)
@@ -194,7 +195,8 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     scale the chosen fit was made at).  The optimal-error, set-2 and tube
     columns are present only when x_opt, the nearest manifold point of each
     query, is given.  points, and x_opt when given, must be finite and have
-    the batch's rows and width.
+    the batch's rows and width; a set-2 column past float64's range raises
+    ``measurement.e_m_bound``'s BoundOverflowError.
     """
     require(is_number(eps) and 0 < eps < 0.5, "eps", eps, "in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
@@ -213,7 +215,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     coeffs = plane_coeffs(dictionary, fits, rel)
     proj_x = affine_rows(dictionary, fits, coeffs)
     ratio = np.sqrt((1.0 + eps) / (1.0 - eps))
-    best = np.linalg.norm(x - layer[_nearest_rows(x, layer)], axis=1)
+    best = np.linalg.norm(x - layer[nearest_rows(x, layer)], axis=1)
     line3_rhs = ratio * best
     # ||P x - x'|| = ||B (x - c) - u'||: no cancellation between points of the cloud's magnitude
     width = min(coeffs.shape[1], batch.coefficients.shape[1])
@@ -232,7 +234,7 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
         # the tube's distance to the finest layer: line 3's when that is the layer searched
         if searched != dictionary.max_scale:
             finest = dictionary.centers(dictionary.max_scale)
-            best = np.linalg.norm(x - finest[_nearest_rows(x, finest)], axis=1)
+            best = np.linalg.norm(x - finest[nearest_rows(x, finest)], axis=1)
         d_man = dictionary.max_local_dim(dictionary.max_scale)
         columns["optimal_error_bound"] = bound
         columns["optimal_error_excess"] = np.linalg.norm(x - batch.reconstructions, axis=1) - bound
@@ -256,7 +258,7 @@ def nearest_point_oracle(x, manifold):
     rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):
         require_shape("manifold", manifold.points, "n", rows.shape[1])
-        out = manifold.points[_nearest_rows(rows, manifold.points)]
+        out = manifold.points[nearest_rows(rows, manifold.points)]
     elif manifold == "sphere":
         norms = np.linalg.norm(rows, axis=1)
         require(np.all(norms >= 1e-300), "manifold", manifold, "a manifold with one nearest point to each point "
@@ -284,7 +286,7 @@ def _nearest_on_swiss_roll(x):
     """
     n, a, b = len(x), x[:, 0], x[:, 2]
     ts = np.linspace(SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX, 4096)
-    seeds = _nearest_rows(x[:, [0, 2]], np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1))
+    seeds = nearest_rows(x[:, [0, 2]], np.stack([ts * np.cos(ts), ts * np.sin(ts)], axis=1))
     lo0, hi0 = ts[np.maximum(seeds - 1, 0)], ts[np.minimum(seeds + 1, len(ts) - 1)]
     turn = ts[seeds] + np.where(ts[seeds] < 3.0 * np.pi, 2.0 * np.pi, -2.0 * np.pi)
     turn_lo, turn_hi = (np.clip(turn + w, SWISS_ROLL_T_MIN, SWISS_ROLL_T_MAX) for w in (-0.5, 0.5))

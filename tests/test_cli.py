@@ -423,6 +423,8 @@ RECOVER = ["recover", "--measurements", "meas.csv", "--matrix", "M.mtx", "--dict
      "--energy"),
     (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--max-local-dim", "2", "--energy", "0"],
      "--energy"),
+    (["gmra", "build", "--cloud", "train.csv", "--out", "out.dict", "--local-dim", "2", "--max-local-dim", "3"],
+     "--max-local-dim must be unset when local_dim is given, got 3"),
     (RECOVER + ["--points", "origin.csv", "--certificates", "cert.csv", "--manifold", "sphere"], "--manifold"),
     (["experiment", "run", "--config", "nodim.json"], "nodim.json: max_local_dim must be an integer >= 1 when local_dim"),
     (["gmra", "build", "--cloud", "one.csv", "--out", "out.dict", "--local-dim", "2"],

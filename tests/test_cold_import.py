@@ -48,7 +48,7 @@ from manifold_cs import geometry, gmra, measurement
 assert not any(m.startswith("scipy") for m in sys.modules)
 rng = np.random.default_rng(5)
 a, b = rng.normal(size=(2000, 3)), rng.normal(size=(128, 3))  # past every tree threshold
-near = gmra._nearest_rows(a, b)
+near = geometry.nearest_rows(a, b)
 assert np.array_equal(near, np.argmin(((a[:, None, :] - b[None]) ** 2).sum(axis=2), axis=1))
 matrix = measurement.gaussian_matrix(8, 3, 2)
 report = measurement.verify_distortion(matrix, a[:50], 0.9)

@@ -154,9 +154,8 @@ def test_fps_screens_low_rank_clouds_in_few_coordinates_and_full_rank_ones_at_fu
     }
     widths = {}
     for name, pts in clouds.items():
-        rel = pts - pts.mean(axis=0)
-        coords, _ = geometry._screen_coordinates(rel)
-        widths[name] = "full" if coords is rel else coords.shape[1]
+        coords, _, _ = geometry._screen_coordinates(pts)
+        widths[name] = "full" if np.array_equal(coords, pts - pts.mean(axis=0)) else coords.shape[1]
     assert widths == {
         "roll in R^3": "full",
         "roll rotated into R^200": geometry._SCREEN_RANK + 1,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.spatial.distance import cdist
 
 from conftest import fit_tables
 from manifold_cs import geometry, gmra, measurement, recovery, storage
@@ -108,6 +109,8 @@ def test_build_requires_enough_points():
     (dict(max_local_dim=2, energy_threshold=1.5), r"energy_threshold must be in \(0, 1\]"),
     (dict(max_local_dim=2, energy_threshold=0.0), r"energy_threshold must be in \(0, 1\]"),
     (dict(max_local_dim=2, energy_threshold=float("nan")), r"energy_threshold must be in \(0, 1\]"),
+    # a cap a fixed local_dim would ignore, though the provenance would record it
+    (dict(local_dim=2, max_local_dim=3), "^max_local_dim must be unset when local_dim is given, got 3$"),
 ])
 def test_build_refuses_bad_local_dimension_settings_before_fps(swiss_cloud, monkeypatch, setting, cause):
     def no_fps(*args, **kwargs):
@@ -157,16 +160,28 @@ def test_nearest_center_matches_scan_oracle(circle_dict):
     centers = circle_dict.centers(j)
     for x in probes:
         want = int(np.argmin([np.linalg.norm(x - c) for c in centers]))
-        assert gmra.nearest_center(circle_dict, j, x) == want == gmra._nearest_rows(x[None], centers)[0]
+        assert gmra.nearest_center(circle_dict, j, x) == want == geometry.nearest_rows(x[None], centers)[0]
 
 
 def test_nearest_rows_blocks_match_single_rows():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((300, 4)) + 1e6
     a = rng.standard_normal((2000, 4)) + 1e6  # several blocks of rows, the last one partial
-    assert gmra._BLOCK_ENTRIES // len(b) < len(a)
-    got = gmra._nearest_rows(a, b)
-    assert got.tolist() == [gmra._nearest_rows(row[None], b)[0] for row in a]
+    assert geometry._BLOCK_ENTRIES // len(b) < len(a)
+    got = geometry.nearest_rows(a, b)
+    assert got.tolist() == [geometry.nearest_rows(row[None], b)[0] for row in a]
+
+
+def test_nearest_rows_scans_wide_rows_in_blocks_of_an_eighth_of_their_width(monkeypatch):
+    # 2,000 rows of b in R^800 leave the budget 16 query rows per block, a product that spends its time reading b;
+    # the wide-row floor makes a block D / 8 = 100 rows
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((450, 800)), rng.standard_normal((2000, 800))
+    blocks, kernel = [], geometry.gram_sq_dists
+    monkeypatch.setattr(geometry, "gram_sq_dists", lambda x, *rest: blocks.append(len(x)) or kernel(x, *rest))
+    got = geometry.nearest_rows(a, b)
+    assert geometry._BLOCK_ENTRIES // len(b) == 16 and blocks == [100, 100, 100, 100, 50]
+    assert got.tolist() == cdist(a, b, "sqeuclidean").argmin(axis=1).tolist()
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +223,7 @@ def test_dictionary_is_exact_under_translation(request, case, shift):
         assert np.array_equal(recovery.recover_batch(M.apply(moved.points), M, dm, j).chosen_centers, want)
     probes = moved.points[::6]
     for j in (3, 8):
-        batch = gmra._nearest_rows(probes, dm.centers(j))
+        batch = geometry.nearest_rows(probes, dm.centers(j))
         assert [gmra.nearest_center(dm, j, x) for x in probes] == batch.tolist()
 
 
@@ -262,7 +277,7 @@ def reference_near_center_constants(dictionary, cloud, budget, rng_seed):
         block = max(1, gmra._BLOCK_ENTRIES // centers.size)
         for lo in range(0, len(pts), block):
             x = pts[lo : lo + block]
-            dists = np.sqrt(gmra.sq_dists(x, centers))
+            dists = np.sqrt(geometry.sq_dists(x, centers))
             base = np.maximum(dists.min(axis=1), floor)
             rows, near = np.nonzero(dists <= 16.0 * base[:, None])
             rel = x[rows] - centers[near]
@@ -331,7 +346,7 @@ def test_affine_rows_equals_plane_rows_plus_centers_on_mixed_local_dims(mixed_di
     cloud, d = mixed_dict
     rng = np.random.default_rng(8)
     for j in range(d.max_scale + 1):
-        fits = d.cell_fits(j)[gmra._nearest_rows(cloud.points, d.centers(j))]
+        fits = d.cell_fits(j)[geometry.nearest_rows(cloud.points, d.centers(j))]
         coeffs = rng.standard_normal((len(fits), d.max_local_dim(j)))
         got = gmra.affine_rows(d, fits, coeffs)
         assert got.tobytes() == (gmra.plane_rows(d, fits, coeffs) + d.fit_centers[fits]).tobytes()

@@ -434,6 +434,7 @@ def test_config_validation():
     ("local_dim", 1.5, "1.5"),
     ("max_local_dim", 0, "0"),
     ("max_local_dim", -1, "-1"),
+    ("max_local_dim", 3, "3"),  # beside local_dim 2, which fixes the plane dimension the cap would bound
     ("energy_threshold", 1.5, "1.5"),
     ("energy_threshold", 0, "0"),
     ("energy_threshold", "0.9", "'0.9'"),

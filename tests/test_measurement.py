@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import fit_tables
 from manifold_cs import cli, geometry, gmra, measurement, recovery, storage
-from manifold_cs.errors import FileFormatError, ParameterError, ResourceLimitError
+from manifold_cs.errors import BoundOverflowError, FileFormatError, ParameterError, ResourceLimitError
 
 
 def test_gaussian_deterministic():
@@ -162,6 +163,22 @@ def test_e_m_bound_values():
     e1 = np.zeros(4)
     e1[0] = 1.0
     assert measurement.e_m_bound(e1, 0.0, 4) == pytest.approx(1.5)
+
+
+def test_e_m_bound_refuses_a_bound_past_float64_and_keeps_every_finite_one():
+    # 1e300 passes the finiteness check of y, but its norm squares past float64: the bound was inf, with a warning
+    big = np.full(3, 1e300)
+    block = np.array([[1.0, -2.0, 3.0], big, [0.5, 0.0, 1e150]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BoundOverflowError, match="^the compression bound is not a finite float64$"):
+            measurement.e_m_bound(big, 0.3, 2)
+        with pytest.raises(BoundOverflowError, match="^the compression bound of row 1 is not a finite float64$"):
+            measurement.e_m_bound(block, 0.3, 2)
+    finite = block[[0, 2]]
+    want = np.sqrt(1.3) * (np.linalg.norm(finite, axis=1) + np.abs(finite).sum(axis=1) / np.sqrt(2))
+    assert measurement.e_m_bound(finite, 0.3, 2).tobytes() == want.tobytes()
+    assert measurement.e_m_bound(finite[1], 0.3, 2) == want[1]
 
 
 def test_e_m_bound_homogeneous_and_monotone():

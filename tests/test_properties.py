@@ -7,6 +7,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -152,9 +153,9 @@ def test_nearest_rows_matches_difference_scan(data):
     b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 300)), dim), elements=coords), label="b")
     shift = data.draw(st.sampled_from([0.0, 1e4, -1e6, 1e8]), label="shift")
     # repeating a's rows up to the tree's query-row pair count reaches the tree when b has enough rows
-    reps = data.draw(st.sampled_from([1, -(-gmra._TREE_MIN_PAIRS // (len(a) * len(b)))]), label="reps")
+    reps = data.draw(st.sampled_from([1, -(-geometry._TREE_MIN_PAIRS // (len(a) * len(b)))]), label="reps")
     a, b = np.tile(a, (reps, 1)) + shift, b + shift
-    got = gmra._nearest_rows(a, b)
+    got = geometry.nearest_rows(a, b)
     d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
     ref = b.mean(axis=0)
     spread = ((a - ref) ** 2).sum(axis=1) + ((b - ref) ** 2).sum(axis=1).max()
@@ -162,20 +163,55 @@ def test_nearest_rows_matches_difference_scan(data):
     assert np.all(d2[np.arange(len(a)), got] <= d2.min(axis=1) + bound)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 40),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    place=st.sampled_from([(1.0, 0.0), (1.0, 1e8), (1e-160, 0.0)]),
+    apart=st.sampled_from([0.0, 1e4]),
+)
+def test_the_gram_kernel_is_within_half_its_slack_of_the_exact_squared_distance(seed, dim, n, k, place, apart):
+    # The one bound every Gram screen rests on: in a gram_frame about b's mean, |g - ||x - y||^2| <= (h_x + h_y) / 2
+    # with h from gram_slack, against the exact value in rationals.  Rows of mixed magnitudes, a copy of a row of b
+    # among the queries (distance 0), rows far from the mean (`apart`, the odd rows of b), shifted by 1e8 or scaled
+    # to about 1e-160, where the squared norms underflow.
+    scale, shift = place
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    b = rng.standard_normal((k, dim)) * 10.0 ** rng.uniform(-3, 3, (k, 1))
+    b[1::2, 0] += apart
+    a, b = np.vstack([a, b[:1]]) * scale + shift, b * scale + shift
+    ref, b_rel, b_sq = geometry.gram_frame(b)
+    _, a_rel, a_sq = geometry.gram_frame(a, ref)
+    g = geometry.gram_sq_dists(a_rel, a_sq, b_rel, b_sq)
+    h_a, h_b = geometry.gram_slack(a_sq, dim), geometry.gram_slack(b_sq, dim)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            exact = sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(x.tolist(), y.tolist()))
+            assert abs(Fraction(g[i, j]) - exact) <= (Fraction(h_a[i]) + Fraction(h_b[j])) / 2
+
+
 def flat_nearest_rows(a, b):
-    """Reference search: the blocked argmin of the kernel over every row of b, ties to the lowest index."""
-    terms = gmra._centered(b)
-    block = max(1, gmra._BLOCK_ENTRIES // len(b))
+    """Reference search: the blocked argmin of the kernel over every row of b, ties to the lowest index.
+
+    A block holds max(_BLOCK_ENTRIES // len(b), D // 8) rows of a, each block taken into the frame of b's mean on
+    its own.
+    """
+    ref, b_rel, b_sq = geometry.gram_frame(b)
+    block = max(1, geometry._BLOCK_ENTRIES // len(b), b.shape[1] // 8)
     out = np.empty(len(a), dtype=np.intp)
     for lo in range(0, len(a), block):
-        out[lo : lo + block] = np.argmin(gmra._sq_dists_centered(a[lo : lo + block], *terms), axis=1)
+        _, a_rel, a_sq = geometry.gram_frame(a[lo : lo + block], ref)
+        out[lo : lo + block] = np.argmin(geometry.gram_sq_dists(a_rel, a_sq, b_rel, b_sq), axis=1)
     return out
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    k=st.one_of(st.integers(1, gmra._TREE_MIN_ROWS - 1), st.integers(gmra._TREE_MIN_ROWS, 300)),
+    k=st.one_of(st.integers(1, geometry._TREE_MIN_ROWS - 1), st.integers(geometry._TREE_MIN_ROWS, 300)),
     n=st.integers(1, 30),
     bulk=st.booleans(),
     nudge=st.sampled_from([0.0, 1e-7]),
@@ -196,7 +232,7 @@ def test_nearest_rows_equals_the_flat_scan_bit_for_bit(seed, k, n, bulk, nudge, 
     # A 1-row call must equal the reference's 1-row call: BLAS may round a one-row product differently from a
     # block, so on such near-ties the kernel's own 1-row and n-row answers can differ, and both must be kept.
     rng = np.random.default_rng(seed)
-    n_planted = n + (-(-gmra._TREE_MIN_PAIRS // k) if bulk else 0)
+    n_planted = n + (-(-geometry._TREE_MIN_PAIRS // k) if bulk else 0)
     a, b = rng.standard_normal((n, dim)), rng.standard_normal((k, dim))
     if lattice:
         a, b = np.round(a * 2.0) / 2.0, np.round(b * 2.0) / 2.0
@@ -212,16 +248,16 @@ def test_nearest_rows_equals_the_flat_scan_bit_for_bit(seed, k, n, bulk, nudge, 
         along = np.einsum("ij,ij->i", x - (first + second) / 2.0, gap) / np.where(gap_sq > 0.0, gap_sq, 1.0)
         x += (nudge - along)[:, None] * gap
     a, b = np.vstack([a, x]) + shift, b + shift
-    got = gmra._nearest_rows(a, b)
+    got = geometry.nearest_rows(a, b)
     assert got.tolist() == flat_nearest_rows(a, b).tolist()
     for row in a[: 2 * n]:
-        assert gmra._nearest_rows(row[None], b).tolist() == flat_nearest_rows(row[None], b).tolist()
+        assert geometry.nearest_rows(row[None], b).tolist() == flat_nearest_rows(row[None], b).tolist()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    k=st.one_of(st.integers(1, gmra._TREE_MIN_ROWS - 1), st.integers(gmra._TREE_MIN_ROWS, 300)),
+    k=st.one_of(st.integers(1, geometry._TREE_MIN_ROWS - 1), st.integers(geometry._TREE_MIN_ROWS, 300)),
     n=st.integers(1, 60),
     bulk=st.booleans(),
     dim=st.sampled_from([1, 2, 3, 8, 9, 32]),
@@ -230,10 +266,11 @@ def test_nearest_rows_equals_the_flat_scan_bit_for_bit(seed, k, n, bulk, nudge, 
 def test_nearest_rows_does_not_depend_on_the_block_budget(seed, k, n, bulk, dim, shift):
     # Gaussian rows plant no near-tie, and a draw whose two nearest rows of b lie within twice the kernel's rounding
     # bound of each other is discarded; then the scan gives the nearest row whatever its blocks, from 2 MB down to
-    # one query row each, and so does the tree, which `bulk` reaches when b has enough rows of few coordinates.
+    # one query row each (four in R^32, the wide-row floor), and so does the tree, which `bulk` reaches when b has
+    # enough rows of few coordinates.
     rng = np.random.default_rng(seed)
-    if bulk and k >= gmra._TREE_MIN_ROWS:
-        n += -(-gmra._TREE_MIN_PAIRS // k)
+    if bulk and k >= geometry._TREE_MIN_ROWS:
+        n += -(-geometry._TREE_MIN_PAIRS // k)
     a, b = rng.standard_normal((n, dim)) + shift, rng.standard_normal((k, dim)) + shift
     d2 = sum((a[:, t, None] - b[None, :, t]) ** 2 for t in range(dim))
     if k > 1:
@@ -243,8 +280,8 @@ def test_nearest_rows_does_not_depend_on_the_block_budget(seed, k, n, bulk, dim,
         assume(np.all(second - first > 32 * (dim + 2) * np.finfo(np.float64).eps * spread))
     answers = []
     for entries in (1 << 18, 1 << 15, 5):
-        with mock.patch.object(gmra, "_BLOCK_ENTRIES", entries):
-            answers.append(gmra._nearest_rows(a, b).tolist())
+        with mock.patch.object(geometry, "_BLOCK_ENTRIES", entries):
+            answers.append(geometry.nearest_rows(a, b).tolist())
     assert answers == [d2.argmin(axis=1).tolist()] * 3
 
 
@@ -667,7 +704,7 @@ def test_build_accounts_for_every_cell_and_stops_fps_at_the_finest_net(
 def two_pass_cells(pts, max_scale, min_points):
     """The reference for the FPS-read cells: the build's two full kernel scans per scale.
 
-    Per scale, one ``_nearest_rows`` scan of every row against every net point (the accepted seeds, then the
+    Per scale, one ``nearest_rows`` scan of every row against every net point (the accepted seeds, then the
     others in net order) gives the first populations that accept a new seed, and a second one against the
     accepted seeds, in acceptance order, gives the cells.  Returns (cell of every row, cell count) per scale.
     """
@@ -678,10 +715,10 @@ def two_pass_cells(pts, max_scale, min_points):
         new = net[~np.isin(net, seeds)]
         if j > 0 and new.size:
             pool = np.concatenate([seeds, new])
-            first_pops = np.bincount(gmra._nearest_rows(pts, pts[pool]), minlength=len(pool))
+            first_pops = np.bincount(geometry.nearest_rows(pts, pts[pool]), minlength=len(pool))
             new = new[first_pops[len(seeds) :] >= min_points]
         seeds = np.concatenate([seeds, new])
-        cells.append((gmra._nearest_rows(pts, pts[seeds]), len(seeds)))
+        cells.append((geometry.nearest_rows(pts, pts[seeds]), len(seeds)))
     return cells
 
 
@@ -689,7 +726,7 @@ def stated_rule_cells(pts, max_scale, min_points):
     """The stated cell rule read off a full table of difference-form distances from every row to every pick.
 
     A row's cell is seeded by its nearest net point, ties to the earliest pick, when that point was accepted;
-    a row whose nearest net point was rejected goes to its nearest accepted seed by ``_nearest_rows`` over the
+    a row whose nearest net point was rejected goes to its nearest accepted seed by ``nearest_rows`` over the
     seeds in pick order.  Returns (cell of every row, cell count) per scale.
     """
     order, radii = geometry.farthest_point_ordering(pts, stop_fraction=2.0**-max_scale)[:2]
@@ -705,7 +742,7 @@ def stated_rule_cells(pts, max_scale, min_points):
         assign, seeds = cell_of[nearest], np.flatnonzero(cell_of[:size] >= 0)
         orphans = np.flatnonzero(assign < 0)
         if orphans.size:
-            assign[orphans] = cell_of[seeds[gmra._nearest_rows(pts[orphans], pts[order[seeds]])]]
+            assign[orphans] = cell_of[seeds[geometry.nearest_rows(pts[orphans], pts[order[seeds]])]]
         cells.append((assign, len(seeds)))
     return cells
 

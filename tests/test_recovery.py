@@ -117,7 +117,7 @@ def grouped_recover_batch(measurements, matrix, dictionary, j):
     auto = j == "auto"
     scale = dictionary.max_scale if auto else int(j)
     comp_centers = dictionary.centers(scale) @ matrix.entries.T
-    cells = gmra._nearest_rows(y, comp_centers)
+    cells = geometry.nearest_rows(y, comp_centers)
     rhs = y - comp_centers[cells]
     fits = dictionary.cell_fits(scale)[cells]
     dims = dictionary.fit_dims[fits]
