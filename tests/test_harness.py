@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manifold_cs import geometry, gmra, harness
+from manifold_cs import geometry, gmra, harness, measurement, recovery
 from manifold_cs.errors import CsvParseError, ParameterError
 from manifold_cs.svgplot import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE, WIDTH, _FLOOR, render_curves
 
@@ -34,6 +34,27 @@ def test_rel_mse_rejects_zero_norm_point():
     pts = geometry.PointCloud(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)
     with pytest.raises(ValueError, match="point 1"):
         harness.rel_mse(pts, pts.points)
+    # a true origin is still refused when another point is scaled out of underflow
+    with pytest.raises(ValueError, match="point 1"):
+        harness.rel_mse(np.array([[1e-170, 0.0], [0.0, 0.0]]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("v", [1e-150, 1e-154, 1e-158, 1e-161, 1e-162, 1e-170, 1e-200, 1e-250, 1e-300])
+def test_rel_mse_of_points_whose_squared_norm_underflows(v):
+    # the squared norms of these points are subnormal or 0.0: the error is taken relative to the largest entry
+    assert harness.rel_mse(np.full((2, 3), v), np.full((2, 3), 0.7 * v)) == pytest.approx(0.3, rel=1e-14)
+    assert harness.rel_mse(np.full((2, 3), v), np.zeros((2, 3))) == pytest.approx(1.0, rel=1e-14)
+    value, max_sq = harness.rel_mse_with_max(np.array([[1.0, 0.0], [v, v]]), np.array([[0.6, 0.0], [v, 0.0]]))
+    assert (value, max_sq) == pytest.approx((np.sqrt((0.16 + 0.5) / 2), 0.5), rel=1e-14)
+
+
+def test_rel_mse_scales_only_the_points_whose_squared_norm_is_subnormal():
+    rng = np.random.default_rng(4)
+    pts, rec = rng.normal(size=(50, 3)), rng.normal(size=(50, 3))
+    norms_sq = np.einsum("ij,ij->i", pts, pts)
+    err_sq = np.einsum("ij,ij->i", pts - rec, pts - rec) / norms_sq
+    expected = (float(np.sqrt(err_sq.mean())), float(err_sq.max()))
+    assert harness.rel_mse_with_max(pts, rec) == expected
 
 
 def test_rel_mse_baseline_zero_on_planar_data(plane_cloud):
@@ -394,16 +415,77 @@ def test_load_results_csv_names_a_truncated_row(tmp_path):
     assert err.value.row == line
 
 
+def repeating_config(tmp_path, **overrides):
+    """A grid whose dictionaries stop refining at scale 3, so scales 4-6 repeat scale 3's cells."""
+    opts = dict(dataset={"generator": "swiss-roll", "n": 300, "seed": 5}, noise_sigmas=[0.0, 0.05],
+                scales=list(range(7)), min_points=6)
+    opts.update(overrides)
+    return small_config(tmp_path, **opts)
+
+
+def grid_dictionaries(cfg):
+    """(sigma, sigma index, noisy cloud, dictionary) per noise level, as run_experiment builds them."""
+    base = harness.load_dataset(cfg.dataset)
+    for s_idx, sigma in enumerate(cfg.noise_sigmas):
+        cloud = geometry.add_noise(base, sigma, harness.derive_seed(cfg.seed, 1, s_idx))
+        yield sigma, s_idx, cloud, gmra.build_dictionary(
+            cloud, local_dim=cfg.local_dim, max_scale=max(cfg.scales), min_points=cfg.min_points
+        )
+
+
+def row_matrix(cfg, s_idx, row, dim):
+    seed = harness.derive_seed(cfg.seed, 2, s_idx, row["f"], row["draw"], row["m"])
+    return measurement.draw_matrix(cfg.ensemble, row["m"], dim, seed)
+
+
 def test_run_experiment_logs_progress_instead_of_printing(tmp_path, caplog, capsys):
-    cfg = small_config(tmp_path, noise_sigmas=[0.0], scales=[0, 1], oversampling=[2], num_draws=1)
+    cfg = repeating_config(tmp_path, noise_sigmas=[0.0], oversampling=[2], num_draws=1)
     with caplog.at_level(logging.INFO, logger="manifold_cs.harness"):
         harness.run_experiment(cfg)
     assert [r.getMessage() for r in caplog.records] == [
-        "sigma=0: building dictionary (n=400)",
-        "sigma=0 scale=0 done",
-        "sigma=0 scale=1 done",
-    ]
+        "sigma=0: building dictionary (n=300)",
+        "sigma=0: scales 4, 5, 6 repeat scale 3's cells: reused",
+    ] + ["sigma=0 scale=%d done" % j for j in range(7)]
     assert capsys.readouterr().out == ""
+
+
+def test_run_experiment_recovers_each_matrix_and_layer_once(tmp_path, monkeypatch):
+    cfg = repeating_config(tmp_path)
+    calls, built, recover = [], [], recovery.recover_batch  # calls: (sigma, matrix seed, layer)
+
+    def counted_recover(measurements, matrix, dictionary, j):
+        if not built or built[-1] is not dictionary:  # one dictionary per noise level, in the config's order
+            built.append(dictionary)
+        calls.append((cfg.noise_sigmas[len(built) - 1], matrix.seed, dictionary.cell_fits(j).tobytes()))
+        return recover(measurements, matrix, dictionary, j)
+
+    monkeypatch.setattr(recovery, "recover_batch", counted_recover)
+    result = harness.run_experiment(cfg)
+    layers = set()  # (sigma, matrix seed, layer) of every row
+    for sigma, s_idx, cloud, dictionary in grid_dictionaries(cfg):
+        assert len({dictionary.cell_fits(j).tobytes() for j in cfg.scales}) < len(cfg.scales)
+        for row in result.rows:
+            if row["sigma"] == sigma:
+                seed = row_matrix(cfg, s_idx, row, cloud.ambient_dim).seed
+                layers.add((sigma, seed, dictionary.cell_fits(row["j"]).tobytes()))
+    assert sorted(calls) == sorted(layers)
+    assert len(calls) < len(result.rows) == len(result.timing_rows)
+
+
+def test_run_experiment_rows_equal_a_direct_recovery_at_their_own_scale(tmp_path):
+    cfg = repeating_config(tmp_path)
+    result = harness.run_experiment(cfg)
+    checked = 0
+    for sigma, s_idx, cloud, dictionary in grid_dictionaries(cfg):
+        for row in result.rows:
+            if row["sigma"] != sigma:
+                continue
+            matrix = row_matrix(cfg, s_idx, row, cloud.ambient_dim)
+            batch = recovery.recover_batch(matrix.apply(cloud.points), matrix, dictionary, row["j"])
+            value, max_sq = harness.rel_mse_with_max(cloud, batch.reconstructions)
+            assert (row["relMSE"], row["max_sq_rel_err"]) == (value, max_sq), row
+            checked += 1
+    assert checked == len(result.rows) == 2 * 7 * 2 * 2
 
 
 def test_config_validation():

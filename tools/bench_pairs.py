@@ -16,7 +16,8 @@ The output keeps the layout of the earlier ``BENCH_*.json`` files (``about``,
 ``command``, ``parent_commit`` and ``pairs``, each pair with ``workload``,
 ``seed``, ``first``, ``parent`` and ``change``), plus ``summary``: per
 workload and gated metric, each side's median and quartiles over the pairs
-and the number of pairs the change won, for BENCHMARK.json's ``end_to_end`` metrics.
+and the number of pairs the change won, for BENCHMARK.json's ``end_to_end`` metrics,
+and the same for the raw (not host-normalised) medians where the result has them.
 """
 
 import argparse
@@ -74,20 +75,31 @@ def run_side(tree, bench, workload, seed):
 
 
 def summarize(pairs, bench):
-    """Per workload and gated metric: each side's median and quartiles, and the pairs the change won."""
+    """Per workload and gated metric: each side's median and quartiles, and the pairs the change won.
+
+    A metric the worker normalises by its host-speed kernel also gets the same
+    comparison of its raw medians (``raw_*``): the normalisation can move a
+    small change's sign, so both are kept.
+    """
     out = {}
     for workload in dict.fromkeys(p["workload"] for p in pairs):
         rows = [p for p in pairs if p["workload"] == workload]
         out[workload] = {"pairs": len(rows)}
         for gate in bench["end_to_end"]:
             metric, lower = gate["name"], gate["better"] == "lower"
-            sides = {side: np.array([p[side]["end_to_end"][metric]["median"] for p in rows])
-                     for side in ("parent", "change")}
-            entry = {side: dict(zip(("q1", "median", "q3"), map(float, np.percentile(v, [25, 50, 75]))))
-                     for side, v in sides.items()}
-            better = sides["change"] < sides["parent"] if lower else sides["change"] > sides["parent"]
-            entry["change_wins"] = int(np.count_nonzero(better))
-            entry["median_change_rel"] = float(np.median(sides["change"]) / np.median(sides["parent"]) - 1.0)
+            entry = {}
+            for prefix, field in (("", "median"), ("raw_", "raw_median")):
+                if not all(field in p[side]["end_to_end"][metric] for p in rows for side in ("parent", "change")):
+                    continue
+                sides = {side: np.array([p[side]["end_to_end"][metric][field] for p in rows])
+                         for side in ("parent", "change")}
+                for side, v in sides.items():
+                    quartiles = map(float, np.percentile(v, [25, 50, 75]))
+                    entry[prefix + side] = dict(zip(("q1", "median", "q3"), quartiles))
+                better = sides["change"] < sides["parent"] if lower else sides["change"] > sides["parent"]
+                entry[prefix + "change_wins"] = int(np.count_nonzero(better))
+                ratio = np.median(sides["change"]) / np.median(sides["parent"])
+                entry[prefix + "median_change_rel"] = float(ratio - 1.0)
             out[workload][metric] = entry
     return out
 
@@ -113,18 +125,19 @@ def main(argv=None):
                 for side in (first, second):
                     pair[side] = run_side(trees[side], bench, workload, seed)
                 pairs.append(pair)
-                medians = {side: {m: v["median"] for m, v in pair[side]["end_to_end"].items()}
-                           for side in ("parent", "change")}
-                print("%s seed %d (%s first): build_s %.4g -> %.4g, total_s %.4g -> %.4g" % (
-                    workload, seed, first, medians["parent"]["build_s"], medians["change"]["build_s"],
-                    medians["parent"]["total_s"], medians["change"]["total_s"]), flush=True)
+                ends = {side: pair[side]["end_to_end"] for side in ("parent", "change")}
+                print("%s seed %d (%s first): build_s %.4g -> %.4g, total_s %.4g -> %.4g (raw %.4g -> %.4g)" % (
+                    workload, seed, first, ends["parent"]["build_s"]["median"], ends["change"]["build_s"]["median"],
+                    ends["parent"]["total_s"]["median"], ends["change"]["total_s"]["median"],
+                    ends["parent"]["total_s"]["raw_median"], ends["change"]["total_s"]["raw_median"]), flush=True)
     ranges = "; ".join("%s: seeds %d-%d" % (w, s[0], s[-1]) for w, s in args.specs)
     about = (
         "Each pair ran the parent tree (git archive of parent_commit) and the change tree (a copy of the working "
         "tree's src and bench) one after the other on one host with the same seed; 'first' names the side that ran "
         "first (alternating). %s. Each side is the result file bench/run.py wrote to .bench_out/, machine record "
         "included; machine.git_commit is null because neither copy is a git checkout. 'summary' gives, per workload "
-        "and gated metric, each side's quartiles over the pairs and the number of pairs the change won." % ranges)
+        "and gated metric, each side's quartiles over the pairs and the number of pairs the change won, normalised and, "
+        "under raw_*, from the raw medians." % ranges)
     payload = {
         "about": about,
         "command": " ".join(bench["command"] + bench_args("<workload>", "<seed>", bench["run_seconds"])),
