@@ -60,7 +60,8 @@ def build_parser():
     p.add_argument("--d", type=int, default=2, help="intrinsic dimension, for a generator that takes one")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma", type=float, default=0.0, help="noise level (0 for clean)")
-    p.add_argument("--noise-seed", type=int, default=None)
+    p.add_argument("--noise-seed", type=int, default=None,
+                   help="defaults to --seed; the noise is drawn from a child stream of it, never the generator's own")
     p.add_argument("--ambient-dim", type=int, default=None, help="zero-pad points up to this dimension")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)

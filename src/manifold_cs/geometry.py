@@ -16,7 +16,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import CsvParseError, ParameterError, ResourceLimitError, is_number, require, require_integer
+from .errors import (CsvParseError, ParameterError, ResourceLimitError, is_number, require, require_finite,
+                     require_integer, require_shape)
 
 SWISS_ROLL_T_MIN = 3.0 * np.pi / 2.0
 SWISS_ROLL_T_MAX = 9.0 * np.pi / 2.0
@@ -140,23 +141,21 @@ def require_sigma(sigma):
 def add_noise(cloud, sigma, seed):
     """Perturb each point independently by N(0, sigma^2/D * I_D) noise.
 
-    Per-point streams are split off the master seed with the counter scheme
-    SeedSequence(seed, spawn_key=(i,)) for point i, so any subset of points
-    can be regenerated independently (and in parallel) without drawing the
-    rest.  A sigma whose noisy cloud ``PointCloud`` refuses is refused.
+    The n x D noise block is one draw, filled row by row, from one generator
+    on the child stream SeedSequence(seed, spawn_key=(0,)), never
+    default_rng(seed) itself: the generators and matrix draws read that
+    stream for the same integer, and ``generate`` passes its --seed here
+    when no --noise-seed is given.  So a prefix of the cloud gets a prefix of
+    the noise.  A sigma whose noisy cloud ``PointCloud`` refuses is refused.
     """
     require_sigma(sigma)
     require_integer("seed", seed, 0)
     if sigma == 0:
         return PointCloud(cloud.points.copy(), cloud.ambient_dim, cloud.label)
     dim = cloud.ambient_dim
-    scale = sigma / np.sqrt(dim)
-    noise = np.empty_like(cloud.points)
-    for i in range(cloud.n):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        noise[i] = rng.standard_normal(dim)
+    noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).standard_normal((cloud.n, dim))
     try:
-        return PointCloud(cloud.points + scale * noise, dim, cloud.label)
+        return PointCloud(cloud.points + sigma / np.sqrt(dim) * noise, dim, cloud.label)
     except ValueError:  # too large for float64 squared distances, or past float64 itself
         raise ParameterError("sigma", "small enough for the noisy cloud's squared distances", sigma) from None
 
@@ -181,7 +180,7 @@ def _screen_coordinates(pts):
 
 
 def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
-    """Greedy farthest-point ordering of the rows of pts, seeded at row 0.
+    """Greedy farthest-point ordering of the rows of pts, a nonempty finite n x D block, seeded at row 0.
 
     Stops at the first pick after which every point is within stop_radius of
     the selected prefix, so no pick lies past the net at that radius.
@@ -286,12 +285,13 @@ def farthest_point_ordering(pts, stop_radius=0.0, stop_fraction=None):
     a round costs a few dozen numpy calls for up to _FPS_ROUND_ROWS picks,
     where the loop paid them per pick.
     """
-    if pts.shape[0] == 0:
-        raise ValueError("empty cloud")
+    pts = np.ascontiguousarray(pts, dtype=np.float64)
+    require_shape("pts", pts, "n", "D")
+    require(pts.size > 0, "pts", pts.shape, "a nonempty n x D block")
+    require_finite("pts", pts)
     require(is_number(stop_radius) and stop_radius >= 0, "stop_radius", stop_radius, "a number >= 0")
     require(stop_fraction is None or is_number(stop_fraction) and 0 <= stop_fraction <= 1, "stop_fraction",
             stop_fraction, "None or a number in [0, 1]")
-    pts = np.ascontiguousarray(pts, dtype=np.float64)
     n = len(pts)
     coords, sq, slack = _screen_coordinates(pts)
     dist = np.linalg.norm(pts - pts[0], axis=1)

@@ -254,6 +254,7 @@ def nearest_point_oracle(x, manifold):
     (which needs D = 3), or a PointCloud in R^D (exact nearest sample).
     """
     x = np.asarray(x, dtype=np.float64)
+    require(x.ndim in (1, 2), "x", x.shape, "a vector or a block of row vectors")
     require_finite("x", x)
     rows = np.atleast_2d(x)
     if isinstance(manifold, PointCloud):

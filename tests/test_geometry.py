@@ -79,10 +79,35 @@ def test_add_noise_deterministic_per_point():
     a = geometry.add_noise(cloud, 0.1, seed=9)
     b = geometry.add_noise(cloud, 0.1, seed=9)
     assert a.points.tobytes() == b.points.tobytes()
-    # the per-point counter scheme makes point i's noise independent of n
+    # the block is drawn row by row, so a prefix of the cloud gets a prefix of the noise
     sub = geometry.PointCloud(cloud.points[:7], 3)
     c = geometry.add_noise(sub, 0.1, seed=9)
     assert np.array_equal(c.points, a.points[:7])
+
+
+@pytest.mark.parametrize("n, dim, seed", [(30, 3, 9), (5, 200, 0), (1, 1, 2**40)])
+def test_add_noise_draws_one_block_from_the_seeds_child_stream(n, dim, seed):
+    cloud = geometry.PointCloud(np.random.default_rng(1).standard_normal((n, dim)), dim)
+    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    want = cloud.points + 0.3 / np.sqrt(dim) * stream.standard_normal((n, dim))
+    assert np.array_equal(geometry.add_noise(cloud, 0.3, seed).points, want)
+
+
+def test_add_noise_keeps_the_old_first_row():
+    # row 0 comes from SeedSequence(9, spawn_key=(0,)), the stream point 0 had when each point drew its own
+    noise = geometry.add_noise(geometry.PointCloud(np.zeros((4, 3)), 3), np.sqrt(3), 9).points
+    assert noise[0].tolist() == [-0.2788945804052137, -1.1400292264929155, 1.2414956440631864]
+    assert noise[1].tolist() != [-0.4671803383576705, -0.5382782228370679, 1.8030863535847332]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_add_noise_does_not_reuse_the_generators_stream(seed):
+    # gen_swiss_roll and the matrix draws read default_rng(seed); the noise of the same seed must not
+    clean = geometry.gen_swiss_roll(500, seed)
+    noise = (geometry.add_noise(clean, 0.05, seed).points - clean.points) * np.sqrt(3) / 0.05
+    same = np.random.default_rng(seed).standard_normal((500, 3))
+    assert not np.allclose(noise, same, atol=1e-6)
+    assert abs(np.corrcoef(noise.ravel(), same.ravel())[0, 1]) < 0.1
 
 
 def test_add_noise_rejects_negative():

@@ -179,6 +179,9 @@ def test_numpy_integers_pass_wherever_python_integers_do():
     (lambda c: geometry.farthest_point_ordering(c.points[:3], stop_radius=math.nan), "stop_radius"),
     (lambda c: geometry.farthest_point_ordering(c.points[:3], stop_fraction=-0.5), "stop_fraction"),
     (lambda c: geometry.farthest_point_ordering(c.points[:3], stop_fraction=math.nan), "stop_fraction"),
+    # an empty block raised a bare ValueError, and a 1-D array numpy's einsum error
+    (lambda c: geometry.farthest_point_ordering(np.zeros((0, 3))), "pts"),
+    (lambda c: geometry.farthest_point_ordering(c.points[0]), "pts"),
     # a NaN or infinite input crashed in math.ceil or math.log2; a negative or fractional scale got a bound
     (lambda c: bounds.scales_for_precision(math.nan, 1.0), "delta"),
     (lambda c: bounds.scales_for_precision(0.1, math.inf), "reach"),
@@ -288,6 +291,11 @@ def shape_cases(world):
             matrix, dictionary, which=2, cloud=v), "cloud", misshapen((20, 3), ("width", "width 1")).map(as_cloud)),
         "validate_structure cloud": (lambda v: gmra.validate_structure(dictionary, v), "cloud",
                                      misshapen((20, 3), ("width", "width 1")).map(as_cloud)),
+        # a 3-D x raised numpy's einsum or broadcast error, or got a (3, 1) answer on the sphere; a 0-d x a (1,)
+        # answer (a D-vector is an x, so the 1-axis shape is left out)
+        "nearest_point_oracle x": (lambda v: recovery.nearest_point_oracle(*v), "x",
+                                   st.tuples(misshapen(pts.shape, ("ndim",)).filter(lambda a: a.ndim != 1),
+                                             st.sampled_from(["sphere", "swiss-roll", cloud]))),
         "nearest_point_oracle manifold": (lambda v: recovery.nearest_point_oracle(pts, v), "manifold",
                                           misshapen((20, 3), ("width", "width 1")).map(as_cloud)),
         # the swiss roll lives in R^3: points of another width are refused as a mismatch of the manifold
@@ -350,6 +358,8 @@ def finite_cases(world):
         "nearest_point_oracle swiss-roll": (lambda v: recovery.nearest_point_oracle(v, "swiss-roll"), "x", pts),
         "nearest_point_oracle sphere": (lambda v: recovery.nearest_point_oracle(v, "sphere"), "x", x),
         "nearest_point_oracle cloud": (lambda v: recovery.nearest_point_oracle(v, cloud), "x", pts[:20]),
+        # a NaN or infinite row got a one-pick ordering, with only RuntimeWarnings
+        "farthest_point_ordering pts": (lambda v: geometry.farthest_point_ordering(v), "pts", pts[:20]),
         "verify_assumption_set x": (lambda v: measurement.verify_assumption_set(matrix, dictionary, x=v), "x", x),
         "verify_distortion probes": (lambda v: measurement.verify_distortion(matrix, v, 0.3), "probes", pts[:20]),
         "recover_batch measurements": (lambda v: recovery.recover_batch(v, matrix, dictionary, 2), "measurements",

@@ -3,9 +3,14 @@
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/output_hashes.py
 
 Each line is ``<seed> <output> <sha256>``, for seeds 1 and 501. The inputs
-are the benchmark's three workloads at full size (bench/workloads.py, see
-bench/README.md), each set up and run once:
+are one noise block and the benchmark's three workloads at full size
+(bench/workloads.py, see bench/README.md), each set up and run once:
 
+* ``add_noise zeros 2000x3``: what ``add_noise`` draws at the seed for a
+  2,000 x 3 cloud of zeros at sigma = sqrt(3), so sigma / sqrt(D) = 1 and
+  the noisy cloud is the standard-normal block itself.  A change to the
+  noise stream shows here as one named line, ahead of the many lines
+  built on noisy clouds;
 * grid-roll3: the ``results.csv`` its run writes, then each
   ``relmse_sigma_*.svg`` figure, in name order, then the order, radii and
   moves of ``farthest_point_ordering`` (``fps[order]``, ``fps[radii]``,
@@ -149,6 +154,11 @@ def recover_every_scale(label, matrix, dictionary, points):
         yield "%s recover_batch j=%s" % (label, j), batch_sha(recovery.recover_batch(comp, matrix, dictionary, j))
 
 
+def noise(seed, tmp):
+    zeros = geometry.PointCloud(np.zeros((2000, 3)), 3)
+    yield "add_noise zeros 2000x3", array_sha("noise", geometry.add_noise(zeros, np.sqrt(3), seed).points)
+
+
 def grid_roll3(seed, tmp):
     work = workloads.GridRoll3(seed, "full", tmp, {})
     work.setup()
@@ -247,7 +257,7 @@ def fps_clouds(seed, tmp):
 
 def main():
     for seed in SEEDS:
-        for workload in (grid_roll3, roll200, cli_roll3, fps_clouds):
+        for workload in (noise, grid_roll3, roll200, cli_roll3, fps_clouds):
             with tempfile.TemporaryDirectory() as tmp:
                 for name, digest in workload(seed, tmp):
                     print("%d %s %s" % (seed, name, digest), flush=True)
