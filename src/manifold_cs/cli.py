@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -288,12 +287,11 @@ def cmd_recover(args):
         geometry.save_csv(geometry.PointCloud(recon, recon.shape[1]), args.out)
         print("wrote %d reconstructions to %s" % (recon.shape[0], args.out))
         if certify:
-            # every CertificateBundle quantity, in field order; absent ones are left empty
+            # every certificate column, in order; absent ones are left empty
             n = recon.shape[0]
             table = dict(index=range(n), j=batch.chosen_scales, k_prime=batch.chosen_centers,
                          compressed_residual=batch.residuals, ill_conditioned=batch.ill_conditioned.astype(int))
-            names = [f.name for f in dataclasses.fields(recovery.CertificateBundle) if f.name != "epsilon_used"]
-            harness._write_rows(cert_file, table | {name: columns.get(name, [None] * n) for name in names})
+            harness._write_rows(cert_file, table | {name: columns.get(name, [None] * n) for name in recovery.CERT_COLUMNS})
             print("wrote certificates to %s" % args.certificates)
 
 

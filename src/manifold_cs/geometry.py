@@ -138,6 +138,13 @@ def require_sigma(sigma):
     require(is_number(sigma) and 0 <= sigma < math.inf, "sigma", sigma, "a finite number >= 0")
 
 
+def cloud_points(cloud, dim="D"):
+    """A PointCloud's points, in R^dim when dim is an int; ParameterError naming cloud for anything else."""
+    require(isinstance(cloud, PointCloud), "cloud", type(cloud), "a PointCloud")
+    require_shape("cloud", cloud.points, "n", dim)
+    return cloud.points
+
+
 def add_noise(cloud, sigma, seed):
     """Perturb each point independently by N(0, sigma^2/D * I_D) noise.
 
@@ -148,14 +155,15 @@ def add_noise(cloud, sigma, seed):
     when no --noise-seed is given.  So a prefix of the cloud gets a prefix of
     the noise.  A sigma whose noisy cloud ``PointCloud`` refuses is refused.
     """
+    pts = cloud_points(cloud)
     require_sigma(sigma)
     require_integer("seed", seed, 0)
     if sigma == 0:
-        return PointCloud(cloud.points.copy(), cloud.ambient_dim, cloud.label)
+        return PointCloud(pts.copy(), cloud.ambient_dim, cloud.label)
     dim = cloud.ambient_dim
     noise = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))).standard_normal((cloud.n, dim))
     try:
-        return PointCloud(cloud.points + sigma / np.sqrt(dim) * noise, dim, cloud.label)
+        return PointCloud(pts + sigma / np.sqrt(dim) * noise, dim, cloud.label)
     except ValueError:  # too large for float64 squared distances, or past float64 itself
         raise ParameterError("sigma", "small enough for the noisy cloud's squared distances", sigma) from None
 

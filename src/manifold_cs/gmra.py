@@ -56,7 +56,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FileFormatError, TooFewPointsError, is_number, require, require_finite, require_integer, require_shape
-from .geometry import _BLOCK_ENTRIES, farthest_point_ordering, gram_frame, gram_sq_dists, nearest_rows, sq_dists
+from .geometry import (_BLOCK_ENTRIES, cloud_points, farthest_point_ordering, gram_frame, gram_sq_dists, nearest_rows,
+                       sq_dists)
 from .storage import DICT_MAGIC, read_container, write_container
 
 DICT_FORMAT_VERSION = 4
@@ -267,7 +268,7 @@ def build_dictionary(
     d_max, threshold = (local_dim, None) if local_dim is not None else (max_local_dim, float(energy_threshold))
     min_required = local_dim + 1 if local_dim is not None else 2
     min_points = max(min_points or 0, min_required)
-    pts = cloud.points
+    pts = cloud_points(cloud)
     n = pts.shape[0]
     if n < min_required:
         raise TooFewPointsError("cloud has %d points, need at least %d" % (n, min_required))
@@ -479,7 +480,7 @@ def validate_structure(dictionary, cloud):
     when the fit is exact; see ``_fit_decay``).  The cloud must lie in the
     dictionary's R^D.
     """
-    require_shape("cloud", cloud.points, "n", dictionary.ambient_dim)
+    cloud_points(cloud, dictionary.ambient_dim)
     failures = []
     sep_ok, sep_margin, sep_pair = _check_separation(dictionary)
     if not sep_ok:
@@ -615,7 +616,7 @@ def _estimate_tube_scale(dictionary, cloud):
 
 def mean_error_per_scale(dictionary, cloud):
     """Mean distance from each cloud point to its nearest-center projection, per scale."""
-    pts = cloud.points
+    pts = cloud_points(cloud, dictionary.ambient_dim)
     return [
         float(np.linalg.norm(pts - project_at_scale(dictionary, j, pts), axis=1).mean())
         for j in range(dictionary.max_scale + 1)

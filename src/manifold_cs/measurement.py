@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (BoundOverflowError, FileFormatError, ResourceLimitError, is_number, require, require_finite,
                      require_integer, require_shape)
-from .geometry import _BLOCK_ENTRIES, gram_frame, gram_slack, gram_sq_dists
+from .geometry import _BLOCK_ENTRIES, cloud_points, gram_frame, gram_slack, gram_sq_dists
 # epsilon_net_ball is not called here; it stays a module attribute because the
 # benchmark's tracer patches measurement.epsilon_net_ball.
 from .geometry import epsilon_net_ball  # noqa: F401
@@ -300,7 +300,8 @@ def rip_check_bruteforce(matrix, sparsity, eps):
         np.linalg.svd(matrix.entries[:, supports[lo : lo + block]].transpose(1, 0, 2), compute_uv=False)
         for lo in range(0, n_supports, block)
     ])
-    lo_sq, hi_sq = svals[:, -1] ** 2, svals[:, 0] ** 2
+    # an m x s submatrix with m < s sends some s-sparse vector to 0, so its least squared singular value is 0
+    lo_sq, hi_sq = svals[:, -1] ** 2 if sparsity <= matrix.m else np.zeros(n_supports), svals[:, 0] ** 2
     dev = np.maximum(np.abs(hi_sq - 1.0), np.abs(lo_sq - 1.0))
     worst = int(np.argmax(dev))
     return RipReport(
@@ -426,8 +427,7 @@ def verify_assumption_set(matrix, dictionary, x=None, which=1, eps=0.3, cloud=No
         return AssumptionReport(1, float(eps), items)
 
     require(cloud is not None, "cloud", cloud, "a PointCloud of manifold samples for assumption set 2")
-    pts = cloud.points
-    require_shape("cloud", pts, "n", dim)
+    pts = cloud_points(cloud, dim)
     if pts.shape[0] > budget:
         pts = pts[rng.choice(pts.shape[0], size=budget, replace=False)]
     probes = np.vstack([pts, dictionary.fit_centers])

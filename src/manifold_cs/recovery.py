@@ -39,52 +39,14 @@ STABLE_RECOVERY_CONSTANT = 100.3
 MANIFOLDS = ("sphere", "swiss-roll")
 
 
-@dataclass
-class CertificateBundle:
-    """Both sides of the per-instance recovery inequalities.
-
-    line3 compares the chosen center's distance to the best center's
-    (scaled by sqrt((1+eps)/(1-eps))); line4 compares the reconstruction's
-    distance from the true projection against twice the compressed residual
-    over (1-eps).  When the nearest manifold point is known,
-    optimal_error_bound carries 100.3 times the optimal error, and
-    optimal_error_excess the amount by which the reconstruction error exceeds
-    it (negative means the bound held with no additive term needed); the
-    additive dyadic term is reported separately by the caller because its
-    constant is existential.
-    """
-
-    epsilon_used: float
-    line3_lhs: float
-    line3_rhs: float
-    line4_lhs: float
-    line4_rhs: float
-    optimal_error_bound: float | None = None
-    optimal_error_excess: float | None = None
-    line3_set2_rhs: float | None = None
-    tube_lhs: float | None = None
-    tube_rhs: float | None = None
-
-    @property
-    def line3_holds(self):
-        return self.line3_lhs <= self.line3_rhs + 1e-12 * (1.0 + abs(self.line3_rhs))
-
-    @property
-    def line4_holds(self):
-        return self.line4_lhs <= self.line4_rhs + 1e-12 * (1.0 + abs(self.line4_rhs))
+# cert.csv's certificate columns, in order: certify_batch's keys, the last five present only given x_opt
+CERT_COLUMNS = ("line3_lhs", "line3_rhs", "line4_lhs", "line4_rhs", "optimal_error_bound", "optimal_error_excess",
+                "line3_set2_rhs", "tube_lhs", "tube_rhs")
 
 
-@dataclass
-class RecoveryOutcome:
-    """Result of one compressed reconstruction."""
-
-    reconstruction: np.ndarray
-    searched_scale: int
-    chosen_scale: int
-    chosen_center: int
-    coefficients: np.ndarray
-    compressed_residual: float
-    ill_conditioned: bool
+def holds(lhs, rhs):
+    """Whether a certificate lhs <= rhs holds, up to 1e-12 (1 + |rhs|) of rounding; elementwise on arrays."""
+    return lhs <= rhs + 1e-12 * (1.0 + np.abs(rhs))
 
 
 @dataclass
@@ -109,23 +71,8 @@ class BatchRecovery:
 
 
 def recover(measurements, matrix, dictionary, j):
-    """Approximate the scale-j projection of x from measurements Mx.
-
-    j may be "auto", which descends to the finest scale and reports the
-    scale at which the chosen cell was last freshly refit (deeper scales for
-    that cell are carried-forward copies).
-    """
-    batch = recover_batch(np.asarray(measurements, dtype=np.float64)[None], matrix, dictionary, j)
-    k = int(batch.chosen_centers[0])
-    return RecoveryOutcome(
-        reconstruction=batch.reconstructions[0],
-        searched_scale=batch.searched_scale,
-        chosen_scale=int(batch.chosen_scales[0]),
-        chosen_center=k,
-        coefficients=batch.coefficients[0, : dictionary.local_dims(batch.searched_scale)[k]],
-        compressed_residual=float(batch.residuals[0]),
-        ill_conditioned=bool(batch.ill_conditioned[0]),
-    )
+    """The 1-row call of ``recover_batch``: the BatchRecovery of one measurement vector Mx."""
+    return recover_batch(np.asarray(measurements, dtype=np.float64)[None], matrix, dictionary, j)
 
 
 def recover_batch(measurements, matrix, dictionary, j):
@@ -164,39 +111,29 @@ def recover_batch(measurements, matrix, dictionary, j):
     )
 
 
-def certify(x, matrix, dictionary, outcome, eps, x_opt=None):
-    """Evaluate the per-instance inequality certificates for a known query x.
-
-    Certification is diagnostic: it needs the uncompressed point.  With
-    x_opt supplied, the optimal-error comparison and the admissible-tube
-    quantities are recorded as well; the stability-form center bound (which
-    mixes the compression bound of the uniform assumptions) is reported but
-    never gated on.  This is the 1-row call of ``certify_batch``.
-    """
-    one = BatchRecovery(
-        reconstructions=np.array([outcome.reconstruction], dtype=np.float64),
-        searched_scale=outcome.searched_scale,
-        chosen_scales=np.array([outcome.chosen_scale]),
-        chosen_centers=np.array([outcome.chosen_center]),
-        coefficients=np.array([outcome.coefficients]),
-        residuals=np.array([outcome.compressed_residual]),
-        ill_conditioned=np.array([outcome.ill_conditioned]),
-    )
-    columns = certify_batch([x], matrix, dictionary, one, eps, None if x_opt is None else [x_opt])
-    return CertificateBundle(epsilon_used=float(eps), **{name: float(col[0]) for name, col in columns.items()})
+def certify(x, matrix, dictionary, batch, eps, x_opt=None):
+    """The 1-row call of ``certify_batch``: the certificate columns of a 1-row BatchRecovery of the query x."""
+    one = None if x_opt is None else np.asarray(x_opt, dtype=np.float64)[None]
+    return certify_batch(np.asarray(x, dtype=np.float64)[None], matrix, dictionary, batch, eps, one)
 
 
 def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     """Certificates for every row of a BatchRecovery, one array per quantity.
 
-    The keys are the CertificateBundle fields other than epsilon_used.  Line
-    3 compares each row's chosen center with the center nearest to the query
-    in the layer the recovery searched (the finest one for "auto", whatever
-    scale the chosen fit was made at).  The optimal-error, set-2 and tube
-    columns are present only when x_opt, the nearest manifold point of each
-    query, is given.  points, and x_opt when given, must be finite and have
-    the batch's rows and width; a set-2 column past float64's range raises
-    ``measurement.e_m_bound``'s BoundOverflowError.
+    The keys are CERT_COLUMNS, each lhs <= rhs pair judged by ``holds``.
+    Line 3 compares the chosen center's distance to the query with the
+    nearest center's in the layer searched (the finest one for "auto",
+    whatever scale the chosen fit was made at), scaled by
+    sqrt((1+eps)/(1-eps)); line 4 the reconstruction's distance from the
+    query's projection on the chosen plane with twice that projection's
+    compressed residual over (1-eps).  Only given x_opt, each query's
+    nearest manifold point, come the last five: 100.3 times the optimal
+    error, the reconstruction error's excess over it (negative: the bound
+    held with no additive dyadic term, whose constant is existential), the
+    stability-form center bound (never gated on) and both sides of the tube
+    check.  points and x_opt must be finite with the batch's shape, and the
+    batch's coefficients must have the fit table's width; a set-2 column
+    past float64's range raises ``measurement.e_m_bound``'s BoundOverflowError.
     """
     require(is_number(eps) and 0 < eps < 0.5, "eps", eps, "in (0, 1/2)")
     x = np.asarray(points, dtype=np.float64)
@@ -210,6 +147,9 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     layer = dictionary.centers(searched)
     outside = cells[(cells < 0) | (cells >= len(layer))].tolist()
     require(not outside, "batch", outside, "a recovery with no chosen center outside its scale (0 to %d)" % (len(layer) - 1))
+    width = dictionary.fit_bases.shape[1]
+    require(batch.coefficients.shape == (len(x), width), "batch", batch.coefficients.shape,
+            "a recovery whose coefficients are shaped (%d, %d), the fit table's width" % (len(x), width))
     fits = dictionary.cell_fits(searched)[cells]
     rel = x - dictionary.fit_centers[fits]
     coeffs = plane_coeffs(dictionary, fits, rel)
@@ -218,11 +158,10 @@ def certify_batch(points, matrix, dictionary, batch, eps, x_opt=None):
     best = np.linalg.norm(x - layer[nearest_rows(x, layer)], axis=1)
     line3_rhs = ratio * best
     # ||P x - x'|| = ||B (x - c) - u'||: no cancellation between points of the cloud's magnitude
-    width = min(coeffs.shape[1], batch.coefficients.shape[1])
     columns = {
         "line3_lhs": np.linalg.norm(rel, axis=1),
         "line3_rhs": line3_rhs,
-        "line4_lhs": np.linalg.norm(coeffs[:, :width] - batch.coefficients[:, :width], axis=1),
+        "line4_lhs": np.linalg.norm(coeffs - batch.coefficients, axis=1),
         # one matrix-vector product per row, so a row's value does not depend on the batch
         "line4_rhs": 2.0 / (1.0 - eps) * np.linalg.norm(matrix.entries @ (x - proj_x)[:, :, None], axis=(1, 2)),
     }

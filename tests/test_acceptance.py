@@ -105,25 +105,15 @@ def test_criterion_03_center_and_least_squares_certificates(circle512, circle_di
         ang = rng.uniform(0, 2 * np.pi, 1000)
         probes = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         batch = recovery.recover_batch(M.apply(probes), M, d, j)
-        holds = 0
-        for i in range(1000):
-            outcome = recovery.RecoveryOutcome(
-                batch.reconstructions[i],
-                j,
-                j,
-                int(batch.chosen_centers[i]),
-                batch.coefficients[i],
-                float(batch.residuals[i]),
-                bool(batch.ill_conditioned[i]),
-            )
-            cert = recovery.certify(probes[i], M, d, outcome, eps)
-            if cert.line3_holds and cert.line4_holds:
-                holds += 1
-            else:
-                # any failure must trace back to a distortion failure on the
-                # probe's query-dependent vector set
-                rep = measurement.verify_assumption_set(M, d, x=probes[i], which=1, eps=eps)
-                assert not rep.item("a-distortion-query-set").passed
+        cert = recovery.certify_batch(probes, M, d, batch, eps)
+        held = recovery.holds(cert["line3_lhs"], cert["line3_rhs"])
+        held &= recovery.holds(cert["line4_lhs"], cert["line4_rhs"])
+        holds = int(np.count_nonzero(held))
+        for i in np.nonzero(~held)[0]:
+            # any failure must trace back to a distortion failure on the
+            # probe's query-dependent vector set
+            rep = measurement.verify_assumption_set(M, d, x=probes[i], which=1, eps=eps)
+            assert not rep.item("a-distortion-query-set").passed
         if holds >= 990:
             good_seeds += 1
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import manifold_cs
-from manifold_cs import cli, geometry, gmra, harness, measurement
+from manifold_cs import cli, geometry, gmra, harness, measurement, recovery
 
 
 def run_cli(*argv):
@@ -155,11 +155,31 @@ def test_recover_with_certificates(tmp_path):
     recon = geometry.load_csv(recon_path)
     assert recon.points.shape == (25, 2)
     with open(cert_path) as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    # the recovery's own columns, then every certificate column in recovery.CERT_COLUMNS's order
+    assert reader.fieldnames == [
+        "index", "j", "k_prime", "compressed_residual", "ill_conditioned", "line3_lhs", "line3_rhs", "line4_lhs",
+        "line4_rhs", "optimal_error_bound", "optimal_error_excess", "line3_set2_rhs", "tube_lhs", "tube_rhs",
+    ] == ["index", "j", "k_prime", "compressed_residual", "ill_conditioned", *recovery.CERT_COLUMNS]
     assert len(rows) == 25
     for row in rows:
         assert float(row["line3_lhs"]) <= float(row["line3_rhs"]) + 1e-9
         assert row["optimal_error_bound"] != ""
+    # with no --manifold the header is the same, and the five columns that need the nearest points are left empty
+    run_cli(
+        "recover", "--measurements", meas_path, "--matrix", m_path, "--dict", dict_path, "--scale", 3,
+        "--out", recon_path, "--points", pts_path, "--certificates", cert_path, "--eps", 0.3,
+    )
+    with open(cert_path) as fh:
+        reader = csv.DictReader(fh)
+        bare = list(reader)
+    assert reader.fieldnames == ["index", "j", "k_prime", "compressed_residual", "ill_conditioned",
+                                 *recovery.CERT_COLUMNS]
+    needs_x_opt = recovery.CERT_COLUMNS[4:]
+    for row, full in zip(bare, rows, strict=True):
+        assert [row[name] for name in needs_x_opt] == [""] * 5
+        assert {k: v for k, v in row.items() if v} == {k: v for k, v in full.items() if k not in needs_x_opt}
 
 
 def test_recover_auto_scale(tmp_path):

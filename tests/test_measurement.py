@@ -152,6 +152,17 @@ def test_rip_zero_column_fails_with_support():
     assert report.min_sq_singular == 0.0
 
 
+@pytest.mark.parametrize("sparsity", [3, 4])
+def test_rip_fails_when_the_sparsity_exceeds_m(sparsity):
+    # a 2 x s submatrix with s > 2 sends some s-sparse vector to 0 (here M e_3 = 0), though its min(2, s) singular
+    # values are both 1
+    M = measurement.MeasurementMatrix(np.eye(2, sparsity), "gaussian", 0)
+    report = measurement.rip_check_bruteforce(M, sparsity, 0.3)
+    assert not report.passed
+    assert report.min_sq_singular == 0.0 and report.max_sq_singular == 1.0
+    assert report.worst_deviation == 1.0 and report.worst_support == tuple(range(sparsity))
+
+
 def test_rip_budget_guard():
     M = measurement.gaussian_matrix(5, 50, seed=1)
     with pytest.raises(ResourceLimitError):

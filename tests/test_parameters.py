@@ -198,6 +198,12 @@ def test_numpy_integers_pass_wherever_python_integers_do():
     # points past float64's range gave nan, and reconstructions far enough from them inf
     (lambda c: harness.rel_mse(np.full((2, 3), 1e200), np.zeros((2, 3))), "points"),
     (lambda c: harness.rel_mse(c.points[:2], np.full((2, 3), 1e200)), "reconstructions"),
+    # a cloud given as its points array raised AttributeError
+    (lambda c: geometry.add_noise(c.points, 0.1, 0), "cloud"),
+    (lambda c: gmra.build_dictionary(c.points, local_dim=2, max_scale=2), "cloud"),
+    (lambda c: gmra.validate_structure(WORLD[1], c.points), "cloud"),
+    (lambda c: gmra.mean_error_per_scale(WORLD[1], c.points), "cloud"),
+    (lambda c: measurement.verify_assumption_set(WORLD[2], WORLD[1], which=2, cloud=c.points), "cloud"),
     # a 0-d y raised numpy's AxisError
     (lambda c: measurement.e_m_bound(np.float64(1.0), 0.3, 2), "y"),
     (lambda c: measurement.e_m_bound(np.zeros((2, 2, 3)), 0.3, 2), "y"),

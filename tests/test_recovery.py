@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import re
@@ -46,10 +47,10 @@ def test_least_squares_duplicate_columns_min_norm():
 def test_recover_center_fixed_point(circle_dict):
     M = measurement.gaussian_matrix(4, 2, seed=5)
     c = circle_dict.centers(3)[2]
-    out = recovery.recover(M.apply(c), M, circle_dict, 3)
-    assert out.chosen_center == 2
-    assert np.array_equal(out.reconstruction, c)
-    assert np.array_equal(out.coefficients, np.zeros_like(out.coefficients))
+    out = recovery.recover_batch(M.apply(c)[None], M, circle_dict, 3)
+    assert out.chosen_centers.tolist() == [2]
+    assert np.array_equal(out.reconstructions, [c])
+    assert not out.coefficients.any()
 
 
 def test_recover_exact_on_plane(swiss_dict):
@@ -62,10 +63,10 @@ def test_recover_exact_on_plane(swiss_dict):
         u = rng.standard_normal(swiss_dict.local_dims(j)[k])
         u *= 0.02 * sep / np.linalg.norm(u)
         x = swiss_dict.centers(j)[k] + swiss_dict.bases(j)[k].T @ u
-        out = recovery.recover(M.apply(x), M, swiss_dict, j)
-        assert out.chosen_center == k
-        assert np.linalg.norm(out.reconstruction - x) <= 1e-8 * np.linalg.norm(x)
-        assert not out.ill_conditioned
+        out = recovery.recover_batch(M.apply(x)[None], M, swiss_dict, j)
+        assert out.chosen_centers[0] == k
+        assert np.linalg.norm(out.reconstructions[0] - x) <= 1e-8 * np.linalg.norm(x)
+        assert not out.ill_conditioned[0]
 
 
 def test_recover_full_rank_matches_uncompressed(swiss_cloud, swiss_dict):
@@ -83,19 +84,16 @@ def test_recover_full_rank_matches_uncompressed(swiss_cloud, swiss_dict):
 
 
 def assert_rows_match_single(batch, comp, M, d, j):
+    """Row i of the n-row batch equals the 1-row call on row i, field for field."""
     for i in range(comp.shape[0]):
-        single = recovery.recover(comp[i], M, d, j)
-        k = single.chosen_center
-        assert k == batch.chosen_centers[i]
-        assert single.chosen_scale == batch.chosen_scales[i]
+        single = recovery.recover_batch(comp[i : i + 1], M, d, j)
         assert single.searched_scale == batch.searched_scale == (d.max_scale if j == "auto" else j)
-        assert np.array_equal(single.reconstruction, batch.reconstructions[i])
-        dim = d.local_dims(single.chosen_scale)[k]
-        assert single.coefficients.shape == (dim,)
-        assert np.array_equal(single.coefficients, batch.coefficients[i, :dim])
+        for name in ("reconstructions", "chosen_scales", "chosen_centers", "coefficients", "residuals",
+                     "ill_conditioned"):
+            assert np.array_equal(getattr(single, name), getattr(batch, name)[i : i + 1]), name
+        assert single.coefficients.shape == (1, d.fit_bases.shape[1])
+        dim = d.local_dims(single.searched_scale)[single.chosen_centers[0]]
         assert not batch.coefficients[i, dim:].any()
-        assert single.compressed_residual == batch.residuals[i]
-        assert single.ill_conditioned == batch.ill_conditioned[i]
 
 
 def test_recover_batch_matches_single(swiss_cloud, swiss_dict):
@@ -195,12 +193,14 @@ def test_mixed_local_dims_share_one_batch(mixed_dict):
         assert_rows_match_single(batch, comp, M, d, j)
         for opt in (None, x_opt):
             columns = recovery.certify_batch(probes, M, d, batch, 0.3, x_opt=opt)
-            assert len(columns) == (4 if opt is None else 9)
+            assert tuple(columns) == recovery.CERT_COLUMNS[: 4 if opt is None else 9]
             for i in range(probes.shape[0]):
-                single = recovery.recover(comp[i], M, d, j)
-                bundle = recovery.certify(probes[i], M, d, single, 0.3, x_opt=None if opt is None else opt[i])
+                single = recovery.recover_batch(comp[i : i + 1], M, d, j)
+                row = recovery.certify_batch(probes[i : i + 1], M, d, single, 0.3,
+                                             x_opt=None if opt is None else opt[i : i + 1])
+                assert row.keys() == columns.keys()
                 for name, column in columns.items():
-                    assert getattr(bundle, name) == column[i], name
+                    assert row[name][0] == column[i], name
 
 
 def test_auto_certificates_equal_the_finest_scale_ones():
@@ -223,9 +223,10 @@ def test_auto_certificates_equal_the_finest_scale_ones():
     for name in columns:
         assert np.array_equal(columns[name], want[name]), name
     for i in coarser[:20]:
-        bundle = recovery.certify(query[i], M, d, recovery.recover(comp[i], M, d, "auto"), 0.3, x_opt=x_opt[i])
+        single = recovery.recover_batch(comp[i : i + 1], M, d, "auto")
+        row = recovery.certify_batch(query[i : i + 1], M, d, single, 0.3, x_opt=x_opt[i : i + 1])
         for name, column in columns.items():
-            assert getattr(bundle, name) == column[i], name
+            assert row[name][0] == column[i], name
 
 
 def test_recover_centers_exactly_in_mixed_dictionary(mixed_dict):
@@ -293,7 +294,7 @@ def test_recover_batch_refuses_non_finite_measurements(swiss_dict):
     with pytest.raises(ValueError, match="^measurements must be finite in row 3, got nan$"):
         recovery.recover_batch(comp, M, swiss_dict, 2)
     with pytest.raises(ValueError, match="^measurements must be finite in row 0, got inf$"):
-        recovery.recover(comp[4], M, swiss_dict, "auto")
+        recovery.recover_batch(comp[4:5], M, swiss_dict, "auto")
 
 
 def test_certify_batch_refuses_points_of_another_shape(swiss_cloud, swiss_dict):
@@ -305,19 +306,60 @@ def test_certify_batch_refuses_points_of_another_shape(swiss_cloud, swiss_dict):
             recovery.certify_batch(bad, M, swiss_dict, batch, 0.3)
 
 
+def test_certify_batch_refuses_coefficients_narrower_or_wider_than_the_fit_table(swiss_cloud, swiss_dict):
+    M = measurement.gaussian_matrix(4, 3, seed=12)
+    pts = swiss_cloud.points[:10]
+    batch = recovery.recover_batch(M.apply(pts), M, swiss_dict, 3)
+    assert batch.coefficients.shape == (10, 2)
+    for bad in (batch.coefficients[:, :1], np.hstack([batch.coefficients, np.zeros((10, 1))]), batch.coefficients[:9]):
+        with pytest.raises(ParameterError, match=r"^batch must be a recovery whose coefficients are shaped \(10, 2\), "
+                                                 r"the fit table's width, got %s$" % re.escape(str(bad.shape))):
+            recovery.certify_batch(pts, M, swiss_dict, dataclasses.replace(batch, coefficients=bad), 0.3)
+
+
+@pytest.mark.parametrize("j", [2, "auto"])
+def test_the_1_row_calls_are_the_batch_calls_on_one_row(mixed_dict, j):
+    # recover and certify stay as 1-row calls: recover(y) is recover_batch(y[None]) and certify(x, ...) is
+    # certify_batch(x[None], ...), field for field and column for column
+    cloud, d = mixed_dict
+    M = measurement.gaussian_matrix(3, 4, seed=53)
+    for x in cloud.points[::50]:
+        y = M.apply(x)
+        got, want = recovery.recover(y, M, d, j), recovery.recover_batch(y[None], M, d, j)
+        assert_same_batch(got, want)
+        for x_opt in (None, x + 1e-3):
+            row = recovery.certify(x, M, d, got, 0.3, x_opt=x_opt)
+            columns = recovery.certify_batch(x[None], M, d, want, 0.3, x_opt=None if x_opt is None else x_opt[None])
+            assert row.keys() == columns.keys()
+            for name, column in columns.items():
+                assert row[name].shape == (1,) and row[name].tobytes() == column.tobytes(), name
+
+
+@pytest.mark.parametrize("rhs", [0.0, 1.0, -3.0, 2.5e6])
+def test_holds_allows_1e_12_times_one_plus_the_bound_and_no_more(rhs):
+    edge = rhs + 1e-12 * (1.0 + abs(rhs))
+    past = np.nextafter(edge, np.inf)
+    assert edge > rhs
+    assert recovery.holds(rhs, rhs) and recovery.holds(edge, rhs)
+    assert not recovery.holds(past, rhs)
+    lhs = np.array([rhs - 1.0, rhs, edge, past])
+    assert recovery.holds(lhs, np.full(4, rhs)).tolist() == [True, True, True, False]
+    assert recovery.holds(lhs, rhs).tolist() == [True, True, True, False]
+
+
 def test_recover_dimension_mismatch(circle_dict):
     M = measurement.gaussian_matrix(4, 2, seed=5)
     with pytest.raises(ValueError):
-        recovery.recover(np.zeros(5), M, circle_dict, 1)
+        recovery.recover_batch(np.zeros((1, 5)), M, circle_dict, 1)
     with pytest.raises(ValueError):
-        recovery.recover(np.zeros(4), M, circle_dict, 99)
+        recovery.recover_batch(np.zeros((1, 4)), M, circle_dict, 99)
 
 
 def test_recover_flags_rank_deficiency(swiss_dict):
     # one measurement row cannot determine two plane coefficients
     M = measurement.gaussian_matrix(1, 3, seed=7)
-    out = recovery.recover(np.zeros(1), M, swiss_dict, 2)
-    assert out.ill_conditioned
+    out = recovery.recover_batch(np.zeros((1, 1)), M, swiss_dict, 2)
+    assert out.ill_conditioned.tolist() == [True]
 
 
 def test_recover_auto_scale_reports_fresh_fit():
@@ -326,9 +368,9 @@ def test_recover_auto_scale_reports_fresh_fit():
     cloud = geometry.PointCloud(pts, 3)
     d = gmra.build_dictionary(cloud, local_dim=2, max_scale=3)
     M = measurement.orthoprojection_matrix(3, 3, seed=1)
-    out = recovery.recover(M.apply(pts[0]), M, d, "auto")
+    out = recovery.recover_batch(M.apply(pts[:1]), M, d, "auto")
     # every scale past 0 is a stalled copy for this tiny cloud
-    assert out.chosen_scale == d.origin_scales(d.max_scale)[out.chosen_center]
+    assert np.array_equal(out.chosen_scales, d.origin_scales(d.max_scale)[out.chosen_centers])
 
 
 def test_scale_invariance_of_center_choice(swiss_cloud):
@@ -340,9 +382,9 @@ def test_scale_invariance_of_center_choice(swiss_cloud):
     rng = np.random.default_rng(9)
     for _ in range(20):
         x = swiss_cloud.points[int(rng.integers(swiss_cloud.n))] + rng.standard_normal(3) * 0.1
-        a = recovery.recover(M.apply(x), M, d1, 3)
-        b = recovery.recover(M.apply(3.0 * x), M, d3, 3)
-        assert a.chosen_center == b.chosen_center
+        a = recovery.recover_batch(M.apply(x)[None], M, d1, 3)
+        b = recovery.recover_batch(M.apply(3.0 * x)[None], M, d3, 3)
+        assert np.array_equal(a.chosen_centers, b.chosen_centers)
 
 
 def test_least_squares_local_minimality(swiss_dict):
@@ -351,14 +393,15 @@ def test_least_squares_local_minimality(swiss_dict):
     j = 2
     for _ in range(100):
         x = rng.standard_normal(3) * 5.0
-        out = recovery.recover(M.apply(x), M, swiss_dict, j)
-        k = out.chosen_center
+        out = recovery.recover_batch(M.apply(x)[None], M, swiss_dict, j)
+        k = out.chosen_centers[0]
+        dim = swiss_dict.local_dims(j)[k]
         a_sub = M.entries @ swiss_dict.bases(j)[k].T
         rhs = M.apply(x) - M.apply(swiss_dict.centers(j)[k])
-        base = np.linalg.norm(a_sub @ out.coefficients - rhs)
-        for i in range(swiss_dict.local_dims(j)[k]):
+        base = np.linalg.norm(a_sub @ out.coefficients[0, :dim] - rhs)
+        for i in range(dim):
             for step in (1e-4, -1e-4):
-                u = out.coefficients.copy()
+                u = out.coefficients[0, :dim].copy()
                 u[i] += step
                 assert np.linalg.norm(a_sub @ u - rhs) >= base - 1e-12
 
@@ -366,12 +409,13 @@ def test_least_squares_local_minimality(swiss_dict):
 def test_certify_isometric_case(swiss_cloud, swiss_dict):
     M = measurement.orthoprojection_matrix(3, 3, seed=41)
     x = swiss_cloud.points[5]
-    out = recovery.recover(M.apply(x), M, swiss_dict, 3)
-    cert = recovery.certify(x, M, swiss_dict, out, eps=0.01)
+    out = recovery.recover_batch(M.apply(x)[None], M, swiss_dict, 3)
+    cert = recovery.certify_batch(x[None], M, swiss_dict, out, eps=0.01)
     # the chosen center is the true nearest center, so the ratio is exactly 1
-    assert cert.line3_lhs <= cert.line3_rhs
-    assert cert.line4_lhs <= 1e-10
-    assert cert.line3_holds and cert.line4_holds
+    assert cert["line3_lhs"][0] <= cert["line3_rhs"][0]
+    assert cert["line4_lhs"][0] <= 1e-10
+    assert recovery.holds(cert["line3_lhs"], cert["line3_rhs"]).all()
+    assert recovery.holds(cert["line4_lhs"], cert["line4_rhs"]).all()
 
 
 def test_certify_monte_carlo_circle(circle_cloud, circle_dict):
@@ -381,26 +425,26 @@ def test_certify_monte_carlo_circle(circle_cloud, circle_dict):
     angles = rng.uniform(0, 2 * np.pi, size=100)
     probes = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     for x in probes:
-        out = recovery.recover(M.apply(x), M, circle_dict, 3)
-        cert = recovery.certify(x, M, circle_dict, out, eps=eps)
-        assert cert.line3_holds
-        assert cert.line4_holds
+        out = recovery.recover_batch(M.apply(x)[None], M, circle_dict, 3)
+        cert = recovery.certify_batch(x[None], M, circle_dict, out, eps=eps)
+        assert recovery.holds(cert["line3_lhs"], cert["line3_rhs"]).all()
+        assert recovery.holds(cert["line4_lhs"], cert["line4_rhs"]).all()
 
 
 def test_certify_with_oracle_point(circle_cloud, circle_dict):
     M = measurement.gaussian_matrix(200, 2, seed=19)
     x = np.array([1.05, 0.02])
     x_opt = recovery.nearest_point_oracle(x, "sphere")
-    out = recovery.recover(M.apply(x), M, circle_dict, 4)
-    cert = recovery.certify(x, M, circle_dict, out, eps=0.3, x_opt=x_opt)
-    assert cert.optimal_error_bound == pytest.approx(100.3 * np.linalg.norm(x - x_opt))
-    assert cert.optimal_error_excess is not None
-    assert cert.line3_set2_rhs >= cert.line3_rhs
-    assert cert.tube_lhs is not None
+    out = recovery.recover_batch(M.apply(x)[None], M, circle_dict, 4)
+    cert = recovery.certify_batch(x[None], M, circle_dict, out, eps=0.3, x_opt=x_opt[None])
+    assert tuple(cert) == recovery.CERT_COLUMNS
+    assert cert["optimal_error_bound"][0] == pytest.approx(100.3 * np.linalg.norm(x - x_opt))
+    assert np.isfinite(cert["optimal_error_excess"]).all() and np.isfinite(cert["tube_lhs"]).all()
+    assert cert["line3_set2_rhs"][0] >= cert["line3_rhs"][0]
     # the distance to the nearest finest-scale center, whatever scale the recovery searched
-    assert cert.tube_rhs == np.linalg.norm(x - circle_dict.centers(circle_dict.max_scale), axis=1).min()
+    assert cert["tube_rhs"][0] == np.linalg.norm(x - circle_dict.centers(circle_dict.max_scale), axis=1).min()
     with pytest.raises(ValueError):
-        recovery.certify(x, M, circle_dict, out, eps=0.7)
+        recovery.certify_batch(x[None], M, circle_dict, out, eps=0.7)
 
 
 def test_optimal_error_excess_negative_at_fine_scales(circle_dict):
@@ -413,29 +457,30 @@ def test_optimal_error_excess_negative_at_fine_scales(circle_dict):
         radius = 1.0 + rng.uniform(0.02, 0.3) * rng.choice([-1.0, 1.0])
         x = radius * np.array([np.cos(ang), np.sin(ang)])
         x_opt = recovery.nearest_point_oracle(x, "sphere")
-        out = recovery.recover(M.apply(x), M, circle_dict, 5)
-        cert = recovery.certify(x, M, circle_dict, out, eps=0.3, x_opt=x_opt)
-        assert cert.optimal_error_excess < 0
+        out = recovery.recover_batch(M.apply(x)[None], M, circle_dict, 5)
+        cert = recovery.certify_batch(x[None], M, circle_dict, out, eps=0.3, x_opt=x_opt[None])
+        assert cert["optimal_error_excess"][0] < 0
 
 
 def test_reconstruction_assembles_from_parts(circle_dict):
     M = measurement.gaussian_matrix(6, 2, seed=43)
     x = np.array([0.4, 0.9])
-    out = recovery.recover(M.apply(x), M, circle_dict, 4)
-    k = out.chosen_center
-    manual = circle_dict.bases(4)[k].T @ out.coefficients + circle_dict.centers(4)[k]
-    assert np.linalg.norm(manual - out.reconstruction) <= 1e-12
+    out = recovery.recover_batch(M.apply(x)[None], M, circle_dict, 4)
+    k = out.chosen_centers[0]
+    coeffs = out.coefficients[0, : circle_dict.local_dims(4)[k]]
+    manual = circle_dict.bases(4)[k].T @ coeffs + circle_dict.centers(4)[k]
+    assert np.linalg.norm(manual - out.reconstructions[0]) <= 1e-12
 
 
 def test_certify_rejects_a_center_outside_its_scale(circle_dict):
     # fits are looked up by flat cell index: an index past K_j must not reach the next scale's cells
     M = measurement.gaussian_matrix(6, 2, seed=43)
     x = np.array([0.4, 0.9])
-    out = recovery.recover(M.apply(x), M, circle_dict, 2)
+    out = recovery.recover_batch(M.apply(x)[None], M, circle_dict, 2)
     for k in (-1, len(circle_dict.centers(2))):
-        out.chosen_center = k
+        out.chosen_centers[0] = k
         with pytest.raises(ParameterError, match=r"^batch must be .*outside its scale .*, got \[%d\]$" % k):
-            recovery.certify(x, M, circle_dict, out, eps=0.3)
+            recovery.certify_batch(x[None], M, circle_dict, out, eps=0.3)
 
 
 def test_sphere_oracle():
